@@ -1,5 +1,4 @@
 module Int_map = Map.Make (Int)
-module Vc = Vector_clock
 
 type 'a entry =
   { slot : int
@@ -37,7 +36,7 @@ let entries t = List.rev (fold (fun e acc -> e :: acc) t [])
    in the streaming engine's transition system that is equivalent to
    pointwise domination of the whole clock at the time of the access
    (knowledge only ever propagates by merging full clocks). *)
-let known clock e = Vc.get clock e.slot >= e.time
+let known clock e = clock e.slot >= e.time
 
 let unknown ~clock t =
   List.rev (fold (fun e acc -> if known clock e then acc else e :: acc) t [])

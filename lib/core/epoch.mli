@@ -53,20 +53,21 @@ type outcome =
   | Stayed
 
 val observe :
-  clock:Vector_clock.t -> slot:int -> time:int -> 'a -> 'a t ->
+  clock:(int -> int) -> slot:int -> time:int -> 'a -> 'a t ->
   'a t * 'a entry list * outcome
 (** [observe ~clock ~slot ~time payload t] records a new access whose
-    segment clock is [clock].  Returns the new frontier, plus the
+    segment clock is [clock] (a lookup: the local time the clock knows
+    for a slot, 0 if none).  Returns the new frontier, plus the
     entries that were {e unordered} with the access (they remain in the
     frontier beside it — these are the racing predecessors the caller
     reports).  Entries the clock knows are dropped. *)
 
-val unknown : clock:Vector_clock.t -> 'a t -> 'a entry list
+val unknown : clock:(int -> int) -> 'a t -> 'a entry list
 (** The entries not known by [clock] — read-only race check, for
     accesses that must not enter this frontier (a read probing the
     write frontier). *)
 
-val prune : clock:Vector_clock.t -> 'a t -> 'a t * int
+val prune : clock:(int -> int) -> 'a t -> 'a t * int
 (** Drops every entry [clock] knows without inserting anything (a write
     clearing the reads it is ordered after); returns the count
     dropped. *)

@@ -5,11 +5,17 @@ open! Import
     A single forward pass that consumes events as they arrive — from an
     in-memory trace, a channel, or a file via {!Trace_io.fold_channel}
     — and never materialises the trace.  The transition system is
-    {!Clock_engine}'s (task-indexed sparse vector clocks; fork/join,
+    {!Clock_engine}'s (task-indexed vector clocks; fork/join,
     post→begin, enable→post, attachQ→post, loopOnQ→begin, FIFO, NOPRE
-    and unconditional lock merges), with three changes that bound
+    and unconditional lock merges), with four changes that bound
     resident memory by the number of {e live} entities instead of the
-    event count:
+    event count and make an event cost O(live slots), not O(history):
+
+    - clocks are dense [int array]s indexed by slot: a tick is one
+      store, a join an in-place pointwise-max loop.  Only the executing
+      context's clock is ever mutated; every clock stored in a table is
+      a copy of it (at [end] and [exit] the context's clock is handed
+      over instead);
 
     - per-location access history is an adaptive {!Epoch} frontier
       (last-write / last-read epochs, vector fallback on read shares)
@@ -20,7 +26,19 @@ open! Import
     - incremental GC: consumed synchronization clocks are dropped at
       their single use, completed tasks beyond a window are folded into
       one per-thread clock, exited threads release their contexts, and
-      a periodic sweep purges retired slots from every resident clock.
+      a periodic sweep zeroes the column of every retired slot in every
+      resident clock and puts the slot on a free list for reuse, so
+      array widths track the slots in use, not the slots ever handed
+      out (and shrinks a clock whose non-zero prefix is under half its
+      width: exit clocks outlive their threads).
+
+    The recycling invariant: a slot is reused only after its column is
+    zeroed in every resident clock, so a reused slot reads 0 everywhere
+    just as a fresh one would; and a slot is retired only when nothing
+    can ask about it again — no frontier entry, completed record,
+    pending post or context holds it, and the in-flight post of a
+    running task (which becomes a completed record's FIFO epoch at
+    [end]) counts as live.
 
     {2 Correctness contract}
 
@@ -60,8 +78,8 @@ type stats =
   ; peak_live_slots : int  (** max live slots seen at any sweep *)
   ; slots_retired : int  (** allocated minus live *)
   ; resident_clock_entries : int
-        (** total entries across all resident clocks after the final
-            sweep *)
+        (** total non-zero entries across all resident clocks after
+            the final sweep *)
   ; peak_clock_entries : int  (** max resident entries at any sweep *)
   ; fast_path : int  (** same-slot O(1) epoch overwrites *)
   ; promotions : int  (** epoch → vector (read share) *)
@@ -69,6 +87,9 @@ type stats =
   ; comparisons : int  (** frontier entries examined by access checks *)
   ; folded_tasks : int  (** completed records evicted into the fold *)
   ; gc_sweeps : int
+  ; clock_entries_merged : int
+        (** clock entries scanned by joins and copies: the engine's
+            clock work, O(live slots) per event *)
   ; races : int
   }
 

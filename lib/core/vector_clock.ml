@@ -19,7 +19,6 @@ let leq a b =
   Int_map.for_all (fun slot v -> v <= get b slot) a
 
 let cardinal = Int_map.cardinal
-let retain keep t = Int_map.filter (fun slot _ -> keep slot) t
 
 let pp ppf t =
   Format.fprintf ppf "{";

@@ -1,4 +1,7 @@
-(** Sparse vector clocks.
+(** Sparse vector clocks, the representation of {!Clock_engine} (the
+    ablation reference) and of nothing else: the streaming engine keeps
+    its own dense, slot-recycled clocks, and {!Epoch} takes a plain
+    lookup function, so neither depends on this module.
 
     Slots are dense integers handed out by {!Clock_engine}: one per
     asynchronous-task instance and one per thread segment outside any
@@ -22,10 +25,5 @@ val leq : t -> t -> bool
 (** Pointwise comparison: [leq a b] iff every slot of [a] is ≤ in [b]. *)
 
 val cardinal : t -> int
-
-val retain : (int -> bool) -> t -> t
-(** [retain keep t] drops every slot [keep] rejects.  Sound only when
-    the dropped slots can never again be the subject of a {!get} — the
-    streaming engine's retired-slot sweep establishes exactly that. *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,13 +25,16 @@ let clock_of assoc =
 
 let test_epoch_fast_path () =
   let t, racing, o1 =
-    Epoch.observe ~clock:(clock_of [ (0, 1) ]) ~slot:0 ~time:1 "a" Epoch.bottom
+    Epoch.observe ~clock:(Vc.get (clock_of [ (0, 1) ])) ~slot:0 ~time:1 "a"
+      Epoch.bottom
   in
   check_int "first entry races with nothing" 0 (List.length racing);
   check_bool "first observe is not the fast path" true (o1 = Epoch.Stayed);
   (* Same slot again: program order, clock irrelevant (even an empty
      clock must not matter — the lookup is skipped entirely). *)
-  let t, racing, o2 = Epoch.observe ~clock:Vc.empty ~slot:0 ~time:2 "b" t in
+  let t, racing, o2 =
+    Epoch.observe ~clock:(Vc.get Vc.empty) ~slot:0 ~time:2 "b" t
+  in
   check_bool "same-slot overwrite takes the fast path" true (o2 = Epoch.Fast_path);
   check_int "no race on the fast path" 0 (List.length racing);
   check_int "still one entry" 1 (Epoch.cardinal t);
@@ -43,11 +46,12 @@ let test_epoch_fast_path () =
 
 let test_epoch_promotion_and_demotion () =
   let t, _, _ =
-    Epoch.observe ~clock:(clock_of [ (0, 1) ]) ~slot:0 ~time:1 "w0" Epoch.bottom
+    Epoch.observe ~clock:(Vc.get (clock_of [ (0, 1) ])) ~slot:0 ~time:1 "w0"
+      Epoch.bottom
   in
   (* Slot 1 has not seen slot 0: unordered, promotes to a read share. *)
   let t, racing, o =
-    Epoch.observe ~clock:(clock_of [ (1, 1) ]) ~slot:1 ~time:1 "w1" t
+    Epoch.observe ~clock:(Vc.get (clock_of [ (1, 1) ])) ~slot:1 ~time:1 "w1" t
   in
   check_bool "unordered second slot promotes" true (o = Epoch.Promoted);
   Alcotest.(check (list string)) "the racing predecessor" [ "w0" ]
@@ -55,8 +59,9 @@ let test_epoch_promotion_and_demotion () =
   check_int "two entries" 2 (Epoch.cardinal t);
   (* A third slot that knows both demotes back to a single epoch. *)
   let t, racing, o =
-    Epoch.observe ~clock:(clock_of [ (0, 5); (1, 5); (2, 1) ]) ~slot:2 ~time:1
-      "w2" t
+    Epoch.observe
+      ~clock:(Vc.get (clock_of [ (0, 5); (1, 5); (2, 1) ]))
+      ~slot:2 ~time:1 "w2" t
   in
   check_bool "dominating observer demotes" true (o = Epoch.Demoted);
   check_int "no race when everything is known" 0 (List.length racing);
@@ -64,14 +69,17 @@ let test_epoch_promotion_and_demotion () =
 
 let test_epoch_prune () =
   let t, _, _ =
-    Epoch.observe ~clock:(clock_of [ (0, 1) ]) ~slot:0 ~time:1 "r0" Epoch.bottom
+    Epoch.observe ~clock:(Vc.get (clock_of [ (0, 1) ])) ~slot:0 ~time:1 "r0"
+      Epoch.bottom
   in
-  let t, _, _ = Epoch.observe ~clock:(clock_of [ (1, 1) ]) ~slot:1 ~time:1 "r1" t in
-  let t, dropped = Epoch.prune ~clock:(clock_of [ (0, 1) ]) t in
+  let t, _, _ =
+    Epoch.observe ~clock:(Vc.get (clock_of [ (1, 1) ])) ~slot:1 ~time:1 "r1" t
+  in
+  let t, dropped = Epoch.prune ~clock:(Vc.get (clock_of [ (0, 1) ])) t in
   check_int "only the known entry is dropped" 1 dropped;
   Alcotest.(check (list string)) "the unordered read survives" [ "r1" ]
     (List.map (fun e -> e.Epoch.payload) (Epoch.entries t));
-  let t, dropped = Epoch.prune ~clock:(clock_of [ (1, 1) ]) t in
+  let t, dropped = Epoch.prune ~clock:(Vc.get (clock_of [ (1, 1) ])) t in
   check_int "then the other" 1 dropped;
   check_int "frontier empty" 0 (Epoch.cardinal t)
 
@@ -136,27 +144,110 @@ let test_gc_retired_tasks () =
   check_bool "live slots bounded by the window, not the task count" true
     (stats.Streaming.live_slots < 20)
 
+(* Every event of a generated long trace, materialised. *)
+let longtrace ?(config = Longtrace.default_config) events =
+  let collected = ref [] in
+  let _n =
+    Longtrace.generate ~config ~events (fun e -> collected := e :: !collected)
+  in
+  trace (List.rev !collected)
+
+(* Runs [t] with GC off and with a sweep every [interval] events for
+   each of [intervals], checks the race sets are equal, and returns the
+   swept runs' stats. *)
+let check_gc_invisible ~label ~window ~intervals t =
+  let detect gc_interval =
+    Streaming.detect
+      ~config:{ Streaming.completed_window = window; gc_interval } t
+  in
+  let no_gc = pairs (fst (detect 0)) in
+  List.map
+    (fun gc_interval ->
+       let gc, stats = detect gc_interval in
+       Alcotest.check pair_list
+         (Printf.sprintf "%s: sweeps every %d do not change the race set"
+            label gc_interval)
+         no_gc (pairs gc);
+       stats)
+    intervals
+
 let test_gc_invisible_to_races () =
-  (* Slot purging must be invisible; only window folding may (soundly)
-     lose races.  Same trace, GC off vs. aggressive interval. *)
+  (* Slot zeroing and recycling must be invisible; only window folding
+     may (soundly) lose races. *)
   for seed = 0 to 9 do
     let t =
       Trace.remove_cancelled (Random_trace.generate ~seed ~size:120 ())
     in
-    let no_gc, _ =
-      Streaming.detect
-        ~config:{ Streaming.completed_window = max_int; gc_interval = 0 }
-        t
+    ignore
+      (check_gc_invisible ~label:(Printf.sprintf "seed %d" seed)
+         ~window:max_int ~intervals:[ 1 ] t);
+    (* A window of 2 retires task slots almost at once, so recycled
+       slots are handed out while enable and lock clocks taken before
+       the sweep are still waiting to be merged. *)
+    let t =
+      Trace.remove_cancelled (Random_trace.generate ~seed ~size:400 ())
     in
-    let gc, _ =
-      Streaming.detect
-        ~config:{ Streaming.completed_window = max_int; gc_interval = 1 }
-        t
-    in
-    Alcotest.check pair_list
-      (Printf.sprintf "sweeps do not change the race set (seed %d)" seed)
-      (pairs no_gc) (pairs gc)
-  done
+    ignore
+      (check_gc_invisible ~label:(Printf.sprintf "window 2, seed %d" seed)
+         ~window:2 ~intervals:[ 1; 7 ] t)
+  done;
+  (* Long traces with locks, enables, forks, exits and joins: every
+     kind of table clock gets retired columns zeroed, and a small
+     window retires task slots fast enough that sweeps every 1 or 7
+     events hand recycled slots back out mid-run. *)
+  List.iter
+    (fun seed ->
+       let t =
+         longtrace
+           ~config:
+             { Longtrace.default_config with
+               seed
+             ; locations = 16
+             ; fork_every = 7
+             }
+           3_000
+       in
+       List.iter
+         (fun (stats : Streaming.stats) ->
+            check_bool
+              (Printf.sprintf "most slots retired and recycled: %d of %d"
+                 stats.slots_retired stats.slots_allocated)
+              true
+              (stats.slots_retired > 4 * stats.live_slots))
+         (check_gc_invisible
+            ~label:(Printf.sprintf "long trace, seed %d" seed)
+            ~window:4 ~intervals:[ 1; 7 ] t))
+    [ 1; 3; 5 ]
+
+let test_gc_keeps_in_flight_post () =
+  (* The post epoch of a task that has begun but not ended is still a
+     comparison key: at [end] it becomes the completed record's FIFO
+     epoch.  A sweep inside the task (here at every event) must not
+     retire the poster's slot, or the FIFO probe at the next [begin]
+     misses the ordering p1 < p2 (p2 is posted by a thread that joined
+     the poster of p1) and the two writes appear to race. *)
+  let p1 = task "p1" and p2 = task "p2" in
+  let x = loc "x" in
+  let t =
+    trace
+      [ threadinit 1; attachq 1; looponq 1; threadinit 0; post 0 p1 1; fork 0 2
+      ; threadexit 0; threadinit 2; begin_task 1 p1; write 1 x; join 2 0
+      ; post 2 p2 1; end_task 1 p1; begin_task 1 p2; write 1 x; end_task 1 p2
+      ]
+  in
+  let detect gc_interval =
+    pairs
+      (fst
+         (Streaming.detect
+            ~config:{ Streaming.default_config with gc_interval } t))
+  in
+  Alcotest.check pair_list "GC off: FIFO orders the writes" [] (detect 0);
+  Alcotest.check pair_list "sweep every event: still ordered" [] (detect 1);
+  Alcotest.check pair_list "the dense engine agrees" []
+    (List.map
+       (fun { Detector.race; _ } ->
+          (race.Race.first.position, race.Race.second.position))
+       (Detector.analyze t).Detector.all_races)
 
 let test_window_folding_is_sound () =
   for seed = 10 to 19 do
@@ -222,6 +313,35 @@ let test_fold_channel_bounded_state () =
     true
     (long.Streaming.peak_clock_entries
      < (short.Streaming.peak_clock_entries * 3 / 2) + 1_000)
+
+(* The clock work per event is O(live slots): joins and copies scan
+   arrays as wide as the slots in use, which recycling keeps near the
+   live-slot count.  On the default generator config live slots plateau
+   near 2.0k (the location pools bound the frontiers), and the measured
+   entries per event were 1.27k at 25k events and 2.03k at 100k (2.29k
+   at 400k).  Without recycling widths would track every slot ever
+   handed out (27k at 100k events). *)
+let test_clock_work_per_event_bounded () =
+  let per_event events =
+    let engine = Streaming.create () in
+    let position = ref 0 in
+    let _n =
+      Longtrace.generate ~events (fun e ->
+        Streaming.feed engine ~position:!position e;
+        incr position)
+    in
+    let _, stats = Streaming.finish engine in
+    float_of_int stats.Streaming.clock_entries_merged
+    /. float_of_int stats.Streaming.events
+  in
+  List.iter
+    (fun events ->
+       let v = per_event events in
+       check_bool
+         (Printf.sprintf "%d events: %.1f clock entries merged per event"
+            events v)
+         true (v < 2_500.))
+    [ 25_000; 100_000 ]
 
 let test_longtrace_prefixes_admissible () =
   List.iter
@@ -348,6 +468,8 @@ let () =
         ; Alcotest.test_case "retired-task GC" `Quick test_gc_retired_tasks
         ; Alcotest.test_case "GC invisible to races" `Quick
             test_gc_invisible_to_races
+        ; Alcotest.test_case "GC keeps the in-flight post" `Quick
+            test_gc_keeps_in_flight_post
         ; Alcotest.test_case "window folding sound" `Quick
             test_window_folding_is_sound
         ] )
@@ -356,6 +478,8 @@ let () =
             test_longtrace_prefixes_admissible
         ; Alcotest.test_case "fold_channel bounded state" `Slow
             test_fold_channel_bounded_state
+        ; Alcotest.test_case "clock work per event bounded" `Slow
+            test_clock_work_per_event_bounded
         ] )
     ; ( "differential"
       , [ QCheck_alcotest.to_alcotest prop_subset_of_worklist

@@ -45,7 +45,6 @@ module Wellformed = Droidracer_trace.Wellformed
 module Graph = Droidracer_core.Graph
 module Happens_before = Droidracer_core.Happens_before
 module Detector = Droidracer_core.Detector
-module Clock_engine = Droidracer_core.Clock_engine
 module Streaming_engine = Droidracer_core.Streaming_engine
 module Par_pool = Droidracer_core.Par_pool
 module Longtrace = Droidracer_corpus.Longtrace
@@ -154,20 +153,6 @@ let timed name f =
   stages := (name, dt) :: !stages;
   (v, dt)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path opts (runs : Experiments.app_run list) =
   let oc =
     try open_out path
@@ -184,7 +169,7 @@ let write_json path opts (runs : Experiments.app_run list) =
   out "  \"quick\": %b,\n" opts.quick;
   out "  \"corpus_apps\": %d,\n" (List.length runs);
   out "  \"metadata\": {\n";
-  out "    \"ocaml_version\": \"%s\",\n" (json_escape Sys.ocaml_version);
+  out "    \"ocaml_version\": \"%s\",\n" (Json.escape Sys.ocaml_version);
   out "    \"word_size\": %d,\n" Sys.word_size;
   out "    \"recommended_domains\": %d,\n" (Par_pool.default_jobs ());
   out "    \"telemetry\": %b\n" (Obs.enabled ());
@@ -194,7 +179,7 @@ let write_json path opts (runs : Experiments.app_run list) =
   List.iteri
     (fun i (name, dt) ->
        out "    {\"name\": \"%s\", \"wall_seconds\": %.6f}%s\n"
-         (json_escape name) dt
+         (Json.escape name) dt
          (if i = List.length stages - 1 then "" else ","))
     stages;
   out "  ],\n";
@@ -208,7 +193,7 @@ let write_json path opts (runs : Experiments.app_run list) =
           \"passes\": %d, \"races\": %d, \"distinct_races\": %d, \
           \"analysis_wall_seconds\": %.6f, \"hb_wall_seconds\": %.6f, \
           \"detect_wall_seconds\": %.6f}%s\n"
-         (json_escape s.Synthetic.s_name)
+         (Json.escape s.Synthetic.s_name)
          r.Detector.nodes r.Detector.hb_edges r.Detector.fixpoint_passes
          (List.length r.Detector.all_races)
          (List.length r.Detector.distinct_races)
@@ -437,7 +422,7 @@ let write_hb_engines_json path (eruns : engine_run list) =
   let rec go = function
     | [] -> ()
     | d :: w :: rest when d.er_app = w.er_app ->
-      out "    {\"name\": \"%s\",\n" (json_escape d.er_app);
+      out "    {\"name\": \"%s\",\n" (Json.escape d.er_app);
       out "     \"dense\": %s,\n" (engine_fields d.er_report);
       out "     \"worklist\": %s}%s\n"
         (engine_fields w.er_report)
@@ -728,7 +713,7 @@ let write_corpus_json path opts (cb : corpus_bench) =
   List.iteri
     (fun i (name, dt) ->
        out "    {\"name\": \"%s\", \"wall_seconds\": %.6f}%s\n"
-         (json_escape name) dt
+         (Json.escape name) dt
          (if i = List.length codec_stages - 1 then "" else ","))
     codec_stages;
   out "  ]\n}\n";
@@ -1060,8 +1045,10 @@ let microbenchmarks (runs : Experiments.app_run list) =
     ; Test.make ~name:"perf: happens-before, uncoalesced graph"
         (Staged.stage (fun () ->
            Happens_before.compute (Graph.build ~coalesce:false small)))
-    ; Test.make ~name:"engines: online vector-clock detection"
-        (Staged.stage (fun () -> Clock_engine.detect medium))
+    ; Test.make ~name:"engines: online vector-clock detection (no GC)"
+        (Staged.stage (fun () ->
+           Streaming_engine.detect ~config:Streaming_engine.ablation_config
+             medium))
     ; Test.make ~name:"ingest: wellformed admissibility check"
         (Staged.stage (fun () -> Wellformed.check medium))
     ]

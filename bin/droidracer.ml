@@ -551,22 +551,6 @@ let validate_cmd =
     Arg.(value & flag
          & info [ "quiet"; "q" ] ~doc:"Suppress per-file statistics.")
   in
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-         match c with
-         | '"' -> Buffer.add_string buf "\\\""
-         | '\\' -> Buffer.add_string buf "\\\\"
-         | '\n' -> Buffer.add_string buf "\\n"
-         | '\t' -> Buffer.add_string buf "\\t"
-         | '\r' -> Buffer.add_string buf "\\r"
-         | c when Char.code c < 0x20 ->
-           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-         | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
   let run files json_out quiet =
     let results =
       List.map (fun file -> (file, Wellformed.check_file file)) files
@@ -594,7 +578,7 @@ let validate_cmd =
               | Ok (stats : Wellformed.stats) ->
                 Printf.bprintf buf
                   "{\"file\":\"%s\",\"status\":\"ok\",\"events\":%d,\"threads\":%d,\"tasks\":%d,\"locks\":%d}"
-                  (json_escape file) stats.Wellformed.events
+                  (Json.escape file) stats.Wellformed.events
                   stats.Wellformed.threads stats.Wellformed.tasks
                   stats.Wellformed.locks
               | Error failure ->
@@ -608,11 +592,11 @@ let validate_cmd =
                 in
                 Printf.bprintf buf
                   "{\"file\":\"%s\",\"status\":\"rejected\",\"rule\":%s,\"line\":%s,\"message\":\"%s\"}"
-                  (json_escape file) rule
+                  (Json.escape file) rule
                   (match Wellformed.failure_line failure with
                    | Some l -> string_of_int l
                    | None -> "null")
-                  (json_escape (Wellformed.failure_message failure)))
+                  (Json.escape (Wellformed.failure_message failure)))
            results;
          Buffer.add_string buf "]}\n";
          Out_channel.with_open_text path (fun oc ->

@@ -8,9 +8,10 @@ open! Import
     classifies each race.  The configuration switches drive the
     ablation experiments; defaults reproduce the paper's tool.
 
-    The online vector-clock engine lives in {!Clock_engine}; it trades
-    the precision of the graph relation for a single forward pass and is
-    compared against this detector by the benchmarks. *)
+    The online vector-clock engine lives in {!Streaming_engine}; it
+    trades the precision of the graph relation for a single forward
+    pass, is selected here by [closure = Streaming], and is compared
+    against this detector by the engine ablation. *)
 
 type config =
   { coalesce : bool  (** merge contiguous access runs (Section 6) *)

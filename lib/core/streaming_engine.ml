@@ -10,6 +10,7 @@ type config =
   }
 
 let default_config = { completed_window = 64; gc_interval = 4096 }
+let ablation_config = { completed_window = max_int; gc_interval = 0 }
 
 type stats =
   { events : int
@@ -51,8 +52,8 @@ let widen clock width =
    epoch (p_slot, p_time) stands in for the whole post clock in the
    FIFO premise: in this transition system, knowing an event's epoch is
    equivalent to dominating the event's entire clock (knowledge only
-   propagates by merging full clocks), so the O(slots) [Vc.leq] of
-   {!Clock_engine} collapses to one O(1) lookup — which is what lets
+   propagates by merging full clocks), so an O(slots) comparison of
+   whole clocks collapses to one O(1) lookup — which is what lets
    retired slots be zeroed in resident clocks and recycled. *)
 type pending_post =
   { p_clock : int array
@@ -79,6 +80,17 @@ type completed =
             probe. *)
   ; c_flavour : Operation.post_flavour
   }
+
+(* The flavour side condition of the refined FIFO rule (Section 4.2):
+   may a task completed with the first flavour be FIFO-ordered before
+   one posted with the second? *)
+let fifo_flavours_ok f1 f2 =
+  match (f1 : Operation.post_flavour), (f2 : Operation.post_flavour) with
+  | Immediate, (Immediate | Delayed _) -> true
+  | Delayed d1, Delayed d2 -> d1 <= d2
+  | Delayed _, Immediate -> false
+  | Front, (Immediate | Delayed _ | Front) -> false
+  | (Immediate | Delayed _), Front -> false
 
 type thread_ctx =
   { mutable slot : int
@@ -471,7 +483,7 @@ let feed t ~position (e : Trace.event) =
                 dominated, and the epoch probe skips its merge. *)
              if get !clock comp.c_slot < comp.c_end_time then begin
                let fifo =
-                 Clock_engine.fifo_flavours_ok comp.c_flavour post.p_flavour
+                 fifo_flavours_ok comp.c_flavour post.p_flavour
                  && get post.p_clock comp.c_post_slot >= comp.c_post_time
                in
                let nopre () = get post.p_clock comp.c_slot >= 1 in
@@ -628,7 +640,8 @@ let stats_json_string ?(label = "streaming") ~elapsed_seconds ~peak_rss_kb
   let b = Buffer.create 256 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"droidracer-streaming/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"label\": %S,\n" label);
+  Buffer.add_string b
+    (Printf.sprintf "  \"label\": \"%s\",\n" (Json.escape label));
   Buffer.add_string b (Printf.sprintf "  \"events\": %d,\n" s.events);
   Buffer.add_string b
     (Printf.sprintf "  \"elapsed_seconds\": %.6f,\n" elapsed_seconds);

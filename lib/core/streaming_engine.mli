@@ -1,22 +1,45 @@
 open! Import
 
-(** Bounded-memory streaming race detection.
+(** Bounded-memory streaming race detection with vector clocks.
 
     A single forward pass that consumes events as they arrive — from an
     in-memory trace, a channel, or a file via {!Trace_io.fold_channel}
-    — and never materialises the trace.  The transition system is
-    {!Clock_engine}'s (task-indexed vector clocks; fork/join,
-    post→begin, enable→post, attachQ→post, loopOnQ→begin, FIFO, NOPRE
-    and unconditional lock merges), with four changes that bound
-    resident memory by the number of {e live} entities instead of the
-    event count and make an event cost O(live slots), not O(history):
+    — and never materialises the trace.
+
+    {2 Transition system}
+
+    Every asynchronous-task instance and every thread segment outside a
+    task owns a clock slot, and every event ticks the executing slot.
+    The edges of the happens-before relation become clock merges:
+
+    - fork/join, post→begin, enable→post, attachQ→post and
+      loopOnQ→begin merge the stored source clock into the destination
+      context;
+    - FIFO: at [begin p₂], the end clock of every earlier task [p₁] on
+      the thread is merged in when [p₂]'s post knows [p₁]'s post and
+      the post flavours are compatible (Section 4.2's refined rule);
+    - NOPRE: likewise when [p₂]'s post already knows any operation of
+      [p₁];
+    - release→acquire merges the lock's clock {e unconditionally}.  A
+      vector clock cannot express the paper's restriction that lock
+      edges order only operations of different threads, so the engine
+      over-approximates ⪯ exactly in the way Section 1 warns about, and
+      consequently {e under}-reports races on traces with locks.
+
+    An access races with every conflicting frontier entry of its
+    location (below) whose epoch the accessing clock does not know.
+
+    {2 Bounded memory}
+
+    Four choices bound resident memory by the number of {e live}
+    entities instead of the event count and make an event cost
+    O(live slots), not O(history):
 
     - clocks are dense [int array]s indexed by slot: a tick is one
       store, a join an in-place pointwise-max loop.  Only the executing
       context's clock is ever mutated; every clock stored in a table is
       a copy of it (at [end] and [exit] the context's clock is handed
       over instead);
-
     - per-location access history is an adaptive {!Epoch} frontier
       (last-write / last-read epochs, vector fallback on read shares)
       instead of the full access list;
@@ -45,7 +68,8 @@ open! Import
     Every mechanism above moves in one direction only: folding and the
     unconditional lock merge {e add} orderings (losing races), frontier
     and slot GC drop only state that provably cannot change a future
-    answer.  Hence (property-tested, jobs ∈ {1, 4}):
+    answer.  Hence (property-tested, jobs ∈ {1, 4}, under both
+    {!default_config} and {!ablation_config}):
 
     - {e soundness of reports}: every race this engine reports is also
       reported by the worklist (and dense) batch engine;
@@ -56,9 +80,10 @@ open! Import
       subsuming access rather than every historical one (the frontier
       keeps pairwise-unordered representatives, not the full history).
 
-    On traces with locks both engines inherit {!Clock_engine}'s
-    documented over-approximation and under-report relative to the
-    graph relation. *)
+    On traces with locks the engine under-reports relative to the graph
+    relation, by the lock over-approximation above; window folding can
+    under-report further on long looper histories, which
+    {!ablation_config} turns off. *)
 
 type config =
   { completed_window : int
@@ -70,6 +95,13 @@ type config =
   }
 
 val default_config : config
+
+val ablation_config : config
+(** [{ completed_window = max_int; gc_interval = 0 }]: no window
+    folding and no sweeps, so the lock merges are the only orderings
+    the engine adds to the graph relation.  The engine ablation table
+    ([Experiments.engine_table]) runs under it; memory then grows with
+    the number of tasks and slots ever seen. *)
 
 type stats =
   { events : int

@@ -791,22 +791,6 @@ let summary_string () =
 
 (* {1 JSON exporters} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let comma_sep buf emit items =
   List.iteri
     (fun i x ->
@@ -823,17 +807,17 @@ let metrics_json_string () =
   out "  \"processes\": [";
   comma_sep buf
     (fun (pid, label) ->
-       out "\n    {\"pid\": %d, \"label\": \"%s\"}" pid (json_escape label))
+       out "\n    {\"pid\": %d, \"label\": \"%s\"}" pid (Json.escape label))
     snap.processes;
   out "\n  ],\n";
   out "  \"counters\": {";
   comma_sep buf
-    (fun (name, v) -> out "\n    \"%s\": %d" (json_escape name) v)
+    (fun (name, v) -> out "\n    \"%s\": %d" (Json.escape name) v)
     snap.counters;
   out "\n  },\n";
   out "  \"gauges\": {";
   comma_sep buf
-    (fun (name, v) -> out "\n    \"%s\": %.6f" (json_escape name) v)
+    (fun (name, v) -> out "\n    \"%s\": %.6f" (Json.escape name) v)
     snap.gauges;
   out "\n  },\n";
   out "  \"histograms\": {";
@@ -843,7 +827,7 @@ let metrics_json_string () =
          "\n    \"%s\": {\"count\": %d, \"sum\": %.6f, \"min\": %.6f, \
           \"max\": %.6f, \"mean\": %.6f, \"p50\": %.6f, \"p90\": %.6f, \
           \"p99\": %.6f}"
-         (json_escape name) h.h_count h.h_sum h.h_min h.h_max
+         (Json.escape name) h.h_count h.h_sum h.h_min h.h_max
          (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count)
          h.h_p50 h.h_p90 h.h_p99)
     snap.histograms;
@@ -869,7 +853,7 @@ let series_json_string () =
   out "  \"series\": [";
   comma_sep buf
     (fun (name, samples) ->
-       out "\n    {\"name\": \"%s\", \"samples\": [" (json_escape name);
+       out "\n    {\"name\": \"%s\", \"samples\": [" (Json.escape name);
        comma_sep buf
          (fun s ->
             out "\n      {\"pid\": %d, \"t_ns\": %Ld, \"value\": %.6f}" s.s_pid
@@ -896,7 +880,7 @@ let chrome_trace_string () =
        sep ();
        out
          "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-         pid (json_escape label))
+         pid (Json.escape label))
     snap.processes;
   List.iter
     (fun d ->
@@ -910,13 +894,13 @@ let chrome_trace_string () =
        sep ();
        out
          "{\"name\":\"%s\",\"cat\":\"droidracer\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-         (json_escape s.sp_name) (us s.sp_start_ns) (us s.sp_dur_ns) s.sp_pid
+         (Json.escape s.sp_name) (us s.sp_start_ns) (us s.sp_dur_ns) s.sp_pid
          s.sp_domain;
        if s.sp_args <> [] then begin
          out ",\"args\":{";
          comma_sep buf
            (fun (k, v) ->
-              out "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+              out "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
            s.sp_args;
          out "}"
        end;
@@ -929,7 +913,7 @@ let chrome_trace_string () =
             sep ();
             out
               "{\"name\":\"%s\",\"cat\":\"droidracer\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"value\":%.6f}}"
-              (json_escape name) (us s.s_ts_ns) s.s_pid s.s_value)
+              (Json.escape name) (us s.s_ts_ns) s.s_pid s.s_value)
          samples)
     snap.series;
   out "\n],\"displayTimeUnit\":\"ms\"}\n";

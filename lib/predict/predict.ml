@@ -652,31 +652,15 @@ let pp_report ppf report =
 
 (* {1 JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let access_json buf (a : Race.access) =
   Printf.bprintf buf
     "{\"position\":%d,\"kind\":\"%s\",\"location\":\"%s\",\"thread\":%d,\"task\":%s}"
     a.Race.position
     (if a.Race.is_write then "write" else "read")
-    (json_escape (Ident.Location.to_string a.Race.location))
+    (Json.escape (Ident.Location.to_string a.Race.location))
     (Ident.Thread_id.to_int a.Race.thread)
     (match a.Race.task with
-     | Some t -> Printf.sprintf "\"%s\"" (json_escape (Ident.Task_id.to_string t))
+     | Some t -> Printf.sprintf "\"%s\"" (Json.escape (Ident.Task_id.to_string t))
      | None -> "null")
 
 let pair_json buf ~witness_path ~file p =
@@ -712,7 +696,7 @@ let pair_json buf ~witness_path ~file p =
        w.w_unordered;
      (match witness_path ~file ~pair:p with
       | Some path ->
-        Printf.bprintf buf ",\"witness\":\"%s\"" (json_escape path)
+        Printf.bprintf buf ",\"witness\":\"%s\"" (Json.escape path)
       | None -> Printf.bprintf buf ",\"witness\":null")
    | Refuted _ | Unknown _ -> ());
   Buffer.add_char buf '}'
@@ -727,7 +711,7 @@ let json_string ~params ~witness_path files =
        if i > 0 then Buffer.add_char buf ',';
        Printf.bprintf buf
          "{\"file\":\"%s\",\"events\":%d,\"replayable\":%b,\"degraded\":%b,\"summary\":{\"candidates\":%d,\"observed\":%d,\"feasible\":%d,\"extra\":%d,\"refuted\":%d,\"unknown\":%d,\"dropped\":%d},\"feasible_locations\":["
-         (json_escape file)
+         (Json.escape file)
          (Trace.length report.trace)
          report.replayable_input report.degraded report.candidates
          report.observed report.feasible report.extra report.refuted
@@ -735,13 +719,13 @@ let json_string ~params ~witness_path files =
        List.iteri
          (fun j loc ->
             if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" (json_escape loc))
+            Printf.bprintf buf "\"%s\"" (Json.escape loc))
          (feasible_locations report);
        Buffer.add_string buf "],\"extra_locations\":[";
        List.iteri
          (fun j loc ->
             if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" (json_escape loc))
+            Printf.bprintf buf "\"%s\"" (Json.escape loc))
          (extra_locations report);
        Buffer.add_string buf "],\"pairs\":[";
        List.iteri

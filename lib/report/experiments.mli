@@ -51,8 +51,9 @@ val baseline_table : app_run list -> Table.t
     (missed races = false negatives, extra = additional reports). *)
 
 val engine_table : app_run list -> Table.t
-(** Precise graph engine versus the online vector-clock engine: race
-    counts and analysis times. *)
+(** Precise graph engine versus the online vector-clock engine
+    ({!Streaming_engine} under [ablation_config]): race counts and
+    analysis times. *)
 
 val coverage_table : app_run list -> Table.t
 (** Race coverage (reference [24]): how many root races remain after

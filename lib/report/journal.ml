@@ -75,22 +75,6 @@ let b64_decode s =
 
 (* {1 JSON strings} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* A scanner for exactly the object shape this module writes: string
    keys, string values, no nesting.  Returns the fields in order, or
    [None] for anything malformed — a torn line must never raise. *)
@@ -194,7 +178,7 @@ let record_line ~app ~payload =
   let encoded = b64_encode payload in
   Printf.sprintf {|{"digest":"%s","app":"%s","payload":"%s"}|}
     (record_digest ~app ~encoded)
-    (json_escape app) encoded
+    (Json.escape app) encoded
 
 let parse_record line =
   match parse_fields line with
@@ -259,7 +243,7 @@ let warning_json w =
     | Stale_records n -> ("stale_records", n)
   in
   Printf.sprintf {|{"kind":"%s","count":%d,"message":"%s"}|} kind count
-    (json_escape (warning_message w))
+    (Json.escape (warning_message w))
 
 let read_lines path =
   let ic = In_channel.open_bin path in

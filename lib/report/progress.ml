@@ -30,22 +30,6 @@ type t =
   ; mutable p_finished : bool
   }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* The per-engine fallback counters, as a compact JSON object keyed by
    edge name ("dense_worklist", ...).  Reading them through [Obs] keeps
    this module ignorant of which engines exist; in isolated mode the
@@ -57,7 +41,7 @@ let fallbacks_json () =
     Obs.counters_with_prefix prefix
     |> List.map (fun (name, v) ->
       let edge = String.sub name plen (String.length name - plen) in
-      Printf.sprintf "\"%s\":%d" (json_escape edge) v)
+      Printf.sprintf "\"%s\":%d" (Json.escape edge) v)
   in
   "{" ^ String.concat "," entries ^ "}"
 
@@ -100,7 +84,7 @@ let create ?out ?heartbeat ~mode ~jobs ~total () =
   emit_record t
     (Printf.sprintf
        "{\"schema\":\"droidracer-progress/1\",\"mode\":\"%s\",\"jobs\":%d,\"total\":%d}"
-       (json_escape mode) jobs total);
+       (Json.escape mode) jobs total);
   t
 
 let rates t =
@@ -132,7 +116,7 @@ let app_done t ~app ~outcome ~engine ~events ~elapsed_seconds
   emit_record t
     (Printf.sprintf
        "{\"type\":\"app\",\"app\":\"%s\",\"outcome\":\"%s\",\"engine\":\"%s\",\"events\":%d,\"elapsed_seconds\":%.6f,\"resumed\":%b,\"done\":%d,\"total\":%d,\"events_per_sec\":%.3f,\"eta_seconds\":%.3f,\"fallbacks\":%s}"
-       (json_escape app) (json_escape outcome) (json_escape engine) events
+       (Json.escape app) (Json.escape outcome) (Json.escape engine) events
        elapsed_seconds resumed t.p_done t.p_total events_per_sec eta_seconds
        (fallbacks_json ()));
   emit_heartbeat t

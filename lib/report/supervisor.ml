@@ -86,22 +86,6 @@ let failure_table fs =
     fs;
   table
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let failures_json_string fs =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "{\"schema\":\"droidracer-failures/1\",\"failures\":[";
@@ -110,10 +94,10 @@ let failures_json_string fs =
        if i > 0 then Buffer.add_char buf ',';
        Printf.bprintf buf
          "{\"app\":\"%s\",\"outcome\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d,\"backoff_seconds\":%.6f}"
-         (json_escape f.f_app)
+         (Json.escape f.f_app)
          (reason_label f.f_reason)
-         (json_escape (reason_detail f.f_reason))
-         (json_escape f.f_engine)
+         (Json.escape (reason_detail f.f_reason))
+         (Json.escape f.f_engine)
          f.f_elapsed f.f_retries f.f_backoff)
     fs;
   Buffer.add_string buf "]}\n";
@@ -920,21 +904,21 @@ let files_json_string outcomes =
        | File_completed r ->
          Printf.bprintf buf
            "{\"name\":\"%s\",\"file\":\"%s\",\"status\":\"completed\",\"events\":%d,\"races\":%d,\"distinct_races\":%d,\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"locations\":["
-           (json_escape r.fr_name) (json_escape r.fr_file) r.fr_events
-           r.fr_races r.fr_distinct (json_escape r.fr_engine) r.fr_elapsed;
+           (Json.escape r.fr_name) (Json.escape r.fr_file) r.fr_events
+           r.fr_races r.fr_distinct (Json.escape r.fr_engine) r.fr_elapsed;
          List.iteri
            (fun j loc ->
               if j > 0 then Buffer.add_char buf ',';
-              Printf.bprintf buf "\"%s\"" (json_escape loc))
+              Printf.bprintf buf "\"%s\"" (Json.escape loc))
            r.fr_locations;
          Buffer.add_string buf "]}"
        | File_failed f ->
          Printf.bprintf buf
            "{\"name\":\"%s\",\"status\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d}"
-           (json_escape f.f_app)
+           (Json.escape f.f_app)
            (reason_label f.f_reason)
-           (json_escape (reason_detail f.f_reason))
-           (json_escape f.f_engine) f.f_elapsed f.f_retries)
+           (Json.escape (reason_detail f.f_reason))
+           (Json.escape f.f_engine) f.f_elapsed f.f_retries)
     outcomes;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf

@@ -181,7 +181,7 @@ let json_string stats =
     Printf.sprintf {|"%s":{%s}|} label
       (String.concat ","
          (List.map
-            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Wire.json_escape k) v)
+            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Json.escape k) v)
             entries))
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in

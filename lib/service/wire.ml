@@ -88,24 +88,8 @@ let valid_id id =
 
 (* {1 JSON helpers} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_string_list l =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l) ^ "]"
+  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ Json.escape s ^ "\"") l) ^ "]"
 
 (* {1 Requests}
 
@@ -136,11 +120,11 @@ let request_json = function
     in
     Printf.sprintf
       {|{"schema":"%s","op":"analyze","id":"%s","engine":"%s","timeout_seconds":%s,"sleep_seconds":%g,"trace_bytes":%d,"wait":%b}|}
-      request_schema (json_escape a.a_id) (json_escape a.a_engine) timeout
+      request_schema (Json.escape a.a_id) (Json.escape a.a_engine) timeout
       a.a_sleep a.a_trace_bytes a.a_wait
   | Result id ->
     Printf.sprintf {|{"schema":"%s","op":"result","id":"%s"}|} request_schema
-      (json_escape id)
+      (Json.escape id)
   | Health -> Printf.sprintf {|{"schema":"%s","op":"health"}|} request_schema
   | Stats -> Printf.sprintf {|{"schema":"%s","op":"stats"}|} request_schema
 
@@ -263,14 +247,14 @@ let summary_of_outcome ~id ~requested ~ladder ~queue_seconds
 let result_response ?(resumed = false) rs =
   let reason =
     if rs.rs_reason = "" then ""
-    else Printf.sprintf {|"reason":"%s",|} (json_escape rs.rs_reason)
+    else Printf.sprintf {|"reason":"%s",|} (Json.escape rs.rs_reason)
   in
   Printf.sprintf
     {|{"schema":"%s","id":"%s","status":"%s",%s"engine":"%s","engine_requested":"%s","ladder":"%s","events":%d,"races":%d,"distinct_races":%d,"locations":%s,"elapsed_seconds":%.6f,"queue_seconds":%.6f,"resumed":%b}|}
-    response_schema (json_escape rs.rs_id) (json_escape rs.rs_status) reason
-    (json_escape rs.rs_engine)
-    (json_escape rs.rs_requested)
-    (json_escape rs.rs_ladder)
+    response_schema (Json.escape rs.rs_id) (Json.escape rs.rs_status) reason
+    (Json.escape rs.rs_engine)
+    (Json.escape rs.rs_requested)
+    (Json.escape rs.rs_ladder)
     rs.rs_events rs.rs_races rs.rs_distinct
     (json_string_list rs.rs_locations)
     rs.rs_elapsed rs.rs_queue_seconds resumed
@@ -279,12 +263,12 @@ let status_response ?id ?reason ?retry_after ~extra status =
   let id =
     match id with
     | None -> ""
-    | Some id -> Printf.sprintf {|"id":"%s",|} (json_escape id)
+    | Some id -> Printf.sprintf {|"id":"%s",|} (Json.escape id)
   in
   let reason =
     match reason with
     | None -> ""
-    | Some r -> Printf.sprintf {|"reason":"%s",|} (json_escape r)
+    | Some r -> Printf.sprintf {|"reason":"%s",|} (Json.escape r)
   in
   let retry =
     match retry_after with
@@ -293,7 +277,7 @@ let status_response ?id ?reason ?retry_after ~extra status =
   in
   let extra = if extra = "" then "" else extra ^ "," in
   Printf.sprintf {|{"schema":"%s",%s%s%s%s"status":"%s"}|} response_schema id
-    reason retry extra (json_escape status)
+    reason retry extra (Json.escape status)
 
 (* {1 Response accessors (client side)} *)
 
@@ -322,7 +306,7 @@ let rec response_json_string (json : Json_parse.t) =
     if Float.is_integer f && Float.abs f < 1e15 then
       Printf.sprintf "%.0f" f
     else Printf.sprintf "%g" f
-  | Json_parse.String s -> "\"" ^ json_escape s ^ "\""
+  | Json_parse.String s -> "\"" ^ Json.escape s ^ "\""
   | Json_parse.Array l ->
     "[" ^ String.concat "," (List.map response_json_string l) ^ "]"
   | Json_parse.Object fields ->
@@ -330,7 +314,7 @@ let rec response_json_string (json : Json_parse.t) =
     ^ String.concat ","
         (List.map
            (fun (k, v) ->
-              "\"" ^ json_escape k ^ "\":" ^ response_json_string v)
+              "\"" ^ Json.escape k ^ "\":" ^ response_json_string v)
            fields)
     ^ "}"
 

@@ -1,10 +1,8 @@
 (* Tests of the core utility layers: the bitset matrix behind the
-   happens-before relation, the sparse vector clocks, and race
-   coverage. *)
+   happens-before relation, and race coverage. *)
 
 open Helpers
 module Bit_matrix = Droidracer_core.Bit_matrix
-module Vector_clock = Droidracer_core.Vector_clock
 module Race = Droidracer_core.Race
 module Race_coverage = Droidracer_core.Race_coverage
 module Detector = Droidracer_core.Detector
@@ -66,60 +64,6 @@ let prop_matrix_iter_row =
        Bit_matrix.iter_row m 0 (fun j -> visited := j :: !visited);
        List.rev !visited = expected)
 
-(* {1 Vector_clock} *)
-
-let clock_of = List.fold_left (fun c (s, v) -> Vector_clock.set c s v) Vector_clock.empty
-
-let test_clock_basics () =
-  let c = clock_of [ (1, 3); (5, 7) ] in
-  check_int "get" 3 (Vector_clock.get c 1);
-  check_int "missing reads 0" 0 (Vector_clock.get c 2);
-  let c = Vector_clock.tick c 1 in
-  check_int "tick" 4 (Vector_clock.get c 1);
-  check_int "cardinal" 2 (Vector_clock.cardinal c);
-  (* a zero entry is not stored *)
-  check_int "zero removed" 1 (Vector_clock.cardinal (Vector_clock.set c 1 0))
-
-let vc_gen =
-  QCheck2.Gen.(
-    map
-      (fun l -> clock_of (List.map (fun (s, v) -> (s mod 8, 1 + (v mod 50))) l))
-      (list_size (int_bound 8) (pair (int_bound 100) (int_bound 100))))
-
-let prop_merge_upper_bound =
-  QCheck2.Test.make ~name:"merge is the least upper bound" ~count:200
-    QCheck2.Gen.(pair vc_gen vc_gen)
-    (fun (a, b) ->
-       let m = Vector_clock.merge a b in
-       Vector_clock.leq a m && Vector_clock.leq b m
-       &&
-       (* pointwise max, hence least *)
-       List.for_all
-         (fun slot ->
-            Vector_clock.get m slot
-            = max (Vector_clock.get a slot) (Vector_clock.get b slot))
-         (List.init 10 Fun.id))
-
-let prop_merge_laws =
-  QCheck2.Test.make ~name:"merge is commutative, associative, idempotent"
-    ~count:200
-    QCheck2.Gen.(triple vc_gen vc_gen vc_gen)
-    (fun (a, b, c) ->
-       let eq x y = Vector_clock.leq x y && Vector_clock.leq y x in
-       eq (Vector_clock.merge a b) (Vector_clock.merge b a)
-       && eq
-            (Vector_clock.merge a (Vector_clock.merge b c))
-            (Vector_clock.merge (Vector_clock.merge a b) c)
-       && eq (Vector_clock.merge a a) a)
-
-let prop_leq_partial_order =
-  QCheck2.Test.make ~name:"leq is a partial order" ~count:200
-    QCheck2.Gen.(triple vc_gen vc_gen vc_gen)
-    (fun (a, b, c) ->
-       Vector_clock.leq a a
-       && ((not (Vector_clock.leq a b && Vector_clock.leq b c))
-           || Vector_clock.leq a c))
-
 (* {1 Race coverage properties} *)
 
 let prop_coverage_partitions =
@@ -166,12 +110,6 @@ let () =
         ; Alcotest.test_case "or_row" `Quick test_matrix_or_row
         ; Alcotest.test_case "masked or" `Quick test_matrix_masked_or
         ; QCheck_alcotest.to_alcotest prop_matrix_iter_row
-        ] )
-    ; ( "vector clock"
-      , [ Alcotest.test_case "basics" `Quick test_clock_basics
-        ; QCheck_alcotest.to_alcotest prop_merge_upper_bound
-        ; QCheck_alcotest.to_alcotest prop_merge_laws
-        ; QCheck_alcotest.to_alcotest prop_leq_partial_order
         ] )
     ; ( "race coverage"
       , [ QCheck_alcotest.to_alcotest prop_coverage_partitions

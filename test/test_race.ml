@@ -4,7 +4,6 @@ module Hb = Droidracer_core.Happens_before
 module Race = Droidracer_core.Race
 module Classify = Droidracer_core.Classify
 module Detector = Droidracer_core.Detector
-module Clock_engine = Droidracer_core.Clock_engine
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -317,20 +316,6 @@ let prop_no_race_between_ordered =
                  race.Race.second.position))
          report.Detector.all_races)
 
-let prop_clock_engine_subset =
-  QCheck2.Test.make
-    ~name:"clock-engine races are a subset of graph-engine races" ~count:60
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 120))
-    (fun (seed, size) ->
-       let t = Random_trace.generate ~seed ~size () in
-       let t = Trace.remove_cancelled t in
-       let graph_races = race_pairs (Detector.analyze t) in
-       let clock_races, _ = Clock_engine.detect t in
-       List.for_all
-         (fun (r : Race.t) ->
-            List.mem (r.first.position, r.second.position) graph_races)
-         clock_races)
-
 let prop_multithreaded_iff_threads_differ =
   QCheck2.Test.make
     ~name:"a race is classified multithreaded iff its threads differ" ~count:40
@@ -358,71 +343,6 @@ let prop_no_race_within_one_task =
             | Some p, Some q -> not (Ident.Task_id.equal p q)
             | (Some _ | None), _ -> true)
          report.Detector.all_races)
-
-let prop_clock_engine_equal_without_locks =
-  QCheck2.Test.make
-    ~name:"clock engine agrees with the graph engine on lock-free traces"
-    ~count:60
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 120))
-    (fun (seed, size) ->
-       let t = Random_trace.generate ~seed ~size () in
-       let lock_free =
-         List.for_all
-           (fun (e : Trace.event) ->
-              match e.op with
-              | Operation.Acquire _ | Operation.Release _ -> false
-              | _ -> true)
-           (Trace.events t)
-       in
-       QCheck2.assume lock_free;
-       let t = Trace.remove_cancelled t in
-       let graph_races = race_pairs (Detector.analyze t) in
-       let clock_races, _ = Clock_engine.detect t in
-       List.map
-         (fun (r : Race.t) -> (r.first.position, r.second.position))
-         clock_races
-       = graph_races)
-
-let test_clock_engine_on_figures () =
-  let clock_races, _ = Clock_engine.detect figure4 in
-  Alcotest.check pair_list "figure 4 via clocks"
-    [ (fig 12, fig 21); (fig 16, fig 21) ]
-    (List.map
-       (fun (r : Race.t) -> (r.first.position, r.second.position))
-       clock_races);
-  let clock_races3, _ = Clock_engine.detect figure3 in
-  check_int "figure 3 via clocks" 0 (List.length clock_races3)
-
-let test_clock_engine_lock_divergence () =
-  (* The documented divergence: the clock engine merges lock clocks
-     unconditionally and misses the same-thread race of
-     [test_lock_spurious_ordering_not_missed]. *)
-  let t =
-    trace
-      [ threadinit 0
-      ; threadinit 1
-      ; threadinit 2
-      ; attachq 2
-      ; looponq 2
-      ; post 0 p1 2
-      ; post 1 p2 2
-      ; begin_task 2 p1
-      ; acquire 2 "l"
-      ; write 2 (loc "a")
-      ; release 2 "l"
-      ; end_task 2 p1
-      ; begin_task 2 p2
-      ; acquire 2 "l"
-      ; write 2 (loc "a")
-      ; release 2 "l"
-      ; end_task 2 p2
-      ]
-  in
-  let clock_races, _ = Clock_engine.detect t in
-  check_int "clock engine misses the lock-shadowed race" 0
-    (List.length clock_races);
-  check_int "graph engine finds it" 1
-    (List.length (Detector.analyze t).Detector.all_races)
 
 module Race_coverage = Droidracer_core.Race_coverage
 module Minimize = Droidracer_core.Minimize
@@ -566,11 +486,6 @@ let () =
         ; Alcotest.test_case "enable breaks blocks" `Quick
             test_enable_breaks_blocks
         ] )
-    ; ( "clock engine"
-      , [ Alcotest.test_case "figures" `Quick test_clock_engine_on_figures
-        ; Alcotest.test_case "lock divergence" `Quick
-            test_clock_engine_lock_divergence
-        ] )
     ; ( "minimization"
       , [ Alcotest.test_case "figure 4" `Quick test_minimize_figure4
         ; Alcotest.test_case "rejects ordered pairs" `Quick
@@ -588,7 +503,5 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_no_race_within_one_task
         ; QCheck_alcotest.to_alcotest prop_coalescing_preserves_races
         ; QCheck_alcotest.to_alcotest prop_no_race_between_ordered
-        ; QCheck_alcotest.to_alcotest prop_clock_engine_subset
-        ; QCheck_alcotest.to_alcotest prop_clock_engine_equal_without_locks
         ] )
     ]

@@ -1,5 +1,4 @@
 open Helpers
-module Vc = Droidracer_core.Vector_clock
 module Epoch = Droidracer_core.Epoch
 module Streaming = Droidracer_core.Streaming_engine
 module Detector = Droidracer_core.Detector
@@ -19,13 +18,13 @@ let pairs races =
 
 (* {1 Epoch frontiers} *)
 
-(* A clock that knows slot [s] up to time [t], built pointwise. *)
-let clock_of assoc =
-  List.fold_left (fun vc (s, t) -> Vc.set vc s t) Vc.empty assoc
+(* A clock lookup that knows slot [s] up to time [t], for each [(s, t)]
+   listed; every other slot reads 0. *)
+let clock_of assoc slot = Option.value ~default:0 (List.assoc_opt slot assoc)
 
 let test_epoch_fast_path () =
   let t, racing, o1 =
-    Epoch.observe ~clock:(Vc.get (clock_of [ (0, 1) ])) ~slot:0 ~time:1 "a"
+    Epoch.observe ~clock:(clock_of [ (0, 1) ]) ~slot:0 ~time:1 "a"
       Epoch.bottom
   in
   check_int "first entry races with nothing" 0 (List.length racing);
@@ -33,7 +32,7 @@ let test_epoch_fast_path () =
   (* Same slot again: program order, clock irrelevant (even an empty
      clock must not matter — the lookup is skipped entirely). *)
   let t, racing, o2 =
-    Epoch.observe ~clock:(Vc.get Vc.empty) ~slot:0 ~time:2 "b" t
+    Epoch.observe ~clock:(clock_of []) ~slot:0 ~time:2 "b" t
   in
   check_bool "same-slot overwrite takes the fast path" true (o2 = Epoch.Fast_path);
   check_int "no race on the fast path" 0 (List.length racing);
@@ -46,12 +45,12 @@ let test_epoch_fast_path () =
 
 let test_epoch_promotion_and_demotion () =
   let t, _, _ =
-    Epoch.observe ~clock:(Vc.get (clock_of [ (0, 1) ])) ~slot:0 ~time:1 "w0"
+    Epoch.observe ~clock:(clock_of [ (0, 1) ]) ~slot:0 ~time:1 "w0"
       Epoch.bottom
   in
   (* Slot 1 has not seen slot 0: unordered, promotes to a read share. *)
   let t, racing, o =
-    Epoch.observe ~clock:(Vc.get (clock_of [ (1, 1) ])) ~slot:1 ~time:1 "w1" t
+    Epoch.observe ~clock:(clock_of [ (1, 1) ]) ~slot:1 ~time:1 "w1" t
   in
   check_bool "unordered second slot promotes" true (o = Epoch.Promoted);
   Alcotest.(check (list string)) "the racing predecessor" [ "w0" ]
@@ -60,7 +59,7 @@ let test_epoch_promotion_and_demotion () =
   (* A third slot that knows both demotes back to a single epoch. *)
   let t, racing, o =
     Epoch.observe
-      ~clock:(Vc.get (clock_of [ (0, 5); (1, 5); (2, 1) ]))
+      ~clock:(clock_of [ (0, 5); (1, 5); (2, 1) ])
       ~slot:2 ~time:1 "w2" t
   in
   check_bool "dominating observer demotes" true (o = Epoch.Demoted);
@@ -69,17 +68,17 @@ let test_epoch_promotion_and_demotion () =
 
 let test_epoch_prune () =
   let t, _, _ =
-    Epoch.observe ~clock:(Vc.get (clock_of [ (0, 1) ])) ~slot:0 ~time:1 "r0"
+    Epoch.observe ~clock:(clock_of [ (0, 1) ]) ~slot:0 ~time:1 "r0"
       Epoch.bottom
   in
   let t, _, _ =
-    Epoch.observe ~clock:(Vc.get (clock_of [ (1, 1) ])) ~slot:1 ~time:1 "r1" t
+    Epoch.observe ~clock:(clock_of [ (1, 1) ]) ~slot:1 ~time:1 "r1" t
   in
-  let t, dropped = Epoch.prune ~clock:(Vc.get (clock_of [ (0, 1) ])) t in
+  let t, dropped = Epoch.prune ~clock:(clock_of [ (0, 1) ]) t in
   check_int "only the known entry is dropped" 1 dropped;
   Alcotest.(check (list string)) "the unordered read survives" [ "r1" ]
     (List.map (fun e -> e.Epoch.payload) (Epoch.entries t));
-  let t, dropped = Epoch.prune ~clock:(Vc.get (clock_of [ (1, 1) ])) t in
+  let t, dropped = Epoch.prune ~clock:(clock_of [ (1, 1) ]) t in
   check_int "then the other" 1 dropped;
   check_int "frontier empty" 0 (Epoch.cardinal t)
 
@@ -114,6 +113,38 @@ let test_figures () =
     stats.Streaming.fast_path;
   Alcotest.check pair_list "the last write races with the read"
     [ (4, 5) ] (pairs races)
+
+(* The documented divergence from the graph relation: lock clocks are
+   merged unconditionally, so even with folding and sweeps off the
+   engine misses a race that only lock edges between two tasks of one
+   thread shadow. *)
+let test_lock_divergence () =
+  let p1 = task ~instance:1 "p" and p2 = task ~instance:2 "p" in
+  let t =
+    trace
+      [ threadinit 0
+      ; threadinit 1
+      ; threadinit 2
+      ; attachq 2
+      ; looponq 2
+      ; post 0 p1 2
+      ; post 1 p2 2
+      ; begin_task 2 p1
+      ; acquire 2 "l"
+      ; write 2 (loc "a")
+      ; release 2 "l"
+      ; end_task 2 p1
+      ; begin_task 2 p2
+      ; acquire 2 "l"
+      ; write 2 (loc "a")
+      ; release 2 "l"
+      ; end_task 2 p2
+      ]
+  in
+  let races, _ = Streaming.detect ~config:Streaming.ablation_config t in
+  check_int "streaming misses the lock-shadowed race" 0 (List.length races);
+  check_int "graph engine finds it" 1
+    (List.length (Detector.analyze t).Detector.all_races)
 
 (* {1 GC} *)
 
@@ -254,11 +285,7 @@ let test_window_folding_is_sound () =
     let t =
       Trace.remove_cancelled (Random_trace.generate ~seed ~size:120 ())
     in
-    let full, _ =
-      Streaming.detect
-        ~config:{ Streaming.completed_window = max_int; gc_interval = 0 }
-        t
-    in
+    let full, _ = Streaming.detect ~config:Streaming.ablation_config t in
     let folded, _ = Streaming.detect ~config:exercise_config t in
     List.iter
       (fun p ->
@@ -268,6 +295,23 @@ let test_window_folding_is_sound () =
            (List.mem p (pairs full)))
       (pairs folded)
   done
+
+(* {1 Reporting} *)
+
+let test_stats_json_label_round_trips () =
+  (* A trace path is the label of [analyze --streaming-json]: non-ASCII
+     and control bytes must come out as valid JSON. *)
+  let label = "trac\xc3\xa9\x01.trace" in
+  let _, stats = Streaming.detect figure4 in
+  let json =
+    Streaming.stats_json_string ~label ~elapsed_seconds:0.5 ~peak_rss_kb:1
+      stats
+  in
+  match Json_parse.parse json with
+  | Error e -> Alcotest.fail e
+  | Ok v ->
+    Alcotest.(check (option string)) "label parses back" (Some label)
+      (Option.bind (Json_parse.member "label" v) Json_parse.to_string)
 
 (* {1 The long-trace regression: peak state is O(live entities)} *)
 
@@ -381,10 +425,16 @@ let prop_subset_of_worklist =
        let t =
          Trace.remove_cancelled (Random_trace.generate ~seed ~size ())
        in
-       let streaming = pairs (fst (Streaming.detect t)) in
        let w1 = worklist_pairs ~jobs:1 t in
        let w4 = worklist_pairs ~jobs:4 t in
-       w1 = w4 && List.for_all (fun p -> List.mem p w1) streaming)
+       let subset config =
+         List.for_all
+           (fun p -> List.mem p w1)
+           (pairs (fst (Streaming.detect ~config t)))
+       in
+       w1 = w4
+       && subset Streaming.default_config
+       && subset Streaming.ablation_config)
 
 let second_positions_by_location races_with_locations =
   List.sort_uniq compare races_with_locations
@@ -472,6 +522,9 @@ let () =
             test_gc_keeps_in_flight_post
         ; Alcotest.test_case "window folding sound" `Quick
             test_window_folding_is_sound
+        ; Alcotest.test_case "lock divergence" `Quick test_lock_divergence
+        ; Alcotest.test_case "stats JSON label round-trips" `Quick
+            test_stats_json_label_round_trips
         ] )
     ; ( "long-trace"
       , [ Alcotest.test_case "generator prefixes admissible" `Quick

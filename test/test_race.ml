@@ -4,6 +4,7 @@ module Hb = Droidracer_core.Happens_before
 module Race = Droidracer_core.Race
 module Classify = Droidracer_core.Classify
 module Detector = Droidracer_core.Detector
+module Streaming = Droidracer_core.Streaming_engine
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -316,6 +317,24 @@ let prop_no_race_between_ordered =
                  race.Race.second.position))
          report.Detector.all_races)
 
+(* The streaming engine without folding or sweeps is the online
+   vector-clock engine of the engine ablation table, hence the name. *)
+let prop_ablation_engine_subset =
+  QCheck2.Test.make
+    ~name:"clock-engine races are a subset of graph-engine races" ~count:60
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 120))
+    (fun (seed, size) ->
+       let t = Random_trace.generate ~seed ~size () in
+       let t = Trace.remove_cancelled t in
+       let graph_races = race_pairs (Detector.analyze t) in
+       let clock_races, _ =
+         Streaming.detect ~config:Streaming.ablation_config t
+       in
+       List.for_all
+         (fun (r : Race.t) ->
+            List.mem (r.first.position, r.second.position) graph_races)
+         clock_races)
+
 let prop_multithreaded_iff_threads_differ =
   QCheck2.Test.make
     ~name:"a race is classified multithreaded iff its threads differ" ~count:40
@@ -503,5 +522,6 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_no_race_within_one_task
         ; QCheck_alcotest.to_alcotest prop_coalescing_preserves_races
         ; QCheck_alcotest.to_alcotest prop_no_race_between_ordered
+        ; QCheck_alcotest.to_alcotest prop_ablation_engine_subset
         ] )
     ]

@@ -39,7 +39,7 @@ let detect baseline trace =
   let trace = Trace.remove_cancelled trace in
   let graph = Graph.build ~coalesce:true trace in
   let hb = Happens_before.compute ~config:(config baseline) graph in
-  Race.detect trace ~hb:(Happens_before.hb hb)
+  Race.detect trace ~hb
 
 let race_pair (r : Race.t) = (r.first.position, r.second.position)
 

@@ -133,7 +133,7 @@ let analyze ?(config = default_config) ?(jobs = 1) trace =
   in
   let races =
     phase "race_detect" (fun () ->
-      Race.detect ~jobs trace ~hb:(Happens_before.hb hb))
+      Race.detect ~jobs trace ~hb)
   in
   let all_races =
     phase "classify" (fun () ->

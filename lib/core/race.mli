@@ -29,11 +29,28 @@ val pp : Format.formatter -> t -> unit
 val accesses : Trace.t -> access list
 (** All read/write operations of the trace, in trace order. *)
 
-val detect : ?jobs:int -> Trace.t -> hb:(int -> int -> bool) -> t list
-(** All conflicting pairs [(i, j)], [i < j], with neither [hb i j] nor
-    [hb j i], in lexicographic order of positions.  [hb] is any
-    happens-before oracle over trace positions; it must be safe to
-    query from several domains (the bit-matrix relation is, being
-    read-only by then).  With [jobs > 1] the quadratic scan is chunked
-    over a {!Par_pool}; the result list is identical for every [jobs]
-    value. *)
+val detect : ?jobs:int -> Trace.t -> hb:Happens_before.t -> t list
+(** All conflicting pairs [(i, j)], [i < j], with neither
+    [Happens_before.hb hb i j] nor [Happens_before.hb hb j i], in
+    lexicographic order of positions.  [trace] must be the trace the
+    relation's graph was built on.
+
+    The relation is looked up once per pair of graph nodes, not once
+    per pair of accesses.  Two accesses in the same node never race:
+    [hb] orders them by position.  Accesses in distinct nodes [m] and
+    [n] are ordered exactly when [m] and [n] are, so for each pair of
+    nodes that touch a location, at least one of them writing it, one
+    {!Happens_before.node_hb} lookup in each direction decides every
+    access pair at once.  An unordered node pair contributes its
+    write×access and read×write pairs, so emission work is
+    proportional to the races reported.  On an uncoalesced graph every
+    node is one position and this is the access-pair scan.
+
+    With [jobs > 1] each location's node-pair scan is chunked by
+    first-node ranges over a {!Par_pool}; the result list and the
+    [race.*] counters are identical for every [jobs] value.
+    [race.pairs_examined] counts the access pairs per location (what
+    an access-pair scan would examine), [race.node_pairs_examined] the
+    node pairs actually looked up.
+    @raise Invalid_argument if [trace] and the relation's trace differ
+    in length. *)

@@ -444,9 +444,7 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
     { config with Detector.hb = relaxed_config config.Detector.hb }
   in
   let relaxed = Detector.relation ~config:relaxed_detector ~jobs trace in
-  let candidates =
-    Race.detect ~jobs trace ~hb:(Happens_before.hb relaxed)
-  in
+  let candidates = Race.detect ~jobs trace ~hb:relaxed in
   (* The must-relation: the dense configuration with only the LOCK rule
      off.  Its orderings hold in every admissible schedule (lock edges
      are the only schedule-dependent base facts; FIFO and NOPRE over

@@ -74,7 +74,7 @@ let prop_coverage_partitions =
           relation is computed on *)
        let t = Trace.remove_cancelled (Random_trace.generate ~seed ~size ()) in
        let hb = Detector.relation t in
-       let races = Race.detect t ~hb:(Hb.hb hb) in
+       let races = Race.detect t ~hb in
        let groups = Race_coverage.group ~hb races in
        let members =
          List.concat_map
@@ -90,7 +90,7 @@ let prop_coverage_roots_cover =
     (fun (seed, size) ->
        let t = Trace.remove_cancelled (Random_trace.generate ~seed ~size ()) in
        let hb = Detector.relation t in
-       let races = Race.detect t ~hb:(Hb.hb hb) in
+       let races = Race.detect t ~hb in
        let le i j = Hb.hb_or_eq hb i j in
        List.for_all
          (fun g ->

@@ -16,7 +16,7 @@ let check_int = Alcotest.check Alcotest.int
 
 let dense_races ?(config = Detector.default_config) ?(jobs = 1) t =
   let hb = Detector.relation ~config ~jobs t in
-  Race.detect ~jobs t ~hb:(Hb.hb hb)
+  Race.detect ~jobs t ~hb
 
 let race_locations races =
   List.map (fun r -> Ident.Location.to_string (Race.location r)) races

@@ -363,6 +363,78 @@ let prop_no_race_within_one_task =
             | (Some _ | None), _ -> true)
          report.Detector.all_races)
 
+(* {1 The node-pair scan against literal oracles} *)
+
+module Reference_hb = Droidracer_core.Reference_hb
+module Obs = Droidracer_obs.Obs
+
+(* Every conflicting access pair, asked of the rule oracle one by one:
+   the definition of a race with nothing coalesced or skipped. *)
+let reference_races t =
+  let reference = Reference_hb.compute t in
+  let accs = Array.of_list (Race.accesses t) in
+  let out = ref [] in
+  Array.iteri
+    (fun i (a : Race.access) ->
+       for j = i + 1 to Array.length accs - 1 do
+         let b = accs.(j) in
+         if Ident.Location.equal a.location b.location
+            && (a.is_write || b.is_write)
+            && not (Reference_hb.ordered reference a.position b.position)
+         then out := (a.position, b.position) :: !out
+       done)
+    accs;
+  List.rev !out
+
+let node_pair_races ?jobs ~coalesce t =
+  Race.detect ?jobs t ~hb:(Hb.compute (Graph.build ~coalesce t))
+
+let positions races =
+  List.map (fun (r : Race.t) -> (r.first.position, r.second.position)) races
+
+let prop_node_pairs_match_reference =
+  QCheck2.Test.make
+    ~name:"node-pair scan equals the access-pair scan over the rule oracle"
+    ~count:100
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 150))
+    (fun (seed, size) ->
+       let t = Random_trace.generate ~seed ~size () in
+       let expected = reference_races t in
+       positions (node_pair_races ~coalesce:true t) = expected
+       && positions (node_pair_races ~coalesce:false t) = expected)
+
+let race_counters f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+       let races = f () in
+       (races, Obs.counters_with_prefix "race."))
+
+let prop_jobs_independent =
+  QCheck2.Test.make
+    ~name:"races and race counters are identical for jobs 1 and 4" ~count:30
+    ~print:QCheck2.Print.(triple int int bool)
+    QCheck2.Gen.(triple (int_bound 100_000) (int_range 5 400) bool)
+    (fun (seed, size, coalesce) ->
+       let t = Random_trace.generate ~seed ~size () in
+       let hb = Hb.compute (Graph.build ~coalesce t) in
+       let run jobs = race_counters (fun () -> Race.detect ~jobs t ~hb) in
+       let races1, counters1 = run 1 and races4, counters4 = run 4 in
+       (* a reported race proves the counters were recorded *)
+       races1 = races4
+       && counters1 = counters4
+       && (races1 = [] || List.mem_assoc "race.node_pairs_examined" counters1))
+
+let test_rejects_foreign_relation () =
+  let hb = Detector.relation figure3 in
+  Alcotest.check_raises "relation of another trace"
+    (Invalid_argument "Race.detect: the relation was computed on another trace")
+    (fun () -> ignore (Race.detect figure4 ~hb))
+
 module Race_coverage = Droidracer_core.Race_coverage
 module Minimize = Droidracer_core.Minimize
 
@@ -382,7 +454,7 @@ let test_race_coverage_handoff_pattern () =
       ]
   in
   let hb = Detector.relation t in
-  let races = Race.detect t ~hb:(Hb.hb hb) in
+  let races = Race.detect t ~hb in
   check_int "three races" 3 (List.length races);
   let groups = Race_coverage.group ~hb races in
   (match groups with
@@ -406,7 +478,7 @@ let test_race_coverage_independent_races () =
       ]
   in
   let hb = Detector.relation t in
-  let races = Race.detect t ~hb:(Hb.hb hb) in
+  let races = Race.detect t ~hb in
   check_int "two races" 2 (List.length races);
   check_int "two roots" 2 (List.length (Race_coverage.roots ~hb races))
 
@@ -523,5 +595,11 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_coalescing_preserves_races
         ; QCheck_alcotest.to_alcotest prop_no_race_between_ordered
         ; QCheck_alcotest.to_alcotest prop_ablation_engine_subset
+        ] )
+    ; ( "node pairs"
+      , [ QCheck_alcotest.to_alcotest prop_node_pairs_match_reference
+        ; QCheck_alcotest.to_alcotest prop_jobs_independent
+        ; Alcotest.test_case "relation of another trace" `Quick
+            test_rejects_foreign_relation
         ] )
     ]

@@ -11,9 +11,6 @@
    - [--json PATH] also write a machine-readable record of per-stage
                    wall times (the CI smoke job archives it to track
                    the performance trajectory across PRs);
-   - [--hb-engines-json PATH] also write the dense-versus-worklist
-                   closure-engine comparison (per application and
-                   engine: edges, passes, word ORs, wall time);
    - [--streaming-json PATH] also write the streaming engine's
                    throughput and memory profile (schema
                    droidracer-streaming/1; the CI streaming gate
@@ -72,7 +69,6 @@ type options =
   { quick : bool
   ; jobs : int
   ; json : string option
-  ; hb_engines_json : string option
   ; streaming_json : string option
   ; trace_out : string option
   ; metrics_out : string option
@@ -85,10 +81,10 @@ type options =
 
 let usage () =
   prerr_endline
-    "usage: bench [--quick] [--jobs N] [--json PATH] [--hb-engines-json PATH] \
-     [--streaming-json PATH] [--corpus-json PATH] [--predict-json PATH] \
-     [--service-json PATH] [--trace-out PATH] [--metrics-out PATH] \
-     [--series-out PATH] [--baseline PATH]";
+    "usage: bench [--quick] [--jobs N] [--json PATH] [--streaming-json PATH] \
+     [--corpus-json PATH] [--predict-json PATH] [--service-json PATH] \
+     [--trace-out PATH] [--metrics-out PATH] [--series-out PATH] \
+     [--baseline PATH]";
   exit 2
 
 let parse_options () =
@@ -103,8 +99,6 @@ let parse_options () =
          | Some _ | None -> usage ())
       | "--json" when i + 1 < Array.length Sys.argv ->
         go (i + 2) { acc with json = Some Sys.argv.(i + 1) }
-      | "--hb-engines-json" when i + 1 < Array.length Sys.argv ->
-        go (i + 2) { acc with hb_engines_json = Some Sys.argv.(i + 1) }
       | "--streaming-json" when i + 1 < Array.length Sys.argv ->
         go (i + 2) { acc with streaming_json = Some Sys.argv.(i + 1) }
       | "--trace-out" when i + 1 < Array.length Sys.argv ->
@@ -127,7 +121,6 @@ let parse_options () =
     { quick = false
     ; jobs = Par_pool.default_jobs ()
     ; json = None
-    ; hb_engines_json = None
     ; streaming_json = None
     ; trace_out = None
     ; metrics_out = None
@@ -309,131 +302,6 @@ let compare_baseline (path, baseline_stages) =
       else Printf.printf "baseline check passed.\n"
     end
   end
-
-(* {1 Closure-engine comparison}
-
-   Re-analyses every corpus trace with each happens-before closure
-   engine.  The inner analyses run at jobs=1 — both engines are
-   jobs-independent, and sequential timings make the wall-time columns
-   comparable — while the (app × engine) grid itself is spread over the
-   pool. *)
-
-type engine_run =
-  { er_app : string
-  ; er_engine : Happens_before.closure_engine
-  ; er_report : Detector.report
-  }
-
-let engine_comparison ~jobs (runs : Experiments.app_run list) =
-  let tasks =
-    List.concat_map
-      (fun run ->
-         List.map
-           (fun engine -> (run, engine))
-           [ Happens_before.Dense; Happens_before.Worklist ])
-      runs
-  in
-  Par_pool.parallel_map ~jobs
-    (fun (run, engine) ->
-       let config =
-         { Detector.default_config with
-           hb = { Detector.default_config.hb with closure = engine }
-         }
-       in
-       { er_app = run.Experiments.ar_built.Synthetic.b_spec.Synthetic.s_name
-       ; er_engine = engine
-       ; er_report =
-           Detector.analyze ~config ~jobs:1
-             run.Experiments.ar_result.Runtime.observed
-       })
-    tasks
-
-let hb_engine_table (eruns : engine_run list) =
-  let table =
-    Table.create ~title:"Closure engines: dense vs worklist (jobs=1)"
-      ~columns:
-        [ "application"
-        ; "hb pairs"
-        ; "passes d/w"
-        ; "word ORs dense"
-        ; "word ORs worklist"
-        ; "hb dense"
-        ; "hb worklist"
-        ; "speedup"
-        ; "races"
-        ]
-  in
-  let rec go = function
-    | [] -> ()
-    | d :: w :: rest when d.er_app = w.er_app ->
-      let rd = d.er_report and rw = w.er_report in
-      let hd = Detector.phase_seconds rd "happens_before"
-      and hw = Detector.phase_seconds rw "happens_before" in
-      let agree =
-        rd.Detector.hb_edges = rw.Detector.hb_edges
-        && List.length rd.Detector.all_races
-           = List.length rw.Detector.all_races
-        && List.length rd.Detector.distinct_races
-           = List.length rw.Detector.distinct_races
-      in
-      Table.add_row table
-        [ d.er_app
-        ; string_of_int rd.Detector.hb_edges
-        ; Printf.sprintf "%d/%d" rd.Detector.fixpoint_passes
-            rw.Detector.fixpoint_passes
-        ; string_of_int rd.Detector.hb_word_ors
-        ; string_of_int rw.Detector.hb_word_ors
-        ; Printf.sprintf "%.3fs" hd
-        ; Printf.sprintf "%.3fs" hw
-        ; (if hw > 0. then Printf.sprintf "%.1fx" (hd /. hw) else "n/a")
-        ; Printf.sprintf "%d%s"
-            (List.length rd.Detector.all_races)
-            (if agree then "" else " MISMATCH")
-        ];
-      go rest
-    | _ :: _ ->
-      (* engine_comparison emits a dense/worklist pair per application *)
-      assert false
-  in
-  go eruns;
-  table
-
-let write_hb_engines_json path (eruns : engine_run list) =
-  let oc =
-    try open_out path
-    with Sys_error msg ->
-      Printf.eprintf "bench: cannot write --hb-engines-json file: %s\n" msg;
-      exit 2
-  in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"droidracer-hb-engines/1\",\n";
-  out "  \"apps\": [\n";
-  let engine_fields r =
-    Printf.sprintf
-      "{\"hb_edges\": %d, \"passes\": %d, \"word_ors\": %d, \
-       \"rows_requeued\": %d, \"hb_wall_seconds\": %.6f, \"races\": %d, \
-       \"distinct_races\": %d}"
-      r.Detector.hb_edges r.Detector.fixpoint_passes r.Detector.hb_word_ors
-      r.Detector.hb_rows_requeued
-      (Detector.phase_seconds r "happens_before")
-      (List.length r.Detector.all_races)
-      (List.length r.Detector.distinct_races)
-  in
-  let rec go = function
-    | [] -> ()
-    | d :: w :: rest when d.er_app = w.er_app ->
-      out "    {\"name\": \"%s\",\n" (Json.escape d.er_app);
-      out "     \"dense\": %s,\n" (engine_fields d.er_report);
-      out "     \"worklist\": %s}%s\n"
-        (engine_fields w.er_report)
-        (if rest = [] then "" else ",");
-      go rest
-    | _ :: _ -> assert false
-  in
-  go eruns;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
 
 (* {1 Binary codec + corpus sweep}
 
@@ -773,11 +641,12 @@ let supervision_overhead ~jobs =
 (* {1 Streaming engine}
 
    Two measurements.  Agreement-and-cost: the streaming engine against
-   the batch worklist engine on a generated trace small enough for both
-   to hold (streaming races must be a subset — on this lock-free
-   workload, the same races).  Throughput: the streaming engine alone
-   over a larger trace streamed from disk, which is the regime the
-   batch engines cannot enter; the stats go to BENCH_streaming.json. *)
+   the dense engine's worklist closure on a generated trace small
+   enough for both to hold (streaming races must be a subset — on this
+   lock-free workload, the same races).  Throughput: the streaming
+   engine alone over a larger trace streamed from disk, which is the
+   regime the dense engine cannot enter; the stats go to
+   BENCH_streaming.json. *)
 
 let streaming_stage ~quick ~streaming_json =
   let small_events = if quick then 10_000 else 20_000 in
@@ -788,14 +657,8 @@ let streaming_stage ~quick ~streaming_json =
   in
   assert (n = small_events);
   let trace = Trace.remove_cancelled (Trace.of_events_exn (List.rev !rev_events)) in
-  let worklist_config =
-    { Detector.default_config with
-      hb = { Happens_before.default with closure = Happens_before.Worklist }
-    }
-  in
   let batch_report, batch_dt =
-    timed "streaming_vs_worklist_batch" (fun () ->
-      Detector.analyze ~config:worklist_config trace)
+    timed "streaming_vs_worklist_batch" (fun () -> Detector.analyze trace)
   in
   let (stream_races, _small_stats), stream_dt =
     timed "streaming_vs_worklist_stream" (fun () ->
@@ -1191,14 +1054,6 @@ let () =
     verify_dt;
   section "Performance (Section 6): coalescing and analysis cost";
   Table.print (Experiments.performance_table runs);
-  section "Closure engines: dense vs worklist";
-  let eruns, _ =
-    timed "hb_engine_comparison" (fun () ->
-      engine_comparison ~jobs:opts.jobs runs)
-  in
-  Table.print (hb_engine_table eruns);
-  Option.iter (fun path -> write_hb_engines_json path eruns)
-    opts.hb_engines_json;
   section "Streaming engine: bounded memory, single pass";
   streaming_stage ~quick ~streaming_json:opts.streaming_json;
   section "Predictive engine: reordering-only races";

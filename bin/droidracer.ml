@@ -144,30 +144,22 @@ let jobs_arg =
 
 let hb_engine_arg =
   let doc =
-    "Happens-before engine: $(b,dense) re-propagates every row of the \
-     closure each pass, $(b,worklist) only re-propagates predecessors \
-     of rows that changed (identical relation, identical races), \
-     $(b,streaming) detects races in one forward pass over the events \
+    "Happens-before engine: $(b,dense) computes the exact relation as a \
+     reachability matrix over graph nodes, $(b,streaming) detects races \
+     in one forward pass over the events \
      with epoch-adaptive vector clocks — memory stays proportional to \
      live entities, not trace length, at the price of a sound \
-     under-approximation (never a false race the batch engines would \
+     under-approximation (never a false race the dense engine would \
      not report; identical races on lock-free traces)."
   in
   Arg.(
     value
     & opt
-        (enum
-           [ ("dense", Happens_before.Dense)
-           ; ("worklist", Happens_before.Worklist)
-           ; ("streaming", Happens_before.Streaming)
-           ])
-        Happens_before.Dense
+        (enum [ ("dense", Detector.Dense); ("streaming", Detector.Streaming) ])
+        Detector.Dense
     & info [ "hb-engine" ] ~docv:"ENGINE" ~doc)
 
-let detector_config ~closure =
-  { Detector.default_config with
-    hb = { Happens_before.default with closure }
-  }
+let detector_config ~engine = { Detector.default_config with engine }
 
 (* {2 Supervision budgets} *)
 
@@ -183,11 +175,9 @@ let budget_term =
   in
   let max_events =
     let doc =
-      "Event-count budget: traces longer than $(docv) degrade down the \
-       engine ladder — to the sparse worklist closure engine (identical \
-       relation) when moderately over, and to the bounded-memory \
-       streaming engine (sound under-approximation) when more than 10x \
-       over."
+      "Event-count budget: traces more than 10x longer than $(docv) \
+       degrade from the dense to the bounded-memory streaming engine \
+       (sound under-approximation)."
     in
     Arg.(value & opt (some int) None
          & info [ "max-events" ] ~docv:"N" ~doc)
@@ -406,14 +396,13 @@ let analyze_cmd =
                 throughput and memory profile (schema \
                 droidracer-streaming/1) to $(docv).")
   in
-  (* The predictive engine is not a closure engine — it layers a
+  (* The predictive engine is not a Detector engine — it layers a
      feasibility search on top of the dense relation — so the choice is
-     lifted here at the command level rather than in
-     Happens_before.closure_engine. *)
+     lifted here at the command level rather than in Detector.engine. *)
   let engine_arg =
     let doc =
-      "Happens-before engine: $(b,dense), $(b,worklist) or \
-       $(b,streaming) as elsewhere, or $(b,predictive) — the dense \
+      "Happens-before engine: $(b,dense) or $(b,streaming) as \
+       elsewhere, or $(b,predictive) — the dense \
        analysis followed by the reordering feasibility search of the \
        $(b,predict) subcommand (candidate pairs the observed schedule \
        ordered only through lock or dispatch accidents are searched \
@@ -423,12 +412,11 @@ let analyze_cmd =
       value
       & opt
           (enum
-             [ ("dense", `Core Happens_before.Dense)
-             ; ("worklist", `Core Happens_before.Worklist)
-             ; ("streaming", `Core Happens_before.Streaming)
+             [ ("dense", `Dense)
+             ; ("streaming", `Streaming)
              ; ("predictive", `Predictive)
              ])
-          (`Core Happens_before.Dense)
+          `Dense
       & info [ "hb-engine" ] ~docv:"ENGINE" ~doc)
   in
   (* The streaming engine's whole point is never materialising the
@@ -476,25 +464,15 @@ let analyze_cmd =
       streaming_json telemetry =
     with_telemetry telemetry @@ fun () ->
     match engine with
-    | `Core Happens_before.Streaming ->
-      run_streaming file show_all coverage streaming_json
-    | (`Core (Happens_before.Dense | Happens_before.Worklist) | `Predictive)
-      as engine ->
-    let closure, predictive =
-      match engine with
-      | `Core c -> (c, false)
-      | `Predictive -> (Happens_before.Dense, true)
-    in
+    | `Streaming -> run_streaming file show_all coverage streaming_json
+    | (`Dense | `Predictive) as engine ->
     match Trace_io.load file with
     | Error msg -> or_die (Error msg)
     | Ok trace ->
       let config =
-        { Detector.coalesce = not no_coalesce
-        ; hb =
-            { Happens_before.default with
-              enable_rule = not no_enables
-            ; closure
-            }
+        { Detector.default_config with
+          coalesce = not no_coalesce
+        ; hb = { Happens_before.default with enable_rule = not no_enables }
         }
       in
       let report =
@@ -522,7 +500,7 @@ let analyze_cmd =
           (List.length groups) (List.length races);
         List.iter (fun g -> Format.printf "%a@." Race_coverage.pp_group g) groups
       end;
-      if predictive then begin
+      if engine = `Predictive then begin
         let preport = Predict.analyze ~config ~jobs trace in
         Format.printf "predictive: %a@." Predict.pp_report preport;
         List.iter
@@ -655,11 +633,11 @@ let detect_cmd =
              ~doc:
                "For each distinct race, print a minimal sub-trace that                 still exhibits it (delta debugging).")
   in
-  let run name seed events minimize_races jobs closure telemetry =
+  let run name seed events minimize_races jobs engine telemetry =
     with_telemetry telemetry @@ fun () ->
     let _, _, _, result = run_app name seed events in
     let report =
-      Detector.analyze ~config:(detector_config ~closure) ~jobs
+      Detector.analyze ~config:(detector_config ~engine) ~jobs
         result.Runtime.observed
     in
     Format.printf "%a@." Detector.pp_report report;
@@ -739,11 +717,11 @@ let verify_cmd =
                 100 replays) instead of sampling; gives a definite verdict \
                 on small applications.")
   in
-  let run name seed events attempts exhaustive jobs closure telemetry =
+  let run name seed events attempts exhaustive jobs engine telemetry =
     with_telemetry telemetry @@ fun () ->
     let reg, options, events, result = run_app name seed events in
     let report =
-      Detector.analyze ~config:(detector_config ~closure) ~jobs
+      Detector.analyze ~config:(detector_config ~engine) ~jobs
         result.Runtime.observed
     in
     if report.Detector.all_races = [] then print_endline "no races detected"
@@ -920,7 +898,7 @@ let corpus_cmd =
                 (schema droidracer-races/1, race counts and racing \
                 locations per trace) as JSON to $(docv).")
   in
-  let run verify only open_source jobs closure budget inject_faults
+  let run verify only open_source jobs engine budget inject_faults
       fault_classes failures_json isolate max_mem journal_path resume
       max_retries backoff progress_out trace_dir races_json telemetry =
     with_telemetry telemetry @@ fun () ->
@@ -995,7 +973,7 @@ let corpus_cmd =
         ~mode:(if isolate then "isolated" else "cooperative")
         ~jobs ~total ()
     in
-    let config = detector_config ~closure in
+    let config = detector_config ~engine in
     let with_sweep sweep =
       Fun.protect
         ~finally:(fun () ->
@@ -1444,7 +1422,7 @@ let predict_cmd =
     (Cmd.info "predict"
        ~doc:
          "Predict races beyond the observed schedule: for every \
-          candidate pair the batch engines order only through \
+          candidate pair the dense engine orders only through \
           schedule accidents (lock winners, dispatch order), search a \
           bounded window for an admissible reordering that flips the \
           pair, and emit the reordered trace as an executable witness \
@@ -1553,13 +1531,6 @@ let serve_cmd =
                 requests become cached results, accepted-but-unfinished \
                 ones are re-enqueued from the spool.")
   in
-  let degrade_low =
-    Arg.(value & opt float 0.5
-         & info [ "degrade-low" ] ~docv:"FRACTION"
-             ~doc:
-               "Queue fill fraction at which dense requests degrade to \
-                the worklist engine.")
-  in
   let degrade_high =
     Arg.(value & opt float 0.75
          & info [ "degrade-high" ] ~docv:"FRACTION"
@@ -1579,8 +1550,8 @@ let serve_cmd =
          & info [ "verbose"; "v" ] ~doc:"Log every request and dispatch.")
   in
   let run socket workers worker_jobs queue timeout kill_grace max_trace_mb
-      max_conns client_timeout spool journal_arg no_journal resume degrade_low
-      degrade_high progress_out verbose telemetry =
+      max_conns client_timeout spool journal_arg no_journal resume degrade_high
+      progress_out verbose telemetry =
     let endpoint = parse_endpoint socket in
     let journal_path =
       if no_journal then None
@@ -1602,7 +1573,6 @@ let serve_cmd =
       ; spool_dir = spool
       ; journal_path
       ; resume
-      ; degrade_low
       ; degrade_high
       ; verbose
       ; progress_out
@@ -1628,12 +1598,12 @@ let serve_cmd =
           streams droidracer-races/1 results back.  Admission is a \
           bounded queue with explicit overload rejections; accepted \
           work is journalled for crash recovery; queue pressure \
-          degrades the engine down the dense-worklist-streaming \
-          ladder; SIGTERM drains gracefully.")
+          degrades the engine from dense to streaming; SIGTERM drains \
+          gracefully.")
     Term.(
       const run $ endpoint_arg $ workers $ worker_jobs $ queue $ timeout
       $ kill_grace $ max_trace_mb $ max_conns $ client_timeout $ spool
-      $ journal_arg $ no_journal $ resume $ degrade_low $ degrade_high
+      $ journal_arg $ no_journal $ resume $ degrade_high
       $ progress_out $ verbose $ telemetry_term)
 
 let submit_cmd =
@@ -1644,9 +1614,9 @@ let submit_cmd =
     Arg.(value & opt string "auto"
          & info [ "engine" ] ~docv:"ENGINE"
              ~doc:
-               "Requested happens-before engine: $(b,auto), $(b,dense), \
-                $(b,worklist) or $(b,streaming).  Queue pressure may \
-                degrade it; the response names the engine that ran.")
+               "Requested happens-before engine: $(b,auto), $(b,dense) or \
+                $(b,streaming).  Queue pressure may degrade it; the \
+                response names the engine that ran.")
   in
   let timeout =
     Arg.(value & opt (some float) None

@@ -11,9 +11,6 @@ let create n =
   let words = (n + bits_per_word - 1) / bits_per_word in
   { n; words = max words 1; rows = Array.init n (fun _ -> Array.make (max words 1) 0) }
 
-let size m = m.n
-let words_per_row m = m.words
-
 let check m i j =
   if i < 0 || i >= m.n || j < 0 || j >= m.n then
     invalid_arg (Printf.sprintf "Bit_matrix: index (%d,%d) out of bounds" i j)
@@ -39,12 +36,6 @@ let count m =
     0 m.rows
 
 let copy m = { m with rows = Array.map Array.copy m.rows }
-
-let blit ~src ~dst =
-  if src.n <> dst.n then invalid_arg "Bit_matrix.blit: size mismatch";
-  Array.iteri
-    (fun i row -> Array.blit row 0 dst.rows.(i) 0 src.words)
-    src.rows
 
 let blit_row ~src ~dst i =
   if src.n <> dst.n then invalid_arg "Bit_matrix.blit_row: size mismatch";
@@ -136,6 +127,25 @@ let or_row_into_mask m ~src (mask : Mask.t) =
     mw.(w) <- mw.(w) lor s.(w)
   done
 
+let mark_rows_meeting m (mask : Mask.t) (into : Mask.t) =
+  let mw = mask.Mask.words in
+  let lo = ref 0 and hi = ref (m.words - 1) in
+  while !lo < m.words && mw.(!lo) = 0 do
+    incr lo
+  done;
+  while !hi >= !lo && mw.(!hi) = 0 do
+    decr hi
+  done;
+  let lo = !lo and hi = !hi in
+  for i = 0 to m.n - 1 do
+    let row = m.rows.(i) in
+    let rec meets w =
+      w <= hi && (Array.unsafe_get row w land Array.unsafe_get mw w <> 0
+                  || meets (w + 1))
+    in
+    if meets lo then Mask.set into i
+  done
+
 let or_row_masked m ~dst ~src ~mask =
   let d = m.rows.(dst) and s = m.rows.(src) in
   let mw = mask.Mask.words in
@@ -181,43 +191,11 @@ let iter_row m i f =
 
    The worklist closure needs to know not just whether a row changed
    but which columns were newly set: new bits are new successors the
-   row must later pull from, and new predecessor-index entries.  The
-   tracked ORs accumulate the newly set bits of [dst] into the same
-   row of a [delta] matrix. *)
-
-let or_row_between_tracked ~read ~write ~delta ~dst ~src =
-  let d = write.rows.(dst) and s = read.rows.(src) in
-  let dl = delta.rows.(dst) in
-  let changed = ref false in
-  for w = 0 to write.words - 1 do
-    let v = d.(w) lor s.(w) in
-    if v <> d.(w) then begin
-      dl.(w) <- dl.(w) lor (v lxor d.(w));
-      d.(w) <- v;
-      changed := true
-    end
-  done;
-  !changed
-
-let or_row_between_masked_compl_tracked ~read ~write ~delta ~dst ~src ~mask =
-  let d = write.rows.(dst) and s = read.rows.(src) in
-  let dl = delta.rows.(dst) in
-  let mw = mask.Mask.words in
-  let changed = ref false in
-  for w = 0 to write.words - 1 do
-    let v = d.(w) lor (s.(w) land lnot mw.(w)) in
-    if v <> d.(w) then begin
-      dl.(w) <- dl.(w) lor (v lxor d.(w));
-      d.(w) <- v;
-      changed := true
-    end
-  done;
-  !changed
-
-(* Ranged variants: OR only the words [w_lo..w_hi] of the source row.
-   The worklist closure broadcasts per-round "news" rows whose set bits
-   are localised, so the caller precomputes each source's non-empty
-   word extent and skips the all-zero prefix and suffix. *)
+   row must later pull from.  The tracked ORs accumulate the newly set bits of [dst] into the same
+   row of a [delta] matrix.  They OR only the words [w_lo..w_hi] of the
+   source row: the closure broadcasts per-round "news" rows whose set
+   bits are localised, so the caller precomputes each source's
+   non-empty word extent and skips the all-zero prefix and suffix. *)
 
 let or_row_between_tracked_range ~read ~write ~delta ~dst ~src ~w_lo ~w_hi =
   let d = write.rows.(dst) and s = read.rows.(src) in
@@ -273,11 +251,6 @@ type row_scratch = int array
 let row_scratch m = Array.make m.words 0
 
 let copy_row m i (buf : row_scratch) = Array.blit m.rows.(i) 0 buf 0 m.words
-
-let take_row m i (buf : row_scratch) =
-  let row = m.rows.(i) in
-  Array.blit row 0 buf 0 m.words;
-  Array.fill row 0 m.words 0
 
 let clear_scratch (buf : row_scratch) = Array.fill buf 0 (Array.length buf) 0
 

@@ -10,12 +10,6 @@ type t
 val create : int -> t
 (** [create n] is the n×n all-false matrix. *)
 
-val size : t -> int
-
-val words_per_row : t -> int
-(** Machine words per row — the cost, in word ORs, of one row-into-row
-    OR (used by the closure engines' [hb.word_ors] accounting). *)
-
 val get : t -> int -> int -> bool
 
 val set : t -> int -> int -> unit
@@ -24,12 +18,7 @@ val count : t -> int
 (** Number of true entries. *)
 
 val copy : t -> t
-(** An independent copy (used to snapshot the matrix between parallel
-    fixpoint passes). *)
-
-val blit : src:t -> dst:t -> unit
-(** Overwrites [dst] with the contents of [src]; the matrices must have
-    the same size. *)
+(** An independent copy. *)
 
 val blit_row : src:t -> dst:t -> int -> unit
 (** [blit_row ~src ~dst i] overwrites row [i] of [dst] with row [i] of
@@ -45,11 +34,7 @@ val or_row : t -> dst:int -> src:int -> bool
 
 val or_row_between : read:t -> write:t -> dst:int -> src:int -> bool
 (** [or_row_between ~read ~write ~dst ~src] ORs row [src] of [read]
-    into row [dst] of [write]; true iff the destination row changed.
-    The block-parallel closure reads rows of other blocks from a
-    frozen snapshot while writing its own rows of the live matrix, so
-    every domain sees the same pass semantics regardless of
-    scheduling. *)
+    into row [dst] of [write]; true iff the destination row changed. *)
 
 (** Bit masks over column indices. *)
 module Mask : sig
@@ -72,7 +57,12 @@ end
 
 val or_row_into_mask : t -> src:int -> Mask.t -> unit
 (** ORs row [src] into the mask (used to accumulate a round's source
-    and target sets from predecessor-index rows). *)
+    set from its news rows). *)
+
+val mark_rows_meeting : t -> Mask.t -> Mask.t -> unit
+(** [mark_rows_meeting m mask into] adds to [into] every row of [m]
+    that has a set column in [mask] — the predecessors of the columns
+    of [mask], read off the rows instead of a transposed index. *)
 
 val or_row_masked : t -> dst:int -> src:int -> mask:Mask.t -> bool
 (** ORs [src ∧ mask] into [dst]; true iff [dst] changed. *)
@@ -91,18 +81,9 @@ val iter_row : t -> int -> (int -> unit) -> unit
 
     The worklist closure must know {e which} columns an OR newly set:
     a new bit in row [i] is a new successor that row [i] still has to
-    pull from, and a new entry of the predecessor index.  The tracked
-    variants accumulate the newly set bits of [dst] into row [dst] of a
-    caller-supplied [delta] matrix of the same size. *)
-
-val or_row_between_tracked :
-  read:t -> write:t -> delta:t -> dst:int -> src:int -> bool
-(** {!or_row_between} that also ORs the newly set bits of the
-    destination row into row [dst] of [delta]; true iff [dst] changed. *)
-
-val or_row_between_masked_compl_tracked :
-  read:t -> write:t -> delta:t -> dst:int -> src:int -> mask:Mask.t -> bool
-(** {!or_row_between_masked_compl} with the same delta tracking. *)
+    pull from.  The tracked variants accumulate the newly set bits of
+    [dst] into row [dst] of a caller-supplied [delta] matrix of the
+    same size. *)
 
 val or_row_between_tracked_range :
   read:t ->
@@ -113,8 +94,9 @@ val or_row_between_tracked_range :
   w_lo:int ->
   w_hi:int ->
   unit
-(** {!or_row_between_tracked} restricted to source words
-    [w_lo..w_hi] (inclusive); the caller obtains the bounds from
+(** {!or_row_between} restricted to source words [w_lo..w_hi]
+    (inclusive), that also ORs the newly set bits of the destination
+    row into row [dst] of [delta].  The caller obtains the bounds from
     {!row_word_extent}, so the all-zero prefix and suffix of a sparse
     source row cost nothing.  No change flag — the worklist reads the
     delta row instead. *)
@@ -129,7 +111,8 @@ val or_row_between_masked_compl_tracked_range :
   w_lo:int ->
   w_hi:int ->
   unit
-(** {!or_row_between_masked_compl_tracked}, ranged. *)
+(** {!or_row_between_tracked_range} restricted to the complement of
+    [mask]. *)
 
 val row_word_extent : t -> int -> int * int
 (** [(lo, hi)] such that every non-zero word of row [i] lies in
@@ -145,10 +128,6 @@ val row_scratch : t -> row_scratch
 
 val copy_row : t -> int -> row_scratch -> unit
 (** Overwrites the scratch with row [i]. *)
-
-val take_row : t -> int -> row_scratch -> unit
-(** Overwrites the scratch with row [i], then clears row [i] (used to
-    consume a row's pending pull set before re-accumulating into it). *)
 
 val clear_scratch : row_scratch -> unit
 

@@ -1,15 +1,21 @@
 open! Import
 
+type engine = Dense | Streaming
+
+let engine_name = function Dense -> "dense" | Streaming -> "streaming"
+
 type config =
   { coalesce : bool
+  ; engine : engine
   ; hb : Happens_before.config
   }
 
-let default_config = { coalesce = true; hb = Happens_before.default }
+let default_config =
+  { coalesce = true; engine = Dense; hb = Happens_before.default }
 
 let no_environment_model =
-  { coalesce = true
-  ; hb = { Happens_before.default with enable_rule = false }
+  { default_config with
+    hb = { Happens_before.default with enable_rule = false }
   }
 
 type classified_race =
@@ -81,8 +87,8 @@ let analyze ?(config = default_config) ?(jobs = 1) trace =
     phases_rev := (name, Unix.gettimeofday () -. t0) :: !phases_rev;
     v
   in
-  match config.hb.closure with
-  | Happens_before.Streaming ->
+  match config.engine with
+  | Streaming ->
     (* Streaming pipeline: filter, one engine pass, classify.  Race
        classification needs happens-before answers only for the
        co-enabled refinement; the streaming engine keeps no queryable
@@ -118,7 +124,7 @@ let analyze ?(config = default_config) ?(jobs = 1) trace =
     ; elapsed_seconds = Unix.gettimeofday () -. started
     ; phase_seconds = List.rev !phases_rev
     }
-  | Happens_before.Dense | Happens_before.Worklist ->
+  | Dense ->
   let trace =
     phase "filter_cancelled" (fun () -> Trace.remove_cancelled trace)
   in

@@ -10,12 +10,29 @@ open! Import
 
     The online vector-clock engine lives in {!Streaming_engine}; it
     trades the precision of the graph relation for a single forward
-    pass, is selected here by [closure = Streaming], and is compared
+    pass, is selected here by [engine = Streaming], and is compared
     against this detector by the engine ablation. *)
+
+(** Which engine decides the races. *)
+type engine =
+  | Dense
+      (** the exact relation: {!Happens_before.compute}'s reachability
+          matrix over graph nodes, then the node-pair scan of
+          {!Race.detect} *)
+  | Streaming
+      (** one {!Streaming_engine} pass over the events, never
+          materialising the matrix; its clock relation over-approximates
+          ⪯, so its races are a subset of [Dense]'s *)
+
+val engine_name : engine -> string
+(** ["dense"] or ["streaming"]: the name the CLI, the wire protocol,
+    responses, the journal and telemetry use. *)
 
 type config =
   { coalesce : bool  (** merge contiguous access runs (Section 6) *)
+  ; engine : engine
   ; hb : Happens_before.config
+        (** the rule switches of the relation ([Dense] only) *)
   }
 
 val default_config : config
@@ -44,6 +61,8 @@ type report =
   ; uncoalesced_nodes : int  (** = trace length *)
   ; hb_edges : int
   ; fixpoint_passes : int
+      (** fixpoint passes, see {!Happens_before.passes} (1 under
+          [Streaming]) *)
   ; hb_word_ors : int
       (** closure work metric, see {!Happens_before.word_ors} *)
   ; hb_rows_requeued : int
@@ -75,7 +94,7 @@ val analyze : ?config:config -> ?jobs:int -> Trace.t -> report
     value — determinism is an invariant of the parallel engine, not
     best-effort (see {!Happens_before.compute} and {!Race.detect}).
 
-    When [config.hb.closure] is {!Happens_before.Streaming} the batch
+    When [config.engine] is [Streaming] the batch
     pipeline is replaced by one {!Streaming_engine} pass (phases
     {!streaming_phase_names}; single-pass, so [jobs] is irrelevant and
     the report is identical for every value): [nodes] counts clock

@@ -5,19 +5,6 @@ module Lock_id = Ident.Lock_id
 
 type program_order = Hb_edges.program_order = Android_po | Full_po
 
-type closure_engine = Dense | Worklist | Streaming
-
-let closure_engine_name = function
-  | Dense -> "dense"
-  | Worklist -> "worklist"
-  | Streaming -> "streaming"
-
-let closure_engine_of_string = function
-  | "dense" -> Some Dense
-  | "worklist" -> Some Worklist
-  | "streaming" -> Some Streaming
-  | _ -> None
-
 type config =
   { program_order : program_order
   ; enable_rule : bool
@@ -30,7 +17,6 @@ type config =
   ; lock_same_thread : bool
   ; front_rule : bool
   ; restricted_transitivity : bool
-  ; closure : closure_engine
   }
 
 let default =
@@ -45,7 +31,6 @@ let default =
   ; lock_same_thread = false
   ; front_rule = false
   ; restricted_transitivity = true
-  ; closure = Dense
   }
 
 (* Per-task data consumed by the FIFO and NOPRE rules. *)
@@ -70,30 +55,12 @@ type t =
 let graph t = t.graph
 let config t = t.cfg
 
-(* The FIFO rule with the delayed-post refinement of Section 4.2: an
-   edge needs the posts ordered by ⪯ and compatible flavours.  The
-   happens-before treatment of front-of-queue posts is deferred by the
-   paper, so they never produce FIFO edges. *)
-let fifo_flavours_ok f1 f2 =
-  match (f1 : Operation.post_flavour), (f2 : Operation.post_flavour) with
-  | Immediate, (Immediate | Delayed _) -> true
-  | Delayed d1, Delayed d2 -> d1 <= d2
-  | Delayed _, Immediate -> false
-  | Front, (Immediate | Delayed _ | Front) -> false
-  | (Immediate | Delayed _), Front -> false
-
 (* Rows per closure block.  A constant — never derived from the jobs
-   count — so the per-pass semantics, the resulting matrix and the pass
-   count are identical for every [jobs] value. *)
-let closure_block_rows = 64
-
-(* The worklist engine uses its own, larger block constant: bigger
-   blocks mean more in-block Gauss–Seidel (live reads), so changes
-   cross the matrix in fewer drain rounds and stabilised rows stop
-   being re-pulled sooner.  Still a constant — never derived from the
-   jobs count — so the worklist fixpoint is also independent of
-   [jobs]. *)
-let worklist_block_rows = 1024
+   count — so the fixpoint matrix and the pass count are identical for
+   every [jobs] value.  Blocks are large because in-block rows are read
+   live (Gauss–Seidel): changes cross the matrix in fewer drain rounds
+   and stabilised rows stop being re-pulled sooner. *)
+let block_rows = 1024
 
 (* The static fragment of a [config], for the shared edge builder. *)
 let static_config (cfg : config) : Hb_edges.config =
@@ -153,9 +120,55 @@ let compute_impl ~config ~jobs g =
           | None -> Hashtbl.add entries_by_target key (ref [ entry ]))
        | (Some _ | None), _ -> ())
     (Trace.tasks trace);
-  (* [on_set src dst] fires once per edge the dynamic rules add — the
-     worklist engine uses it to requeue the changed row. *)
-  let apply_dynamic ~on_set () =
+  (* The closure is a semi-naïve (delta) worklist fixpoint: it only
+     re-propagates what changed.  Row [i] of [delta] holds the bits
+     added to row [i] of the matrix since [i] last broadcast them.  A
+     row with a non-empty delta is dirty.  Each drain round moves the
+     dirty set to D, captures each dirty row's delta as its [news] row,
+     and re-propagates into the targets T = D ∪ preds(D), the rows
+     that must re-absorb a row of D because it grew (read off the
+     matrix rows: no transposed index is kept): target [i] ORs the
+     full (snapshotted) rows of its freshly added successors —
+     sources it has never absorbed — and only the [news] of its
+     long-standing dirty successors, so a source row that keeps growing
+     costs its predecessors just the new words, not the whole row
+     again.  Source ORs are bounded to the non-empty word extent of the
+     source (news rows are localised).  Targets are sharded into fixed
+     [block_rows] blocks and drained high-to-low (reverse trace order,
+     so forward-pointing HB chains settle in few rounds); D, S, T, the
+     news capture and the snapshot are computed sequentially before the
+     blocks run, blocks write only their own rows, and cross-block
+     fresh reads come from the snapshot — so the fixpoint matrix, the
+     pass count and the work counters are independent of [jobs].  Dirty
+     marking happens sequentially after the round from the targets'
+     delta rows. *)
+  let delta = Bit_matrix.copy m in
+  let news = Bit_matrix.create n in
+  let snap = Bit_matrix.create n in
+  let news_lo = Array.make n 0 and news_hi = Array.make n (-1) in
+  let snap_lo = Array.make n 0 and snap_hi = Array.make n (-1) in
+  let dirty = Bit_matrix.Mask.create n in
+  let d_mask = Bit_matrix.Mask.create n in
+  let s_mask = Bit_matrix.Mask.create n in
+  let t_mask = Bit_matrix.Mask.create n in
+  let dirty_count = ref 0 in
+  let mark_dirty i =
+    if not (Bit_matrix.Mask.mem dirty i) then begin
+      Bit_matrix.Mask.set dirty i;
+      incr dirty_count
+    end
+  in
+  for i = 0 to n - 1 do
+    if not (Bit_matrix.row_is_empty m i) then mark_dirty i
+  done;
+  (* Dynamic-rule edges arrive between rounds: record the new bit as
+     pending news and requeue the row. *)
+  let on_set src dst =
+    Bit_matrix.set m src dst;
+    Bit_matrix.set delta src dst;
+    mark_dirty src
+  in
+  let apply_dynamic () =
     let changed = ref false in
     if cfg.fifo_rule || cfg.nopre_rule then
       Hashtbl.iter
@@ -175,7 +188,7 @@ let compute_impl ~config ~jobs g =
                               && not (Bit_matrix.get m end_node begin_node) ->
                          let fifo =
                            cfg.fifo_rule
-                           && fifo_flavours_ok p1.flavour p2.flavour
+                           && Hb_edges.fifo_flavours_ok p1.flavour p2.flavour
                            && Bit_matrix.get m p1.post_node p2.post_node
                          in
                          (* EXTENSION: a front post pre-empts pending
@@ -215,7 +228,6 @@ let compute_impl ~config ~jobs g =
                                  p1.task_nodes)
                          in
                          if fifo || front || nopre () then begin
-                           Bit_matrix.set m end_node begin_node;
                            on_set end_node begin_node;
                            changed := true
                          end
@@ -225,256 +237,139 @@ let compute_impl ~config ~jobs g =
         entries_by_target;
     !changed
   in
-  let wpr = Bit_matrix.words_per_row m in
   let word_ors = ref 0 and rows_requeued = ref 0 in
-  let passes = ref 0 in
-  (* Shared fixpoint driver: alternate a closure phase with the dynamic
-     rules until neither adds an edge.  One span per pass, carrying the
-     number of ordering pairs the pass discovered (a population count,
-     so only computed when telemetry is on — the fixpoint itself never
-     pays for it). *)
-  let run_fixpoint ~closure ~on_set =
-    let rec go () =
-      incr passes;
-      let continue_ =
-        Obs.with_span "hb.pass"
-          ~args:[ ("pass", string_of_int !passes) ]
-          (fun () ->
-             let before = if Obs.enabled () then Bit_matrix.count m else 0 in
-             let c1 = Obs.with_span "hb.closure" closure in
-             let c2 = Obs.with_span "hb.dynamic_rules" (apply_dynamic ~on_set) in
-             if Obs.enabled () then begin
-               let added = Bit_matrix.count m - before in
-               Obs.set_span_arg "edges_added" (string_of_int added);
-               Obs.add ~n:added "hb.edges_added"
-             end;
-             c1 || c2)
-      in
-      if continue_ then go ()
+  let round () =
+    Bit_matrix.Mask.clear d_mask;
+    Bit_matrix.Mask.clear s_mask;
+    Bit_matrix.Mask.clear t_mask;
+    Bit_matrix.Mask.iter dirty (fun i -> Bit_matrix.Mask.set d_mask i);
+    Bit_matrix.Mask.clear dirty;
+    dirty_count := 0;
+    (* News capture: each dirty row broadcasts (and thereby
+       consumes) its pending delta.  S = the union of the news — the
+       freshly added successors whose full rows targets will pull. *)
+    Bit_matrix.Mask.iter d_mask (fun i ->
+      Bit_matrix.blit_row ~src:delta ~dst:news i;
+      Bit_matrix.clear_row delta i;
+      let lo, hi = Bit_matrix.row_word_extent news i in
+      news_lo.(i) <- lo;
+      news_hi.(i) <- hi;
+      Bit_matrix.or_row_into_mask news ~src:i s_mask;
+      Bit_matrix.Mask.set t_mask i);
+    Bit_matrix.mark_rows_meeting m d_mask t_mask;
+    Bit_matrix.Mask.iter s_mask (fun k ->
+      Bit_matrix.blit_row ~src:m ~dst:snap k;
+      let lo, hi = Bit_matrix.row_word_extent snap k in
+      snap_lo.(k) <- lo;
+      snap_hi.(k) <- hi);
+    (* Shard the targets into fixed [block_rows] blocks, blocks and
+       rows both descending. *)
+    let blocks = ref [] and cur_b = ref (-1) and cur_rows = ref [] in
+    Bit_matrix.Mask.iter t_mask (fun i ->
+      let b = i / block_rows in
+      if b <> !cur_b then begin
+        if !cur_b >= 0 then blocks := (!cur_b, !cur_rows) :: !blocks;
+        cur_b := b;
+        cur_rows := [ i ]
+      end
+      else cur_rows := i :: !cur_rows);
+    if !cur_b >= 0 then blocks := (!cur_b, !cur_rows) :: !blocks;
+    let blocks = !blocks in
+    let run_block (b, targets) =
+      let lo = b * block_rows in
+      let hi = min n (lo + block_rows) in
+      let pull = Bit_matrix.row_scratch m in
+      let own = Bit_matrix.row_scratch m in
+      let ors = ref 0 and rows = ref 0 in
+      List.iter
+        (fun i ->
+           incr rows;
+           if Bit_matrix.Mask.mem d_mask i then
+             Bit_matrix.copy_row news i pull
+           else Bit_matrix.clear_scratch pull;
+           Bit_matrix.copy_row m i own;
+           let ti = tidx.(i) in
+           let or_from read k w_lo w_hi =
+             if w_hi >= w_lo then begin
+               ors := !ors + (w_hi - w_lo + 1);
+               if (not cfg.restricted_transitivity) || tidx.(k) = ti then
+                 Bit_matrix.or_row_between_tracked_range ~read ~write:m
+                   ~delta ~dst:i ~src:k ~w_lo ~w_hi
+               else
+                 Bit_matrix.or_row_between_masked_compl_tracked_range ~read
+                   ~write:m ~delta ~dst:i ~src:k ~mask:thread_masks.(ti)
+                   ~w_lo ~w_hi
+             end
+           in
+           Bit_matrix.iter_sources ~own ~mask:d_mask ~plus:pull
+             ~fresh:(fun k ->
+               (* a successor [i] has never absorbed: its whole row,
+                  live within the block, snapshotted across blocks
+                  (the extent always comes from the snapshot, so the
+                  words visited are jobs-independent) *)
+               if k <> i then
+                 or_from
+                   (if k >= lo && k < hi then m else snap)
+                   k snap_lo.(k) snap_hi.(k))
+             ~dirty:(fun k ->
+               (* a long-standing successor that grew: only its news *)
+               if k <> i then or_from news k news_lo.(k) news_hi.(k)))
+        targets;
+      (!ors, !rows)
     in
-    go ()
-  in
-  (match cfg.closure with
-   | Dense ->
-     (* The dense closure is block-synchronous: each pass snapshots the
-        matrix, then every block of [closure_block_rows] rows is brought
-        up to date independently — in-block rows are read live
-        (Gauss–Seidel within the block, rows high to low), rows of
-        other blocks are read from the snapshot.  A block only ever
-        writes its own rows, so blocks can run on separate domains with
-        no shared writes, and because the partition is fixed (never
-        derived from [jobs]) a pass computes the same matrix for every
-        jobs value: the fixpoint — and even the pass count — is
-        bit-identical whether the blocks run sequentially or in
-        parallel. *)
-     let snapshot = Bit_matrix.copy m in
-     let blocks = Par_pool.ranges ~chunk:closure_block_rows n in
-     let closure_block (lo, hi) =
-       let changed = ref false and ors = ref 0 in
-       for i = hi - 1 downto lo do
-         let succs = ref [] in
-         Bit_matrix.iter_row m i (fun k -> succs := k :: !succs);
-         let ti = tidx.(i) in
-         List.iter
-           (fun k ->
-              if k <> i then begin
-                let read = if k >= lo && k < hi then m else snapshot in
-                incr ors;
-                let c =
-                  if (not cfg.restricted_transitivity) || tidx.(k) = ti then
-                    Bit_matrix.or_row_between ~read ~write:m ~dst:i ~src:k
-                  else
-                    Bit_matrix.or_row_between_masked_compl ~read ~write:m
-                      ~dst:i ~src:k ~mask:thread_masks.(ti)
-                in
-                if c then changed := true
-              end)
-           (List.rev !succs)
-       done;
-       (!changed, !ors, hi - lo)
-     in
-     let closure_pass () =
-       Bit_matrix.blit ~src:m ~dst:snapshot;
-       let results = Par_pool.parallel_map ~jobs closure_block blocks in
-       List.fold_left
-         (fun any (c, ors, rows) ->
-            word_ors := !word_ors + (ors * wpr);
-            rows_requeued := !rows_requeued + rows;
-            any || c)
-         false results
-     in
-     run_fixpoint ~closure:closure_pass ~on_set:(fun _ _ -> ())
-   | Worklist | Streaming ->
-     (* [Streaming] selects {!Streaming_engine} in {!Detector.analyze};
-        a caller that still asks for the batch relation under that
-        configuration gets the sparse engine, whose fixpoint matrix the
-        streaming clocks over-approximate. *)
-     (* The worklist closure only re-propagates what changed — a
-        semi-naïve (delta) fixpoint.  Row [i] of [delta] holds the bits
-        added to row [i] of the matrix since [i] last broadcast them;
-        row [j] of [preds] indexes the rows whose bitset contains [j],
-        i.e. the rows that must re-absorb row [j] when it grows.  A row
-        with a non-empty delta is dirty.  Each drain round moves the
-        dirty set to D, captures each dirty row's delta as its [news]
-        row, and re-propagates into the targets T = D ∪ preds(D):
-        target [i] ORs the full (snapshotted) rows of its freshly added
-        successors — sources it has never absorbed — and only the
-        [news] of its long-standing dirty successors, so a source row
-        that keeps growing costs its predecessors just the new words,
-        not the whole row again.  Source ORs are bounded to the
-        non-empty word extent of the source (news rows are localised).
-        Targets are sharded into fixed [worklist_block_rows] blocks and
-        drained high-to-low (reverse trace order, so forward-pointing
-        HB chains settle in few rounds); D, S, T, the news capture and
-        the snapshot are computed sequentially before the blocks run,
-        blocks write only their own rows, and cross-block fresh reads
-        come from the snapshot — so the fixpoint matrix is independent
-        of [jobs].  Dirty marking and predecessor registration happen
-        sequentially after the round from the targets' delta rows.
-        Both engines close the same monotone rule system, so the
-        fixpoint matrix is bit-identical to {!Dense}; only the amount
-        of re-scanning differs. *)
-     let delta = Bit_matrix.copy m in
-     let preds = Bit_matrix.create n in
-     let news = Bit_matrix.create n in
-     let snap = Bit_matrix.create n in
-     let news_lo = Array.make n 0 and news_hi = Array.make n (-1) in
-     let snap_lo = Array.make n 0 and snap_hi = Array.make n (-1) in
-     let dirty = Bit_matrix.Mask.create n in
-     let d_mask = Bit_matrix.Mask.create n in
-     let s_mask = Bit_matrix.Mask.create n in
-     let t_mask = Bit_matrix.Mask.create n in
-     let dirty_count = ref 0 in
-     let mark_dirty i =
-       if not (Bit_matrix.Mask.mem dirty i) then begin
-         Bit_matrix.Mask.set dirty i;
-         incr dirty_count
-       end
-     in
-     for i = 0 to n - 1 do
-       if not (Bit_matrix.row_is_empty m i) then begin
-         mark_dirty i;
-         Bit_matrix.iter_row m i (fun j -> Bit_matrix.set preds j i)
-       end
-     done;
-     (* Dynamic-rule edges arrive between rounds: record the new bit as
-        pending news, index it, requeue the row. *)
-     let on_set src dst =
-       Bit_matrix.set delta src dst;
-       Bit_matrix.set preds dst src;
-       mark_dirty src
-     in
-     let round () =
-       Bit_matrix.Mask.clear d_mask;
-       Bit_matrix.Mask.clear s_mask;
-       Bit_matrix.Mask.clear t_mask;
-       Bit_matrix.Mask.iter dirty (fun i -> Bit_matrix.Mask.set d_mask i);
-       Bit_matrix.Mask.clear dirty;
-       dirty_count := 0;
-       (* News capture: each dirty row broadcasts (and thereby
-          consumes) its pending delta.  S = the union of the news — the
-          freshly added successors whose full rows targets will pull. *)
-       Bit_matrix.Mask.iter d_mask (fun i ->
-         Bit_matrix.blit_row ~src:delta ~dst:news i;
-         Bit_matrix.clear_row delta i;
-         let lo, hi = Bit_matrix.row_word_extent news i in
-         news_lo.(i) <- lo;
-         news_hi.(i) <- hi;
-         Bit_matrix.or_row_into_mask news ~src:i s_mask;
-         Bit_matrix.Mask.set t_mask i;
-         Bit_matrix.or_row_into_mask preds ~src:i t_mask);
-       Bit_matrix.Mask.iter s_mask (fun k ->
-         Bit_matrix.blit_row ~src:m ~dst:snap k;
-         let lo, hi = Bit_matrix.row_word_extent snap k in
-         snap_lo.(k) <- lo;
-         snap_hi.(k) <- hi);
-       (* Shard the targets into fixed [worklist_block_rows] blocks,
-          blocks and rows both descending. *)
-       let blocks = ref [] and cur_b = ref (-1) and cur_rows = ref [] in
-       Bit_matrix.Mask.iter t_mask (fun i ->
-         let b = i / worklist_block_rows in
-         if b <> !cur_b then begin
-           if !cur_b >= 0 then blocks := (!cur_b, !cur_rows) :: !blocks;
-           cur_b := b;
-           cur_rows := [ i ]
-         end
-         else cur_rows := i :: !cur_rows);
-       if !cur_b >= 0 then blocks := (!cur_b, !cur_rows) :: !blocks;
-       let blocks = !blocks in
-       let run_block (b, targets) =
-         let lo = b * worklist_block_rows in
-         let hi = min n (lo + worklist_block_rows) in
-         let pull = Bit_matrix.row_scratch m in
-         let own = Bit_matrix.row_scratch m in
-         let ors = ref 0 and rows = ref 0 in
+    let results = Par_pool.parallel_map ~jobs run_block blocks in
+    List.iter
+      (fun (ors, rows) ->
+         word_ors := !word_ors + ors;
+         rows_requeued := !rows_requeued + rows)
+      results;
+    (* A target whose delta row is non-empty gained bits this round:
+       it is dirty again. *)
+    let changed = ref false in
+    List.iter
+      (fun (_, targets) ->
          List.iter
            (fun i ->
-              incr rows;
-              if Bit_matrix.Mask.mem d_mask i then
-                Bit_matrix.copy_row news i pull
-              else Bit_matrix.clear_scratch pull;
-              Bit_matrix.copy_row m i own;
-              let ti = tidx.(i) in
-              let or_from read k w_lo w_hi =
-                if w_hi >= w_lo then begin
-                  ors := !ors + (w_hi - w_lo + 1);
-                  if (not cfg.restricted_transitivity) || tidx.(k) = ti then
-                    Bit_matrix.or_row_between_tracked_range ~read ~write:m
-                      ~delta ~dst:i ~src:k ~w_lo ~w_hi
-                  else
-                    Bit_matrix.or_row_between_masked_compl_tracked_range ~read
-                      ~write:m ~delta ~dst:i ~src:k ~mask:thread_masks.(ti)
-                      ~w_lo ~w_hi
-                end
-              in
-              Bit_matrix.iter_sources ~own ~mask:d_mask ~plus:pull
-                ~fresh:(fun k ->
-                  (* a successor [i] has never absorbed: its whole row,
-                     live within the block, snapshotted across blocks
-                     (the extent always comes from the snapshot, so the
-                     words visited are jobs-independent) *)
-                  if k <> i then
-                    or_from
-                      (if k >= lo && k < hi then m else snap)
-                      k snap_lo.(k) snap_hi.(k))
-                ~dirty:(fun k ->
-                  (* a long-standing successor that grew: only its news *)
-                  if k <> i then or_from news k news_lo.(k) news_hi.(k)))
-           targets;
-         (!ors, !rows)
-       in
-       let results = Par_pool.parallel_map ~jobs run_block blocks in
-       List.iter
-         (fun (ors, rows) ->
-            word_ors := !word_ors + ors;
-            rows_requeued := !rows_requeued + rows)
-         results;
-       (* A target whose delta row is non-empty gained bits this round:
-          it is dirty again, and its new successors enter the
-          predecessor index. *)
-       let changed = ref false in
-       List.iter
-         (fun (_, targets) ->
-            List.iter
-              (fun i ->
-                 if not (Bit_matrix.row_is_empty delta i) then begin
-                   changed := true;
-                   mark_dirty i;
-                   Bit_matrix.iter_row delta i (fun j ->
-                     Bit_matrix.set preds j i)
-                 end)
-              targets)
-         blocks;
-       !changed
-     in
-     let drain () =
-       let changed = ref false in
-       while !dirty_count > 0 do
-         if round () then changed := true
-       done;
-       !changed
-     in
-     run_fixpoint ~closure:drain ~on_set);
+              if not (Bit_matrix.row_is_empty delta i) then begin
+                changed := true;
+                mark_dirty i
+              end)
+           targets)
+      blocks;
+    !changed
+  in
+  let drain () =
+    let changed = ref false in
+    while !dirty_count > 0 do
+      if round () then changed := true
+    done;
+    !changed
+  in
+  let passes = ref 0 in
+  (* Alternate draining the worklist with the dynamic rules until
+     neither adds an edge.  One span per pass, carrying the number of
+     ordering pairs the pass discovered (a population count, so only
+     computed when telemetry is on — the fixpoint itself never pays for
+     it). *)
+  let rec fixpoint () =
+    incr passes;
+    let continue_ =
+      Obs.with_span "hb.pass"
+        ~args:[ ("pass", string_of_int !passes) ]
+        (fun () ->
+           let before = if Obs.enabled () then Bit_matrix.count m else 0 in
+           let c1 = Obs.with_span "hb.closure" drain in
+           let c2 = Obs.with_span "hb.dynamic_rules" apply_dynamic in
+           if Obs.enabled () then begin
+             let added = Bit_matrix.count m - before in
+             Obs.set_span_arg "edges_added" (string_of_int added);
+             Obs.add ~n:added "hb.edges_added"
+           end;
+           c1 || c2)
+    in
+    if continue_ then fixpoint ()
+  in
+  fixpoint ();
   Obs.add ~n:!passes "hb.passes";
   Obs.add ~n:!word_ors "hb.word_ors";
   Obs.add ~n:!rows_requeued "hb.rows_requeued";

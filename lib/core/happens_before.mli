@@ -31,32 +31,6 @@ type program_order = Hb_edges.program_order =
       (** classic multi-threaded program order across the whole thread,
           regardless of task boundaries (baselines only) *)
 
-(** Which engine computes the relation.  The two batch engines compute
-    the least fixpoint of the same monotone rule system, so their
-    relation is bit-identical; only the amount of re-scanning (and
-    hence the pass count and wall time) differs.  [Streaming] is not a
-    matrix engine at all: {!Detector.analyze} routes it to
-    {!Streaming_engine}, a bounded-memory single pass whose clock
-    relation over-approximates ⪯ (and whose races are therefore a
-    subset of the batch engines'). *)
-type closure_engine =
-  | Dense
-      (** block-synchronous full-matrix passes: every pass re-propagates
-          all n rows *)
-  | Worklist
-      (** sparse worklist: tracks dirty rows and a reverse-successor
-          index, re-propagating only the predecessors of rows that
-          actually changed, drained in reverse trace order *)
-  | Streaming
-      (** epoch-clock single pass, never materialising the trace; a
-          {!compute} call under this configuration falls back to
-          [Worklist] for callers that need the batch relation *)
-
-val closure_engine_name : closure_engine -> string
-
-val closure_engine_of_string : string -> closure_engine option
-(** Recognises ["dense"], ["worklist"] and ["streaming"]. *)
-
 type config =
   { program_order : program_order
   ; enable_rule : bool  (** ENABLE-ST and ENABLE-MT *)
@@ -80,9 +54,6 @@ type config =
   ; restricted_transitivity : bool
       (** [false] closes transitively without the thread side condition
           (naïve combination) *)
-  ; closure : closure_engine
-      (** which closure engine runs the fixpoint (default {!Dense});
-          the computed relation does not depend on the choice *)
   }
 
 val default : config
@@ -92,14 +63,18 @@ val default : config
 type t
 
 val compute : ?config:config -> ?jobs:int -> Graph.t -> t
-(** [compute ?config ?jobs g] computes ⪯ to a fixpoint.
+(** [compute ?config ?jobs g] computes ⪯ as one least fixpoint over
+    the graph nodes: the static rules of {!Hb_edges} seed a
+    reachability matrix, and a semi-naïve worklist closure (only the
+    predecessors of rows that changed are re-propagated) alternates
+    with the dynamic rules FIFO, NOPRE and the front-of-queue extension
+    until neither adds an edge.
 
-    With [jobs > 1] (default 1) each closure pass distributes disjoint
-    row blocks over a {!Par_pool} of domains.  The pass semantics is
-    block-synchronous — a block reads other blocks' rows from a
-    snapshot taken at the start of the pass — and the block partition
-    is fixed, so the computed relation (and the pass count) is
-    bit-identical for every [jobs] value. *)
+    With [jobs > 1] (default 1) each worklist round distributes
+    disjoint row blocks over a {!Par_pool} of domains.  A block reads
+    other blocks' rows from a snapshot taken before the round and the
+    block partition is fixed, so the computed relation, the pass count
+    and the work counters are bit-identical for every [jobs] value. *)
 
 val graph : t -> Graph.t
 
@@ -130,14 +105,14 @@ val edge_count : t -> int
 (** Number of ordered pairs in the computed relation. *)
 
 val passes : t -> int
-(** Fixpoint iterations used (for the benchmarks). *)
+(** Fixpoint passes used: rounds of draining the worklist and then
+    applying the dynamic rules ([hb.passes]). *)
 
 val word_ors : t -> int
-(** Machine-word OR operations the closure engine performed — the
-    engine-comparison work metric ([hb.word_ors]).  Deterministic for a
-    given trace, config and engine, independent of [jobs]. *)
+(** Machine-word OR operations the closure performed — its work metric
+    ([hb.word_ors]).  Deterministic for a given trace and config,
+    independent of [jobs]. *)
 
 val rows_requeued : t -> int
-(** Rows the closure engine (re-)propagated: n per pass for {!Dense},
-    the number of worklist targets drained for {!Worklist}
-    ([hb.rows_requeued]). *)
+(** Rows (re-)propagated: the worklist targets drained, summed over
+    every round ([hb.rows_requeued]). *)

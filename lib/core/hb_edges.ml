@@ -47,6 +47,18 @@ let all =
 
 let must = { all with lock_rule = false }
 
+(* The flavour side condition of the FIFO rule with the delayed-post
+   refinement of Section 4.2.  The happens-before treatment of
+   front-of-queue posts is deferred by the paper, so they never produce
+   FIFO edges. *)
+let fifo_flavours_ok f1 f2 =
+  match (f1 : Operation.post_flavour), (f2 : Operation.post_flavour) with
+  | Immediate, (Immediate | Delayed _) -> true
+  | Delayed d1, Delayed d2 -> d1 <= d2
+  | Delayed _, Immediate -> false
+  | Front, (Immediate | Delayed _ | Front) -> false
+  | (Immediate | Delayed _), Front -> false
+
 let iter ~config:cfg g ~f =
   let trace = Graph.trace g in
   let node_of_pos = Graph.node_of_pos g in

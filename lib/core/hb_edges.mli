@@ -71,3 +71,12 @@ val iter : config:config -> Graph.t -> f:(rule:rule -> int -> int -> unit) -> un
     underlying position pair in trace order.  Emission order is
     deterministic but unspecified; consumers must treat the calls as a
     set. *)
+
+val fifo_flavours_ok : Operation.post_flavour -> Operation.post_flavour -> bool
+(** The flavour side condition of the FIFO rule with the delayed-post
+    refinement of Section 4.2: may a task posted with the first flavour
+    be FIFO-ordered before one posted with the second?  Immediate
+    before immediate or delayed, delayed before delayed with no smaller
+    delay; front-of-queue posts never take part (the paper defers
+    them).  A dynamic rule, so {!iter} never applies it: both
+    {!Happens_before} and {!Streaming_engine} consult it. *)

@@ -13,7 +13,9 @@ let hb t i j = st t i j || mt t i j
 let hb_or_eq t i j = i = j || hb t i j
 let ordered t i j = hb t i j || hb t j i
 
-(* Same delayed-post refinement as the optimised engine. *)
+(* The delayed-post refinement of the FIFO rule, restated here rather
+   than shared with {!Hb_edges}: the oracle does not reuse the code it
+   checks. *)
 let fifo_flavours_ok f1 f2 =
   match (f1 : Operation.post_flavour), (f2 : Operation.post_flavour) with
   | Immediate, (Immediate | Delayed _) -> true
@@ -22,7 +24,7 @@ let fifo_flavours_ok f1 f2 =
   | Front, (Immediate | Delayed _ | Front) -> false
   | (Immediate | Delayed _), Front -> false
 
-let compute trace =
+let compute ?(config = Happens_before.default) trace =
   let n = Trace.length trace in
   let st_m = Array.make_matrix n n false in
   let mt_m = Array.make_matrix n n false in
@@ -61,6 +63,11 @@ let compute trace =
             | None -> false
           in
           if not loop_before_i then set_st i j;
+          (* Classic program order (the baselines' [Full_po]): every
+             earlier operation of the thread *)
+          (match config.program_order with
+           | Happens_before.Full_po -> set_st i j
+           | Happens_before.Android_po -> ());
           (* A SYNC - PO *)
           (match task i, task j with
            | Some p, Some q when loop_before_i && Task_id.equal p q ->
@@ -106,13 +113,41 @@ let compute trace =
                   | () -> false
                   | exception Found -> true
                 in
-                if nopre then set_st i j
+                if nopre then set_st i j;
+                (* F RONT (extension): p1 was posted to the front of the
+                   queue, after p2, from the task that also posted p2,
+                   running on this very thread *)
+                let front =
+                  config.front_rule
+                  && (match f1 with
+                      | Operation.Front -> true
+                      | Operation.Immediate | Operation.Delayed _ -> false)
+                  && hb b2 b1
+                  && same_thread b1 i
+                  && (match task b1, task b2 with
+                      | Some q1, Some q2 -> Task_id.equal q1 q2
+                      | (Some _ | None), _ -> false)
+                in
+                if front then set_st i j
               | (Some _ | None), _ -> ())
+           | _, _ -> ());
+          (* L OCK within one thread: the naïve combination the paper
+             warns against ([lock_same_thread]) *)
+          (match oi, oj with
+           | Operation.Release l, Operation.Acquire l'
+             when config.lock_same_thread && Ident.Lock_id.equal l l' ->
+             set_st i j
            | _, _ -> ());
           (* T RANS - ST *)
           for k = i + 1 to j - 1 do
             if same_thread i k && st_m.(i).(k) && st_m.(k).(j) then set_st i j
-          done
+          done;
+          (* Unrestricted transitivity (the naïve combination): the
+             intermediate may be any operation *)
+          if not config.restricted_transitivity then
+            for k = i + 1 to j - 1 do
+              if hb i k && hb k j then set_st i j
+            done
         end
         else begin
           (* A TTACH - Q - MT *)

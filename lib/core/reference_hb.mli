@@ -12,7 +12,12 @@ open! Import
 
 type t
 
-val compute : Trace.t -> t
+val compute : ?config:Happens_before.config -> Trace.t -> t
+(** [compute ?config trace] applies the rules to a fixpoint.  Of the
+    configuration it honours the switches the ablations exercise:
+    [program_order], [restricted_transitivity], [lock_same_thread] and
+    [front_rule], each as its own literal rule instance; every other
+    rule is always on (default {!Happens_before.default}). *)
 
 val st : t -> int -> int -> bool
 (** The thread-local relation ⪯st (Figure 6). *)

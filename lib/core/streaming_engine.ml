@@ -81,17 +81,6 @@ type completed =
   ; c_flavour : Operation.post_flavour
   }
 
-(* The flavour side condition of the refined FIFO rule (Section 4.2):
-   may a task completed with the first flavour be FIFO-ordered before
-   one posted with the second? *)
-let fifo_flavours_ok f1 f2 =
-  match (f1 : Operation.post_flavour), (f2 : Operation.post_flavour) with
-  | Immediate, (Immediate | Delayed _) -> true
-  | Delayed d1, Delayed d2 -> d1 <= d2
-  | Delayed _, Immediate -> false
-  | Front, (Immediate | Delayed _ | Front) -> false
-  | (Immediate | Delayed _), Front -> false
-
 type thread_ctx =
   { mutable slot : int
   ; mutable clock : int array
@@ -483,7 +472,7 @@ let feed t ~position (e : Trace.event) =
                 dominated, and the epoch probe skips its merge. *)
              if get !clock comp.c_slot < comp.c_end_time then begin
                let fifo =
-                 fifo_flavours_ok comp.c_flavour post.p_flavour
+                 Hb_edges.fifo_flavours_ok comp.c_flavour post.p_flavour
                  && get post.p_clock comp.c_post_slot >= comp.c_post_time
                in
                let nopre () = get post.p_clock comp.c_slot >= 1 in
@@ -516,7 +505,7 @@ let feed t ~position (e : Trace.event) =
              merges [folded_ends], which over-approximates the FIFO and
              NOPRE conclusions the evicted record could have supplied —
              more orderings, never fewer, so streaming races remain a
-             subset of the batch engines'. *)
+             subset of the dense engine's. *)
           let rec split acc = function
             | [] -> (List.rev acc, None)
             | [ oldest ] -> (List.rev acc, Some oldest)

@@ -72,7 +72,7 @@ open! Import
     {!default_config} and {!ablation_config}):
 
     - {e soundness of reports}: every race this engine reports is also
-      reported by the worklist (and dense) batch engine;
+      reported by the dense engine;
     - {e coverage on lock-free traces}: for every location, the set of
       trace positions this engine reports as the {e second} access of a
       race equals the batch engine's — each racy access is flagged when
@@ -151,7 +151,7 @@ val detect : ?config:config -> Trace.t -> Race.t list * stats
 (** In-memory trace; positions are trace indices.  Unlike
     {!Detector.analyze} this does {e not} filter cancelled posts —
     feed it a {!Trace.remove_cancelled}'d trace to compare positions
-    with the batch engines. *)
+    with the dense engine. *)
 
 val detect_channel :
   ?config:config -> In_channel.t ->

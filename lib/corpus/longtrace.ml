@@ -118,8 +118,8 @@ let generate ?(config = default_config) ~events emit =
        [base+j+1] and [base+j+1+masked] (base = 2*planted), on distinct
        loopers whenever [masked mod loopers <> 0].  Both writers bracket
        a dedicated lock [mlock<j>] so that the observed schedule chains
-       write₁ ⪯ release₁ ⪯(LOCK) acquire₂ ⪯ write₂ — the batch engines
-       order the pair and report nothing — yet running the second task
+       write₁ ⪯ release₁ ⪯(LOCK) acquire₂ ⪯ write₂ — the dense engine
+       orders the pair and report nothing — yet running the second task
        first is an admissible reordering (nothing but the flippable lock
        edge relates the two bodies), so the pair is a guaranteed
        reordering-only race for the predictive engine. *)

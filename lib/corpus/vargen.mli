@@ -22,7 +22,7 @@ type variant =
   ; v_masked : string list
         (** {!Longtrace.masked_locations} of the config — the
             reordering-only recall oracle for the predictive gate
-            (possibly empty; batch engines never report these) *)
+            (possibly empty; the dense engine never reports these) *)
   }
 
 val variants : ?seed:int -> ?events:int -> count:int -> unit -> variant list

@@ -2,7 +2,7 @@ open! Import
 
 (** Predictive race detection with an executable feasibility oracle.
 
-    The batch engines report the races of the {e observed} schedule: a
+    The dense engine reports the races of the {e observed} schedule: a
     candidate pair ordered only by a LOCK edge (the lock winner of this
     particular run) or by FIFO dispatch of posts that nothing forces
     into that order is silently missed.  This engine asks the converse

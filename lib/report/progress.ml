@@ -31,7 +31,7 @@ type t =
   }
 
 (* The per-engine fallback counters, as a compact JSON object keyed by
-   edge name ("dense_worklist", ...).  Reading them through [Obs] keeps
+   edge name ("dense_streaming", ...).  Reading them through [Obs] keeps
    this module ignorant of which engines exist; in isolated mode the
    counts grow as worker telemetry is absorbed. *)
 let fallbacks_json () =

@@ -34,18 +34,16 @@ type failure =
   ; f_backoff : float
   }
 
-(* An attempt failure carries the closure engine the attempt ran (or
-   would have run) under, so the fallback decision survives the trip
-   back from an isolated worker — the row is marshalled, a worker-side
+(* An attempt failure carries the engine the attempt ran (or would
+   have run) under, so the fallback decision survives the trip back
+   from an isolated worker — the row is marshalled, a worker-side
    counter would not. *)
 type attempt_error =
   { ae_reason : reason
   ; ae_engine : string
   }
 
-let configured_engine config =
-  Happens_before.closure_engine_name
-    config.Detector.hb.Happens_before.closure
+let configured_engine config = Detector.engine_name config.Detector.engine
 
 type outcome =
   | Completed of Experiments.app_run
@@ -227,37 +225,19 @@ let hang ~deadline =
     spin ()
 
 (* Over the event budget the analysis degrades instead of refusing.
-   Moderately over (events <= 10x the cap) the sparse worklist engine
-   computes the identical relation with far less re-scanning; an order
-   of magnitude over, even the worklist matrices do not fit, so the
-   single-pass streaming engine takes over (a sound under-approximation
-   — see Streaming_engine).  Each edge of the chain has its own Obs
-   counter so a sweep's report says not just that fallbacks happened
-   but which ones. *)
+   Within 10x of the cap the dense engine still runs; an order of
+   magnitude over, its matrices do not fit, so the single-pass
+   streaming engine takes over (a sound under-approximation — see
+   Streaming_engine).  The fallback has its own Obs counter, so a
+   sweep's report says that it happened. *)
 let budgeted_config ~budget ~events config =
-  let with_closure closure =
-    { config with
-      Detector.hb = { config.Detector.hb with Happens_before.closure }
-    }
-  in
-  let fall edge target =
-    Obs.add ("supervisor.fallbacks." ^ edge);
+  match budget.max_events, config.Detector.engine with
+  | Some cap, Detector.Dense when events > 10 * cap ->
+    Obs.add "supervisor.fallbacks.dense_streaming";
     Obs.set_span_arg "closure_fallback"
-      (Happens_before.closure_engine_name target);
-    with_closure target
-  in
-  match budget.max_events with
-  | Some cap when events > cap -> begin
-    let far_over = events > 10 * cap in
-    match config.Detector.hb.Happens_before.closure with
-    | Happens_before.Dense when far_over ->
-      fall "dense_streaming" Happens_before.Streaming
-    | Happens_before.Dense -> fall "dense_worklist" Happens_before.Worklist
-    | Happens_before.Worklist when far_over ->
-      fall "worklist_streaming" Happens_before.Streaming
-    | Happens_before.Worklist | Happens_before.Streaming -> config
-  end
-  | _ -> config
+      (Detector.engine_name Detector.Streaming);
+    { config with Detector.engine = Detector.Streaming }
+  | (Some _ | None), (Detector.Dense | Detector.Streaming) -> config
 
 let validate_observed name trace =
   match Obs.with_span "supervisor.validate" (fun () -> Wellformed.check trace) with

@@ -17,13 +17,10 @@ open! Import
       [supervisor.timeouts];
     - an {e event-count budget} with graceful degradation: over budget
       the detector walks down the engine ladder instead of refusing the
-      trace.  Up to 10x the cap, dense falls back to the sparse worklist
-      engine (identical relation, less re-scanning); beyond 10x, either
-      batch engine falls back to the bounded-memory streaming engine (a
-      sound under-approximation — see {!Streaming_engine}).  Each edge
-      has its own counter: [supervisor.fallbacks.dense_worklist],
-      [supervisor.fallbacks.dense_streaming],
-      [supervisor.fallbacks.worklist_streaming];
+      trace.  Up to 10x the cap the dense engine still runs; beyond
+      10x it falls back to the bounded-memory streaming engine (a sound
+      under-approximation — see {!Streaming_engine}), counted by
+      [supervisor.fallbacks.dense_streaming];
     - {e exception capture}: any exception becomes a {!failure} row
       carrying the application, reason and elapsed time;
     - {e retries with deterministic backoff}: crashes and timeouts are
@@ -50,10 +47,8 @@ type budget =
   { timeout_seconds : float option
         (** wall-clock budget per attempt; checked between phases *)
   ; max_events : int option
-        (** observed-trace length above which the analysis degrades down
-            the engine ladder: to the worklist closure engine when
-            moderately over, and to the streaming engine when more than
-            10x over *)
+        (** event budget: an observed trace more than 10x longer
+            degrades from the dense to the streaming engine *)
   }
 
 val no_budget : budget
@@ -75,9 +70,8 @@ type failure =
   { f_app : string
   ; f_reason : reason
   ; f_engine : string
-        (** the closure engine the failing attempt ran (or would have
-            run) under, budget fallbacks applied —
-            {!Happens_before.closure_engine_name}.  When a worker dies
+        (** the engine the failing attempt ran (or would have run)
+            under, budget fallbacks applied — {!Detector.engine_name}.  When a worker dies
             before reporting, the sweep's configured engine. *)
   ; f_elapsed : float  (** wall-clock across all attempts *)
   ; f_retries : int  (** attempts beyond the first *)
@@ -242,7 +236,7 @@ type file_report =
   ; fr_events : int
   ; fr_races : int  (** access-pair races ({!Detector.report} [all_races]) *)
   ; fr_distinct : int  (** distinct racing locations *)
-  ; fr_engine : string  (** closure engine run, budget fallbacks applied *)
+  ; fr_engine : string  (** engine run, budget fallbacks applied *)
   ; fr_elapsed : float  (** analysis seconds ({!Detector.report}) *)
   ; fr_locations : string list
         (** sorted, de-duplicated {!Ident.Location.to_string} forms of

@@ -23,9 +23,9 @@ open! Import
    - per-request deadlines are enforced twice: cooperatively by the
      supervisor budget inside the worker, and by parent SIGKILL a grace
      period later for workers that stop cooperating;
-   - under queue pressure the dense→worklist→streaming ladder degrades
-     the engine at dispatch time, and every response names the engine
-     that actually ran;
+   - under queue pressure the dense→streaming ladder degrades the
+     engine at dispatch time, and every response names the engine that
+     actually ran;
    - SIGTERM drains: stop accepting, finish the queue, flush
      telemetry, exit 0. *)
 
@@ -47,8 +47,7 @@ type config =
   ; journal_path : string option
   ; resume : bool
   ; max_cached_results : int
-  ; degrade_low : float  (* queue fill fraction: dense -> worklist *)
-  ; degrade_high : float  (* queue fill fraction: -> streaming *)
+  ; degrade_high : float  (* queue fill fraction: dense -> streaming *)
   ; verbose : bool
   ; progress_out : string option
   }
@@ -67,7 +66,6 @@ let default_config endpoint =
   ; journal_path = None
   ; resume = false
   ; max_cached_results = 10_000
-  ; degrade_low = 0.5
   ; degrade_high = 0.75
   ; verbose = false
   ; progress_out = None
@@ -482,9 +480,7 @@ let run config =
     let pressure =
       let cap = float_of_int (max 1 config.queue_capacity) in
       let fill = float_of_int (Queue.length queue) /. cap in
-      if fill >= config.degrade_high then "streaming"
-      else if fill >= config.degrade_low then "worklist"
-      else "dense"
+      if fill >= config.degrade_high then "streaming" else "dense"
     in
     let warnings =
       "[" ^ String.concat "," (List.map Journal.warning_json journal_warnings)
@@ -560,9 +556,7 @@ let run config =
          let cap = float_of_int (max 1 config.queue_capacity) in
          let level =
            let fill = float_of_int depth /. cap in
-           if fill >= config.degrade_high then 2
-           else if fill >= config.degrade_low then 1
-           else 0
+           if fill >= config.degrade_high then 1 else 0
          in
          let requested_rank = Wire.engine_rank p.p_engine in
          let effective_rank = max requested_rank level in

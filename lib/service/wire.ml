@@ -49,31 +49,21 @@ let sockaddr_of_endpoint = function
 
 (* {1 Engines and the degradation ladder} *)
 
-let engine_rank = function
-  | "auto" | "dense" -> 0
-  | "worklist" -> 1
-  | "streaming" -> 2
-  | _ -> 0
+let engine_rank = function "streaming" -> 1 | _ -> 0
 
-let engine_of_rank = function
-  | 0 -> "dense"
-  | 1 -> "worklist"
-  | _ -> "streaming"
+let engine_of_rank = function 0 -> "dense" | _ -> "streaming"
 
 let valid_engine = function
-  | "auto" | "dense" | "worklist" | "streaming" -> true
+  | "auto" | "dense" | "streaming" -> true
   | _ -> false
 
 let config_of_engine engine =
-  let closure =
+  let engine =
     match engine with
-    | "worklist" -> Happens_before.Worklist
-    | "streaming" -> Happens_before.Streaming
-    | _ -> Happens_before.Dense
+    | "streaming" -> Detector.Streaming
+    | _ -> Detector.Dense
   in
-  { Detector.default_config with
-    hb = { Detector.default_config.hb with closure }
-  }
+  { Detector.default_config with engine }
 
 (* {1 Request ids} *)
 
@@ -101,7 +91,7 @@ let json_string_list l =
 type request =
   | Analyze of
       { a_id : string
-      ; a_engine : string  (* auto | dense | worklist | streaming *)
+      ; a_engine : string  (* auto | dense | streaming *)
       ; a_timeout : float option
       ; a_sleep : float  (* load-testing knob: worker sleeps first *)
       ; a_trace_bytes : int

@@ -137,6 +137,7 @@ let test_binder_singleton () =
    machine; the machine never accepts a non-successor. *)
 let prop_random_walks_legal =
   QCheck2.Test.make ~name:"random successor walks are legal" ~count:200
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 25))
     (fun (seed, len) ->
        let rng = Random.State.make [| seed |] in

@@ -399,6 +399,7 @@ let test_broadcast_matching () =
 
 let prop_music_player_always_valid =
   QCheck2.Test.make ~name:"music player traces valid under any seed" ~count:40
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
        let opts = { Mp.options with policy = Runtime.Seeded seed } in
@@ -408,6 +409,7 @@ let prop_music_player_always_valid =
 let prop_back_races_found_under_any_seed =
   QCheck2.Test.make
     ~name:"the two Figure 4 races are found under any schedule" ~count:25
+    ~print:QCheck2.Print.int
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
        let opts = { Mp.options with policy = Runtime.Seeded seed } in

@@ -53,6 +53,7 @@ let test_matrix_masked_or () =
 
 let prop_matrix_iter_row =
   QCheck2.Test.make ~name:"iter_row visits exactly the set bits" ~count:100
+    ~print:QCheck2.Print.(pair int (list int))
     QCheck2.Gen.(pair (int_range 1 200) (list_size (int_bound 30) (int_bound 10_000)))
     (fun (n, bits) ->
        let m = Bit_matrix.create n in
@@ -68,6 +69,7 @@ let prop_matrix_iter_row =
 
 let prop_coverage_partitions =
   QCheck2.Test.make ~name:"coverage groups partition the race set" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        (* positions must refer to the cancellation-filtered trace the
@@ -86,6 +88,7 @@ let prop_coverage_partitions =
 
 let prop_coverage_roots_cover =
   QCheck2.Test.make ~name:"every covered race is covered by its root" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Trace.remove_cancelled (Random_trace.generate ~seed ~size ()) in

@@ -8,6 +8,11 @@ let check_bool = Alcotest.check Alcotest.bool
 let relation ?config t =
   Hb.compute ?config (Graph.build ~coalesce:true t)
 
+(* The rule-by-rule oracle's verdict, for the ablation switches that
+   generated traces rarely exercise. *)
+let oracle_hb ?config t i j =
+  Reference_hb.hb (Reference_hb.compute ?config t) i j
+
 (* {1 Rule-by-rule unit tests (Figures 6 and 7)} *)
 
 let p = task "p"
@@ -168,7 +173,13 @@ let test_lock_decomposition () =
     { Hb.default with lock_same_thread = true; restricted_transitivity = false }
   in
   let rn = relation ~config:naive t in
-  check_bool "naive combination orders them spuriously" true (Hb.hb rn 9 14)
+  check_bool "naive combination orders them spuriously" true (Hb.hb rn 9 14);
+  let same_thread_locks = { Hb.default with lock_same_thread = true } in
+  check_bool "same-thread locks alone order them" true
+    (Hb.hb (relation ~config:same_thread_locks t) 9 14);
+  check_bool "the oracle agrees" true
+    (oracle_hb ~config:same_thread_locks t 9 14
+     && not (oracle_hb t 9 14))
 
 let test_fifo () =
   (* Two posts by the same thread to the same queue execute in order. *)
@@ -366,6 +377,9 @@ let test_front_rule_extension () =
   let extended = { Hb.default with front_rule = true } in
   let r' = relation ~config:extended self_posting in
   check_bool "front rule: the front post pre-empts" true (Hb.hb r' 10 11);
+  check_bool "the oracle agrees" true
+    (oracle_hb ~config:extended self_posting 10 11
+     && not (oracle_hb self_posting 10 11));
   (* posts from another thread: the pending task may begin in between,
      so even the extension derives nothing *)
   let cross_posting =
@@ -383,7 +397,9 @@ let test_front_rule_extension () =
       ]
   in
   let r'' = relation ~config:extended cross_posting in
-  check_bool "cross-thread front posts stay unordered" false (Hb.hb r'' 7 8)
+  check_bool "cross-thread front posts stay unordered" false (Hb.hb r'' 7 8);
+  check_bool "so does the oracle" false
+    (oracle_hb ~config:extended cross_posting 7 8)
 
 (* {1 The figures of the paper} *)
 
@@ -421,7 +437,7 @@ let test_figure4_without_enable_modelling () =
 (* {1 Differential testing against the rule-by-rule oracle} *)
 
 let agrees ?config ~coalesce t =
-  let reference = Reference_hb.compute t in
+  let reference = Reference_hb.compute ?config t in
   let r = Hb.compute ?config (Graph.build ~coalesce t) in
   let n = Trace.length t in
   let ok = ref true in
@@ -444,6 +460,7 @@ let test_figures_match_reference () =
 
 let prop_engine_matches_reference =
   QCheck2.Test.make ~name:"graph engine agrees with the rule oracle" ~count:60
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
     (fun (seed, size) ->
        agrees ~coalesce:true (Random_trace.generate ~seed ~size ()))
@@ -451,12 +468,14 @@ let prop_engine_matches_reference =
 let prop_engine_matches_reference_uncoalesced =
   QCheck2.Test.make
     ~name:"uncoalesced graph engine agrees with the rule oracle" ~count:30
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
     (fun (seed, size) ->
        agrees ~coalesce:false (Random_trace.generate ~seed ~size ()))
 
 let prop_hb_respects_trace_order =
   QCheck2.Test.make ~name:"hb implies trace order" ~count:60
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -472,6 +491,7 @@ let prop_hb_respects_trace_order =
 
 let prop_coalescing_preserves_hb =
   QCheck2.Test.make ~name:"coalescing preserves the relation" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -486,65 +506,56 @@ let prop_coalescing_preserves_hb =
        done;
        !ok)
 
-(* {1 Dense vs worklist closure engines}
+(* {1 The closure under ablation configs and across jobs values} *)
 
-   Both engines compute the least fixpoint of the same monotone rule
-   system, so the resulting matrices must be bit-identical — for every
-   [jobs] value and every rule configuration.  Only pass counts may
-   differ. *)
+let ablation_configs =
+  [ { Hb.default with restricted_transitivity = false }
+  ; { Hb.default with front_rule = true }
+  ; { Hb.default with lock_same_thread = true }
+  ; { Hb.default with program_order = Hb.Full_po }
+  ]
 
-let engines_agree ?(config = Hb.default) ~jobs t =
+let prop_closure_matches_reference_ablations =
+  QCheck2.Test.make
+    ~name:"closure equals the rule oracle under ablation configs" ~count:20
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
+    (fun (seed, size) ->
+       let t = Random_trace.generate ~seed ~size () in
+       List.for_all (fun config -> agrees ~config ~coalesce:true t)
+         ablation_configs)
+
+(* The block partition is fixed, so the fixpoint is bit-identical for
+   every [jobs] value: the matrix, the pass count and the work
+   counters.  Generated graphs fit in one block; test_integration
+   checks the catalog graphs that span several. *)
+let jobs_independent t =
   let g = Graph.build ~coalesce:true t in
-  let rd = Hb.compute ~config:{ config with closure = Hb.Dense } ~jobs g in
-  let rw = Hb.compute ~config:{ config with closure = Hb.Worklist } ~jobs g in
-  let ok = ref (Hb.edge_count rd = Hb.edge_count rw) in
-  if not !ok then
-    Format.eprintf "engines disagree on edge count: dense=%d worklist=%d@."
-      (Hb.edge_count rd) (Hb.edge_count rw);
-  let n = Hb.node_count rd in
+  let r1 = Hb.compute ~jobs:1 g and r4 = Hb.compute ~jobs:4 g in
+  let ok =
+    ref
+      (Hb.edge_count r1 = Hb.edge_count r4
+       && Hb.passes r1 = Hb.passes r4
+       && Hb.word_ors r1 = Hb.word_ors r4
+       && Hb.rows_requeued r1 = Hb.rows_requeued r4)
+  in
+  let n = Hb.node_count r1 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if Hb.node_hb rd i j <> Hb.node_hb rw i j then begin
+      if Hb.node_hb r1 i j <> Hb.node_hb r4 i j then begin
         ok := false;
-        Format.eprintf
-          "engines disagree at nodes (%d,%d): dense=%b worklist=%b@." i j
-          (Hb.node_hb rd i j) (Hb.node_hb rw i j)
+        Format.eprintf "jobs 1 and 4 disagree at nodes (%d,%d)@." i j
       end
     done
   done;
   !ok
 
-let prop_worklist_matches_dense =
-  QCheck2.Test.make ~name:"worklist closure equals dense (jobs 1 and 4)"
-    ~count:40
+let prop_closure_jobs_independent =
+  QCheck2.Test.make
+    ~name:"matrix and pass count are independent of jobs" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 80))
-    (fun (seed, size) ->
-       let t = Random_trace.generate ~seed ~size () in
-       engines_agree ~jobs:1 t && engines_agree ~jobs:4 t)
-
-let prop_worklist_matches_dense_ablations =
-  QCheck2.Test.make ~name:"worklist equals dense under ablation configs"
-    ~count:20
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
-    (fun (seed, size) ->
-       let t = Random_trace.generate ~seed ~size () in
-       List.for_all
-         (fun config -> engines_agree ~config ~jobs:1 t)
-         [ { Hb.default with restricted_transitivity = false }
-         ; { Hb.default with front_rule = true }
-         ; { Hb.default with lock_same_thread = true }
-         ; { Hb.default with program_order = Hb.Full_po }
-         ])
-
-let prop_worklist_matches_reference =
-  QCheck2.Test.make ~name:"worklist engine agrees with the rule oracle"
-    ~count:30
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
-    (fun (seed, size) ->
-       agrees
-         ~config:{ Hb.default with closure = Hb.Worklist }
-         ~coalesce:true
-         (Random_trace.generate ~seed ~size ()))
+    (fun (seed, size) -> jobs_independent (Random_trace.generate ~seed ~size ()))
 
 (* {1 The shared static edge builder}
 
@@ -593,6 +604,7 @@ let test_static_edges_figures () =
 let prop_static_edges_sound =
   QCheck2.Test.make ~name:"static edges are facts of the rule oracle"
     ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -643,8 +655,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_static_edges_sound
         ] )
     ; ( "closure engines"
-      , [ QCheck_alcotest.to_alcotest prop_worklist_matches_dense
-        ; QCheck_alcotest.to_alcotest prop_worklist_matches_dense_ablations
-        ; QCheck_alcotest.to_alcotest prop_worklist_matches_reference
+      , [ QCheck_alcotest.to_alcotest prop_closure_jobs_independent
+        ; QCheck_alcotest.to_alcotest prop_closure_matches_reference_ablations
         ] )
     ]

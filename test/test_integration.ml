@@ -9,6 +9,7 @@ module Detector = Droidracer_core.Detector
 module Classify = Droidracer_core.Classify
 module Race = Droidracer_core.Race
 module Streaming = Droidracer_core.Streaming_engine
+module Hb = Droidracer_core.Happens_before
 module Runtime = Droidracer_appmodel.Runtime
 module Mp = Droidracer_corpus.Music_player
 module Catalog = Droidracer_corpus.Catalog
@@ -152,6 +153,72 @@ let test_graph_race_pairs_on_corpus () =
           List.length run.ar_report.Detector.all_races)
        (Lazy.force catalog_runs))
 
+let test_hb_edges_on_corpus () =
+  (* The ordered pairs of the relation per catalog app, in catalog
+     order, under the paper's relation and the four ablation switches:
+     pinned, so a change to the closure shows even where every race
+     count survives. *)
+  let runs = Lazy.force catalog_runs in
+  let edges hb =
+    List.map
+      (fun (run : Experiments.app_run) ->
+         Hb.edge_count
+           (Detector.relation ~config:{ Detector.default_config with hb }
+              run.ar_result.Runtime.observed))
+      runs
+  in
+  Alcotest.(check (list int)) "default"
+    [ 28574; 28584; 212925; 80059; 972770; 123372; 87872; 17283; 3824440
+    ; 52220; 250128; 80479; 409291; 4543; 101054 ]
+    (List.map
+       (fun (run : Experiments.app_run) -> run.ar_report.Detector.hb_edges)
+       runs);
+  Alcotest.(check (list int)) "restricted_transitivity = false"
+    [ 28809; 28831; 213565; 80456; 974167; 123871; 88284; 17465; 3827202
+    ; 52545; 250839; 80872; 410197; 4619; 101504 ]
+    (edges { Hb.default with restricted_transitivity = false });
+  Alcotest.(check (list int)) "front_rule"
+    [ 28574; 28593; 212925; 80059; 972770; 123372; 87872; 17283; 3824440
+    ; 52220; 250128; 80479; 409300; 4543; 101063 ]
+    (edges { Hb.default with front_rule = true });
+  Alcotest.(check (list int)) "lock_same_thread"
+    [ 28574; 28608; 212949; 80083; 972794; 123396; 87896; 17283; 3824440
+    ; 52244; 250152; 80503; 409315; 4543; 101078 ]
+    (edges { Hb.default with lock_same_thread = true });
+  Alcotest.(check (list int)) "Full_po"
+    [ 29217; 35957; 224406; 89682; 995522; 131728; 94493; 18664; 3846570
+    ; 57542; 264338; 90130; 433500; 5489; 116528 ]
+    (edges { Hb.default with program_order = Hb.Full_po })
+
+let test_closure_blocks_jobs_independent () =
+  (* Generated traces stay inside one closure block; the catalog apps
+     with more nodes than that run their blocks on separate domains at
+     jobs 4, and the matrix and its counters must not move. *)
+  let multi_block =
+    List.filter
+      (fun (run : Experiments.app_run) -> run.ar_report.Detector.nodes > 1024)
+      (Lazy.force catalog_runs)
+  in
+  check_bool "some app spans several blocks" true (multi_block <> []);
+  List.iter
+    (fun (run : Experiments.app_run) ->
+       let relation jobs =
+         Detector.relation ~jobs run.ar_result.Runtime.observed
+       in
+       let r1 = relation 1 and r4 = relation 4 in
+       let n = Hb.node_count r1 in
+       let same = ref true in
+       for i = 0 to n - 1 do
+         for j = 0 to n - 1 do
+           if Hb.node_hb r1 i j <> Hb.node_hb r4 i j then same := false
+         done
+       done;
+       check_bool "same matrix" true !same;
+       Alcotest.(check (list int)) "same passes and work"
+         [ Hb.passes r1; Hb.word_ors r1; Hb.rows_requeued r1 ]
+         [ Hb.passes r4; Hb.word_ors r4; Hb.rows_requeued r4 ])
+    multi_block
+
 (* {1 Semantics of every corpus trace} *)
 
 let test_corpus_traces_valid () =
@@ -189,6 +256,9 @@ let () =
             test_clock_subset_on_corpus
         ; Alcotest.test_case "graph race pairs on corpus" `Slow
             test_graph_race_pairs_on_corpus
+        ; Alcotest.test_case "hb edges on corpus" `Slow test_hb_edges_on_corpus
+        ; Alcotest.test_case "multi-block closure jobs-independent" `Slow
+            test_closure_blocks_jobs_independent
         ] )
     ; ( "corpus"
       , [ Alcotest.test_case "traces valid" `Quick test_corpus_traces_valid ] )

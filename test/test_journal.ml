@@ -181,6 +181,7 @@ let resume_equals_uninterrupted (seed, jobs, prefix) =
 
 let qcheck_resume =
   QCheck2.Test.make ~count:6 ~name:"resume reproduces the uninterrupted sweep"
+    ~print:QCheck2.Print.(triple int int int)
     QCheck2.Gen.(
       triple (oneofl [ 1; 3; 6 ]) (oneofl [ 1; 4 ]) (oneofl [ 0; 1; 2 ]))
     resume_equals_uninterrupted

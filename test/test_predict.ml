@@ -295,7 +295,7 @@ let check_masked_case ~seed ~loopers ~masked ~events () =
   let report = Predict.analyze t in
   let feasible = Predict.feasible_locations report in
   let extra = Predict.extra_locations report in
-  (* The masked pairs are invisible to the batch engines... *)
+  (* The masked pairs are invisible to the dense engine... *)
   List.iter
     (fun m ->
        check_bool ("dense misses " ^ m) false (List.mem m dense_locs);
@@ -303,7 +303,7 @@ let check_masked_case ~seed ~loopers ~masked ~events () =
        (* ...and reachable only by reordering. *)
        check_bool ("predictive finds " ^ m) true (List.mem m extra))
     (Longtrace.masked_locations config);
-  (* Predictive recall covers the batch engines (streaming races are a
+  (* Predictive recall covers the dense engine (streaming races are a
      subset of dense races, so covering dense covers both). *)
   List.iter
     (fun l ->
@@ -351,6 +351,7 @@ let test_vargen_masked_variant () =
 let prop_predictive_covers_dense =
   QCheck2.Test.make ~name:"predictive covers dense with sound witnesses"
     ~count:25
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -374,6 +375,7 @@ let verdict_signature report =
 
 let prop_jobs_invariant =
   QCheck2.Test.make ~name:"report identical for jobs 1 and 4" ~count:15
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 50))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -385,6 +387,7 @@ let prop_jobs_invariant =
 let prop_witness_is_permutation =
   QCheck2.Test.make ~name:"flipped witness permutes a trace subset"
     ~count:20
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 60))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in

@@ -294,6 +294,7 @@ let test_enable_breaks_blocks () =
 
 let prop_coalescing_preserves_races =
   QCheck2.Test.make ~name:"coalescing does not change the race set" ~count:50
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -305,6 +306,7 @@ let prop_coalescing_preserves_races =
 
 let prop_no_race_between_ordered =
   QCheck2.Test.make ~name:"reported races are unordered pairs" ~count:50
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -322,6 +324,7 @@ let prop_no_race_between_ordered =
 let prop_ablation_engine_subset =
   QCheck2.Test.make
     ~name:"clock-engine races are a subset of graph-engine races" ~count:60
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 120))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -338,6 +341,7 @@ let prop_ablation_engine_subset =
 let prop_multithreaded_iff_threads_differ =
   QCheck2.Test.make
     ~name:"a race is classified multithreaded iff its threads differ" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -352,6 +356,7 @@ let prop_multithreaded_iff_threads_differ =
 
 let prop_no_race_within_one_task =
   QCheck2.Test.make ~name:"accesses of one task never race" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 100))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -396,6 +401,7 @@ let prop_node_pairs_match_reference =
   QCheck2.Test.make
     ~name:"node-pair scan equals the access-pair scan over the rule oracle"
     ~count:100
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 150))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -530,6 +536,7 @@ let test_minimize_rejects_non_race () =
 let prop_minimize_preserves_races =
   QCheck2.Test.make ~name:"minimization preserves every race it is given"
     ~count:25
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 10 80))
     (fun (seed, size) ->
        let t = Trace.remove_cancelled (Random_trace.generate ~seed ~size ()) in

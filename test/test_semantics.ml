@@ -221,6 +221,8 @@ let queue_ops_gen =
   (* a sequence of post/cancel/dequeue attempts over task ids 0..9 *)
   QCheck2.Gen.(list_size (int_bound 40) (pair (int_bound 2) (int_bound 9)))
 
+let print_queue_ops = QCheck2.Print.(list (pair int int))
+
 let replay_queue ops =
   List.fold_left
     (fun q (kind, n) ->
@@ -238,21 +240,22 @@ let replay_queue ops =
     Queue_model.empty ops
 
 let prop_eligible_subset_of_pending =
-  QCheck2.Test.make ~name:"eligible tasks are pending" ~count:200 queue_ops_gen
+  QCheck2.Test.make ~name:"eligible tasks are pending" ~count:200
+    ~print:print_queue_ops queue_ops_gen
     (fun ops ->
        let q = replay_queue ops in
        List.for_all (fun p -> Queue_model.mem q p) (Queue_model.eligible q))
 
 let prop_nonempty_queue_has_eligible =
   QCheck2.Test.make ~name:"a non-empty queue offers something to dispatch"
-    ~count:200 queue_ops_gen
+    ~count:200 ~print:print_queue_ops queue_ops_gen
     (fun ops ->
        let q = replay_queue ops in
        Queue_model.is_empty q || Queue_model.eligible q <> [])
 
 let prop_dequeue_only_eligible =
   QCheck2.Test.make ~name:"dequeue rejects non-eligible tasks" ~count:200
-    queue_ops_gen
+    ~print:print_queue_ops queue_ops_gen
     (fun ops ->
        let q = replay_queue ops in
        let eligible = Queue_model.eligible q in
@@ -266,12 +269,14 @@ let prop_dequeue_only_eligible =
 
 let prop_generated_traces_validate =
   QCheck2.Test.make ~name:"generated traces satisfy the semantics" ~count:120
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 200))
     (fun (seed, size) ->
        Step.is_valid (Random_trace.generate ~seed ~size ()))
 
 let prop_prefix_closed =
   QCheck2.Test.make ~name:"validity is prefix-closed" ~count:40
+    ~print:QCheck2.Print.(triple int int int)
     QCheck2.Gen.(triple (int_bound 100_000) (int_range 5 80) (int_range 0 80))
     (fun (seed, size, cut) ->
        let t = Random_trace.generate ~seed ~size () in

@@ -4,7 +4,7 @@
    spool replay on --resume, exactly-once-observable by request id),
    overload is refused deterministically with bounded queueing and a
    retry-after hint, queue pressure degrades the engine down the
-   dense -> worklist -> streaming ladder, malformed frames cost one
+   dense -> streaming ladder, malformed frames cost one
    connection and never the daemon, and SIGTERM drains the queue before
    exit.
 
@@ -194,7 +194,7 @@ let test_request_roundtrip () =
   let req =
     Swire.Analyze
       { a_id = "app-01"
-      ; a_engine = "worklist"
+      ; a_engine = "streaming"
       ; a_timeout = Some 2.5
       ; a_sleep = 0.25
       ; a_trace_bytes = 123
@@ -204,7 +204,7 @@ let test_request_roundtrip () =
   (match Swire.parse_request (Swire.request_json req) with
    | Ok (Swire.Analyze a) ->
      check_string "id" "app-01" a.a_id;
-     check_string "engine" "worklist" a.a_engine;
+     check_string "engine" "streaming" a.a_engine;
      check_bool "timeout" true (a.a_timeout = Some 2.5);
      check_bool "sleep" true (a.a_sleep = 0.25);
      check_int "trace_bytes" 123 a.a_trace_bytes;
@@ -430,14 +430,14 @@ let test_overload_and_ladder () =
   check_bool "queue never exceeded capacity" true
     (num "max_queue_depth" h <= 4.0);
   (* The ladder at dispatch (fill = depth after pop / capacity):
-     r1 sees 3/4 -> streaming, r2 sees 2/4 -> worklist, r3 and r4 are
-     below the low-water mark -> dense.  Deterministic because the
+     r1 sees 3/4 -> streaming; r2, r3 and r4 are below the high-water
+     mark -> dense.  Deterministic because the
      lone worker serializes dispatch and all five were queued before
      r0 finished. *)
   let engine_of id = str "engine" (poll_result endpoint id) in
   check_string "r0 ran undegraded" "dense" (engine_of "r0");
   check_string "r1 degraded to streaming" "streaming" (engine_of "r1");
-  check_string "r2 degraded to worklist" "worklist" (engine_of "r2");
+  check_string "r2 ran dense" "dense" (engine_of "r2");
   check_string "r3 ran dense" "dense" (engine_of "r3");
   check_string "r4 ran dense" "dense" (engine_of "r4");
   (* every response names both the engine that ran and the one asked
@@ -449,7 +449,9 @@ let test_overload_and_ladder () =
      per pair — degraded runs still surface the bug *)
   check_bool "degraded runs still find the race" true (num "races" r1 >= 1.0);
   let h = ok (query endpoint Swire.Health) in
-  check_bool "two degradations counted" true (num "degraded" h = 2.0)
+  check_bool "one degradation counted" true (num "degraded" h = 1.0);
+  check_string "pressure back at the bottom of the ladder" "dense"
+    (str "pressure" h)
 
 let test_malformed_frames_cost_one_connection () =
   let dir = fresh_dir "svc_mal" in

@@ -88,7 +88,7 @@ let test_figures () =
   let races3, _ = Streaming.detect figure3 in
   check_int "figure 3: no races" 0 (List.length races3);
   let races4, stats = Streaming.detect figure4 in
-  (* The batch engines report (12,21) and (16,21); the frontier keeps
+  (* The dense engine reports (12,21) and (16,21); the frontier keeps
      only the last ordered representative of the reads — 16 subsumes 12
      — so streaming reports the (16,21) pair, still flagging position
      21 as racy (the coverage contract). *)
@@ -350,7 +350,7 @@ let test_fold_channel_bounded_state () =
     (long.Streaming.peak_live_slots < 1_000);
   (* The real bound: peak resident state plateaus once the completed
      windows fill (~2k events here), so tripling the trace must not
-     grow it materially — the batch engines would triple. *)
+     grow it materially — the dense engine's would triple. *)
   check_bool
     (Printf.sprintf "peak resident clock entries plateau: %d -> %d"
        short.Streaming.peak_clock_entries long.Streaming.peak_clock_entries)
@@ -402,31 +402,27 @@ let test_longtrace_prefixes_admissible () =
               (Wellformed.error_message e)))
     [ 1; 7; 50; 333; 2_000 ]
 
-(* {1 Differential properties against the batch engines} *)
+(* {1 Differential properties against the dense engine} *)
 
-let worklist_config =
-  { Detector.default_config with
-    hb = { Detector.default_config.hb with closure = Hb.Worklist }
-  }
-
-let worklist_pairs ~jobs t =
+let dense_pairs ~jobs t =
   List.map
     (fun { Detector.race; _ } ->
        (race.Race.first.position, race.Race.second.position))
-    (Detector.analyze ~config:worklist_config ~jobs t).Detector.all_races
+    (Detector.analyze ~jobs t).Detector.all_races
 
 let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 150))
+let print = QCheck2.Print.(pair int int)
 
-let prop_subset_of_worklist =
+let prop_subset_of_dense =
   QCheck2.Test.make
-    ~name:"streaming races are a subset of the worklist engine's (jobs 1 and 4)"
-    ~count:60 gen
+    ~name:"streaming races are a subset of the dense engine's (jobs 1 and 4)"
+    ~count:60 ~print gen
     (fun (seed, size) ->
        let t =
          Trace.remove_cancelled (Random_trace.generate ~seed ~size ())
        in
-       let w1 = worklist_pairs ~jobs:1 t in
-       let w4 = worklist_pairs ~jobs:4 t in
+       let w1 = dense_pairs ~jobs:1 t in
+       let w4 = dense_pairs ~jobs:4 t in
        let subset config =
          List.for_all
            (fun p -> List.mem p w1)
@@ -443,8 +439,8 @@ let prop_coverage_on_lock_free =
   QCheck2.Test.make
     ~name:
       "on lock-free traces streaming flags the same racy (location, second) \
-       set as the worklist engine"
-    ~count:60 gen
+       set as the dense engine"
+    ~count:60 ~print gen
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
        let lock_free =
@@ -470,20 +466,18 @@ let prop_coverage_on_lock_free =
          seconds
            (List.map
               (fun { Detector.race; _ } -> race)
-              (Detector.analyze ~config:worklist_config t).Detector.all_races)
+              (Detector.analyze t).Detector.all_races)
        in
        streaming = batch)
 
 let prop_detector_dispatch_matches_engine =
   QCheck2.Test.make
     ~name:"Detector.analyze with the streaming engine returns the engine's races"
-    ~count:30 gen
+    ~count:30 ~print gen
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
        let config =
-         { Detector.default_config with
-           hb = { Detector.default_config.hb with closure = Hb.Streaming }
-         }
+         { Detector.default_config with engine = Detector.Streaming }
        in
        let report = Detector.analyze ~config t in
        let direct = pairs (fst (Streaming.detect (Trace.remove_cancelled t))) in
@@ -496,7 +490,8 @@ let prop_detector_dispatch_matches_engine =
           = Detector.streaming_phase_names)
 
 let prop_deterministic =
-  QCheck2.Test.make ~name:"streaming detection is deterministic" ~count:30 gen
+  QCheck2.Test.make ~name:"streaming detection is deterministic" ~count:30
+    ~print gen
     (fun (seed, size) ->
        let t =
          Trace.remove_cancelled (Random_trace.generate ~seed ~size ())
@@ -535,7 +530,7 @@ let () =
             test_clock_work_per_event_bounded
         ] )
     ; ( "differential"
-      , [ QCheck_alcotest.to_alcotest prop_subset_of_worklist
+      , [ QCheck_alcotest.to_alcotest prop_subset_of_dense
         ; QCheck_alcotest.to_alcotest prop_coverage_on_lock_free
         ; QCheck_alcotest.to_alcotest prop_detector_dispatch_matches_engine
         ; QCheck_alcotest.to_alcotest prop_deterministic

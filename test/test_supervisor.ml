@@ -3,7 +3,7 @@
    The contract under test: one misbehaving application costs one
    failure row, never the sweep; outcomes are identical across [jobs]
    values; the fault plan of [with_faults] is a pure function of
-   (seed, app); budgets degrade gracefully (worklist fallback, timeout
+   (seed, app); budgets degrade gracefully (streaming fallback, timeout
    rows); and the Obs counters account for every degradation.
 
    The injected-fault expectations below are pinned against the
@@ -222,10 +222,10 @@ let test_wallclock_timeout () =
     (counter "supervisor.timeouts");
   check_int "supervisor.retries" 1 (counter "supervisor.retries")
 
-let test_event_budget_fallback () =
+let test_event_budget_within_10x () =
   with_obs @@ fun () ->
-  (* Over the cap but within 10x of it: the worklist step of the
-     ladder, not the streaming one. *)
+  (* Over the cap but within 10x of it: the dense engine still runs, so
+     nothing degrades. *)
   let budget = { Supervisor.timeout_seconds = None; max_events = Some 1000 } in
   let spec = List.hd specs2 in
   (match Supervisor.run_app ~budget spec with
@@ -233,22 +233,20 @@ let test_event_budget_fallback () =
      Alcotest.failf "over-budget run should degrade, not fail: %s"
        (Supervisor.reason_detail f.Supervisor.f_reason)
    | Supervisor.Completed run ->
-     (* The worklist engine computes the identical relation, so the
-        degraded report finds exactly the races of the unsupervised
-        dense run. *)
+     let report = run.Experiments.ar_report in
+     Alcotest.(check (list string)) "the dense pipeline ran"
+       Detector.phase_names (List.map fst report.Detector.phase_seconds);
      let reference = Experiments.run_spec spec in
-     check_int "same races under fallback"
+     check_int "same races as the unsupervised run"
        (List.length reference.Experiments.ar_report.Detector.all_races)
-       (List.length run.Experiments.ar_report.Detector.all_races));
-  check_int "supervisor.fallbacks.dense_worklist" 1
-    (counter "supervisor.fallbacks.dense_worklist");
+       (List.length report.Detector.all_races));
   check_int "no streaming fallback" 0
     (counter "supervisor.fallbacks.dense_streaming")
 
 let test_event_budget_streaming_fallback () =
   with_obs @@ fun () ->
-  (* A cap more than 10x under the trace length skips worklist and lands
-     on the streaming engine. *)
+  (* A cap more than 10x under the trace length lands on the streaming
+     engine. *)
   let budget = { Supervisor.timeout_seconds = None; max_events = Some 2 } in
   let spec = List.hd specs2 in
   (match Supervisor.run_app ~budget spec with
@@ -262,9 +260,7 @@ let test_event_budget_streaming_fallback () =
        (List.length run.Experiments.ar_report.Detector.all_races
         <= List.length reference.Experiments.ar_report.Detector.all_races));
   check_int "supervisor.fallbacks.dense_streaming" 1
-    (counter "supervisor.fallbacks.dense_streaming");
-  check_int "no worklist fallback" 0
-    (counter "supervisor.fallbacks.dense_worklist")
+    (counter "supervisor.fallbacks.dense_streaming")
 
 let test_ingest_counter () =
   with_obs @@ fun () ->
@@ -526,8 +522,8 @@ let () =
       , [ Alcotest.test_case "jobs 1 = jobs 4" `Slow test_jobs_determinism ] )
     ; ( "budgets"
       , [ Alcotest.test_case "wall-clock timeout" `Slow test_wallclock_timeout
-        ; Alcotest.test_case "event budget falls back to worklist" `Slow
-            test_event_budget_fallback
+        ; Alcotest.test_case "event budget within 10x stays dense" `Slow
+            test_event_budget_within_10x
         ; Alcotest.test_case "event budget falls back to streaming" `Slow
             test_event_budget_streaming_fallback
         ; Alcotest.test_case "obs counters" `Slow test_ingest_counter

@@ -306,6 +306,7 @@ let test_io_error_context () =
 
 let prop_io_round_trip =
   QCheck2.Test.make ~name:"trace text format round-trips" ~count:60
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 10 120))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -317,6 +318,7 @@ let prop_io_round_trip =
 
 let prop_enclosing_task_brackets =
   QCheck2.Test.make ~name:"enclosing task matches begin/end brackets" ~count:60
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 10 120))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in

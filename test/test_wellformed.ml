@@ -254,6 +254,7 @@ let test_streaming_million_events () =
 let prop_random_traces_accepted =
   QCheck2.Test.make ~name:"semantics-valid random traces pass the validator"
     ~count:120
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 10 150))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in
@@ -266,6 +267,7 @@ let prop_random_traces_accepted =
 let prop_streaming_load_equals_parse =
   QCheck2.Test.make
     ~name:"streaming load agrees with the in-memory parser" ~count:40
+    ~print:QCheck2.Print.(pair int int)
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 10 120))
     (fun (seed, size) ->
        let t = Random_trace.generate ~seed ~size () in

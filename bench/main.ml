@@ -641,12 +641,14 @@ let supervision_overhead ~jobs =
 (* {1 Streaming engine}
 
    Two measurements.  Agreement-and-cost: the streaming engine against
-   the dense engine's worklist closure on a generated trace small
+   the dense engine on a generated trace small
    enough for both to hold (streaming races must be a subset — on this
    lock-free workload, the same races).  Throughput: the streaming
    engine alone over a larger trace streamed from disk, which is the
    regime the dense engine cannot enter; the stats go to
-   BENCH_streaming.json. *)
+   BENCH_streaming.json.  The table and stage names still say
+   "worklist", the dense closure's earlier algorithm, so that their
+   output stays comparable across versions. *)
 
 let streaming_stage ~quick ~streaming_json =
   let small_events = if quick then 10_000 else 20_000 in

@@ -493,7 +493,7 @@ let analyze_cmd =
              Format.printf "[%a] %a@." Classify.pp_category category Race.pp race)
           report.Detector.all_races;
       if coverage then begin
-        let hb = Detector.relation ~config ~jobs trace in
+        let hb = Detector.relation ~config trace in
         let races = List.map (fun c -> c.Detector.race) report.Detector.all_races in
         let groups = Race_coverage.group ~hb races in
         Format.printf "race coverage: %d root(s) for %d race(s)@."

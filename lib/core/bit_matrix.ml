@@ -41,27 +41,6 @@ let blit_row ~src ~dst i =
   if src.n <> dst.n then invalid_arg "Bit_matrix.blit_row: size mismatch";
   Array.blit src.rows.(i) 0 dst.rows.(i) 0 src.words
 
-let clear_row m i = Array.fill m.rows.(i) 0 m.words 0
-
-let row_is_empty m i =
-  let row = m.rows.(i) in
-  let rec go w = w >= m.words || (row.(w) = 0 && go (w + 1)) in
-  go 0
-
-let or_row_between ~read ~write ~dst ~src =
-  let d = write.rows.(dst) and s = read.rows.(src) in
-  let changed = ref false in
-  for w = 0 to write.words - 1 do
-    let v = d.(w) lor s.(w) in
-    if v <> d.(w) then begin
-      d.(w) <- v;
-      changed := true
-    end
-  done;
-  !changed
-
-let or_row m ~dst ~src = or_row_between ~read:m ~write:m ~dst ~src
-
 (* log2 of a one-bit word, by table: the powers 2^0..2^61 are distinct
    and non-zero modulo 67 (2 is a primitive root of the prime 67), so
    one mod and one load replace a shift loop in the bit-iteration hot
@@ -77,16 +56,6 @@ let log2_table =
 let[@inline] log2_pow2 b =
   Array.unsafe_get log2_table (b land max_int mod 67)
 
-(* Iterate the set bits of one word, ascending; [base] is the column of
-   the word's bit 0. *)
-let iter_word_bits base word f =
-  let word = ref word in
-  while !word <> 0 do
-    let bit = !word land - !word in
-    f (base + log2_pow2 bit);
-    word := !word land lnot bit
-  done
-
 module Mask = struct
   type t = { words : int array }
 
@@ -97,83 +66,7 @@ module Mask = struct
   let set t j =
     let w = j / bits_per_word in
     t.words.(w) <- t.words.(w) lor (1 lsl (j mod bits_per_word))
-
-  let mem t j =
-    t.words.(j / bits_per_word) land (1 lsl (j mod bits_per_word)) <> 0
-
-  let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
-  let iter t f =
-    Array.iteri
-      (fun w word -> if word <> 0 then iter_word_bits (w * bits_per_word) word f)
-      t.words
-
-  (* Descending iteration, for draining worklist rows in reverse trace
-     order. *)
-  let iter_down t f =
-    for w = Array.length t.words - 1 downto 0 do
-      let word = t.words.(w) in
-      if word <> 0 then
-        for b = bits_per_word - 1 downto 0 do
-          if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-        done
-    done
 end
-
-let or_row_into_mask m ~src (mask : Mask.t) =
-  let s = m.rows.(src) in
-  let mw = mask.Mask.words in
-  for w = 0 to m.words - 1 do
-    mw.(w) <- mw.(w) lor s.(w)
-  done
-
-let mark_rows_meeting m (mask : Mask.t) (into : Mask.t) =
-  let mw = mask.Mask.words in
-  let lo = ref 0 and hi = ref (m.words - 1) in
-  while !lo < m.words && mw.(!lo) = 0 do
-    incr lo
-  done;
-  while !hi >= !lo && mw.(!hi) = 0 do
-    decr hi
-  done;
-  let lo = !lo and hi = !hi in
-  for i = 0 to m.n - 1 do
-    let row = m.rows.(i) in
-    let rec meets w =
-      w <= hi && (Array.unsafe_get row w land Array.unsafe_get mw w <> 0
-                  || meets (w + 1))
-    in
-    if meets lo then Mask.set into i
-  done
-
-let or_row_masked m ~dst ~src ~mask =
-  let d = m.rows.(dst) and s = m.rows.(src) in
-  let mw = mask.Mask.words in
-  let changed = ref false in
-  for w = 0 to m.words - 1 do
-    let v = d.(w) lor (s.(w) land mw.(w)) in
-    if v <> d.(w) then begin
-      d.(w) <- v;
-      changed := true
-    end
-  done;
-  !changed
-
-let or_row_between_masked_compl ~read ~write ~dst ~src ~mask =
-  let d = write.rows.(dst) and s = read.rows.(src) in
-  let mw = mask.Mask.words in
-  let changed = ref false in
-  for w = 0 to write.words - 1 do
-    let v = d.(w) lor (s.(w) land lnot mw.(w)) in
-    if v <> d.(w) then begin
-      d.(w) <- v;
-      changed := true
-    end
-  done;
-  !changed
-
-let or_row_masked_compl m ~dst ~src ~mask =
-  or_row_between_masked_compl ~read:m ~write:m ~dst ~src ~mask
 
 let iter_row m i f =
   let row = m.rows.(i) in
@@ -187,83 +80,39 @@ let iter_row m i f =
     done
   done
 
-(* {1 Change tracking}
+(* {1 Strictly lower-triangular closure} *)
 
-   The worklist closure needs to know not just whether a row changed
-   but which columns were newly set: new bits are new successors the
-   row must later pull from.  The tracked ORs accumulate the newly set bits of [dst] into the same
-   row of a [delta] matrix.  They OR only the words [w_lo..w_hi] of the
-   source row: the closure broadcasts per-round "news" rows whose set
-   bits are localised, so the caller precomputes each source's
-   non-empty word extent and skips the all-zero prefix and suffix. *)
-
-let or_row_between_tracked_range ~read ~write ~delta ~dst ~src ~w_lo ~w_hi =
-  let d = write.rows.(dst) and s = read.rows.(src) in
-  let dl = delta.rows.(dst) in
-  for w = w_lo to w_hi do
-    let sw = Array.unsafe_get s w in
-    if sw <> 0 then begin
-      let dw = Array.unsafe_get d w in
-      let v = dw lor sw in
-      if v <> dw then begin
-        Array.unsafe_set dl w (Array.unsafe_get dl w lor (v lxor dw));
-        Array.unsafe_set d w v
-      end
-    end
-  done
-
-let or_row_between_masked_compl_tracked_range ~read ~write ~delta ~dst ~src
-    ~mask ~w_lo ~w_hi =
-  let d = write.rows.(dst) and s = read.rows.(src) in
-  let dl = delta.rows.(dst) in
-  let mw = mask.Mask.words in
-  for w = w_lo to w_hi do
-    let sw = Array.unsafe_get s w land lnot (Array.unsafe_get mw w) in
-    if sw <> 0 then begin
-      let dw = Array.unsafe_get d w in
-      let v = dw lor sw in
-      if v <> dw then begin
-        Array.unsafe_set dl w (Array.unsafe_get dl w lor (v lxor dw));
-        Array.unsafe_set d w v
-      end
-    end
-  done
-
-let row_word_extent m i =
+let iter_row_down m i f =
   let row = m.rows.(i) in
-  let lo = ref 0 and hi = ref (m.words - 1) in
-  while !lo < m.words && row.(!lo) = 0 do
-    incr lo
-  done;
-  while !hi >= !lo && row.(!hi) = 0 do
-    decr hi
-  done;
-  (!lo, !hi)
-
-(* {1 Row scratch buffers}
-
-   Per-worker copies of single rows, so a worklist task can capture a
-   row's pull set (and its pre-round value) without allocating in the
-   inner loop. *)
-
-type row_scratch = int array
-
-let row_scratch m = Array.make m.words 0
-
-let copy_row m i (buf : row_scratch) = Array.blit m.rows.(i) 0 buf 0 m.words
-
-let clear_scratch (buf : row_scratch) = Array.fill buf 0 (Array.length buf) 0
-
-(* Enumerate a worklist target's sources, split by how they must be
-   absorbed: [fresh] gets the target's newly added successors (whose
-   full rows it has never ORed), [dirty] the rest of its successors
-   that changed last round (only their news is needed). *)
-let iter_sources ~(own : row_scratch) ~(mask : Mask.t) ~(plus : row_scratch)
-    ~fresh ~dirty =
-  let mw = mask.Mask.words in
-  for w = 0 to Array.length own - 1 do
-    let p = plus.(w) in
-    if p <> 0 then iter_word_bits (w * bits_per_word) p fresh;
-    let o = own.(w) land mw.(w) land lnot p in
-    if o <> 0 then iter_word_bits (w * bits_per_word) o dirty
+  for w = m.words - 1 downto 0 do
+    let base = w * bits_per_word in
+    let b = ref (bits_per_word - 1) in
+    (* The word is re-read at every step, since [f] may set lower bits
+       of it; the loop stops as soon as no bit at or below [b] is set. *)
+    while
+      !b >= 0
+      && Array.unsafe_get row w land ((1 lsl !b) lor ((1 lsl !b) - 1)) <> 0
+    do
+      if Array.unsafe_get row w land (1 lsl !b) <> 0 then f (base + !b);
+      decr b
+    done
   done
+
+let or_lower_row m ~dst ~src =
+  let d = m.rows.(dst) and s = m.rows.(src) in
+  let hi = src / bits_per_word in
+  for w = 0 to hi do
+    Array.unsafe_set d w (Array.unsafe_get d w lor Array.unsafe_get s w)
+  done;
+  hi + 1
+
+let or_lower_row_outside m ~dst ~src ~(mask : Mask.t) =
+  let d = m.rows.(dst) and s = m.rows.(src) in
+  let mw = mask.Mask.words in
+  let hi = src / bits_per_word in
+  for w = 0 to hi do
+    Array.unsafe_set d w
+      (Array.unsafe_get d w
+       lor (Array.unsafe_get s w land lnot (Array.unsafe_get mw w)))
+  done;
+  hi + 1

@@ -33,7 +33,6 @@ type report =
   ; hb_edges : int
   ; fixpoint_passes : int
   ; hb_word_ors : int
-  ; hb_rows_requeued : int
   ; elapsed_seconds : float
   ; phase_seconds : (string * float) list
   }
@@ -51,10 +50,10 @@ let streaming_phase_names = [ "filter_cancelled"; "streaming_detect"; "classify"
 let phase_seconds report name =
   Option.value (List.assoc_opt name report.phase_seconds) ~default:0.0
 
-let relation ?(config = default_config) ?(jobs = 1) trace =
+let relation ?(config = default_config) trace =
   let trace = Trace.remove_cancelled trace in
   let graph = Graph.build ~coalesce:config.coalesce trace in
-  Happens_before.compute ~config:config.hb ~jobs graph
+  Happens_before.compute ~config:config.hb graph
 
 let dedup_distinct classified =
   let seen = Hashtbl.create 16 in
@@ -120,7 +119,6 @@ let analyze ?(config = default_config) ?(jobs = 1) trace =
     ; hb_edges = 0
     ; fixpoint_passes = 1
     ; hb_word_ors = 0
-    ; hb_rows_requeued = 0
     ; elapsed_seconds = Unix.gettimeofday () -. started
     ; phase_seconds = List.rev !phases_rev
     }
@@ -135,7 +133,7 @@ let analyze ?(config = default_config) ?(jobs = 1) trace =
   in
   let hb =
     phase "happens_before" (fun () ->
-      Happens_before.compute ~config:config.hb ~jobs graph)
+      Happens_before.compute ~config:config.hb graph)
   in
   let races =
     phase "race_detect" (fun () ->
@@ -162,7 +160,6 @@ let analyze ?(config = default_config) ?(jobs = 1) trace =
   ; hb_edges = Happens_before.edge_count hb
   ; fixpoint_passes = Happens_before.passes hb
   ; hb_word_ors = Happens_before.word_ors hb
-  ; hb_rows_requeued = Happens_before.rows_requeued hb
   ; elapsed_seconds = Unix.gettimeofday () -. started
   ; phase_seconds = List.rev !phases_rev
   }

@@ -61,12 +61,10 @@ type report =
   ; uncoalesced_nodes : int  (** = trace length *)
   ; hb_edges : int
   ; fixpoint_passes : int
-      (** fixpoint passes, see {!Happens_before.passes} (1 under
-          [Streaming]) *)
+      (** passes over the nodes, see {!Happens_before.passes} (1 under
+          both engines) *)
   ; hb_word_ors : int
       (** closure work metric, see {!Happens_before.word_ors} *)
-  ; hb_rows_requeued : int
-      (** rows (re-)propagated, see {!Happens_before.rows_requeued} *)
   ; elapsed_seconds : float  (** wall-clock (monotonic across domains) *)
   ; phase_seconds : (string * float) list
       (** wall-clock breakdown of {!elapsed_seconds} by pipeline phase,
@@ -88,11 +86,10 @@ val phase_seconds : report -> string -> float
     (0.0 for an unknown name). *)
 
 val analyze : ?config:config -> ?jobs:int -> Trace.t -> report
-(** With [jobs > 1] (default 1) the happens-before fixpoint and the
-    conflicting-pair scan run on a {!Par_pool} of domains.  Except for
-    [elapsed_seconds], the report is bit-identical for every [jobs]
-    value — determinism is an invariant of the parallel engine, not
-    best-effort (see {!Happens_before.compute} and {!Race.detect}).
+(** With [jobs > 1] (default 1) the conflicting-pair scan runs on a
+    {!Par_pool} of domains.  Except for [elapsed_seconds], the report is
+    bit-identical for every [jobs] value — determinism is an invariant
+    of the parallel scan, not best-effort (see {!Race.detect}).
 
     When [config.engine] is [Streaming] the batch
     pipeline is replaced by one {!Streaming_engine} pass (phases
@@ -104,7 +101,7 @@ val analyze : ?config:config -> ?jobs:int -> Trace.t -> report
     materialise should stream via {!Streaming_engine.detect_file}
     instead — this entry point still holds the whole trace. *)
 
-val relation : ?config:config -> ?jobs:int -> Trace.t -> Happens_before.t
+val relation : ?config:config -> Trace.t -> Happens_before.t
 (** Just the happens-before relation of the (cancellation-filtered)
     trace, for callers that want to query orderings directly. *)
 

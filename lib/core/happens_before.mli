@@ -16,10 +16,10 @@ open! Import
     [thread i = thread k = thread j] (TRANS-ST).
 
     FIFO and NOPRE consume the combined relation in their premises, so
-    the computation alternates rule application and closure until a
-    fixpoint is reached.  The configuration switches exist for the
-    baselines of Section 4.1 ("Specializations") and Section 7, and for
-    the ablation experiments; {!default} is the paper's relation. *)
+    they are applied during the closure, each as soon as its premises
+    are final.  The configuration switches exist for the baselines of
+    Section 4.1 ("Specializations") and Section 7, and for the ablation
+    experiments; {!default} is the paper's relation. *)
 
 (** How operations of one thread are ordered by program order
     (the type lives in {!Hb_edges}, shared with the static edge
@@ -62,19 +62,15 @@ val default : config
 
 type t
 
-val compute : ?config:config -> ?jobs:int -> Graph.t -> t
-(** [compute ?config ?jobs g] computes ⪯ as one least fixpoint over
-    the graph nodes: the static rules of {!Hb_edges} seed a
-    reachability matrix, and a semi-naïve worklist closure (only the
-    predecessors of rows that changed are re-propagated) alternates
-    with the dynamic rules FIFO, NOPRE and the front-of-queue extension
-    until neither adds an edge.
-
-    With [jobs > 1] (default 1) each worklist round distributes
-    disjoint row blocks over a {!Par_pool} of domains.  A block reads
-    other blocks' rows from a snapshot taken before the round and the
-    block partition is fixed, so the computed relation, the pass count
-    and the work counters are bit-identical for every [jobs] value. *)
+val compute : ?config:config -> Graph.t -> t
+(** [compute ?config g] computes ⪯ over the graph nodes in one forward
+    sweep.  Every rule orders a node before a node of higher id, so the
+    sweep builds, for each node in ascending id order, the row of nodes
+    ordered before it: the static edges of {!Hb_edges}, then the
+    dynamic rules FIFO, NOPRE and the front-of-queue extension (whose
+    premises read only rows already final), then the restricted
+    transitive closure of the row through the final rows of its
+    predecessors.  The cost is one masked row OR per ordered pair. *)
 
 val graph : t -> Graph.t
 
@@ -105,14 +101,8 @@ val edge_count : t -> int
 (** Number of ordered pairs in the computed relation. *)
 
 val passes : t -> int
-(** Fixpoint passes used: rounds of draining the worklist and then
-    applying the dynamic rules ([hb.passes]). *)
+(** Passes over the nodes: always 1 ([hb.passes]). *)
 
 val word_ors : t -> int
 (** Machine-word OR operations the closure performed — its work metric
-    ([hb.word_ors]).  Deterministic for a given trace and config,
-    independent of [jobs]. *)
-
-val rows_requeued : t -> int
-(** Rows (re-)propagated: the worklist targets drained, summed over
-    every round ([hb.rows_requeued]). *)
+    ([hb.word_ors]).  Deterministic for a given trace and config. *)

@@ -121,7 +121,9 @@ let iter ~config:cfg g ~f =
     (Trace.tasks trace);
   (* ATTACH-Q-MT.  Each thread's attach-queue node is found once up
      front; the per-post scan over [nodes_of_thread] was quadratic in
-     the number of cross-thread posts. *)
+     the number of cross-thread posts.  Like every other rule it needs
+     the attach before the post (both are anchors, so node order is
+     trace order). *)
   if cfg.attach_rule then begin
     let attach_node : (int, int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
@@ -146,8 +148,9 @@ let iter ~config:cfg g ~f =
          | Operation.Post { target; _ } when not (Thread_id.equal e.thread target)
            ->
            (match Hashtbl.find_opt attach_node (Thread_id.to_int target) with
-            | Some attach_node -> emit ~rule:Attach attach_node (node_of_pos i)
-            | None -> ())
+            | Some attach_node when attach_node < node_of_pos i ->
+              emit ~rule:Attach attach_node (node_of_pos i)
+            | Some _ | None -> ())
          | _ -> ())
       trace
   end;

@@ -4,10 +4,10 @@ open! Import
     premises mention only the structure of the trace, not the relation
     being computed.
 
-    {!Happens_before.compute} seeds its fixpoint with exactly these
+    {!Happens_before.compute} seeds its closure with exactly these
     edges (the dynamic rules FIFO, NOPRE and the front-of-queue
-    extension consume the relation in their premises and stay inside the
-    fixpoint loop); the predictive engine ({!Droidracer_predict.Predict})
+    extension consume the relation in their premises and are applied
+    during the closure); the predictive engine ({!Droidracer_predict.Predict})
     reuses the same builder with {!must} to obtain the constraints that
     hold in {e every} admissible schedule.  One builder, two consumers —
     the edge sets cannot drift apart.
@@ -16,7 +16,13 @@ open! Import
     means every trace position of node [src] is ordered before every
     position of node [dst].  With a graph built [~coalesce:false] the
     nodes are single positions and the edges are exactly the
-    position-level rule instances. *)
+    position-level rule instances.
+
+    Every edge points forward: [src < dst].  Each rule instance relates
+    positions [i < j], node ids follow first positions, and an edge
+    into a coalesced access block comes only from its own thread's
+    program order, so {!Happens_before.compute} can close the relation
+    in one pass over ascending node ids. *)
 
 (** How operations of one thread are ordered by program order
     (re-exported as {!Happens_before.program_order}). *)

@@ -109,6 +109,13 @@ let parallel_map ~jobs f xs =
     let latch = Mutex.create () in
     let all_done = Condition.create () in
     let completed = ref 0 in
+    (* Helpers running now, and whether the map has returned: the
+       caller waits for every helper that started (it may still be
+       recording its telemetry after the last element is done), and a
+       helper that starts after the map returned does nothing.  An
+       unstarted helper is never waited for — a nested map would
+       deadlock on it. *)
+    let running = ref 0 and closed = ref false in
     let run_one i =
       (* Piggyback the rate-limited resource sampler on task claims, so
          long cooperative sections grow RSS/heap series for free. *)
@@ -146,7 +153,22 @@ let parallel_map ~jobs f xs =
           Obs.add "pool.tasks";
           Obs.with_span "pool.drain" drain
     in
-    submit_tasks (List.init helpers (fun _ -> instrument drain));
+    let helper =
+      let body = instrument drain in
+      fun () ->
+        Mutex.lock latch;
+        let start = not !closed in
+        if start then incr running;
+        Mutex.unlock latch;
+        if start then begin
+          body ();
+          Mutex.lock latch;
+          decr running;
+          if !running = 0 then Condition.broadcast all_done;
+          Mutex.unlock latch
+        end
+    in
+    submit_tasks (List.init helpers (fun _ -> helper));
     (* The caller participates, so progress never depends on a worker
        being free — a drain task still queued when the counter runs out
        simply becomes a no-op. *)
@@ -156,9 +178,10 @@ let parallel_map ~jobs f xs =
     end
     else drain ();
     Mutex.lock latch;
-    while !completed < n do
+    while !completed < n || !running > 0 do
       Condition.wait all_done latch
     done;
+    closed := true;
     Mutex.unlock latch;
     let first_failure = ref None in
     for i = n - 1 downto 0 do

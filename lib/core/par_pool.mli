@@ -10,8 +10,8 @@
     results in input order and raises the exception of the
     lowest-indexed failing element, whatever interleaving the domains
     actually ran.  Callers are responsible for handing it functions
-    whose per-element work is independent (the analysis pipeline
-    arranges disjoint row blocks for exactly this reason). *)
+    whose per-element work is independent (the pair scan hands it
+    disjoint node ranges for exactly this reason). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: the default for every
@@ -25,6 +25,9 @@ val parallel_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     - If one or more applications raise, the exception of the
       lowest-indexed failing element is re-raised (with its backtrace)
       after every element has finished, so no work is left running.
+    - It returns only after every pool worker that started on this map
+      has finished, its telemetry included; a worker that picks the map
+      up after it returned does nothing.
     - [jobs <= 1], the empty list and singleton lists take the
       sequential path and never touch the pool. *)
 
@@ -43,6 +46,4 @@ val quiesce : unit -> unit
 val ranges : chunk:int -> int -> (int * int) list
 (** [ranges ~chunk n] splits [0..n-1] into half-open [(lo, hi)]
     intervals of [chunk] indices (the last may be shorter).  The
-    partition depends only on [chunk] and [n] — never on the number of
-    jobs — which is what lets the block-parallel fixpoint produce
-    bit-identical matrices for every jobs value. *)
+    partition depends only on [chunk] and [n]. *)

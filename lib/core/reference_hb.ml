@@ -96,10 +96,13 @@ let compute ?(config = Happens_before.default) trace =
                     ~default:Operation.Immediate
                 in
                 (* F IFO: both posts target this thread and are ordered *)
-                if fifo_flavours_ok f1 f2 && hb b1 b2 then set_st i j;
+                if config.fifo_rule && fifo_flavours_ok f1 f2 && hb b1 b2
+                then set_st i j;
                 (* N OPRE: some operation of task p1 happens before (or
                    is) the post of p2 *)
                 let nopre =
+                  config.nopre_rule
+                  &&
                   let exception Found in
                   match
                     Trace.iteri
@@ -135,7 +138,8 @@ let compute ?(config = Happens_before.default) trace =
              warns against ([lock_same_thread]) *)
           (match oi, oj with
            | Operation.Release l, Operation.Acquire l'
-             when config.lock_same_thread && Ident.Lock_id.equal l l' ->
+             when config.lock_rule && config.lock_same_thread
+                  && Ident.Lock_id.equal l l' ->
              set_st i j
            | _, _ -> ());
           (* T RANS - ST *)
@@ -179,7 +183,7 @@ let compute ?(config = Happens_before.default) trace =
           (* L OCK *)
           (match oi, oj with
            | Operation.Release l, Operation.Acquire l'
-             when Ident.Lock_id.equal l l' -> set_mt i j
+             when config.lock_rule && Ident.Lock_id.equal l l' -> set_mt i j
            | _, _ -> ());
           (* T RANS - MT: αᵢ ⪯ αₖ, αₖ ⪯ αⱼ with thread(i) ≠ thread(j);
              the intermediate may be any operation. *)

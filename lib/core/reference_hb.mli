@@ -14,10 +14,12 @@ type t
 
 val compute : ?config:Happens_before.config -> Trace.t -> t
 (** [compute ?config trace] applies the rules to a fixpoint.  Of the
-    configuration it honours the switches the ablations exercise:
-    [program_order], [restricted_transitivity], [lock_same_thread] and
-    [front_rule], each as its own literal rule instance; every other
-    rule is always on (default {!Happens_before.default}). *)
+    configuration it honours the switches the ablations and the
+    predictive engine's relations exercise: [program_order],
+    [restricted_transitivity], [lock_rule], [lock_same_thread],
+    [fifo_rule], [nopre_rule] and [front_rule], each as its own literal
+    rule instance; every other rule is always on (default
+    {!Happens_before.default}). *)
 
 val st : t -> int -> int -> bool
 (** The thread-local relation ⪯st (Figure 6). *)

@@ -89,6 +89,10 @@ type thread_ctx =
         (** the running task's post; its [p_clock] is dropped at
             [begin], only the epoch and flavour are needed at [end] *)
   ; mutable loop_clock : int array option
+  ; mutable idle : bool
+        (** between tasks after [loopOnQ]: NO-Q-PO leaves the
+            out-of-task operations there unordered with each other, so
+            each starts its own slot from [loop_clock] *)
   ; mutable completed : completed list  (** newest first, ≤ window *)
   ; mutable completed_len : int
   ; mutable folded_ends : int array
@@ -224,6 +228,7 @@ let ctx t tid =
       ; in_task = None
       ; current_post = None
       ; loop_clock = None
+      ; idle = false
       ; completed = []
       ; completed_len = 0
       ; folded_ends = [||]
@@ -398,6 +403,12 @@ let record_access t c position location is_write tid =
 let feed t ~position (e : Trace.event) =
   t.events <- t.events + 1;
   let c = ctx t e.thread in
+  if c.idle then
+    (match e.op with
+     | Operation.Begin_task _ -> ()
+     | _ ->
+       c.slot <- fresh_slot t;
+       c.clock <- copy_into t c.clock (loop_base c));
   (* Every operation advances the executing context's local time. *)
   c.clock <- tick c.clock c.slot;
   (match e.op with
@@ -426,7 +437,9 @@ let feed t ~position (e : Trace.event) =
    | Operation.Attach_queue ->
      Hashtbl.replace t.attach_clocks (Thread_id.to_int e.thread)
        (copy t c.clock)
-   | Operation.Loop_on_queue -> c.loop_clock <- Some (copy t c.clock)
+   | Operation.Loop_on_queue ->
+     c.loop_clock <- Some (copy t c.clock);
+     c.idle <- true
    | Operation.Post { task; target; flavour } ->
      let key = Ident.Interner.intern t.interner (Task_id.to_string task) in
      (* ENABLE-*: the post happens after the task's enable (one post
@@ -484,7 +497,8 @@ let feed t ~position (e : Trace.event) =
       | None -> c.current_post <- None);
      c.slot <- slot;
      c.clock <- tick !clock slot;
-     c.in_task <- Some p
+     c.in_task <- Some p;
+     c.idle <- false
    | Operation.End_task _ ->
      let spare = ref [||] in
      (match c.current_post with
@@ -528,7 +542,8 @@ let feed t ~position (e : Trace.event) =
         thread survives — two tasks on one thread are unordered unless
         FIFO or NOPRE re-orders them at the next begin. *)
      c.slot <- fresh_slot t;
-     c.clock <- copy_into t !spare (loop_base c)
+     c.clock <- copy_into t !spare (loop_base c);
+     c.idle <- true
    | Operation.Acquire l ->
      (match
         Hashtbl.find_opt t.lock_clocks

@@ -10,6 +10,9 @@ open! Import
 
     Every asynchronous-task instance and every thread segment outside a
     task owns a clock slot, and every event ticks the executing slot.
+    After [loopOnQ] each out-of-task operation is a segment of its own,
+    started from the loop's clock: NO-Q-PO leaves such operations
+    unordered with each other.
     The edges of the happens-before relation become clock merges:
 
     - fork/join, post→begin, enable→post, attachQ→post and

@@ -258,17 +258,17 @@ type report =
    the window search can therefore only cost completeness, never
    soundness. *)
 
-let dense_unordered ~config ~jobs trace i j =
-  let hb = Detector.relation ~config ~jobs trace in
+let dense_unordered ~config trace i j =
+  let hb = Detector.relation ~config trace in
   not (Happens_before.ordered hb i j)
 
-let check_witness ~config ~jobs ~replay ~first ~second ~flipped trace =
+let check_witness ~config ~replay ~first ~second ~flipped trace =
   let wellformed = Result.is_ok (Wellformed.check trace) in
   let replayed =
     if replay then Some (Result.is_ok (Step.validate trace)) else None
   in
   let unordered =
-    wellformed && dense_unordered ~config ~jobs:(max 1 jobs) trace first second
+    wellformed && dense_unordered ~config trace first second
   in
   { w_trace = trace
   ; w_first = first
@@ -313,7 +313,7 @@ let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
        of the prefix relation is one of the full relation, so the pair
        stays unordered). *)
     let w =
-      check_witness ~config ~jobs:1 ~replay:replayable ~first:a ~second:b
+      check_witness ~config ~replay:replayable ~first:a ~second:b
         ~flipped:false
         (truncated_witness trace b)
     in
@@ -420,7 +420,7 @@ let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
       in
       let first' = pos_in_witness a and second' = pos_in_witness b in
       let w =
-        check_witness ~config ~jobs:1 ~replay:true ~first:first'
+        check_witness ~config ~replay:true ~first:first'
           ~second:second' ~flipped:(second' < first')
           (Trace.of_events_exn witness_events)
       in
@@ -439,11 +439,11 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
     ?(jobs = 1) trace =
   Obs.with_span "predict.analyze" @@ fun () ->
   let trace = Trace.remove_cancelled trace in
-  let dense = Detector.relation ~config ~jobs trace in
+  let dense = Detector.relation ~config trace in
   let relaxed_detector =
     { config with Detector.hb = relaxed_config config.Detector.hb }
   in
-  let relaxed = Detector.relation ~config:relaxed_detector ~jobs trace in
+  let relaxed = Detector.relation ~config:relaxed_detector trace in
   let candidates = Race.detect ~jobs trace ~hb:relaxed in
   (* The must-relation: the dense configuration with only the LOCK rule
      off.  Its orderings hold in every admissible schedule (lock edges
@@ -456,7 +456,7 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
         { config with
           Detector.hb = { config.Detector.hb with lock_rule = false }
         }
-      ~jobs trace
+      trace
   in
   let must_ordered i j = Happens_before.hb must_rel i j in
   let observed_race (r : Race.t) =

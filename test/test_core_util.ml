@@ -29,27 +29,33 @@ let test_matrix_basics () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-let test_matrix_or_row () =
-  let m = Bit_matrix.create 10 in
-  Bit_matrix.set m 1 5;
-  Bit_matrix.set m 1 9;
-  check_bool "or changes" true (Bit_matrix.or_row m ~dst:0 ~src:1);
+(* The closure's row operations on a strictly lower-triangular matrix:
+   descending iteration that also visits the columns its callback adds,
+   and ORs bounded to the words below the source row. *)
+let test_matrix_lower_closure () =
+  let m = Bit_matrix.create 130 in
+  List.iter (fun j -> Bit_matrix.set m 129 j) [ 128; 70; 5 ];
+  let visited = ref [] in
+  Bit_matrix.iter_row_down m 129 (fun k ->
+    visited := k :: !visited;
+    if k = 70 then begin
+      Bit_matrix.set m 129 64;
+      Bit_matrix.set m 129 3
+    end);
+  Alcotest.(check (list int)) "descending, added columns included"
+    [ 128; 70; 64; 5; 3 ] (List.rev !visited);
+  Bit_matrix.set m 100 2;
+  Bit_matrix.set m 100 70;
+  check_int "words up to the source row" 2
+    (Bit_matrix.or_lower_row m ~dst:120 ~src:100);
   check_bool "dst has src bits" true
-    (Bit_matrix.get m 0 5 && Bit_matrix.get m 0 9);
-  check_bool "idempotent" false (Bit_matrix.or_row m ~dst:0 ~src:1)
-
-let test_matrix_masked_or () =
-  let m = Bit_matrix.create 10 in
-  Bit_matrix.set m 1 2;
-  Bit_matrix.set m 1 3;
-  let mask = Bit_matrix.Mask.create 10 in
+    (Bit_matrix.get m 120 2 && Bit_matrix.get m 120 70);
+  let mask = Bit_matrix.Mask.create 130 in
   Bit_matrix.Mask.set mask 2;
-  ignore (Bit_matrix.or_row_masked m ~dst:0 ~src:1 ~mask);
-  check_bool "masked keeps 2" true (Bit_matrix.get m 0 2);
-  check_bool "masked drops 3" false (Bit_matrix.get m 0 3);
-  ignore (Bit_matrix.or_row_masked_compl m ~dst:4 ~src:1 ~mask);
-  check_bool "complement drops 2" false (Bit_matrix.get m 4 2);
-  check_bool "complement keeps 3" true (Bit_matrix.get m 4 3)
+  check_int "masked: same words" 2
+    (Bit_matrix.or_lower_row_outside m ~dst:110 ~src:100 ~mask);
+  check_bool "masked column dropped" false (Bit_matrix.get m 110 2);
+  check_bool "other column kept" true (Bit_matrix.get m 110 70)
 
 let prop_matrix_iter_row =
   QCheck2.Test.make ~name:"iter_row visits exactly the set bits" ~count:100
@@ -110,8 +116,8 @@ let () =
   Alcotest.run "core_util"
     [ ( "bit matrix"
       , [ Alcotest.test_case "basics" `Quick test_matrix_basics
-        ; Alcotest.test_case "or_row" `Quick test_matrix_or_row
-        ; Alcotest.test_case "masked or" `Quick test_matrix_masked_or
+        ; Alcotest.test_case "lower-triangular closure" `Quick
+            test_matrix_lower_closure
         ; QCheck_alcotest.to_alcotest prop_matrix_iter_row
         ] )
     ; ( "race coverage"

@@ -296,7 +296,13 @@ let test_nopre () =
        in
        let r = relation t in
        check_bool "NOPRE end-begin edge" true (Hb.hb r 7 8);
-       check_bool "NOPRE orders the accesses" true (Hb.hb r 5 9))
+       check_bool "NOPRE orders the accesses" true (Hb.hb r 5 9);
+       (* Without NOPRE only FIFO can order the tasks, and it never
+          applies to a front post. *)
+       let config = { Hb.default with nopre_rule = false } in
+       let fifo = flavour <> Operation.Front in
+       check_bool "NOPRE off: FIFO alone" fifo (Hb.hb (relation ~config t) 7 8);
+       check_bool "NOPRE off: oracle agrees" fifo (oracle_hb ~config t 7 8))
     [ Operation.Immediate; Operation.Delayed 300; Operation.Front ]
 
 let test_nopre_cross_thread_round_trip () =
@@ -473,6 +479,17 @@ let prop_engine_matches_reference_uncoalesced =
     (fun (seed, size) ->
        agrees ~coalesce:false (Random_trace.generate ~seed ~size ()))
 
+(* Generated traces of up to 60 events fit one 63-bit row word; longer
+   uncoalesced ones make the closure's rows span several. *)
+let prop_engine_matches_reference_multiword =
+  QCheck2.Test.make
+    ~name:"graph engine agrees with the rule oracle on multi-word rows"
+    ~count:10
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 100 200))
+    (fun (seed, size) ->
+       agrees ~coalesce:false (Random_trace.generate ~seed ~size ()))
+
 let prop_hb_respects_trace_order =
   QCheck2.Test.make ~name:"hb implies trace order" ~count:60
     ~print:QCheck2.Print.(pair int int)
@@ -506,13 +523,19 @@ let prop_coalescing_preserves_hb =
        done;
        !ok)
 
-(* {1 The closure under ablation configs and across jobs values} *)
+(* {1 The closure under ablation configs} *)
 
+(* The four ablation switches, then the relations the predictive
+   engine computes besides the default: its relaxed candidate relation,
+   its must-relation (LOCK off), and NOPRE off. *)
 let ablation_configs =
   [ { Hb.default with restricted_transitivity = false }
   ; { Hb.default with front_rule = true }
   ; { Hb.default with lock_same_thread = true }
   ; { Hb.default with program_order = Hb.Full_po }
+  ; Droidracer_predict.Predict.relaxed_config Hb.default
+  ; { Hb.default with lock_rule = false }
+  ; { Hb.default with nopre_rule = false }
   ]
 
 let prop_closure_matches_reference_ablations =
@@ -525,41 +548,9 @@ let prop_closure_matches_reference_ablations =
        List.for_all (fun config -> agrees ~config ~coalesce:true t)
          ablation_configs)
 
-(* The block partition is fixed, so the fixpoint is bit-identical for
-   every [jobs] value: the matrix, the pass count and the work
-   counters.  Generated graphs fit in one block; test_integration
-   checks the catalog graphs that span several. *)
-let jobs_independent t =
-  let g = Graph.build ~coalesce:true t in
-  let r1 = Hb.compute ~jobs:1 g and r4 = Hb.compute ~jobs:4 g in
-  let ok =
-    ref
-      (Hb.edge_count r1 = Hb.edge_count r4
-       && Hb.passes r1 = Hb.passes r4
-       && Hb.word_ors r1 = Hb.word_ors r4
-       && Hb.rows_requeued r1 = Hb.rows_requeued r4)
-  in
-  let n = Hb.node_count r1 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if Hb.node_hb r1 i j <> Hb.node_hb r4 i j then begin
-        ok := false;
-        Format.eprintf "jobs 1 and 4 disagree at nodes (%d,%d)@." i j
-      end
-    done
-  done;
-  !ok
-
-let prop_closure_jobs_independent =
-  QCheck2.Test.make
-    ~name:"matrix and pass count are independent of jobs" ~count:40
-    ~print:QCheck2.Print.(pair int int)
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 80))
-    (fun (seed, size) -> jobs_independent (Random_trace.generate ~seed ~size ()))
-
 (* {1 The shared static edge builder}
 
-   Happens_before seeds its fixpoint from Hb_edges (one builder, shared
+   Happens_before seeds its closure from Hb_edges (one builder, shared
    with the predictive engine).  Check the extraction did not drift:
    every emitted edge of the full static configuration is a fact of the
    rule-by-rule oracle's relation, and the must configuration is
@@ -647,6 +638,7 @@ let () =
             test_figures_match_reference
         ; QCheck_alcotest.to_alcotest prop_engine_matches_reference
         ; QCheck_alcotest.to_alcotest prop_engine_matches_reference_uncoalesced
+        ; QCheck_alcotest.to_alcotest prop_engine_matches_reference_multiword
         ; QCheck_alcotest.to_alcotest prop_hb_respects_trace_order
         ; QCheck_alcotest.to_alcotest prop_coalescing_preserves_hb
         ] )
@@ -655,7 +647,6 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_static_edges_sound
         ] )
     ; ( "closure engines"
-      , [ QCheck_alcotest.to_alcotest prop_closure_jobs_independent
-        ; QCheck_alcotest.to_alcotest prop_closure_matches_reference_ablations
+      , [ QCheck_alcotest.to_alcotest prop_closure_matches_reference_ablations
         ] )
     ]

@@ -190,35 +190,6 @@ let test_hb_edges_on_corpus () =
     ; 57542; 264338; 90130; 433500; 5489; 116528 ]
     (edges { Hb.default with program_order = Hb.Full_po })
 
-let test_closure_blocks_jobs_independent () =
-  (* Generated traces stay inside one closure block; the catalog apps
-     with more nodes than that run their blocks on separate domains at
-     jobs 4, and the matrix and its counters must not move. *)
-  let multi_block =
-    List.filter
-      (fun (run : Experiments.app_run) -> run.ar_report.Detector.nodes > 1024)
-      (Lazy.force catalog_runs)
-  in
-  check_bool "some app spans several blocks" true (multi_block <> []);
-  List.iter
-    (fun (run : Experiments.app_run) ->
-       let relation jobs =
-         Detector.relation ~jobs run.ar_result.Runtime.observed
-       in
-       let r1 = relation 1 and r4 = relation 4 in
-       let n = Hb.node_count r1 in
-       let same = ref true in
-       for i = 0 to n - 1 do
-         for j = 0 to n - 1 do
-           if Hb.node_hb r1 i j <> Hb.node_hb r4 i j then same := false
-         done
-       done;
-       check_bool "same matrix" true !same;
-       Alcotest.(check (list int)) "same passes and work"
-         [ Hb.passes r1; Hb.word_ors r1; Hb.rows_requeued r1 ]
-         [ Hb.passes r4; Hb.word_ors r4; Hb.rows_requeued r4 ])
-    multi_block
-
 (* {1 Semantics of every corpus trace} *)
 
 let test_corpus_traces_valid () =
@@ -257,8 +228,6 @@ let () =
         ; Alcotest.test_case "graph race pairs on corpus" `Slow
             test_graph_race_pairs_on_corpus
         ; Alcotest.test_case "hb edges on corpus" `Slow test_hb_edges_on_corpus
-        ; Alcotest.test_case "multi-block closure jobs-independent" `Slow
-            test_closure_blocks_jobs_independent
         ] )
     ; ( "corpus"
       , [ Alcotest.test_case "traces valid" `Quick test_corpus_traces_valid ] )

@@ -137,7 +137,7 @@ let test_run_catalog_determinism () =
     "catalog runs identical for jobs=1 and jobs=3" (fingerprints 1)
     (fingerprints 3)
 
-(* {1 Bit_matrix support for the block-parallel closure} *)
+(* {1 Bit_matrix copies} *)
 
 let test_matrix_copy_blit () =
   let m = Bit_matrix.create 70 in
@@ -149,16 +149,6 @@ let test_matrix_copy_blit () =
   Bit_matrix.blit_row ~src:m ~dst:snapshot 3;
   check_bool "blit_row overwrites" true (Bit_matrix.get snapshot 3 5);
   check_int "same population" (Bit_matrix.count m) (Bit_matrix.count snapshot)
-
-let test_matrix_or_between () =
-  let read = Bit_matrix.create 10 and write = Bit_matrix.create 10 in
-  Bit_matrix.set read 1 5;
-  check_bool "cross-matrix or changes" true
-    (Bit_matrix.or_row_between ~read ~write ~dst:0 ~src:1);
-  check_bool "bit landed in write" true (Bit_matrix.get write 0 5);
-  check_bool "read untouched" false (Bit_matrix.get read 0 5);
-  check_bool "idempotent" false
-    (Bit_matrix.or_row_between ~read ~write ~dst:0 ~src:1)
 
 let () =
   Alcotest.run "par_pool"
@@ -180,6 +170,5 @@ let () =
         ] )
     ; ( "bit matrix"
       , [ Alcotest.test_case "copy and blit" `Quick test_matrix_copy_blit
-        ; Alcotest.test_case "or_row_between" `Quick test_matrix_or_between
         ] )
     ]

@@ -15,7 +15,7 @@ let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 
 let dense_races ?(config = Detector.default_config) ?(jobs = 1) t =
-  let hb = Detector.relation ~config ~jobs t in
+  let hb = Detector.relation ~config t in
   Race.detect ~jobs t ~hb
 
 let race_locations races =

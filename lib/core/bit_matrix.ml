@@ -35,12 +35,6 @@ let count m =
     (fun acc row -> Array.fold_left (fun acc w -> acc + popcount w) acc row)
     0 m.rows
 
-let copy m = { m with rows = Array.map Array.copy m.rows }
-
-let blit_row ~src ~dst i =
-  if src.n <> dst.n then invalid_arg "Bit_matrix.blit_row: size mismatch";
-  Array.blit src.rows.(i) 0 dst.rows.(i) 0 src.words
-
 (* log2 of a one-bit word, by table: the powers 2^0..2^61 are distinct
    and non-zero modulo 67 (2 is a primitive root of the prime 67), so
    one mod and one load replace a shift loop in the bit-iteration hot

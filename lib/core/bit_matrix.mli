@@ -17,13 +17,6 @@ val set : t -> int -> int -> unit
 val count : t -> int
 (** Number of true entries. *)
 
-val copy : t -> t
-(** An independent copy. *)
-
-val blit_row : src:t -> dst:t -> int -> unit
-(** [blit_row ~src ~dst i] overwrites row [i] of [dst] with row [i] of
-    [src]. *)
-
 (** Bit masks over column indices. *)
 module Mask : sig
   type t

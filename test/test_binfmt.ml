@@ -2,7 +2,8 @@
    - encode ∘ decode is the identity on generated admissible traces
      (property-tested via the semantic random generator);
    - text parsing and binary decoding yield the same event streams
-     through the transparent Trace_io dispatch;
+     through the transparent Trace_io dispatch, and the binary file is
+     at least three times smaller;
    - race tables are identical across formats and jobs ∈ {1, 4}, and
      the planted ground-truth races are recalled;
    - adversarial inputs (truncated, bit-flipped, stale version, bad
@@ -131,9 +132,9 @@ let test_text_equals_binary_streams () =
     let from_binary = fold_file_events binary in
     check_int "stream length" n_text (List.length from_binary);
     check_events "dispatched streams" from_text from_binary;
-    (* the binary file must actually be smaller *)
+    (* the binary file must be at least three times smaller *)
     let size path = (Unix.stat path).Unix.st_size in
-    check_bool "binary smaller" true (size binary < size text))
+    check_bool "binary 3x smaller" true (size text >= 3 * size binary))
 
 let test_wellformed_accepts_binary () =
   with_temp_files (fun text binary ->

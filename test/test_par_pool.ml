@@ -3,7 +3,6 @@
    whatever the jobs count. *)
 
 module Par_pool = Droidracer_core.Par_pool
-module Bit_matrix = Droidracer_core.Bit_matrix
 module Detector = Droidracer_core.Detector
 module Runtime = Droidracer_appmodel.Runtime
 module Synthetic = Droidracer_corpus.Synthetic
@@ -11,7 +10,6 @@ module Catalog = Droidracer_corpus.Catalog
 module Experiments = Droidracer_report.Experiments
 
 let check_int = Alcotest.check Alcotest.int
-let check_bool = Alcotest.check Alcotest.bool
 let int_list = Alcotest.(list int)
 
 (* {1 parallel_map} *)
@@ -137,19 +135,6 @@ let test_run_catalog_determinism () =
     "catalog runs identical for jobs=1 and jobs=3" (fingerprints 1)
     (fingerprints 3)
 
-(* {1 Bit_matrix copies} *)
-
-let test_matrix_copy_blit () =
-  let m = Bit_matrix.create 70 in
-  Bit_matrix.set m 3 69;
-  let snapshot = Bit_matrix.copy m in
-  Bit_matrix.set m 3 5;
-  check_bool "copy is independent" false (Bit_matrix.get snapshot 3 5);
-  check_bool "copy kept set bit" true (Bit_matrix.get snapshot 3 69);
-  Bit_matrix.blit_row ~src:m ~dst:snapshot 3;
-  check_bool "blit_row overwrites" true (Bit_matrix.get snapshot 3 5);
-  check_int "same population" (Bit_matrix.count m) (Bit_matrix.count snapshot)
-
 let () =
   Alcotest.run "par_pool"
     [ ( "parallel_map"
@@ -167,8 +152,5 @@ let () =
             test_detector_determinism
         ; Alcotest.test_case "run_catalog jobs=1 vs jobs=3" `Quick
             test_run_catalog_determinism
-        ] )
-    ; ( "bit matrix"
-      , [ Alcotest.test_case "copy and blit" `Quick test_matrix_copy_blit
         ] )
     ]

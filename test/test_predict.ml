@@ -268,8 +268,9 @@ let test_budget_exhaustion () =
    Lock-masked Longtrace configs plant reordering-only ground truth:
    the masked locations must be invisible to the batch and streaming
    engines and found by the predictive engine, and predictive recall
-   must cover everything the streaming engine reports.  Three pinned
-   (seed, shape) cases plus a Vargen-derived variant. *)
+   must cover everything the streaming engine reports and strictly
+   extend it.  Four pinned (seed, shape, size) cases plus a
+   Vargen-derived variant. *)
 
 let longtrace_trace config ~events =
   let evs = ref [] in
@@ -313,6 +314,9 @@ let check_masked_case ~seed ~loopers ~masked ~events () =
     (fun l ->
        check_bool ("covers streaming " ^ l) true (List.mem l feasible))
     streaming_locs;
+  (* Reordering strictly extends the streaming engine's report. *)
+  check_bool "more feasible pairs than streaming races" true
+    (report.Predict.feasible > List.length streaming_races);
   (* Every dense race pair individually stays feasible. *)
   List.iter
     (fun r ->
@@ -438,6 +442,8 @@ let () =
     ; ( "planted corpora"
       , [ Alcotest.test_case "longtrace masked seed 11" `Quick
             (check_masked_case ~seed:11 ~loopers:3 ~masked:2 ~events:800)
+        ; Alcotest.test_case "longtrace masked seed 11, 1600 events" `Quick
+            (check_masked_case ~seed:11 ~loopers:3 ~masked:2 ~events:1600)
         ; Alcotest.test_case "longtrace masked seed 42" `Quick
             (check_masked_case ~seed:42 ~loopers:3 ~masked:2 ~events:800)
         ; Alcotest.test_case "longtrace masked seed 7" `Slow

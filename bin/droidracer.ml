@@ -1007,8 +1007,8 @@ let corpus_cmd =
             ~progress files)
       in
       report_progress_path ();
-      let reports = Supervisor.file_completed outcomes in
-      let failed = Supervisor.file_failures outcomes in
+      let reports = Supervisor.completed outcomes in
+      let failed = Supervisor.failures outcomes in
       if reports <> [] then Table.print (Supervisor.file_table reports);
       if failed <> [] then begin
         if reports <> [] then print_newline ();

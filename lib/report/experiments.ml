@@ -5,6 +5,7 @@ type app_run =
   { ar_built : Synthetic.built
   ; ar_result : Runtime.run_result
   ; ar_report : Detector.report
+  ; ar_engine : string
   }
 
 let run_spec ?(config = Detector.default_config) spec =
@@ -20,6 +21,7 @@ let run_spec ?(config = Detector.default_config) spec =
   { ar_built = built
   ; ar_result = result
   ; ar_report = Detector.analyze ~config result.Runtime.observed
+  ; ar_engine = Detector.engine_name config.Detector.engine
   }
 
 (* One domain per application: the corpus fan-out is embarrassingly

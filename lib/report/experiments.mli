@@ -10,6 +10,9 @@ type app_run =
   { ar_built : Synthetic.built
   ; ar_result : Runtime.run_result
   ; ar_report : Detector.report
+  ; ar_engine : string
+        (** the engine that ran ({!Detector.engine_name}), budget
+            fallbacks applied *)
   }
 
 val run_spec : ?config:Detector.config -> Synthetic.spec -> app_run

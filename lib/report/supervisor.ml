@@ -45,14 +45,14 @@ type attempt_error =
 
 let configured_engine config = Detector.engine_name config.Detector.engine
 
-type outcome =
-  | Completed of Experiments.app_run
+type 'r sweep_outcome =
+  | Completed of 'r
   | Failed of failure
 
+type outcome = Experiments.app_run sweep_outcome
+
 let completed outcomes =
-  List.filter_map
-    (function Completed r -> Some r | Failed _ -> None)
-    outcomes
+  List.filter_map (function Completed r -> Some r | Failed _ -> None) outcomes
 
 let failures outcomes =
   List.filter_map (function Failed f -> Some f | Completed _ -> None) outcomes
@@ -248,355 +248,29 @@ let validate_observed name trace =
          (Printf.sprintf "%s: observed trace rejected: %s" name
             (Wellformed.error_message e)))
 
-let attempt_app ~engine ~config ~budget ~attempt spec =
-  let name = spec.Synthetic.s_name in
-  Obs.with_span "supervisor.app"
-    ~args:[ ("app", name); ("attempt", string_of_int attempt) ]
-  @@ fun () ->
-  let deadline =
-    Option.map
-      (fun t -> (Unix.gettimeofday () +. t, t))
-      budget.timeout_seconds
-  in
-  if injected Timeout_fault ~attempt name then
-    raise
-      (Timed_out_exn (Option.value budget.timeout_seconds ~default:0.0));
-  if injected Oom_fault ~attempt name then trigger_oom ();
-  if injected Hang_fault ~attempt name then hang ~deadline;
-  if injected Parse_fault ~attempt name then
-    raise
-      (Rejected_exn
-         (Printf.sprintf "%s: %s" name
-            (Trace_io.parse_error_message
-               { Trace_io.pe_line = 1
-               ; pe_column = 1
-               ; pe_token = Some "\xffinjected"
-               ; pe_message = "injected parse fault: expected a thread id like t0"
-               })));
-  let built = Obs.with_span "supervisor.build" (fun () -> Synthetic.build spec) in
-  checkpoint ~deadline;
-  let result =
-    Obs.with_span "supervisor.run" (fun () ->
-      Runtime.run ~options:built.Synthetic.b_options built.Synthetic.b_app
-        built.Synthetic.b_events)
-  in
-  checkpoint ~deadline;
-  let observed = result.Runtime.observed in
-  if injected Reject_fault ~attempt name then
-    raise
-      (Rejected_exn
-         (Printf.sprintf
-            "%s: observed trace rejected: line 1: [fifo-violation] injected \
-             validator reject"
-            name));
-  validate_observed name observed;
-  checkpoint ~deadline;
-  let config = budgeted_config ~budget ~events:(Trace.length observed) config in
-  engine := configured_engine config;
-  if injected Crash_fault ~attempt name then
-    failwith "injected task exception";
-  let report =
-    Obs.with_span "supervisor.analyze" (fun () ->
-      Detector.analyze ~config observed)
-  in
-  checkpoint ~deadline;
-  { Experiments.ar_built = built; ar_result = result; ar_report = report }
-
-(* One attempt, classified.  [Out_of_memory] and [Stack_overflow] are
-   deliberately NOT captured here: containment for those belongs to the
-   process layer (the isolated child exits with a dedicated status), so
-   they must escape the classifier.  The cooperative wrapper in
-   {!run_app} catches them one level up instead. *)
-let attempt_result ~config ~budget ~attempt spec =
-  let engine = ref (configured_engine config) in
-  let err reason = Error { ae_reason = reason; ae_engine = !engine } in
-  match attempt_app ~engine ~config ~budget ~attempt spec with
-  | run -> Ok run
-  | exception Rejected_exn msg ->
-    Obs.add "ingest.rejected";
-    err (Rejected msg)
-  | exception Timed_out_exn t ->
-    Obs.add "supervisor.timeouts";
-    err (Timed_out t)
-  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-  | exception exn -> err (Crashed (Printexc.to_string exn))
-
-let retryable = function
-  | Rejected _ ->
-    (* Rejection is a verdict about the input, which a retry cannot
-       change; crashes and timeouts may be environmental. *)
-    false
-  | Crashed _ | Timed_out _ -> true
-
-let run_app ?(config = Detector.default_config) ?(budget = no_budget)
-    ?(retry = Proc_pool.default_retry) spec =
-  let name = spec.Synthetic.s_name in
-  let started = Unix.gettimeofday () in
-  let once attempt =
-    match attempt_result ~config ~budget ~attempt spec with
-    | r -> r
-    | exception Out_of_memory ->
-      Error
-        { ae_reason = Crashed "out of memory"
-        ; ae_engine = configured_engine config
-        }
-    | exception Stack_overflow ->
-      Error
-        { ae_reason = Crashed "stack overflow"
-        ; ae_engine = configured_engine config
-        }
-  in
-  let fail ae retries backoff =
-    Failed
-      { f_app = name
-      ; f_reason = ae.ae_reason
-      ; f_engine = ae.ae_engine
-      ; f_elapsed = Unix.gettimeofday () -. started
-      ; f_retries = retries
-      ; f_backoff = backoff
-      }
-  in
-  let rec go attempt backoff =
-    match once attempt with
-    | Ok run -> Completed run
-    | Error ae ->
-      if retryable ae.ae_reason && attempt < retry.Proc_pool.max_retries
-      then begin
-        Obs.add "supervisor.retries";
-        let delay = Proc_pool.backoff_delay retry ~attempt:(attempt + 1) in
-        if delay > 0.0 then Unix.sleepf delay;
-        go (attempt + 1) (backoff +. delay)
-      end
-      else fail ae attempt backoff
-  in
-  go 0 0.0
-
-(* {1 Catalog sweeps} *)
-
-type mode =
-  | Cooperative
-  | Isolated of { max_mem_mib : int option }
-
-let reason_of_death death =
-  match death with
-  | Proc_pool.Hard_deadline t -> Timed_out t
-  | d -> Crashed (Proc_pool.death_message d)
-
-let outcome_of_row ~engine spec (row : _ Proc_pool.row) =
-  match row.Proc_pool.r_result with
-  | Proc_pool.Value (Ok run) -> Completed run
-  | Proc_pool.Value (Error ae) ->
-    Failed
-      { f_app = spec.Synthetic.s_name
-      ; f_reason = ae.ae_reason
-      ; f_engine = ae.ae_engine
-      ; f_elapsed = row.Proc_pool.r_elapsed
-      ; f_retries = row.Proc_pool.r_retries
-      ; f_backoff = row.Proc_pool.r_backoff
-      }
-  | Proc_pool.Died death ->
-    (* A dead worker reports nothing, so the best attribution is the
-       engine the sweep was configured with. *)
-    Failed
-      { f_app = spec.Synthetic.s_name
-      ; f_reason = reason_of_death death
-      ; f_engine = engine
-      ; f_elapsed = row.Proc_pool.r_elapsed
-      ; f_retries = row.Proc_pool.r_retries
-      ; f_backoff = row.Proc_pool.r_backoff
-      }
-
-let record_outcome journal ~app outcome =
-  match journal with
-  | None -> ()
-  | Some j ->
-    Journal.append j ~app
-      ~payload:(Marshal.to_string (outcome : outcome) [ Marshal.Closures ])
-
-(* Outcomes already journalled by an interrupted sweep; replayed instead
-   of re-run.  The journal layer has already discarded records from a
-   different binary, so unmarshalling (closures included) is safe. *)
-let journalled_outcomes journal =
-  match journal with
-  | None -> Hashtbl.create 0
-  | Some j ->
-    let table = Hashtbl.create 16 in
-    List.iter
-      (fun (app, payload) ->
-         match (Marshal.from_string payload 0 : outcome) with
-         | outcome ->
-           if not (Hashtbl.mem table app) then Hashtbl.add table app outcome
-         | exception _ -> ())
-      (Journal.prior j);
-    table
-
-(* One progress record per finished app, whatever substrate finished
-   it.  Completed rows report the observed event count and the
-   analysis wall time; failures report the failure label and the
-   engine the attempt was using. *)
-let report_progress progress ?(resumed = false) ~engine spec outcome =
-  match progress with
-  | None -> ()
-  | Some p ->
-    let app = spec.Synthetic.s_name in
-    (match outcome with
-     | Completed run ->
-       (* Completed runs are attributed to the engine the sweep was
-          configured with — the same rule [outcome_of_row] applies to
-          dead workers; failures carry their own attribution. *)
-       Progress.app_done p ~app ~outcome:"completed" ~engine
-         ~events:(Trace.length run.Experiments.ar_result.Runtime.observed)
-         ~elapsed_seconds:run.Experiments.ar_report.Detector.elapsed_seconds
-         ~resumed ()
-     | Failed f ->
-       Progress.app_done p ~app ~outcome:(reason_label f.f_reason)
-         ~engine:f.f_engine ~events:0 ~elapsed_seconds:f.f_elapsed ~resumed ())
-
-let run_catalog ?(jobs = 1) ?(specs = Catalog.all)
-    ?(config = Detector.default_config) ?(budget = no_budget)
-    ?(retry = Proc_pool.default_retry) ?(mode = Cooperative) ?journal
-    ?progress () =
-  Obs.with_span "supervisor.catalog" @@ fun () ->
-  let prior = journalled_outcomes journal in
-  let resumed name = Hashtbl.find_opt prior name in
-  let to_run =
-    List.filter
-      (fun spec -> resumed spec.Synthetic.s_name = None)
-      specs
-  in
-  let n_resumed = List.length specs - List.length to_run in
-  if n_resumed > 0 then Obs.add ~n:n_resumed "journal.resumed";
-  let engine = configured_engine config in
-  List.iter
-    (fun spec ->
-       match resumed spec.Synthetic.s_name with
-       | Some outcome ->
-         report_progress progress ~resumed:true ~engine spec outcome
-       | None -> ())
-    specs;
-  let fresh = Hashtbl.create 16 in
-  let record spec outcome =
-    record_outcome journal ~app:spec.Synthetic.s_name outcome;
-    report_progress progress ~engine spec outcome
-  in
-  (match mode with
-   | Cooperative ->
-     (* The journal append is mutex-protected, so recording from worker
-        domains as each app finishes is safe — and is what bounds the
-        loss of a killed sweep to the apps still in flight. *)
-     List.iter2
-       (fun spec outcome -> Hashtbl.replace fresh spec.Synthetic.s_name outcome)
-       to_run
-       (Par_pool.parallel_map ~jobs
-          (fun spec ->
-             let outcome = run_app ~config ~budget ~retry spec in
-             record spec outcome;
-             outcome)
-          to_run)
-   | Isolated { max_mem_mib } ->
-     let specs_arr = Array.of_list to_run in
-     let limits =
-       { Proc_pool.deadline_seconds = budget.timeout_seconds; max_mem_mib }
-     in
-     let rows =
-       Proc_pool.map ~jobs ~limits ~retry
-         ~should_retry:(function
-           | Ok _ -> false
-           | Error ae -> retryable ae.ae_reason)
-         ~on_row:(fun idx row ->
-           record specs_arr.(idx) (outcome_of_row ~engine specs_arr.(idx) row))
-         (fun ~attempt spec -> attempt_result ~config ~budget ~attempt spec)
-         to_run
-     in
-     List.iteri
-       (fun idx row ->
-          Hashtbl.replace fresh specs_arr.(idx).Synthetic.s_name
-            (outcome_of_row ~engine specs_arr.(idx) row))
-       rows);
-  (* In isolated mode the worker telemetry has been drained by now, so
-     the summary record's fallback counts are fleet-wide. *)
-  (match progress with Some p -> Progress.finish p | None -> ());
-  List.map
-    (fun spec ->
-       let name = spec.Synthetic.s_name in
-       match resumed name with
-       | Some outcome -> outcome
-       | None ->
-         (match Hashtbl.find_opt fresh name with
-          | Some outcome -> outcome
-          | None -> assert false))
-    specs
-
-let analyze ?(config = Detector.default_config) ?(jobs = 1)
-    ?(budget = no_budget) ~name trace =
-  let started = Unix.gettimeofday () in
-  let engine = ref (configured_engine config) in
-  let fail reason =
-    Error
-      { f_app = name
-      ; f_reason = reason
-      ; f_engine = !engine
-      ; f_elapsed = Unix.gettimeofday () -. started
-      ; f_retries = 0
-      ; f_backoff = 0.0
-      }
-  in
-  match
-    Obs.with_span "supervisor.analyze_one" ~args:[ ("name", name) ]
-    @@ fun () ->
-    let deadline =
-      Option.map
-        (fun t -> (Unix.gettimeofday () +. t, t))
-        budget.timeout_seconds
-    in
-    validate_observed name trace;
-    checkpoint ~deadline;
-    let config = budgeted_config ~budget ~events:(Trace.length trace) config in
-    engine := configured_engine config;
-    let report = Detector.analyze ~config ~jobs trace in
-    checkpoint ~deadline;
-    report
-  with
-  | report -> Ok report
-  | exception Rejected_exn msg ->
-    Obs.add "ingest.rejected";
-    fail (Rejected msg)
-  | exception Timed_out_exn t ->
-    Obs.add "supervisor.timeouts";
-    fail (Timed_out t)
-  | exception exn -> fail (Crashed (Printexc.to_string exn))
-
-(* {1 Trace-file sweeps} *)
-
-type file_report =
-  { fr_file : string
-  ; fr_name : string
-  ; fr_events : int
-  ; fr_races : int
-  ; fr_distinct : int
-  ; fr_engine : string
-  ; fr_elapsed : float
-  ; fr_locations : string list
+(* A job kind: what differs between supervising a catalog app, a trace
+   file and a single in-memory trace.  [k_load] produces the trace to
+   analyse (raising [Rejected_exn] when there is none) together with
+   what to keep of the finished analysis, given the engine that ran;
+   [checkpoint] lets a multi-phase load honour the deadline. *)
+type ('i, 'r) kind =
+  { k_span : string
+  ; k_arg : string  (** the span argument naming the item *)
+  ; k_name : 'i -> string  (** journal key, fault-plan key, row name *)
+  ; k_load :
+      'i ->
+      checkpoint:(unit -> unit) ->
+      Trace.t * (engine:string -> Detector.report -> 'r)
   }
 
-type file_outcome =
-  | File_completed of file_report
-  | File_failed of failure
-
-(* The sweep key: basename without extension, so a binary sweep of
-   variant-0000.drt and a text sweep of variant-0000.trace journal and
-   report under the same name — which is what lets a corpus gate diff
-   the two race tables row by row. *)
-let file_key path = Filename.remove_extension (Filename.basename path)
-
-(* The file analogue of [attempt_app]: load (either trace format — the
-   loader sniffs the magic), validate, analyze.  The same injected
-   faults apply, keyed by the sweep name, so the degradation paths of a
-   file sweep are exactly as testable as a catalog sweep's. *)
-let attempt_file ?(jobs = 1) ~engine ~config ~budget ~attempt path =
-  let name = file_key path in
-  Obs.with_span "supervisor.file"
-    ~args:[ ("file", name); ("attempt", string_of_int attempt) ]
+(* One attempt: the injected faults in plan order around load →
+   validate → budget → analyze.  [engine] is updated once the budget
+   has picked the engine, so a failure after that point is attributed
+   to the engine that was about to run. *)
+let attempt kind ~jobs ~engine ~config ~budget ~attempt item =
+  let name = kind.k_name item in
+  Obs.with_span kind.k_span
+    ~args:[ (kind.k_arg, name); ("attempt", string_of_int attempt) ]
   @@ fun () ->
   let deadline =
     Option.map
@@ -618,10 +292,8 @@ let attempt_file ?(jobs = 1) ~engine ~config ~budget ~attempt path =
                ; pe_token = Some "\xffinjected"
                ; pe_message = "injected parse fault: expected a thread id like t0"
                })));
-  let trace =
-    match Obs.with_span "supervisor.load" (fun () -> Trace_io.load path) with
-    | Ok trace -> trace
-    | Error msg -> raise (Rejected_exn (Printf.sprintf "%s: %s" name msg))
+  let trace, keep =
+    kind.k_load item ~checkpoint:(fun () -> checkpoint ~deadline)
   in
   checkpoint ~deadline;
   if injected Reject_fault ~attempt name then
@@ -642,28 +314,18 @@ let attempt_file ?(jobs = 1) ~engine ~config ~budget ~attempt path =
       Detector.analyze ~config ~jobs trace)
   in
   checkpoint ~deadline;
-  let locations =
-    List.sort_uniq String.compare
-      (List.map
-         (fun classified ->
-            Ident.Location.to_string (Race.location classified.Detector.race))
-         report.Detector.all_races)
-  in
-  { fr_file = path
-  ; fr_name = name
-  ; fr_events = Trace.length trace
-  ; fr_races = List.length report.Detector.all_races
-  ; fr_distinct = List.length report.Detector.distinct_races
-  ; fr_engine = !engine
-  ; fr_elapsed = report.Detector.elapsed_seconds
-  ; fr_locations = locations
-  }
+  keep ~engine:!engine report
 
-let attempt_file_result ?jobs ~config ~budget ~attempt path =
+(* One attempt, classified.  [Out_of_memory] and [Stack_overflow] are
+   deliberately NOT captured here: containment for those belongs to the
+   process layer (the isolated child exits with a dedicated status), so
+   they must escape the classifier.  The cooperative wrapper in {!run}
+   catches them one level up instead. *)
+let attempt_result kind ~jobs ~config ~budget ~attempt:n item =
   let engine = ref (configured_engine config) in
   let err reason = Error { ae_reason = reason; ae_engine = !engine } in
-  match attempt_file ?jobs ~engine ~config ~budget ~attempt path with
-  | report -> Ok report
+  match attempt kind ~jobs ~engine ~config ~budget ~attempt:n item with
+  | r -> Ok r
   | exception Rejected_exn msg ->
     Obs.add "ingest.rejected";
     err (Rejected msg)
@@ -673,37 +335,40 @@ let attempt_file_result ?jobs ~config ~budget ~attempt path =
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception exn -> err (Crashed (Printexc.to_string exn))
 
-let run_file ?jobs ?(config = Detector.default_config) ?(budget = no_budget)
-    ?(retry = Proc_pool.default_retry) path =
-  let name = file_key path in
+let retryable = function
+  | Rejected _ ->
+    (* Rejection is a verdict about the input, which a retry cannot
+       change; crashes and timeouts may be environmental. *)
+    false
+  | Crashed _ | Timed_out _ -> true
+
+let failed ~name ae ~elapsed ~retries ~backoff =
+  Failed
+    { f_app = name
+    ; f_reason = ae.ae_reason
+    ; f_engine = ae.ae_engine
+    ; f_elapsed = elapsed
+    ; f_retries = retries
+    ; f_backoff = backoff
+    }
+
+(* One item in the calling domain, retried under [retry] with
+   deterministic backoff. *)
+let run kind ?(jobs = 1) ?(config = Detector.default_config)
+    ?(budget = no_budget) ?(retry = Proc_pool.default_retry) item =
   let started = Unix.gettimeofday () in
   let once attempt =
-    match attempt_file_result ?jobs ~config ~budget ~attempt path with
+    let crashed msg =
+      Error { ae_reason = Crashed msg; ae_engine = configured_engine config }
+    in
+    match attempt_result kind ~jobs ~config ~budget ~attempt item with
     | r -> r
-    | exception Out_of_memory ->
-      Error
-        { ae_reason = Crashed "out of memory"
-        ; ae_engine = configured_engine config
-        }
-    | exception Stack_overflow ->
-      Error
-        { ae_reason = Crashed "stack overflow"
-        ; ae_engine = configured_engine config
-        }
-  in
-  let fail ae retries backoff =
-    File_failed
-      { f_app = name
-      ; f_reason = ae.ae_reason
-      ; f_engine = ae.ae_engine
-      ; f_elapsed = Unix.gettimeofday () -. started
-      ; f_retries = retries
-      ; f_backoff = backoff
-      }
+    | exception Out_of_memory -> crashed "out of memory"
+    | exception Stack_overflow -> crashed "stack overflow"
   in
   let rec go attempt backoff =
     match once attempt with
-    | Ok report -> File_completed report
+    | Ok r -> Completed r
     | Error ae ->
       if retryable ae.ae_reason && attempt < retry.Proc_pool.max_retries
       then begin
@@ -712,145 +377,254 @@ let run_file ?jobs ?(config = Detector.default_config) ?(budget = no_budget)
         if delay > 0.0 then Unix.sleepf delay;
         go (attempt + 1) (backoff +. delay)
       end
-      else fail ae attempt backoff
+      else
+        failed ~name:(kind.k_name item) ae
+          ~elapsed:(Unix.gettimeofday () -. started)
+          ~retries:attempt ~backoff
   in
   go 0 0.0
 
-let file_outcome_of_row ~engine path (row : _ Proc_pool.row) =
-  match row.Proc_pool.r_result with
-  | Proc_pool.Value (Ok report) -> File_completed report
-  | Proc_pool.Value (Error ae) ->
-    File_failed
-      { f_app = file_key path
-      ; f_reason = ae.ae_reason
-      ; f_engine = ae.ae_engine
-      ; f_elapsed = row.Proc_pool.r_elapsed
-      ; f_retries = row.Proc_pool.r_retries
-      ; f_backoff = row.Proc_pool.r_backoff
-      }
-  | Proc_pool.Died death ->
-    File_failed
-      { f_app = file_key path
-      ; f_reason = reason_of_death death
-      ; f_engine = engine
-      ; f_elapsed = row.Proc_pool.r_elapsed
-      ; f_retries = row.Proc_pool.r_retries
-      ; f_backoff = row.Proc_pool.r_backoff
-      }
+(* {1 Sweeps} *)
 
-(* File outcomes are plain data — no closures to marshal, unlike app
-   outcomes, whose reports can capture classifier functions. *)
-let record_file_outcome journal ~app outcome =
-  match journal with
-  | None -> ()
-  | Some j ->
-    Journal.append j ~app
-      ~payload:(Marshal.to_string (outcome : file_outcome) [])
+type mode =
+  | Cooperative
+  | Isolated of { max_mem_mib : int option }
 
-let journalled_file_outcomes journal =
-  match journal with
-  | None -> Hashtbl.create 0
-  | Some j ->
-    let table = Hashtbl.create 16 in
-    List.iter
-      (fun (app, payload) ->
-         match (Marshal.from_string payload 0 : file_outcome) with
-         | outcome ->
-           if not (Hashtbl.mem table app) then Hashtbl.add table app outcome
-         | exception _ -> ())
-      (Journal.prior j);
-    table
+let reason_of_death death =
+  match death with
+  | Proc_pool.Hard_deadline t -> Timed_out t
+  | d -> Crashed (Proc_pool.death_message d)
 
-(* Unlike catalog rows, completed file rows carry their own engine
-   attribution ([fr_engine], budget fallbacks applied), so no sweep-wide
-   engine is threaded through here. *)
-let report_file_progress progress ?(resumed = false) outcome =
-  match progress with
-  | None -> ()
-  | Some p ->
-    (match outcome with
-     | File_completed r ->
-       Progress.app_done p ~app:r.fr_name ~outcome:"completed"
-         ~engine:r.fr_engine ~events:r.fr_events
-         ~elapsed_seconds:r.fr_elapsed ~resumed ()
-     | File_failed f ->
-       Progress.app_done p ~app:f.f_app ~outcome:(reason_label f.f_reason)
-         ~engine:f.f_engine ~events:0 ~elapsed_seconds:f.f_elapsed ~resumed ())
-
-let run_files ?(jobs = 1) ?(config = Detector.default_config)
-    ?(budget = no_budget) ?(retry = Proc_pool.default_retry)
-    ?(mode = Cooperative) ?journal ?progress paths =
-  Obs.with_span "supervisor.files" @@ fun () ->
-  let prior = journalled_file_outcomes journal in
-  let resumed path = Hashtbl.find_opt prior (file_key path) in
-  let to_run = List.filter (fun path -> resumed path = None) paths in
-  let n_resumed = List.length paths - List.length to_run in
-  if n_resumed > 0 then Obs.add ~n:n_resumed "journal.resumed";
-  let engine = configured_engine config in
-  List.iter
-    (fun path ->
-       match resumed path with
-       | Some outcome -> report_file_progress progress ~resumed:true outcome
-       | None -> ())
-    paths;
-  let fresh = Hashtbl.create 16 in
-  let record path outcome =
-    record_file_outcome journal ~app:(file_key path) outcome;
-    report_file_progress progress outcome
+let outcome_of_row ~engine ~name (row : _ Proc_pool.row) =
+  let fail ae =
+    failed ~name ae ~elapsed:row.Proc_pool.r_elapsed
+      ~retries:row.Proc_pool.r_retries ~backoff:row.Proc_pool.r_backoff
   in
-  (match mode with
-   | Cooperative ->
-     List.iter2
-       (fun path outcome -> Hashtbl.replace fresh (file_key path) outcome)
-       to_run
-       (Par_pool.parallel_map ~jobs
-          (fun path ->
-             let outcome = run_file ~config ~budget ~retry path in
-             record path outcome;
-             outcome)
-          to_run)
-   | Isolated { max_mem_mib } ->
-     let paths_arr = Array.of_list to_run in
-     let limits =
-       { Proc_pool.deadline_seconds = budget.timeout_seconds; max_mem_mib }
-     in
-     let rows =
-       Proc_pool.map ~jobs ~limits ~retry
-         ~should_retry:(function
-           | Ok _ -> false
-           | Error ae -> retryable ae.ae_reason)
-         ~on_row:(fun idx row ->
-           record paths_arr.(idx)
-             (file_outcome_of_row ~engine paths_arr.(idx) row))
-         (fun ~attempt path -> attempt_file_result ~config ~budget ~attempt path)
-         to_run
-     in
-     List.iteri
-       (fun idx row ->
-          Hashtbl.replace fresh
-            (file_key paths_arr.(idx))
-            (file_outcome_of_row ~engine paths_arr.(idx) row))
-       rows);
-  (match progress with Some p -> Progress.finish p | None -> ());
+  match row.Proc_pool.r_result with
+  | Proc_pool.Value (Ok r) -> Completed r
+  | Proc_pool.Value (Error ae) -> fail ae
+  | Proc_pool.Died death ->
+    (* A dead worker reports nothing, so the best attribution is the
+       engine the sweep was configured with. *)
+    fail { ae_reason = reason_of_death death; ae_engine = engine }
+
+(* Outcomes already journalled by an interrupted sweep; replayed instead
+   of re-run.  The journal layer has already discarded records from a
+   different binary, so unmarshalling (closures included) is safe. *)
+let journalled journal =
+  let table = Hashtbl.create 16 in
+  Option.iter
+    (fun j ->
+       List.iter
+         (fun (name, payload) ->
+            match Marshal.from_string payload 0 with
+            | outcome ->
+              if not (Hashtbl.mem table name) then Hashtbl.add table name outcome
+            | exception _ -> ())
+         (Journal.prior j))
+    journal;
+  table
+
+(* One progress record per finished item, whatever substrate finished
+   it.  [summary] reads the engine that ran, the event count and the
+   analysis time off a completed result; failures report the failure
+   label and the engine the attempt was using. *)
+let report_progress progress ~summary ?(resumed = false) ~name outcome =
+  Option.iter
+    (fun p ->
+       match outcome with
+       | Completed r ->
+         let engine, events, elapsed_seconds = summary r in
+         Progress.app_done p ~app:name ~outcome:"completed" ~engine ~events
+           ~elapsed_seconds ~resumed ()
+       | Failed f ->
+         Progress.app_done p ~app:name ~outcome:(reason_label f.f_reason)
+           ~engine:f.f_engine ~events:0 ~elapsed_seconds:f.f_elapsed ~resumed
+           ())
+    progress
+
+let sweep kind ~span ~summary ?(jobs = 1) ?(config = Detector.default_config)
+    ?(budget = no_budget) ?(retry = Proc_pool.default_retry)
+    ?(mode = Cooperative) ?journal ?progress items =
+  Obs.with_span span @@ fun () ->
+  let prior = journalled journal in
+  let resumed item = Hashtbl.find_opt prior (kind.k_name item) in
+  let to_run = List.filter (fun item -> resumed item = None) items in
+  let n_resumed = List.length items - List.length to_run in
+  if n_resumed > 0 then Obs.add ~n:n_resumed "journal.resumed";
+  let report ?resumed item outcome =
+    report_progress progress ~summary ?resumed ~name:(kind.k_name item) outcome
+  in
+  List.iter
+    (fun item -> Option.iter (report ~resumed:true item) (resumed item))
+    items;
+  let record item outcome =
+    Option.iter
+      (fun j ->
+         Journal.append j ~app:(kind.k_name item)
+           ~payload:(Marshal.to_string outcome [ Marshal.Closures ]))
+      journal;
+    report item outcome
+  in
+  let fresh =
+    match mode with
+    | Cooperative ->
+      (* The journal append is mutex-protected, so recording from worker
+         domains as each item finishes is safe — and is what bounds the
+         loss of a killed sweep to the items still in flight. *)
+      Par_pool.parallel_map ~jobs
+        (fun item ->
+           let outcome = run kind ~config ~budget ~retry item in
+           record item outcome;
+           outcome)
+        to_run
+    | Isolated { max_mem_mib } ->
+      let engine = configured_engine config in
+      let items_arr = Array.of_list to_run in
+      let outcome idx row =
+        outcome_of_row ~engine ~name:(kind.k_name items_arr.(idx)) row
+      in
+      let limits =
+        { Proc_pool.deadline_seconds = budget.timeout_seconds; max_mem_mib }
+      in
+      Proc_pool.map ~jobs ~limits ~retry
+        ~should_retry:(function
+          | Ok _ -> false
+          | Error ae -> retryable ae.ae_reason)
+        ~on_row:(fun idx row -> record items_arr.(idx) (outcome idx row))
+        (fun ~attempt item ->
+           attempt_result kind ~jobs:1 ~config ~budget ~attempt item)
+        to_run
+      |> List.mapi outcome
+  in
+  (* In isolated mode the worker telemetry has been drained by now, so
+     the summary record's fallback counts are fleet-wide. *)
+  Option.iter Progress.finish progress;
+  (* [fresh] is in [to_run] order, which is [items] minus the replayed. *)
+  let fresh = ref fresh in
   List.map
-    (fun path ->
-       match resumed path with
-       | Some outcome -> outcome
-       | None ->
-         (match Hashtbl.find_opt fresh (file_key path) with
-          | Some outcome -> outcome
-          | None -> assert false))
-    paths
+    (fun item ->
+       match resumed item, !fresh with
+       | Some outcome, _ -> outcome
+       | None, outcome :: rest ->
+         fresh := rest;
+         outcome
+       | None, [] -> assert false)
+    items
 
-let file_completed outcomes =
-  List.filter_map
-    (function File_completed r -> Some r | File_failed _ -> None)
-    outcomes
+(* {1 Catalog apps} *)
 
-let file_failures outcomes =
-  List.filter_map
-    (function File_failed f -> Some f | File_completed _ -> None)
-    outcomes
+let app_kind =
+  { k_span = "supervisor.app"
+  ; k_arg = "app"
+  ; k_name = (fun spec -> spec.Synthetic.s_name)
+  ; k_load =
+      (fun spec ~checkpoint ->
+         let built =
+           Obs.with_span "supervisor.build" (fun () -> Synthetic.build spec)
+         in
+         checkpoint ();
+         let result =
+           Obs.with_span "supervisor.run" (fun () ->
+             Runtime.run ~options:built.Synthetic.b_options
+               built.Synthetic.b_app built.Synthetic.b_events)
+         in
+         ( result.Runtime.observed
+         , fun ~engine report ->
+             { Experiments.ar_built = built
+             ; ar_result = result
+             ; ar_report = report
+             ; ar_engine = engine
+             } ))
+  }
+
+let run_app ?config ?budget ?retry spec =
+  run app_kind ?config ?budget ?retry spec
+
+let run_catalog ?jobs ?(specs = Catalog.all) ?config ?budget ?retry ?mode
+    ?journal ?progress () =
+  sweep app_kind ~span:"supervisor.catalog"
+    ~summary:(fun run ->
+      ( run.Experiments.ar_engine
+      , Trace.length run.Experiments.ar_result.Runtime.observed
+      , run.Experiments.ar_report.Detector.elapsed_seconds ))
+    ?jobs ?config ?budget ?retry ?mode ?journal ?progress specs
+
+(* {1 Single traces} *)
+
+let analyze_kind =
+  { k_span = "supervisor.analyze_one"
+  ; k_arg = "name"
+  ; k_name = fst
+  ; k_load = (fun (_, trace) ~checkpoint:_ -> (trace, fun ~engine:_ r -> r))
+  }
+
+let analyze ?config ?jobs ?budget ~name trace =
+  match
+    run analyze_kind ?config ?jobs ?budget ~retry:Proc_pool.no_retry
+      (name, trace)
+  with
+  | Completed report -> Ok report
+  | Failed f -> Error f
+
+(* {1 Trace-file sweeps} *)
+
+type file_report =
+  { fr_file : string
+  ; fr_name : string
+  ; fr_events : int
+  ; fr_races : int
+  ; fr_distinct : int
+  ; fr_engine : string
+  ; fr_elapsed : float
+  ; fr_locations : string list
+  }
+
+type file_outcome = file_report sweep_outcome
+
+(* The sweep key: basename without extension, so a binary sweep of
+   variant-0000.drt and a text sweep of variant-0000.trace journal and
+   report under the same name — which is what lets a corpus gate diff
+   the two race tables row by row. *)
+let file_key path = Filename.remove_extension (Filename.basename path)
+
+(* Either trace format: the loader sniffs the magic. *)
+let file_kind =
+  { k_span = "supervisor.file"
+  ; k_arg = "file"
+  ; k_name = file_key
+  ; k_load =
+      (fun path ~checkpoint:_ ->
+         let name = file_key path in
+         let trace =
+           match Obs.with_span "supervisor.load" (fun () -> Trace_io.load path) with
+           | Ok trace -> trace
+           | Error msg -> raise (Rejected_exn (Printf.sprintf "%s: %s" name msg))
+         in
+         ( trace
+         , fun ~engine report ->
+             { fr_file = path
+             ; fr_name = name
+             ; fr_events = Trace.length trace
+             ; fr_races = List.length report.Detector.all_races
+             ; fr_distinct = List.length report.Detector.distinct_races
+             ; fr_engine = engine
+             ; fr_elapsed = report.Detector.elapsed_seconds
+             ; fr_locations =
+                 List.sort_uniq String.compare
+                   (List.map
+                      (fun classified ->
+                         Ident.Location.to_string
+                           (Race.location classified.Detector.race))
+                      report.Detector.all_races)
+             } ))
+  }
+
+let run_file = run file_kind
+
+let run_files =
+  sweep file_kind ~span:"supervisor.files" ~summary:(fun r ->
+    (r.fr_engine, r.fr_events, r.fr_elapsed))
 
 let file_table reports =
   let table =
@@ -881,7 +655,7 @@ let files_json_string outcomes =
     (fun i outcome ->
        if i > 0 then Buffer.add_char buf ',';
        match outcome with
-       | File_completed r ->
+       | Completed r ->
          Printf.bprintf buf
            "{\"name\":\"%s\",\"file\":\"%s\",\"status\":\"completed\",\"events\":%d,\"races\":%d,\"distinct_races\":%d,\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"locations\":["
            (Json.escape r.fr_name) (Json.escape r.fr_file) r.fr_events
@@ -892,7 +666,7 @@ let files_json_string outcomes =
               Printf.bprintf buf "\"%s\"" (Json.escape loc))
            r.fr_locations;
          Buffer.add_string buf "]}"
-       | File_failed f ->
+       | Failed f ->
          Printf.bprintf buf
            "{\"name\":\"%s\",\"status\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d}"
            (Json.escape f.f_app)

@@ -5,10 +5,15 @@ open! Import
     {!Experiments.run_catalog} aborts the whole sweep when any one
     application misbehaves; at the production scale the ROADMAP aims for
     that is unacceptable — one bad input must cost one row, not the
-    fleet.  This module wraps the build → run → ingest → analyze
-    pipeline of one application with:
+    fleet.  This module runs every input through {e one} supervised
+    job runner — load, ingest, analyze — over three job kinds that
+    differ only in the load: a {e catalog app} ({!run_app},
+    {!run_catalog}) builds and runs its model; a {e trace file}
+    ({!run_file}, {!run_files}, the daemon's worker) is read by
+    {!Trace_io.load}; a {e single trace} ({!analyze}) is given.  Around
+    the load the runner adds:
 
-    - an {e ingest gate}: the observed trace is validated by
+    - an {e ingest gate}: the trace is validated by
       {!Wellformed.check} before any analysis sees it (counter
       [ingest.rejected] on refusal);
     - a {e wall-clock budget}: cooperative deadline checks between
@@ -22,7 +27,7 @@ open! Import
       under-approximation — see {!Streaming_engine}), counted by
       [supervisor.fallbacks.dense_streaming];
     - {e exception capture}: any exception becomes a {!failure} row
-      carrying the application, reason and elapsed time;
+      carrying the item, reason and elapsed time;
     - {e retries with deterministic backoff}: crashes and timeouts are
       retried under a {!Proc_pool.retry_policy} (default: retry-once,
       no delay; counter [supervisor.retries]); rejected input is
@@ -30,7 +35,7 @@ open! Import
 
     All of the above is {e cooperative}: a task that never reaches a
     deadline checkpoint, overflows the native stack, or genuinely
-    exhausts memory still takes the sweep down.  {!run_catalog} in
+    exhausts memory still takes the sweep down.  A sweep in
     {!Isolated} mode closes that gap by running each attempt in a
     forked {!Proc_pool} worker, which adds hard SIGKILL deadlines,
     rlimit memory caps, and crash containment — and, combined with a
@@ -38,8 +43,8 @@ open! Import
 
     Outcomes are deterministic across [jobs] values and across modes:
     {!Par_pool} and {!Proc_pool} preserve order, and the fault plan of
-    {!with_faults} is a pure function of the seed and the application
-    name, independent of scheduling. *)
+    {!with_faults} is a pure function of the seed and the item name,
+    independent of scheduling. *)
 
 (** {1 Budgets} *)
 
@@ -78,13 +83,15 @@ type failure =
   ; f_backoff : float  (** total seconds spent in retry backoff delays *)
   }
 
-type outcome =
-  | Completed of Experiments.app_run
-  | Failed of failure
+type 'r sweep_outcome =
+  | Completed of 'r
+  | Failed of failure  (** [f_app] is the item's name *)
 
-val completed : outcome list -> Experiments.app_run list
+type outcome = Experiments.app_run sweep_outcome
 
-val failures : outcome list -> failure list
+val completed : 'r sweep_outcome list -> 'r list
+
+val failures : _ sweep_outcome list -> failure list
 
 val failure_table : failure list -> Table.t
 
@@ -194,12 +201,13 @@ val run_catalog :
     parallelism contract, but misbehaving applications yield {!Failed}
     rows instead of aborting the sweep.
 
-    With [~progress], every finished app is reported to the tracker
+    With [~progress], every finished item is reported to the tracker
     the moment its outcome is known (journal-replayed outcomes are
-    reported upfront with [resumed = true]), and the summary record is
-    written before this function returns — in isolated mode that is
-    after the worker telemetry has been drained, so the final fallback
-    counts are fleet-wide.
+    reported upfront with [resumed = true]), naming the engine that
+    actually ran, and the summary record is written before this
+    function returns — in isolated mode that is after the worker
+    telemetry has been drained, so the final fallback counts are
+    fleet-wide.
 
     With [~journal], every finished outcome is durably appended the
     moment it is known (from whichever domain or [on_row] callback saw
@@ -216,19 +224,14 @@ val analyze :
   name:string ->
   Trace.t ->
   (Detector.report, failure) result
-(** Supervised single-trace analysis: the ingest gate, budgets and
-    exception capture of {!run_app} around {!Detector.analyze} (no
-    retry — a single analysis is deterministic). *)
+(** Supervised single-trace analysis: the runner of {!run_app} on the
+    given trace (no retry — a single analysis is deterministic). *)
 
 (** {1 Trace-file sweeps}
 
-    The catalog drivers above build and run application models; these
-    drivers instead sweep {e pre-recorded trace files} — a directory of
-    generated variants ({!Droidracer_corpus.Vargen}), a crawl's capture
-    archive — with the same supervision: ingest gate, budgets with
-    engine-ladder degradation, retries, fault injection, journaling,
-    progress, and cooperative or process-isolated execution.  Files may
-    be in either trace format; {!Trace_io.load} sniffs the magic. *)
+    The trace-file job kind: a generated corpus
+    ({!Droidracer_corpus.Vargen}), a capture archive, a daemon request.
+    Files may be in either format; {!Trace_io.load} sniffs the magic. *)
 
 type file_report =
   { fr_file : string  (** the path as given *)
@@ -243,9 +246,7 @@ type file_report =
             every racing location — the recall oracle's input *)
   }
 
-type file_outcome =
-  | File_completed of file_report
-  | File_failed of failure  (** [f_app] is the sweep key *)
+type file_outcome = file_report sweep_outcome
 
 val run_file :
   ?jobs:int ->
@@ -270,18 +271,12 @@ val run_files :
   ?progress:Progress.t ->
   string list ->
   file_outcome list
-(** The file analogue of {!run_catalog}: same order/parallelism
-    contract, same journaling and progress semantics, same
-    {!Cooperative}/{!Isolated} substrates.  Outcomes are keyed by
+(** {!run_catalog}'s sweep over trace files.  Outcomes are keyed by
     basename-without-extension, so a resumed sweep must not mix files
     that collide on that key (a corpus directory never does).  Because
     the key also ignores the format extension, sweeping a binary corpus
     and its text twin yields race tables that differ only in [fr_file]
     and timings — the corpus gate's equality check. *)
-
-val file_completed : file_outcome list -> file_report list
-
-val file_failures : file_outcome list -> failure list
 
 val file_table : file_report list -> Table.t
 

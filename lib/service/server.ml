@@ -73,9 +73,11 @@ let default_config endpoint =
 
 (* {1 Worker protocol}
 
-   Jobs and replies are plain data ([Supervisor.file_outcome] carries
-   no closures), so frames marshal without [Closures] and survive
-   nothing more exotic than the pipe. *)
+   A worker runs each job through the supervisor's runner for trace
+   files ([Supervisor.run_file], without retries).  Jobs and replies
+   are plain data ([Supervisor.file_outcome] carries no closures), so
+   frames marshal without [Closures] and survive nothing more exotic
+   than the pipe. *)
 
 type job =
   { j_id : string
@@ -638,17 +640,12 @@ let run config =
        (match Hashtbl.find_opt table b.b_id with
         | Some (Running r) ->
           let now = Unix.gettimeofday () in
-          let reason =
-            match death with
-            | Proc_pool.Hard_deadline t -> Supervisor.Timed_out t
-            | d -> Supervisor.Crashed (Proc_pool.death_message d)
-          in
           complete b.b_id ~requested:r.r_pending.p_engine ~ladder:r.r_ladder
             ~queue_seconds:(b.b_started -. r.r_pending.p_enqueued)
             ~service_seconds:(now -. b.b_started)
-            (Supervisor.File_failed
+            (Supervisor.Failed
                { f_app = b.b_id
-               ; f_reason = reason
+               ; f_reason = Supervisor.reason_of_death death
                ; f_engine = r.r_effective
                ; f_elapsed = now -. b.b_started
                ; f_retries = 0

@@ -205,7 +205,7 @@ type result_summary =
 let summary_of_outcome ~id ~requested ~ladder ~queue_seconds
     (outcome : Supervisor.file_outcome) =
   match outcome with
-  | Supervisor.File_completed r ->
+  | Supervisor.Completed r ->
     { rs_id = id
     ; rs_status = "completed"
     ; rs_reason = ""
@@ -219,7 +219,7 @@ let summary_of_outcome ~id ~requested ~ladder ~queue_seconds
     ; rs_elapsed = r.Supervisor.fr_elapsed
     ; rs_queue_seconds = queue_seconds
     }
-  | Supervisor.File_failed f ->
+  | Supervisor.Failed f ->
     { rs_id = id
     ; rs_status = Supervisor.reason_label f.Supervisor.f_reason
     ; rs_reason = Supervisor.reason_detail f.Supervisor.f_reason

@@ -303,3 +303,47 @@ module Random_trace = struct
     done;
     trace (List.rev g.events)
 end
+
+(* {1 Supervised sweeps} *)
+
+module Supervisor = Droidracer_report.Supervisor
+module Experiments = Droidracer_report.Experiments
+
+(* The structural shape of a sweep outcome: everything except wall-clock
+   elapsed, which legitimately differs between runs. *)
+let shape_of completed = function
+  | Supervisor.Completed r -> completed r
+  | Supervisor.Failed f ->
+    Printf.sprintf "failed %s %s retries=%d backoff=%.6f reason=%s"
+      f.Supervisor.f_app
+      (Supervisor.reason_label f.Supervisor.f_reason)
+      f.Supervisor.f_retries f.Supervisor.f_backoff
+      (Supervisor.reason_detail f.Supervisor.f_reason)
+
+let app_shape =
+  shape_of (fun (run : Experiments.app_run) ->
+    Printf.sprintf "completed %s races=%d engine=%s"
+      run.ar_built.Droidracer_corpus.Synthetic.b_spec.s_name
+      (List.length run.ar_report.Droidracer_core.Detector.all_races)
+      run.ar_engine)
+
+let file_shape =
+  shape_of (fun (r : Supervisor.file_report) ->
+    Printf.sprintf "completed %s events=%d races=%d engine=%s locations=%s"
+      r.fr_name r.fr_events r.fr_races r.fr_engine
+      (String.concat "," r.fr_locations))
+
+(* [count] generated variants written as binary trace files into a
+   fresh temporary directory, which is removed at exit.  Under the
+   basic fault plan, variants 0-5 get: seed 1: 0002 transient crash,
+   0005 persistent reject; seed 3: 0003 transient reject, 0005
+   persistent timeout; seed 6: 0003 transient crash, 0004 persistent
+   reject. *)
+let variant_files ?(seed = 5) ?(events = 400) ~count () =
+  let dir = Filename.temp_dir "droidracer-variants" "" in
+  at_exit (fun () ->
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir);
+  List.map
+    (Droidracer_corpus.Vargen.write ~dir ~binary:true)
+    (Droidracer_corpus.Vargen.variants ~seed ~events ~count ())

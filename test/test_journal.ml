@@ -4,9 +4,9 @@
    (arbitrary app names, binary payloads); a torn final line — the only
    damage a kill -9 mid-write can inflict — is skipped, counted
    (journal.torn) and repaired on resume; a non-journal file is refused;
-   and a sweep interrupted after any prefix of apps, then resumed,
-   produces outcomes and tables bit-identical to an uninterrupted run,
-   for jobs 1 and 4 (the qcheck property). *)
+   and a sweep of catalog apps or of trace files interrupted after any
+   prefix, then resumed, produces outcomes and tables bit-identical to
+   an uninterrupted run, for jobs 1 and 4 (the qcheck property). *)
 
 module Journal = Droidracer_report.Journal
 module Supervisor = Droidracer_report.Supervisor
@@ -135,55 +135,58 @@ let specs2 =
   | a :: b :: _ -> [ a; b ]
   | _ -> assert false
 
-let shape = function
-  | Supervisor.Completed run ->
-    Printf.sprintf "completed %s races=%d"
-      run.Experiments.ar_built.Synthetic.b_spec.Synthetic.s_name
-      (List.length run.Experiments.ar_report.Detector.all_races)
-  | Supervisor.Failed f ->
-    Printf.sprintf "failed %s %s retries=%d backoff=%.6f reason=%s"
-      f.Supervisor.f_app
-      (Supervisor.reason_label f.Supervisor.f_reason)
-      f.Supervisor.f_retries f.Supervisor.f_backoff
-      (Supervisor.reason_detail f.Supervisor.f_reason)
-
 let take n xs = List.filteri (fun i _ -> i < n) xs
 
-let resume_equals_uninterrupted (seed, jobs, prefix) =
-  let budget = { Supervisor.timeout_seconds = Some 60.0; max_events = None } in
+(* Six small trace files, swept as the file job kind; a prefix of 5
+   journals some of their failure rows too (see
+   [Helpers.variant_files]). *)
+let variants6 = lazy (Helpers.variant_files ~count:6 ())
+
+let budget = { Supervisor.timeout_seconds = Some 60.0; max_events = None }
+
+(* Sweep a [prefix] of [items] into a journal (the interrupted run),
+   resume over all of them, and return the resumed outcomes next to
+   an uninterrupted sweep's. *)
+let interrupted_and_direct ~seed ~prefix sweep items =
   let path = temp_path () in
-  (* The interrupted run: only the first [prefix] apps got journalled
-     before the (simulated) kill. *)
   let j0 = Result.get_ok (Journal.create path) in
-  let _ : Supervisor.outcome list =
-    Supervisor.with_faults ~seed (fun () ->
-      Supervisor.run_catalog ~jobs ~specs:(take prefix specs2) ~budget
-        ~journal:j0 ())
-  in
+  ignore
+    (Supervisor.with_faults ~seed (fun () ->
+       sweep ~journal:(Some j0) (take prefix items)));
   Journal.close j0;
-  (* The resumed run over the full spec list. *)
   let j1 = Result.get_ok (Journal.create ~resume:true path) in
   let resumed =
-    Supervisor.with_faults ~seed (fun () ->
-      Supervisor.run_catalog ~jobs ~specs:specs2 ~budget ~journal:j1 ())
+    Supervisor.with_faults ~seed (fun () -> sweep ~journal:(Some j1) items)
   in
   Journal.close j1;
-  (* The uninterrupted reference. *)
-  let direct =
-    Supervisor.with_faults ~seed (fun () ->
-      Supervisor.run_catalog ~jobs ~specs:specs2 ~budget ())
+  let direct = Supervisor.with_faults ~seed (fun () -> sweep ~journal:None items) in
+  (resumed, direct)
+
+let resume_equals_uninterrupted (seed, jobs, prefix) =
+  let resumed, direct =
+    interrupted_and_direct ~seed ~prefix
+      (fun ~journal specs ->
+         Supervisor.run_catalog ~jobs ~specs ~budget ?journal ())
+      specs2
   in
   let table outcomes =
     Table.render (Experiments.table2 (Supervisor.completed outcomes))
   in
-  List.map shape resumed = List.map shape direct
+  let files_resumed, files_direct =
+    interrupted_and_direct ~seed ~prefix
+      (fun ~journal paths -> Supervisor.run_files ~jobs ~budget ?journal paths)
+      (Lazy.force variants6)
+  in
+  List.map Helpers.app_shape resumed = List.map Helpers.app_shape direct
   && String.equal (table resumed) (table direct)
+  && List.map Helpers.file_shape files_resumed
+     = List.map Helpers.file_shape files_direct
 
 let qcheck_resume =
   QCheck2.Test.make ~count:6 ~name:"resume reproduces the uninterrupted sweep"
     ~print:QCheck2.Print.(triple int int int)
     QCheck2.Gen.(
-      triple (oneofl [ 1; 3; 6 ]) (oneofl [ 1; 4 ]) (oneofl [ 0; 1; 2 ]))
+      triple (oneofl [ 1; 3; 6 ]) (oneofl [ 1; 4 ]) (oneofl [ 0; 1; 2; 5 ]))
     resume_equals_uninterrupted
 
 let () =

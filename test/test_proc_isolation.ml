@@ -45,17 +45,6 @@ let specs2 =
 
 let spec_names = List.map (fun s -> s.Synthetic.s_name) specs2
 
-let shape = function
-  | Supervisor.Completed run ->
-    Printf.sprintf "completed %s races=%d"
-      run.Experiments.ar_built.Synthetic.b_spec.Synthetic.s_name
-      (List.length run.Experiments.ar_report.Detector.all_races)
-  | Supervisor.Failed f ->
-    Printf.sprintf "failed %s %s retries=%d reason=%s" f.Supervisor.f_app
-      (Supervisor.reason_label f.Supervisor.f_reason)
-      f.Supervisor.f_retries
-      (Supervisor.reason_detail f.Supervisor.f_reason)
-
 (* {1 The pool itself} *)
 
 let values rows =
@@ -424,19 +413,29 @@ let test_isolated_counters_jobs_deterministic () =
 
 let test_isolated_matches_cooperative () =
   (* On the cooperative fault classes the two modes must agree row for
-     row (seed 3: Aard persistent crash, Music transient crash). *)
+     row, for catalog apps (seed 3: Aard persistent crash, Music
+     transient crash) and for trace files (seed 3: variant-0003
+     transient reject, variant-0005 persistent timeout). *)
   let budget = { Supervisor.timeout_seconds = Some 60.0; max_events = None } in
+  let files = Helpers.variant_files ~count:6 () in
   let sweep mode =
     Supervisor.with_faults ~seed:3 (fun () ->
-      Supervisor.run_catalog ~jobs:2 ~specs:specs2 ~budget ~mode ())
+      ( List.map Helpers.app_shape
+          (Supervisor.run_catalog ~jobs:2 ~specs:specs2 ~budget ~mode ())
+      , List.map Helpers.file_shape
+          (Supervisor.run_files ~jobs:2 ~budget ~mode files) ))
   in
-  (* The isolated sweep must run first: OCaml 5 refuses [fork] once any
-     domain has ever been spawned, and the cooperative sweep spawns
+  (* The isolated sweeps must run first: OCaml 5 refuses [fork] once
+     any domain has ever been spawned, and the cooperative sweeps spawn
      pool domains. *)
-  let isolated = sweep (Supervisor.Isolated { max_mem_mib = None }) in
-  let cooperative = sweep Supervisor.Cooperative in
-  check (Alcotest.list Alcotest.string) "isolated = cooperative"
-    (List.map shape cooperative) (List.map shape isolated)
+  let isolated_apps, isolated_files =
+    sweep (Supervisor.Isolated { max_mem_mib = None })
+  in
+  let cooperative_apps, cooperative_files = sweep Supervisor.Cooperative in
+  check (Alcotest.list Alcotest.string) "apps: isolated = cooperative"
+    cooperative_apps isolated_apps;
+  check (Alcotest.list Alcotest.string) "files: isolated = cooperative"
+    cooperative_files isolated_files
 
 let () =
   Alcotest.run "proc_isolation"

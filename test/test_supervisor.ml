@@ -39,22 +39,17 @@ let specs2 =
 
 let spec_names = List.map (fun s -> s.Synthetic.s_name) specs2
 
-(* The structural shape of an outcome: everything except wall-clock
-   elapsed, which legitimately differs between runs. *)
-let shape = function
-  | Supervisor.Completed run ->
-    Printf.sprintf "completed %s races=%d"
-      run.Experiments.ar_built.Synthetic.b_spec.Synthetic.s_name
-      (List.length run.Experiments.ar_report.Detector.all_races)
-  | Supervisor.Failed f ->
-    Printf.sprintf "failed %s %s retries=%d reason=%s" f.Supervisor.f_app
-      (Supervisor.reason_label f.Supervisor.f_reason)
-      f.Supervisor.f_retries
-      (Supervisor.reason_detail f.Supervisor.f_reason)
-
 let run_seeded ?(jobs = 1) seed =
   Supervisor.with_faults ~seed (fun () ->
     Supervisor.run_catalog ~jobs ~specs:specs2 ())
+
+(* Six small variants: every seed of [test_jobs_determinism] faults
+   some of them (see [Helpers.variant_files]). *)
+let variants6 = lazy (variant_files ~count:6 ())
+
+let run_files_seeded ?(jobs = 1) seed =
+  Supervisor.with_faults ~seed (fun () ->
+    Supervisor.run_files ~jobs (Lazy.force variants6))
 
 (* {1 The fault plan} *)
 
@@ -181,13 +176,23 @@ let test_no_faults_outside_with_faults () =
 (* {1 Determinism across jobs} *)
 
 let test_jobs_determinism () =
+  let agree what seed s1 s4 =
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "%s, seed %d: jobs=1 and jobs=4 agree" what seed)
+      s1 s4
+  in
   List.iter
     (fun seed ->
-       let s1 = List.map shape (run_seeded ~jobs:1 seed) in
-       let s4 = List.map shape (run_seeded ~jobs:4 seed) in
-       check (Alcotest.list Alcotest.string)
-         (Printf.sprintf "seed %d: jobs=1 and jobs=4 agree" seed)
-         s1 s4)
+       agree "catalog" seed
+         (List.map app_shape (run_seeded ~jobs:1 seed))
+         (List.map app_shape (run_seeded ~jobs:4 seed));
+       let files = List.map file_shape (run_files_seeded ~jobs:1 seed) in
+       agree "files" seed files
+         (List.map file_shape (run_files_seeded ~jobs:4 seed));
+       check_bool
+         (Printf.sprintf "files, seed %d: the plan fails a row" seed)
+         true
+         (List.exists (String.starts_with ~prefix:"failed") files))
     [ 1; 3; 6 ]
 
 (* {1 Budgets} *)
@@ -349,12 +354,9 @@ let test_failures_json () =
 
 (* {1 Live sweep progress} *)
 
-let test_progress_jsonl () =
-  (* Seed 3: Aard = persistent crash (fails), Music = transient crash
-     (retries, then completes) — one of each terminal outcome.  Every
-     line of the JSONL stream must parse; the header carries the
-     schema; the summary must agree with the outcome rows. *)
-  with_obs @@ fun () ->
+(* A catalog sweep of [specs2] reporting into a progress tracker: the
+   outcomes, the parsed JSONL records and the heartbeat lines. *)
+let progress_sweep ?budget ?seed () =
   let path = Filename.temp_file "droidracer-progress-" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let heartbeats = ref [] in
@@ -366,21 +368,33 @@ let test_progress_jsonl () =
         ~heartbeat:(fun line -> heartbeats := line :: !heartbeats)
         ~mode:"cooperative" ~jobs:2 ~total:(List.length specs2) ()
     in
-    Supervisor.with_faults ~seed:3 (fun () ->
-      Supervisor.run_catalog ~jobs:2 ~specs:specs2 ~progress ())
+    let sweep () =
+      Supervisor.run_catalog ~jobs:2 ~specs:specs2 ?budget ~progress ()
+    in
+    match seed with
+    | Some seed -> Supervisor.with_faults ~seed sweep
+    | None -> sweep ()
   in
-  let completed, failed =
-    List.partition (function Supervisor.Completed _ -> true | _ -> false)
-      outcomes
-  in
-  let lines = In_channel.with_open_text path In_channel.input_lines in
   let records =
     List.map
       (fun line ->
          match Json_parse.parse line with
          | Ok v -> v
          | Error msg -> Alcotest.failf "bad JSONL line: %s\n%s" msg line)
-      lines
+      (In_channel.with_open_text path In_channel.input_lines)
+  in
+  (outcomes, records, !heartbeats)
+
+let test_progress_jsonl () =
+  (* Seed 3: Aard = persistent crash (fails), Music = transient crash
+     (retries, then completes) — one of each terminal outcome.  Every
+     line of the JSONL stream must parse; the header carries the
+     schema; the summary must agree with the outcome rows. *)
+  with_obs @@ fun () ->
+  let outcomes, records, heartbeats = progress_sweep ~seed:3 () in
+  let completed, failed =
+    List.partition (function Supervisor.Completed _ -> true | _ -> false)
+      outcomes
   in
   (* header + one record per app + summary *)
   check_int "record count" (List.length specs2 + 2) (List.length records);
@@ -429,9 +443,26 @@ let test_progress_jsonl () =
      num "failed" (List.length failed)
    | [] -> Alcotest.fail "empty progress stream");
   (* heartbeats: one per app plus the final "sweep done" line *)
-  check_int "heartbeat count" (List.length specs2 + 1) (List.length !heartbeats);
+  check_int "heartbeat count" (List.length specs2 + 1) (List.length heartbeats);
   check_bool "final heartbeat is the summary" true
-    (Astring_contains.contains (List.hd !heartbeats) "sweep done")
+    (Astring_contains.contains (List.hd heartbeats) "sweep done");
+  (* Far over the event budget both apps complete on the streaming
+     engine, and their records must name it rather than the configured
+     dense engine. *)
+  let budget = { Supervisor.timeout_seconds = None; max_events = Some 2 } in
+  let _, records, _ = progress_sweep ~budget () in
+  let apps =
+    List.filter
+      (fun r ->
+         Json_parse.member "outcome" r = Some (Json_parse.String "completed"))
+      records
+  in
+  check_int "every app completed" (List.length specs2) (List.length apps);
+  List.iter
+    (fun r ->
+       check_bool "completed record names the streaming engine" true
+         (Json_parse.member "engine" r = Some (Json_parse.String "streaming")))
+    apps
 
 (* {1 Trace-file sweeps} *)
 
@@ -457,8 +488,8 @@ let test_run_files () =
   let from_bin = Supervisor.run_files ~jobs:2 bin in
   let from_txt = Supervisor.run_files ~jobs:1 txt in
   check_int "binary rows complete" 3
-    (List.length (Supervisor.file_completed from_bin));
-  check_int "no failures" 0 (List.length (Supervisor.file_failures from_bin));
+    (List.length (Supervisor.completed from_bin));
+  check_int "no failures" 0 (List.length (Supervisor.failures from_bin));
   let key r =
     ( r.Supervisor.fr_name
     , r.Supervisor.fr_events
@@ -467,8 +498,8 @@ let test_run_files () =
     , r.Supervisor.fr_locations )
   in
   check_bool "binary sweep = text sweep (modulo file and timing)" true
-    (List.map key (Supervisor.file_completed from_bin)
-     = List.map key (Supervisor.file_completed from_txt));
+    (List.map key (Supervisor.completed from_bin)
+     = List.map key (Supervisor.completed from_txt));
   List.iter2
     (fun v r ->
        List.iter
@@ -479,14 +510,14 @@ let test_run_files () =
               (List.mem planted r.Supervisor.fr_locations))
          v.Vargen.v_planted)
     variants
-    (Supervisor.file_completed from_bin);
+    (Supervisor.completed from_bin);
   let json = Supervisor.files_json_string from_bin in
   check_bool "races JSON schema" true
     (Astring_contains.contains json "droidracer-races/1");
   check_bool "races JSON keys rows by extension-free name" true
     (Astring_contains.contains json "\"name\":\"variant-0000\"");
   match Supervisor.run_files [ Filename.concat dir "missing.trace" ] with
-  | [ Supervisor.File_failed f ] ->
+  | [ Supervisor.Failed f ] ->
     check_bool "missing file is a rejected row" true
       (match f.Supervisor.f_reason with
        | Supervisor.Rejected _ -> true

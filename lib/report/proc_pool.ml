@@ -86,19 +86,19 @@ type 'b row =
 
 (* {1 Wire framing}
 
-   One length-prefixed Marshal frame per message.  The parent sends
-   [(index, attempt)] pairs; a worker replies with a ['b reply]
-   marshalled with [Closures] — parent and child are the same forked
-   image, so closure code pointers round-trip.  A short read means the
-   peer died; the length prefix bounds the allocation.
+   One length-prefixed Marshal frame per message.  The parent sends one
+   request per frame; a worker replies with an ['r reply] marshalled
+   with [Closures] — parent and child are the same forked image, so
+   closure code pointers round-trip.  A short read means the peer died;
+   the length prefix bounds the allocation.
 
-   Besides task values, a worker that sees EOF on its request pipe
+   Besides request values, a worker that sees EOF on its request pipe
    ships one final [Reply_telemetry] frame carrying its whole
    [Obs.export_state] blob, so a graceful worker's spans and counters
    survive the process boundary. *)
 
-type 'b reply =
-  | Reply_value of int * 'b
+type 'r reply =
+  | Reply_value of 'r
   | Reply_telemetry of string
 
 let max_frame_bytes = 1 lsl 30
@@ -109,12 +109,16 @@ let rec write_all fd buf pos len =
     | n -> write_all fd buf (pos + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf pos len
 
-let write_frame fd payload =
+let frame payload =
   let len = Bytes.length payload in
-  let hdr = Bytes.create 8 in
-  Bytes.set_int64_be hdr 0 (Int64.of_int len);
-  write_all fd hdr 0 8;
-  write_all fd payload 0 len
+  let buf = Bytes.create (8 + len) in
+  Bytes.set_int64_be buf 0 (Int64.of_int len);
+  Bytes.blit payload 0 buf 8 len;
+  buf
+
+let write_frame fd payload =
+  let buf = frame payload in
+  write_all fd buf 0 (Bytes.length buf)
 
 let read_exact fd len =
   let buf = Bytes.create len in
@@ -138,8 +142,8 @@ let read_frame fd =
 
 (* {1 The worker side}
 
-   Workers are forked with the task function and item array already in
-   memory and loop on the request pipe until EOF.  [Out_of_memory] and
+   Workers are forked with the serve function already in memory and
+   loop on the request pipe until EOF.  [Out_of_memory] and
    [Stack_overflow] cannot be reported over the pipe reliably (the
    marshaller itself needs memory), so they become dedicated exit
    statuses the parent translates back. *)
@@ -160,7 +164,7 @@ let in_worker_flag = ref false
 
 let in_worker () = !in_worker_flag
 
-let child_main ~max_mem ~sidecar ~f ~items rfd wfd =
+let child_main ~max_mem ~sidecar ~serve rfd wfd =
   in_worker_flag := true;
   Obs.on_fork ();
   Obs.set_process_label
@@ -174,8 +178,8 @@ let child_main ~max_mem ~sidecar ~f ~items rfd wfd =
     | Some dir ->
       Some (Filename.concat dir (Printf.sprintf "obs-%d.state" (Unix.getpid ())))
   in
-  (* Crash insurance: refresh the sidecar after every task, so a
-     SIGKILL (hard deadline, OOM killer) loses at most the task in
+  (* Crash insurance: refresh the sidecar after every request, so a
+     SIGKILL (hard deadline, OOM killer) loses at most the request in
      flight.  The write is temp+rename, so the parent never reads a
      torn state. *)
   let write_sidecar () =
@@ -204,12 +208,11 @@ let child_main ~max_mem ~sidecar ~f ~items rfd wfd =
     match read_frame rfd with
     | None -> farewell ()
     | Some req ->
-      let (idx, attempt) : int * int = Marshal.from_bytes req 0 in
-      (match f ~attempt items.(idx) with
+      (match serve (Marshal.from_bytes req 0) with
        | v ->
          (try
             write_frame wfd
-              (Marshal.to_bytes (Reply_value (idx, v)) [ Marshal.Closures ])
+              (Marshal.to_bytes (Reply_value v) [ Marshal.Closures ])
           with _ -> Unix._exit 0);
          Obs.maybe_sample ();
          write_sidecar ();
@@ -218,14 +221,285 @@ let child_main ~max_mem ~sidecar ~f ~items rfd wfd =
        | exception Stack_overflow -> Unix._exit stack_exit_status
        | exception exn ->
          (try
-            Printf.eprintf "proc_pool worker: uncaught exception: %s\n%!"
+            Printf.eprintf "droidracer worker: uncaught exception: %s\n%!"
               (Printexc.to_string exn)
           with _ -> ());
          Unix._exit uncaught_exit_status)
   in
   loop ()
 
-(* {1 The parent side} *)
+(* {1 The fleet} *)
+
+type slot = int
+
+type 'r event =
+  | Reply of slot * 'r
+  | Death of slot * death
+
+type slot_state =
+  | Idle
+  | Busy of { deadline : float; budget : float }  (* infinite: no budget *)
+  | Dead of { ready_at : float }  (* earliest respawn *)
+
+type worker =
+  { mutable pid : int
+  ; mutable wr : Unix.file_descr  (* parent -> child requests *)
+  ; mutable rd : Unix.file_descr  (* child -> parent replies *)
+  ; mutable state : slot_state
+  ; mutable deaths : int  (* consecutive, drives the respawn backoff *)
+  }
+
+type ('q, 'r) fleet =
+  { serve : 'q -> 'r
+  ; max_mem_mib : int option
+  ; sidecar_dir : string option
+  ; inherited : unit -> Unix.file_descr list
+  ; backoff : retry_policy
+  ; workers : worker array
+  ; mutable unreported : (slot * death) list
+        (* deaths found by [send], newest first; the next [step] reports
+           them *)
+  }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let rec waitpid_quietly pid =
+  match Unix.waitpid [] pid with
+  | _, status -> Some status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_quietly pid
+  | exception Unix.Unix_error _ -> None
+
+let live w = match w.state with Dead _ -> false | Idle | Busy _ -> true
+
+let sigkill w = try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* A freshly forked child inherits the parent's ends of every sibling
+   pipe and every caller descriptor; it must close them, or the parent
+   would never see EOF when a sibling dies (nor a client when the
+   caller closes its socket). *)
+let spawn t slot =
+  let req_r, req_w = Unix.pipe ~cloexec:false () in
+  let res_r, res_w = Unix.pipe ~cloexec:false () in
+  match Unix.fork () with
+  | exception Failure _ ->
+    (* OCaml 5 refuses [fork] once any domain has ever been spawned,
+       even after every domain is joined; quiescing the pool cannot
+       lift that.  Re-raise with the actionable constraint. *)
+    List.iter close_quietly [ req_r; req_w; res_r; res_w ];
+    failwith
+      "Proc_pool: Unix.fork is unavailable because this process already \
+       spawned domains (the OCaml 5 runtime permits fork only before the \
+       first Domain.spawn, even if every domain has since been joined); \
+       run the isolated sweep before any domain-parallel computation"
+  | 0 ->
+    Array.iter
+      (fun w -> if live w then List.iter close_quietly [ w.wr; w.rd ])
+      t.workers;
+    List.iter close_quietly (t.inherited ());
+    close_quietly req_w;
+    close_quietly res_r;
+    (try
+       child_main ~max_mem:t.max_mem_mib ~sidecar:t.sidecar_dir ~serve:t.serve
+         req_r res_w
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    close_quietly req_r;
+    close_quietly res_w;
+    let w = t.workers.(slot) in
+    w.pid <- pid;
+    w.wr <- req_w;
+    w.rd <- res_r;
+    w.state <- Idle
+
+(* Close the dead worker's pipes, collect its exit status, and schedule
+   the slot's respawn under the consecutive-death backoff. *)
+let reap ?forced t w =
+  close_quietly w.wr;
+  close_quietly w.rd;
+  let status = waitpid_quietly w.pid in
+  let death =
+    match (forced, status) with
+    | Some death, _ -> death
+    | None, Some status -> death_of_status ?max_mem_mib:t.max_mem_mib status
+    | None, None -> Exited 0
+  in
+  (match death with Oom_killed _ -> Obs.add "proc.oom" | _ -> ());
+  w.deaths <- w.deaths + 1;
+  (* Cap the exponent: the slot penalty only keeps a poisoned host from
+     hot-looping. *)
+  let penalty = backoff_delay t.backoff ~attempt:(min w.deaths 6) in
+  w.state <- Dead { ready_at = Unix.gettimeofday () +. penalty };
+  death
+
+(* Close every request pipe (EOF triggers each graceful worker's
+   telemetry farewell), pump the reply pipes for those farewells until
+   [grace] runs out, SIGKILL whoever is still alive, then absorb the
+   sidecars of every worker that died without a farewell. *)
+let shutdown ?(grace = 5.0) t =
+  let deadline = Unix.gettimeofday () +. grace in
+  Array.iter (fun w -> if live w then close_quietly w.wr) t.workers;
+  Array.iter
+    (fun w ->
+       if live w then begin
+         let rec pump () =
+           let remaining = deadline -. Unix.gettimeofday () in
+           if remaining <= 0.0 then sigkill w
+           else
+             match Unix.select [ w.rd ] [] [] remaining with
+             | [], _, _ -> sigkill w
+             | _ :: _, _, _ ->
+               (match read_frame w.rd with
+                | None -> ()
+                | Some frame ->
+                  (match (Marshal.from_bytes frame 0 : _ reply) with
+                   | Reply_telemetry state -> ignore (Obs.absorb_state state)
+                   | Reply_value _ -> ());
+                  pump ())
+             | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
+         in
+         pump ();
+         close_quietly w.rd;
+         ignore (waitpid_quietly w.pid);
+         w.state <- Dead { ready_at = Float.infinity }
+       end)
+    t.workers;
+  match t.sidecar_dir with
+  | None -> ()
+  | Some dir ->
+    (match Sys.readdir dir with
+     | files ->
+       Array.iter
+         (fun file ->
+            let path = Filename.concat dir file in
+            if String.starts_with ~prefix:"obs-" file then
+              ignore (Obs.absorb_state_file path);
+            try Sys.remove path with Sys_error _ -> ())
+         files
+     | exception Sys_error _ -> ());
+    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+
+let fleet ?max_mem_mib ?(sidecar = false) ?(inherited = fun () -> [])
+    ~backoff ~slots serve =
+  (* When telemetry is on, give the workers a private directory for
+     their crash sidecars.  Workers that exit gracefully remove their
+     file and ship the state over the pipe instead, so whatever remains
+     at shutdown is exactly the killed workers' telemetry. *)
+  let sidecar_dir =
+    if not (sidecar && Obs.enabled ()) then None
+    else begin
+      let path = Filename.temp_file "droidracer-obs-" ".d" in
+      Sys.remove path;
+      try
+        Unix.mkdir path 0o700;
+        Some path
+      with Unix.Unix_error _ -> None
+    end
+  in
+  let t =
+    { serve
+    ; max_mem_mib
+    ; sidecar_dir
+    ; inherited
+    ; backoff
+    ; workers =
+        Array.init (max 1 slots) (fun _ ->
+          { pid = 0
+          ; wr = Unix.stdin
+          ; rd = Unix.stdin
+          ; state = Dead { ready_at = Float.infinity }
+          ; deaths = 0
+          })
+    ; unreported = []
+    }
+  in
+  (try Array.iteri (fun slot _ -> spawn t slot) t.workers
+   with exn ->
+     shutdown ~grace:0.0 t;
+     raise exn);
+  t
+
+let idle t =
+  List.filter
+    (fun slot -> t.workers.(slot).state = Idle)
+    (List.init (Array.length t.workers) Fun.id)
+
+let send t slot ~budget request =
+  let w = t.workers.(slot) in
+  let now = Unix.gettimeofday () in
+  match write_frame w.wr (Marshal.to_bytes request [ Marshal.Closures ]) with
+  | () ->
+    let budget = Option.value budget ~default:Float.infinity in
+    w.state <- Busy { deadline = now +. budget; budget };
+    true
+  | exception Unix.Unix_error _ ->
+    t.unreported <- (slot, reap t w) :: t.unreported;
+    false
+
+let respawn_due t =
+  let now = Unix.gettimeofday () in
+  Array.iteri
+    (fun slot w ->
+       match w.state with
+       | Dead { ready_at } when now >= ready_at ->
+         Obs.add "proc.restarts";
+         spawn t slot
+       | Dead _ | Idle | Busy _ -> ())
+    t.workers
+
+let fds t =
+  Array.fold_right
+    (fun w acc -> if live w then w.rd :: acc else acc)
+    t.workers []
+
+let wake t ~respawn =
+  Array.fold_left
+    (fun acc w ->
+       match w.state with
+       | Busy { deadline; _ } -> Float.min acc deadline
+       | Dead { ready_at } when respawn -> Float.min acc ready_at
+       | Dead _ | Idle -> acc)
+    Float.infinity t.workers
+
+let step t ~readable =
+  let events = ref (List.map (fun (slot, d) -> Death (slot, d)) t.unreported) in
+  t.unreported <- [];
+  Array.iteri
+    (fun slot w ->
+       if live w && List.memq w.rd readable then
+         match read_frame w.rd with
+         | None -> events := Death (slot, reap t w) :: !events
+         | Some frame ->
+           (match ((Marshal.from_bytes frame 0 : _ reply), w.state) with
+            | Reply_telemetry state, _ -> ignore (Obs.absorb_state state)
+            | Reply_value v, Busy _ ->
+              w.deaths <- 0;
+              w.state <- Idle;
+              events := Reply (slot, v) :: !events
+            | Reply_value _, (Idle | Dead _) -> ()))
+    t.workers;
+  let now = Unix.gettimeofday () in
+  Array.iteri
+    (fun slot w ->
+       match w.state with
+       | Busy { deadline; budget } when now >= deadline ->
+         Obs.add "proc.kills";
+         sigkill w;
+         let death = reap ~forced:(Hard_deadline budget) t w in
+         events := Death (slot, death) :: !events
+       | Busy _ | Idle | Dead _ -> ())
+    t.workers;
+  List.rev !events
+
+let count t p =
+  Array.fold_left (fun n w -> if p w then n + 1 else n) 0 t.workers
+
+let live_count t = count t live
+
+let busy_count t =
+  count t (fun w -> match w.state with Busy _ -> true | Idle | Dead _ -> false)
+
+(* {1 The pool} *)
 
 type 'b task =
   { t_idx : int
@@ -236,51 +510,6 @@ type 'b task =
   ; mutable t_started : float  (* first dispatch; nan until then *)
   ; mutable t_deaths : death list  (* newest first *)
   }
-
-type worker_state =
-  | Idle
-  | Busy of { b_idx : int; b_deadline : float option }
-  | Dead of { d_ready_at : float }
-
-type worker =
-  { mutable w_pid : int
-  ; mutable w_wr : Unix.file_descr  (* parent -> child requests *)
-  ; mutable w_rd : Unix.file_descr  (* child -> parent results *)
-  ; mutable w_state : worker_state
-  ; mutable w_deaths : int  (* consecutive, drives respawn backoff *)
-  }
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* A freshly forked child inherits the parent's ends of every sibling
-   pipe; it must close them, or the parent would never see EOF when a
-   sibling dies. *)
-let spawn ~limits ~sidecar ~f ~items ~sibling_fds =
-  let req_r, req_w = Unix.pipe ~cloexec:false () in
-  let res_r, res_w = Unix.pipe ~cloexec:false () in
-  match Unix.fork () with
-  | exception Failure _ ->
-    (* OCaml 5 refuses [fork] once any domain has ever been spawned,
-       even after every domain is joined; quiescing the pool cannot
-       lift that.  Re-raise with the actionable constraint. *)
-    List.iter close_quietly [ req_r; req_w; res_r; res_w ];
-    failwith
-      "Proc_pool.map: Unix.fork is unavailable because this process \
-       already spawned domains (the OCaml 5 runtime permits fork only \
-       before the first Domain.spawn, even if every domain has since \
-       been joined); run the isolated sweep before any domain-parallel \
-       computation"
-  | 0 ->
-    List.iter close_quietly sibling_fds;
-    close_quietly req_w;
-    close_quietly res_r;
-    (try child_main ~max_mem:limits.max_mem_mib ~sidecar ~f ~items req_r res_w
-     with _ -> ());
-    Unix._exit 0
-  | pid ->
-    close_quietly req_r;
-    close_quietly res_w;
-    (pid, req_w, res_r)
 
 let map ?(jobs = 1) ?(limits = no_limits) ?(retry = default_retry)
     ?(should_retry = fun _ -> false) ?(on_row = fun _ _ -> ()) f items =
@@ -294,25 +523,8 @@ let map ?(jobs = 1) ?(limits = no_limits) ?(retry = default_retry)
        ran (see [spawn]), but it guarantees no worker domain is mid-task
        while we fork. *)
     Par_pool.quiesce ();
-    (* When telemetry is on, give the workers a private directory for
-       their crash sidecars.  Workers that exit gracefully remove their
-       file and ship the state over the pipe instead, so whatever
-       remains at the end of the sweep is exactly the killed workers'
-       telemetry. *)
-    let sidecar_dir =
-      if not (Obs.enabled ()) then None
-      else begin
-        let path = Filename.temp_file "droidracer-obs-" ".d" in
-        Sys.remove path;
-        try
-          Unix.mkdir path 0o700;
-          Some path
-        with Unix.Unix_error _ -> None
-      end
-    in
     let items_arr = Array.of_list items in
     let n = Array.length items_arr in
-    let jobs = max 1 (min jobs n) in
     let tasks =
       Array.mapi
         (fun i item ->
@@ -329,31 +541,13 @@ let map ?(jobs = 1) ?(limits = no_limits) ?(retry = default_retry)
     let pending = ref (Array.to_list tasks) in
     let rows = Array.make n None in
     let finished = ref 0 in
+    let fl =
+      fleet ?max_mem_mib:limits.max_mem_mib ~sidecar:true ~backoff:retry
+        ~slots:(min jobs n)
+        (fun (idx, attempt) -> f ~attempt items_arr.(idx))
+    in
+    let running = Array.make (Array.length fl.workers) None in
     let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-    let workers = Array.make jobs None in
-    let live_fds ~except =
-      Array.to_list workers
-      |> List.concat_map (function
-        | Some w when w.w_pid <> except ->
-          (match w.w_state with Dead _ -> [] | _ -> [ w.w_wr; w.w_rd ])
-        | Some _ | None -> [])
-    in
-    let respawn slot =
-      let pid, wr, rd =
-        spawn ~limits ~sidecar:sidecar_dir ~f ~items:items_arr
-          ~sibling_fds:(live_fds ~except:(-1))
-      in
-      match workers.(slot) with
-      | None ->
-        workers.(slot) <-
-          Some { w_pid = pid; w_wr = wr; w_rd = rd; w_state = Idle; w_deaths = 0 }
-      | Some w ->
-        Obs.add "proc.restarts";
-        w.w_pid <- pid;
-        w.w_wr <- wr;
-        w.w_rd <- rd;
-        w.w_state <- Idle
-    in
     let finish task result =
       let now = Unix.gettimeofday () in
       let row =
@@ -386,65 +580,17 @@ let map ?(jobs = 1) ?(limits = no_limits) ?(retry = default_retry)
       if task.t_attempt < retry.max_retries then requeue task
       else finish task (Died death)
     in
-    (* Reap a dead worker: close its pipes, collect the exit status, and
-       schedule the slot's respawn under the consecutive-death backoff. *)
-    let reap ?forced w =
-      close_quietly w.w_wr;
-      close_quietly w.w_rd;
-      let _, status = Unix.waitpid [] w.w_pid in
-      let death =
-        match forced with
-        | Some death -> death
-        | None ->
-          let death = death_of_status ?max_mem_mib:limits.max_mem_mib status in
-          (match death with Oom_killed _ -> Obs.add "proc.oom" | _ -> ());
-          death
-      in
-      let busy =
-        match w.w_state with
-        | Busy b -> Some tasks.(b.b_idx)
-        | Idle | Dead _ -> None
-      in
-      w.w_deaths <- w.w_deaths + 1;
-      (* Cap the respawn penalty: the backoff that matters for rows is
-         the per-task one; the slot penalty just keeps a poisoned host
-         from hot-looping. *)
-      let penalty = backoff_delay retry ~attempt:(min w.w_deaths 6) in
-      w.w_state <- Dead { d_ready_at = Unix.gettimeofday () +. penalty };
-      Option.iter (fun task -> handle_death task death) busy
-    in
-    let handle_readable w =
-      match read_frame w.w_rd with
-      | Some frame ->
-        (match (Marshal.from_bytes frame 0 : _ reply) with
-         | Reply_telemetry state -> ignore (Obs.absorb_state state)
-         | Reply_value (idx, v) ->
-           (match w.w_state with
-            | Busy b when b.b_idx = idx ->
-              w.w_deaths <- 0;
-              w.w_state <- Idle;
-              handle_value tasks.(idx) v
-            | Idle | Busy _ | Dead _ ->
-              (* A frame we no longer expect (e.g. computed just as the
-                 deadline killed the worker): drop it. *)
-              ()))
-      | None -> reap w
-    in
-    let dispatch w task =
-      let now = Unix.gettimeofday () in
-      if Float.is_nan task.t_started then task.t_started <- now;
-      match
-        write_frame w.w_wr
-          (Marshal.to_bytes (task.t_idx, task.t_attempt) [])
-      with
-      | () ->
-        let deadline = Option.map (fun s -> now +. s) limits.deadline_seconds in
-        w.w_state <- Busy { b_idx = task.t_idx; b_deadline = deadline }
-      | exception Unix.Unix_error _ ->
+    let dispatch slot task =
+      if Float.is_nan task.t_started then
+        task.t_started <- Unix.gettimeofday ();
+      if
+        send fl slot ~budget:limits.deadline_seconds
+          (task.t_idx, task.t_attempt)
+      then running.(slot) <- Some task
+      else
         (* The worker died before the request reached it: the attempt
            never started, so the task is not charged — requeue as-is. *)
-        pending := task :: !pending;
-        reap w
+        pending := task :: !pending
     in
     (* Pop the ready task with the lowest index (deterministic under a
        deterministic fault plan; n is corpus-sized, so linear scans are
@@ -466,183 +612,55 @@ let map ?(jobs = 1) ?(limits = no_limits) ?(retry = default_retry)
         pending := List.filter (fun t -> t != task) !pending;
         Some task
     in
-    (* After the last task: close each surviving worker's request pipe
-       (EOF triggers its telemetry farewell), pump its result pipe for
-       the [Reply_telemetry] frame, then scavenge the sidecar files of
-       every worker that died without one. *)
-    let drain_telemetry () =
-      if Obs.enabled () then begin
-        let deadline = Unix.gettimeofday () +. 5.0 in
-        Array.iter
-          (function
-            | Some w ->
-              (match w.w_state with
-               | Dead _ -> ()
-               | Idle | Busy _ ->
-                 close_quietly w.w_wr;
-                 let rec pump () =
-                   let remaining = deadline -. Unix.gettimeofday () in
-                   if remaining <= 0.0 then
-                     (* Too slow: kill it and fall back to its sidecar. *)
-                     (try Unix.kill w.w_pid Sys.sigkill
-                      with Unix.Unix_error _ -> ())
-                   else
-                     match Unix.select [ w.w_rd ] [] [] remaining with
-                     | [], _, _ ->
-                       (try Unix.kill w.w_pid Sys.sigkill
-                        with Unix.Unix_error _ -> ())
-                     | _ :: _, _, _ ->
-                       (match read_frame w.w_rd with
-                        | None -> ()
-                        | Some frame ->
-                          (match (Marshal.from_bytes frame 0 : _ reply) with
-                           | Reply_telemetry state ->
-                             ignore (Obs.absorb_state state);
-                             pump ()
-                           | Reply_value _ -> pump ()
-                           | exception _ -> ()))
-                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-                 in
-                 pump ();
-                 close_quietly w.w_rd;
-                 (try ignore (Unix.waitpid [] w.w_pid)
-                  with Unix.Unix_error _ -> ());
-                 w.w_state <- Dead { d_ready_at = Float.infinity })
-            | None -> ())
-          workers;
-        match sidecar_dir with
-        | None -> ()
-        | Some dir ->
-          (match Sys.readdir dir with
-           | files ->
-             Array.iter
-               (fun file ->
-                  if String.starts_with ~prefix:"obs-" file then
-                    ignore (Obs.absorb_state_file (Filename.concat dir file)))
-               files
-           | exception Sys_error _ -> ())
-      end
+    let on_event event =
+      let slot, handle =
+        match event with
+        | Reply (slot, v) -> (slot, fun task -> handle_value task v)
+        | Death (slot, death) -> (slot, fun task -> handle_death task death)
+      in
+      let task = running.(slot) in
+      running.(slot) <- None;
+      Option.iter handle task
     in
-    let cleanup () =
-      Array.iter
-        (function
-          | Some w ->
-            (match w.w_state with
-             | Dead _ -> ()
-             | Idle | Busy _ ->
-               close_quietly w.w_wr;
-               close_quietly w.w_rd;
-               (try Unix.kill w.w_pid Sys.sigkill
-                with Unix.Unix_error _ -> ());
-               (try ignore (Unix.waitpid [] w.w_pid)
-                with Unix.Unix_error _ -> ()))
-          | None -> ())
-        workers;
-      (match sidecar_dir with
-       | None -> ()
-       | Some dir ->
-         (match Sys.readdir dir with
-          | files ->
-            Array.iter
-              (fun file ->
-                 try Sys.remove (Filename.concat dir file)
-                 with Sys_error _ -> ())
-              files
-          | exception Sys_error _ -> ());
-         (try Unix.rmdir dir with Unix.Unix_error _ -> ()));
-      ignore (Sys.signal Sys.sigpipe prev_sigpipe)
-    in
-    Fun.protect ~finally:cleanup (fun () ->
-      for slot = 0 to jobs - 1 do
-        respawn slot
-      done;
-      while !finished < n do
-        Obs.maybe_sample ();
-        let now = Unix.gettimeofday () in
-        (* Respawn slots whose backoff has elapsed, while work remains. *)
-        Array.iteri
-          (fun slot w ->
-             match w with
-             | Some { w_state = Dead { d_ready_at }; _ }
-               when now >= d_ready_at && !pending <> [] ->
-               respawn slot
-             | Some _ | None -> ())
-          workers;
-        (* Hand ready tasks to idle workers. *)
-        Array.iter
-          (function
-            | Some ({ w_state = Idle; _ } as w) ->
-              (match pop_ready now with
-               | Some task -> dispatch w task
-               | None -> ())
-            | Some _ | None -> ())
-          workers;
-        if !finished < n then begin
-          (* Earliest future event: a hard deadline, a backoff expiry,
-             or a slot respawn. *)
-          let wake = ref None in
-          let consider t =
-            match !wake with
-            | Some t' when t' <= t -> ()
-            | _ -> wake := Some t
-          in
-          Array.iter
-            (function
-              | Some { w_state = Busy { b_deadline = Some d; _ }; _ } ->
-                consider d
-              | Some { w_state = Dead { d_ready_at }; _ } ->
-                if !pending <> [] then consider d_ready_at
-              | Some _ | None -> ())
-            workers;
-          List.iter (fun task -> consider task.t_ready_at) !pending;
-          let fds =
-            Array.to_list workers
-            |> List.filter_map (function
-              | Some w ->
-                (match w.w_state with
-                 | Dead _ -> None
-                 | Idle | Busy _ -> Some w.w_rd)
-              | None -> None)
-          in
-          let timeout =
-            match !wake with
-            | None -> -1.0 (* block until a worker speaks *)
-            | Some t -> Float.max 0.001 (t -. Unix.gettimeofday ())
-          in
-          if fds = [] && !wake = None then
-            failwith "Proc_pool.map: stalled (no workers, no scheduled work)";
-          let readable =
-            match Unix.select fds [] [] timeout with
-            | readable, _, _ -> readable
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-          in
-          Array.iter
-            (function
-              | Some w
-                when (match w.w_state with Dead _ -> false | _ -> true)
-                     && List.memq w.w_rd readable -> handle_readable w
-              | Some _ | None -> ())
-            workers;
-          (* Enforce hard deadlines. *)
-          let now = Unix.gettimeofday () in
-          Array.iter
-            (function
-              | Some
-                  ({ w_state = Busy { b_deadline = Some d; _ }; _ } as w)
-                when now >= d ->
-                Obs.add "proc.kills";
-                (try Unix.kill w.w_pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                let budget =
-                  Option.value limits.deadline_seconds ~default:0.0
-                in
-                reap ~forced:(Hard_deadline budget) w
-              | Some _ | None -> ())
-            workers
-        end
-      done;
-      drain_telemetry ();
-      Array.to_list rows
-      |> List.map (function
-        | Some row -> row
-        | None -> assert false))
+    Fun.protect
+      ~finally:(fun () ->
+        shutdown ~grace:0.0 fl;
+        ignore (Sys.signal Sys.sigpipe prev_sigpipe))
+      (fun () ->
+         while !finished < n do
+           Obs.maybe_sample ();
+           if !pending <> [] then respawn_due fl;
+           let now = Unix.gettimeofday () in
+           List.iter
+             (fun slot -> Option.iter (dispatch slot) (pop_ready now))
+             (idle fl);
+           if !finished < n then begin
+             (* Earliest future event: a hard deadline, a slot respawn,
+                or a backoff expiry. *)
+             let wake =
+               List.fold_left
+                 (fun acc task -> Float.min acc task.t_ready_at)
+                 (wake fl ~respawn:(!pending <> []))
+                 !pending
+             in
+             let fds = fds fl in
+             if fds = [] && wake = Float.infinity then
+               failwith
+                 "Proc_pool.map: stalled (no workers, no scheduled work)";
+             let timeout =
+               if wake = Float.infinity then -1.0 (* until a worker speaks *)
+               else Float.max 0.001 (wake -. Unix.gettimeofday ())
+             in
+             let readable =
+               match Unix.select fds [] [] timeout with
+               | readable, _, _ -> readable
+               | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+             in
+             List.iter on_event (step fl ~readable)
+           end
+         done;
+         shutdown fl;
+         Array.to_list rows
+         |> List.map (function
+           | Some row -> row
+           | None -> assert false))

@@ -3,13 +3,15 @@ open! Import
 (* droidracerd: the persistent analysis daemon.
 
    One single-threaded, domain-free parent runs a [select] event loop
-   over the listen socket, every client connection, and the pipes of a
-   fixed fleet of forked analysis workers.  The parent forks the fleet
-   at startup — before any domain is ever spawned, which is what keeps
-   respawning dead workers legal under the OCaml 5 fork rule — and each
-   worker is free to spread one analysis across [worker_jobs] domains,
-   so the daemon schedules across the domain pool {e and}
-   process-isolated workers at once.
+   over the listen socket, every client connection, and the reply pipes
+   of a [Proc_pool] fleet of forked analysis workers.  The fleet is
+   forked at startup — before any domain is ever spawned, which is what
+   keeps respawning dead workers legal under the OCaml 5 fork rule —
+   and each worker is free to spread one analysis across [worker_jobs]
+   domains, so the daemon schedules across the domain pool {e and}
+   process-isolated workers at once.  The fleet owns the worker
+   lifecycle (fork, deadlines, reaping, respawn backoff, shutdown);
+   this module owns the select loop, admission and dedupe.
 
    Robustness contract:
    - admission is a bounded queue; past capacity a request is refused
@@ -21,8 +23,8 @@ open! Import
      (at-least-once), while finished work is replayed from the journal
      and never re-executed (exactly-once-observable by request id);
    - per-request deadlines are enforced twice: cooperatively by the
-     supervisor budget inside the worker, and by parent SIGKILL a grace
-     period later for workers that stop cooperating;
+     supervisor budget inside the worker, and by the fleet's SIGKILL a
+     grace period later for workers that stop cooperating;
    - under queue pressure the dense→streaming ladder degrades the
      engine at dispatch time, and every response names the engine that
      actually ran;
@@ -73,68 +75,25 @@ let default_config endpoint =
 
 (* {1 Worker protocol}
 
-   A worker runs each job through the supervisor's runner for trace
-   files ([Supervisor.run_file], without retries).  Jobs and replies
-   are plain data ([Supervisor.file_outcome] carries no closures), so
-   frames marshal without [Closures] and survive nothing more exotic
-   than the pipe. *)
+   A fleet worker serves each job with the supervisor's runner for
+   trace files ([Supervisor.run_file], without retries); the fleet
+   turns whatever escapes it into a worker death.  The parent keeps
+   the slot -> request id map. *)
 
 type job =
-  { j_id : string
-  ; j_path : string
+  { j_path : string
   ; j_engine : string  (* effective engine after the ladder *)
   ; j_timeout : float option
   ; j_sleep : float
   ; j_jobs : int
   }
 
-type worker_reply =
-  | W_result of string * Supervisor.file_outcome
-  | W_telemetry of string
-
-let worker_main rfd wfd =
-  Obs.on_fork ();
-  Obs.set_process_label
-    (Printf.sprintf "droidracerd-worker-%d" (Unix.getpid ()));
-  let farewell () =
-    if Obs.enabled () then
-      (try
-         Proc_pool.write_frame wfd
-           (Marshal.to_bytes (W_telemetry (Obs.export_state ())) [])
-       with _ -> ());
-    Unix._exit 0
-  in
-  let rec loop () =
-    match Proc_pool.read_frame rfd with
-    | None -> farewell ()
-    | Some frame ->
-      let job : job = Marshal.from_bytes frame 0 in
-      (match
-         (if job.j_sleep > 0.0 then Unix.sleepf job.j_sleep;
-          let config = Wire.config_of_engine job.j_engine in
-          let budget =
-            { Supervisor.timeout_seconds = job.j_timeout; max_events = None }
-          in
-          Supervisor.run_file ~jobs:job.j_jobs ~config ~budget
-            ~retry:Proc_pool.no_retry job.j_path)
-       with
-       | outcome ->
-         (try
-            Proc_pool.write_frame wfd
-              (Marshal.to_bytes (W_result (job.j_id, outcome)) [])
-          with _ -> Unix._exit 0);
-         Obs.maybe_sample ();
-         loop ()
-       | exception Out_of_memory -> Unix._exit Proc_pool.oom_exit_status
-       | exception Stack_overflow -> Unix._exit Proc_pool.stack_exit_status
-       | exception exn ->
-         (try
-            Printf.eprintf "droidracerd worker: uncaught exception: %s\n%!"
-              (Printexc.to_string exn)
-          with _ -> ());
-         Unix._exit Proc_pool.uncaught_exit_status)
-  in
-  loop ()
+let serve_job job =
+  if job.j_sleep > 0.0 then Unix.sleepf job.j_sleep;
+  Supervisor.run_file ~jobs:job.j_jobs
+    ~config:(Wire.config_of_engine job.j_engine)
+    ~budget:{ Supervisor.timeout_seconds = job.j_timeout; max_events = None }
+    ~retry:Proc_pool.no_retry job.j_path
 
 (* {1 Parent-side request state} *)
 
@@ -184,21 +143,6 @@ type conn =
   ; mutable c_last : float
   ; mutable c_close_after : bool  (* close once the out queue drains *)
   ; mutable c_closed : bool
-  }
-
-(* {1 Workers, parent side} *)
-
-type wstate =
-  | W_idle
-  | W_busy of { b_id : string; b_started : float; b_deadline : float option }
-  | W_dead of { d_until : float }
-
-type worker =
-  { mutable w_pid : int
-  ; mutable w_wr : Unix.file_descr
-  ; mutable w_rd : Unix.file_descr
-  ; mutable w_state : wstate
-  ; mutable w_deaths : int
   }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -390,82 +334,36 @@ let run config =
   Unix.set_nonblock listen_fd;
 
   (* {2 Workers} *)
-  let workers = Array.make (max 1 config.workers) None in
-  let live_worker_fds () =
-    Array.to_list workers
-    |> List.concat_map (function
-      | Some w ->
-        (match w.w_state with W_dead _ -> [] | _ -> [ w.w_wr; w.w_rd ])
-      | None -> [])
+  (* The request id each slot is serving. *)
+  let running = Array.make (max 1 config.workers) None in
+  let fleet =
+    Proc_pool.fleet
+      ~backoff:{ Proc_pool.max_retries = 0; backoff_base = 0.2 }
+      ~inherited:(fun () ->
+        listen_fd
+        :: List.filter_map
+             (fun c -> if c.c_closed then None else Some c.c_fd)
+             !conns)
+      ~slots:(Array.length running) serve_job
   in
-  let spawn_worker slot =
-    let req_r, req_w = Unix.pipe ~cloexec:false () in
-    let res_r, res_w = Unix.pipe ~cloexec:false () in
-    match Unix.fork () with
-    | 0 ->
-      (* The child inherits every parent fd; close what it must not
-         hold open — most importantly client sockets, whose EOF the
-         peer would otherwise never see. *)
-      close_quietly listen_fd;
-      List.iter (fun c -> close_quietly c.c_fd) !conns;
-      List.iter close_quietly (live_worker_fds ());
-      close_quietly req_w;
-      close_quietly res_r;
-      (try worker_main req_r res_w with _ -> ());
-      Unix._exit 0
-    | pid ->
-      close_quietly req_r;
-      close_quietly res_w;
-      (match workers.(slot) with
-       | None ->
-         workers.(slot) <-
-           Some
-             { w_pid = pid
-             ; w_wr = req_w
-             ; w_rd = res_r
-             ; w_state = W_idle
-             ; w_deaths = 0
-             }
-       | Some w ->
-         w.w_pid <- pid;
-         w.w_wr <- req_w;
-         w.w_rd <- res_r;
-         w.w_state <- W_idle)
-  in
-  for slot = 0 to Array.length workers - 1 do
-    spawn_worker slot
-  done;
   log "listening on %s (%d workers x %d jobs, queue %d%s)"
     (Wire.endpoint_to_string config.endpoint)
-    (Array.length workers) config.worker_jobs config.queue_capacity
+    (Array.length running) config.worker_jobs config.queue_capacity
     (match config.journal_path with
      | Some p -> Printf.sprintf ", journal %s" p
      | None -> ", no journal");
 
   (* {2 Responses} *)
-  let frame_of_string s =
-    let payload = Bytes.of_string s in
-    let frame = Bytes.create (8 + Bytes.length payload) in
-    Bytes.set_int64_be frame 0 (Int64.of_int (Bytes.length payload));
-    Bytes.blit payload 0 frame 8 (Bytes.length payload);
-    frame
-  in
   let send conn json =
     if not conn.c_closed then begin
-      Queue.push (frame_of_string json) conn.c_outq;
+      Queue.push (Proc_pool.frame (Bytes.of_string json)) conn.c_outq;
       conn.c_last <- Unix.gettimeofday ()
     end
   in
-  let live_workers () =
-    Array.to_list workers
-    |> List.filter (function
-      | Some { w_state = W_dead _; _ } | None -> false
-      | Some _ -> true)
-    |> List.length
-  in
   let retry_after_hint () =
     let depth = Queue.length queue in
-    let per = stats.s_avg_service /. float_of_int (max 1 (live_workers ())) in
+    let live = Proc_pool.live_count fleet in
+    let per = stats.s_avg_service /. float_of_int (max 1 live) in
     Float.min 60.0 (Float.max 0.05 (float_of_int (depth + 1) *. per))
   in
   let queue_extra () =
@@ -473,12 +371,7 @@ let run config =
       (Queue.length queue) config.queue_capacity
   in
   let health_json () =
-    let ready = (not !draining) && live_workers () > 0 in
-    let inflight =
-      Array.to_list workers
-      |> List.filter (function Some { w_state = W_busy _; _ } -> true | _ -> false)
-      |> List.length
-    in
+    let ready = (not !draining) && Proc_pool.live_count fleet > 0 in
     let pressure =
       let cap = float_of_int (max 1 config.queue_capacity) in
       let fill = float_of_int (Queue.length queue) /. cap in
@@ -492,9 +385,10 @@ let run config =
       {|{"schema":"%s","status":"%s","ready":%b,"workers":%d,"workers_live":%d,"worker_deaths":%d,"queue_depth":%d,"queue_capacity":%d,"max_queue_depth":%d,"inflight":%d,"accepted":%d,"completed":%d,"failed":%d,"executed":%d,"overloaded":%d,"errors":%d,"degraded":%d,"resumed_results":%d,"resumed_requeued":%d,"journal_warnings":%s,"avg_service_seconds":%.6f,"pressure":"%s","uptime_seconds":%.3f}|}
       Wire.health_schema
       (if !draining then "draining" else "ok")
-      ready (Array.length workers) (live_workers ()) stats.s_worker_deaths
-      (Queue.length queue) config.queue_capacity stats.s_max_queue_depth
-      inflight stats.s_accepted stats.s_completed stats.s_failed
+      ready (Array.length running) (Proc_pool.live_count fleet)
+      stats.s_worker_deaths (Queue.length queue) config.queue_capacity
+      stats.s_max_queue_depth (Proc_pool.busy_count fleet) stats.s_accepted
+      stats.s_completed stats.s_failed
       (stats.s_completed + stats.s_failed)
       stats.s_overloaded stats.s_errors stats.s_degraded
       stats.s_resumed_results stats.s_resumed_requeued warnings
@@ -547,7 +441,7 @@ let run config =
   in
 
   (* {2 Dispatch: the degradation ladder is applied here} *)
-  let dispatch_one w =
+  let dispatch_one slot =
     match Queue.take_opt queue with
     | None -> ()
     | Some id ->
@@ -578,109 +472,75 @@ let run config =
            | None -> config.default_timeout
          in
          let job =
-           { j_id = id
-           ; j_path = p.p_spool
+           { j_path = p.p_spool
            ; j_engine = effective
            ; j_timeout = timeout
            ; j_sleep = p.p_sleep
            ; j_jobs = config.worker_jobs
            }
          in
-         (match Proc_pool.write_frame w.w_wr (Marshal.to_bytes job []) with
-          | () ->
-            let deadline =
-              Option.map
-                (fun t -> now +. p.p_sleep +. t +. config.kill_grace)
-                timeout
-            in
-            Hashtbl.replace table id
-              (Running
-                 { r_pending = p
-                 ; r_started = now
-                 ; r_ladder = ladder
-                 ; r_effective = effective
-                 });
-            w.w_state <- W_busy { b_id = id; b_started = now; b_deadline = deadline };
-            if config.verbose then
-              log "dispatch %s -> pid %d (%s%s)" id w.w_pid effective
-                (if effective_rank > requested_rank then
-                   Printf.sprintf ", degraded from %s" p.p_engine
-                 else "")
-          | exception Unix.Unix_error _ ->
-            (* Worker died before the job reached it: put the id back at
-               the head and let the reaper respawn the slot. *)
-            let q = Queue.create () in
-            Queue.push id q;
-            Queue.transfer queue q;
-            Queue.transfer q queue)
+         let budget =
+           Option.map (fun t -> p.p_sleep +. t +. config.kill_grace) timeout
+         in
+         if Proc_pool.send fleet slot ~budget job then begin
+           Hashtbl.replace table id
+             (Running
+                { r_pending = p
+                ; r_started = now
+                ; r_ladder = ladder
+                ; r_effective = effective
+                });
+           running.(slot) <- Some id;
+           if config.verbose then
+             log "dispatch %s -> slot %d (%s%s)" id slot effective
+               (if effective_rank > requested_rank then
+                  Printf.sprintf ", degraded from %s" p.p_engine
+                else "")
+         end
+         else begin
+           (* The worker died before the job reached it: put the id back
+              at the head; the fleet respawns the slot. *)
+           let q = Queue.create () in
+           Queue.push id q;
+           Queue.transfer queue q;
+           Queue.transfer q queue
+         end
        | Some (Running _ | Finished _) | None -> ())
   in
 
-  (* {2 Worker lifecycle} *)
-  let reap_worker ?forced w =
-    close_quietly w.w_wr;
-    close_quietly w.w_rd;
-    let status =
-      match Unix.waitpid [] w.w_pid with
-      | _, status -> Some status
-      | exception Unix.Unix_error _ -> None
-    in
-    let death =
-      match forced with
-      | Some d -> d
-      | None ->
-        (match status with
-         | Some status -> Proc_pool.death_of_status status
-         | None -> Proc_pool.Exited 0)
-    in
-    stats.s_worker_deaths <- stats.s_worker_deaths + 1;
-    Obs.add "service.worker_deaths";
-    (match w.w_state with
-     | W_busy b ->
-       (match Hashtbl.find_opt table b.b_id with
-        | Some (Running r) ->
-          let now = Unix.gettimeofday () in
-          complete b.b_id ~requested:r.r_pending.p_engine ~ladder:r.r_ladder
-            ~queue_seconds:(b.b_started -. r.r_pending.p_enqueued)
-            ~service_seconds:(now -. b.b_started)
-            (Supervisor.Failed
-               { f_app = b.b_id
-               ; f_reason = Supervisor.reason_of_death death
-               ; f_engine = r.r_effective
-               ; f_elapsed = now -. b.b_started
-               ; f_retries = 0
-               ; f_backoff = 0.0
-               })
-        | Some _ | None -> ())
-     | W_idle | W_dead _ -> ());
-    w.w_deaths <- w.w_deaths + 1;
-    let penalty = Float.min 5.0 (0.1 *. (2.0 ** float_of_int (min w.w_deaths 6))) in
-    w.w_state <- W_dead { d_until = Unix.gettimeofday () +. penalty };
-    log "worker pid %d died (%s); respawn in %.1fs" w.w_pid
-      (Proc_pool.death_message death)
-      penalty
+  (* {2 Worker events} *)
+  let finish_slot slot outcome =
+    match running.(slot) with
+    | None -> ()
+    | Some id ->
+      running.(slot) <- None;
+      (match Hashtbl.find_opt table id with
+       | Some (Running r) ->
+         let elapsed = Unix.gettimeofday () -. r.r_started in
+         complete id ~requested:r.r_pending.p_engine ~ladder:r.r_ladder
+           ~queue_seconds:(r.r_started -. r.r_pending.p_enqueued)
+           ~service_seconds:elapsed
+           (outcome id r.r_effective elapsed)
+       | Some _ | None -> ())
   in
-  let handle_worker_frame w =
-    match Proc_pool.read_frame w.w_rd with
-    | None -> reap_worker w
-    | Some frame ->
-      (match (Marshal.from_bytes frame 0 : worker_reply) with
-       | W_telemetry state -> ignore (Obs.absorb_state state)
-       | W_result (id, outcome) ->
-         (match w.w_state with
-          | W_busy b when String.equal b.b_id id ->
-            w.w_deaths <- 0;
-            w.w_state <- W_idle;
-            let now = Unix.gettimeofday () in
-            (match Hashtbl.find_opt table id with
-             | Some (Running r) ->
-               complete id ~requested:r.r_pending.p_engine ~ladder:r.r_ladder
-                 ~queue_seconds:(b.b_started -. r.r_pending.p_enqueued)
-                 ~service_seconds:(now -. b.b_started)
-                 outcome
-             | Some _ | None -> ())
-          | W_idle | W_busy _ | W_dead _ -> ())
-       | exception _ -> reap_worker w)
+  let on_worker_event = function
+    | Proc_pool.Reply (slot, outcome) -> finish_slot slot (fun _ _ _ -> outcome)
+    | Proc_pool.Death (slot, death) ->
+      stats.s_worker_deaths <- stats.s_worker_deaths + 1;
+      Obs.add "service.worker_deaths";
+      (match death with
+       | Proc_pool.Hard_deadline _ -> Obs.add "service.kills"
+       | _ -> ());
+      finish_slot slot (fun id engine elapsed ->
+        Supervisor.Failed
+          { f_app = id
+          ; f_reason = Supervisor.reason_of_death death
+          ; f_engine = engine
+          ; f_elapsed = elapsed
+          ; f_retries = 0
+          ; f_backoff = 0.0
+          });
+      log "worker in slot %d died (%s)" slot (Proc_pool.death_message death)
   in
 
   (* {2 Admission} *)
@@ -904,27 +764,14 @@ let run config =
   let finished = ref false in
   while not !finished do
     Obs.maybe_sample ();
-    (* Respawn dead workers whose penalty has elapsed. *)
-    let now = Unix.gettimeofday () in
-    Array.iteri
-      (fun slot w ->
-         match w with
-         | Some { w_state = W_dead { d_until }; _ }
-           when now >= d_until
-                && ((not !draining) || not (Queue.is_empty queue)) ->
-           (* While draining, respawn only if queued work still needs a
-              worker — finishing the queue is part of the drain
-              contract. *)
-           spawn_worker slot
-         | Some _ | None -> ())
-      workers;
+    (* While draining, respawn only if queued work still needs a worker —
+       finishing the queue is part of the drain contract. *)
+    let respawn = (not !draining) || not (Queue.is_empty queue) in
+    if respawn then Proc_pool.respawn_due fleet;
     (* Hand queued work to idle workers. *)
-    Array.iter
-      (function
-        | Some ({ w_state = W_idle; _ } as w) when not (Queue.is_empty queue)
-          -> dispatch_one w
-        | Some _ | None -> ())
-      workers;
+    List.iter
+      (fun slot -> if not (Queue.is_empty queue) then dispatch_one slot)
+      (Proc_pool.idle fleet);
     (* Build the select sets. *)
     conns := List.filter (fun c -> not c.c_closed) !conns;
     let reads =
@@ -932,11 +779,7 @@ let run config =
       @ List.filter_map
           (fun c -> if c.c_closed then None else Some c.c_fd)
           !conns
-      @ (Array.to_list workers
-         |> List.filter_map (function
-           | Some w ->
-             (match w.w_state with W_dead _ -> None | _ -> Some w.w_rd)
-           | None -> None))
+      @ Proc_pool.fds fleet
     in
     let writes =
       List.filter_map
@@ -948,17 +791,8 @@ let run config =
         !conns
     in
     let timeout =
-      let next = ref 0.25 in
-      let consider t = if t < !next then next := Float.max 0.001 t in
-      let now = Unix.gettimeofday () in
-      Array.iter
-        (function
-          | Some { w_state = W_busy { b_deadline = Some d; _ }; _ } ->
-            consider (d -. now)
-          | Some { w_state = W_dead { d_until }; _ } -> consider (d_until -. now)
-          | Some _ | None -> ())
-        workers;
-      !next
+      let until_wake = Proc_pool.wake fleet ~respawn -. Unix.gettimeofday () in
+      Float.max 0.001 (Float.min 0.25 until_wake)
     in
     let readable, writable =
       match Unix.select reads writes [] timeout with
@@ -967,14 +801,9 @@ let run config =
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [])
     in
     if (not !draining) && List.memq listen_fd readable then accept_conns ();
-    (* Worker results first: they free capacity and answer waiters. *)
-    Array.iter
-      (function
-        | Some w
-          when (match w.w_state with W_dead _ -> false | _ -> true)
-               && List.memq w.w_rd readable -> handle_worker_frame w
-        | Some _ | None -> ())
-      workers;
+    (* Worker results and deaths first: they free capacity and answer
+       waiters. *)
+    List.iter on_worker_event (Proc_pool.step fleet ~readable);
     List.iter
       (fun c -> if (not c.c_closed) && List.memq c.c_fd readable then pump_conn_read c)
       !conns;
@@ -986,22 +815,7 @@ let run config =
                 || not (Queue.is_empty c.c_outq))
          then pump_conn_write c)
       !conns;
-    (* Enforce hard deadlines. *)
     let now = Unix.gettimeofday () in
-    Array.iter
-      (function
-        | Some ({ w_state = W_busy { b_deadline = Some d; _ }; _ } as w)
-          when now >= d ->
-          Obs.add "service.kills";
-          (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-          let budget =
-            match w.w_state with
-            | W_busy { b_started; _ } -> now -. b_started
-            | _ -> 0.0
-          in
-          reap_worker ~forced:(Proc_pool.Hard_deadline budget) w
-        | Some _ | None -> ())
-      workers;
     (* Shed connections that stalled mid-frame or mid-response. *)
     List.iter
       (fun c ->
@@ -1015,11 +829,6 @@ let run config =
       !conns;
     (* Drain check: accepted work finished, responses flushed. *)
     if !draining then begin
-      let busy =
-        Array.exists
-          (function Some { w_state = W_busy _; _ } -> true | _ -> false)
-          workers
-      in
       let unsent =
         List.exists
           (fun c ->
@@ -1027,49 +836,15 @@ let run config =
              && (c.c_out <> None || not (Queue.is_empty c.c_outq)))
           !conns
       in
-      if Queue.is_empty queue && (not busy) && not unsent then finished := true
+      if Queue.is_empty queue && Proc_pool.busy_count fleet = 0 && not unsent
+      then finished := true
     end
   done;
 
   (* {2 Graceful drain} *)
   log "draining: %d accepted, %d completed, %d failed, %d overloaded"
     stats.s_accepted stats.s_completed stats.s_failed stats.s_overloaded;
-  (* EOF each worker's request pipe; a graceful worker answers with its
-     telemetry farewell. *)
-  Array.iter
-    (function
-      | Some w ->
-        (match w.w_state with
-         | W_dead _ -> ()
-         | W_idle | W_busy _ ->
-           close_quietly w.w_wr;
-           let deadline = Unix.gettimeofday () +. 5.0 in
-           let rec pump () =
-             let remaining = deadline -. Unix.gettimeofday () in
-             if remaining <= 0.0 then
-               (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
-             else
-               match Unix.select [ w.w_rd ] [] [] remaining with
-               | [], _, _ ->
-                 (try Unix.kill w.w_pid Sys.sigkill
-                  with Unix.Unix_error _ -> ())
-               | _ :: _, _, _ ->
-                 (match Proc_pool.read_frame w.w_rd with
-                  | None -> ()
-                  | Some frame ->
-                    (match (Marshal.from_bytes frame 0 : worker_reply) with
-                     | W_telemetry state ->
-                       ignore (Obs.absorb_state state);
-                       pump ()
-                     | W_result _ -> pump ()
-                     | exception _ -> ()))
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-           in
-           pump ();
-           close_quietly w.w_rd;
-           (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()))
-      | None -> ())
-    workers;
+  Proc_pool.shutdown fleet;
   (match journal with None -> () | Some j -> Journal.close j);
   (match progress with
    | None -> ()

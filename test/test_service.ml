@@ -226,12 +226,7 @@ let test_request_roundtrip () =
           {|{"schema":"droidracer-request/1","op":"analyze","id":"../etc"}|}))
 
 let test_decoder_incremental () =
-  let frame payload =
-    let b = Bytes.create (8 + String.length payload) in
-    Bytes.set_int64_be b 0 (Int64.of_int (String.length payload));
-    Bytes.blit_string payload 0 b 8 (String.length payload);
-    b
-  in
+  let frame payload = Proc_pool.frame (Bytes.of_string payload) in
   let d = Swire.create_decoder () in
   let all = Bytes.cat (frame "hello") (frame "world") in
   (* one byte at a time: no frame until the last byte of each *)
@@ -518,6 +513,68 @@ let test_waiter_disconnect_mid_request () =
   let h = ok (query endpoint Swire.Health) in
   check_string "daemon unharmed" "ok" (status h)
 
+(* The daemon's lone worker, read from the kernel's child list (the
+   daemon forks nothing else). *)
+let worker_pid daemon =
+  let path = Printf.sprintf "/proc/%d/task/%d/children" daemon daemon in
+  match
+    String.split_on_char ' '
+      (String.trim (In_channel.with_open_bin path In_channel.input_all))
+  with
+  | [ pid ] -> int_of_string pid
+  | pids ->
+    Alcotest.failf "expected one worker, found [%s]" (String.concat " " pids)
+
+(* Poll health until its number [key] reads [value]. *)
+let wait_health endpoint key value =
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  let rec go () =
+    let h = ok (query endpoint Swire.Health) in
+    if num key h = value then ()
+    else if Unix.gettimeofday () < deadline then begin
+      Unix.sleepf 0.02;
+      go ()
+    end
+    else Alcotest.failf "health %s never reached %g" key value
+  in
+  go ()
+
+let test_worker_deaths_answered () =
+  let dir = fresh_dir "svc_death" in
+  let trace = Lazy.force trace_bytes in
+  let config =
+    { (base_config dir) with Server.workers = 1; kill_grace = 0.2 }
+  in
+  with_daemon config @@ fun endpoint daemon ->
+  (* Crash: the worker is SIGKILLed in the middle of a request. *)
+  let a =
+    ok (query endpoint ~trace (analyze ~trace ~sleep:2.0 ~wait:false "crash"))
+  in
+  check_string "crash accepted" "accepted" (status a);
+  wait_health endpoint "inflight" 1.0;
+  Unix.kill (worker_pid daemon) Sys.sigkill;
+  let r = poll_result endpoint "crash" in
+  check_string "crash answered" "crashed" (status r);
+  check_string "crash reason" "worker killed by SIGKILL" (str "reason" r);
+  (* Hard deadline: a frozen worker can never answer, so the request is
+     killed at its budget: sleep + timeout + kill grace = 1s. *)
+  wait_health endpoint "workers_live" 1.0;
+  Unix.kill (worker_pid daemon) Sys.sigstop;
+  let r =
+    ok
+      (query endpoint ~trace
+         (analyze ~trace ~timeout:0.5 ~sleep:0.3 "frozen"))
+  in
+  check_string "deadline answered" "timeout" (status r);
+  check_string "deadline reason names the budget"
+    "wall-clock budget of 1s exceeded" (str "reason" r);
+  (* Recovery: the respawned worker serves the next request. *)
+  let r = ok (query endpoint ~trace (analyze ~trace "after")) in
+  check_string "recovered" "completed" (status r);
+  let h = ok (query endpoint Swire.Health) in
+  check_bool "two worker deaths" true (num "worker_deaths" h = 2.0);
+  check_bool "worker live again" true (num "workers_live" h = 1.0)
+
 let test_loadgen_against_daemon () =
   let dir = fresh_dir "svc_lg" in
   let trace = Lazy.force trace_bytes in
@@ -562,6 +619,8 @@ let () =
             test_malformed_frames_cost_one_connection
         ; Alcotest.test_case "waiter disconnect survived" `Slow
             test_waiter_disconnect_mid_request
+        ; Alcotest.test_case "worker deaths answered" `Slow
+            test_worker_deaths_answered
         ; Alcotest.test_case "load generator end to end" `Slow
             test_loadgen_against_daemon
         ] )

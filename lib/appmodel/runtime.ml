@@ -89,24 +89,41 @@ type waiting =
   ; proceed : unit -> unit
   }
 
+(* A thread's next unit of work, as the scheduler's last pass saw it. *)
+type next =
+  | Blocked  (** cannot progress now *)
+  | Init  (** threadinit (and the looper set-up of a queue thread) *)
+  | Deliver  (** binder thread: forward the oldest transaction to main *)
+  | Proceed  (** the condition it waits for holds *)
+  | Instr  (** interpret the head of the top non-empty frame *)
+  | Finish  (** end the running task *)
+  | Dispatch  (** begin one of the dispatchable tasks of its queue *)
+  | Exit
+
 type thr =
   { tid : Thread_id.t
   ; thr_name : string
   ; is_native : bool
   ; has_queue : bool
   ; exits_when_done : bool
+  ; inbox : (Task_id.t * Operation.post_flavour) Queue.t
+      (** binder transactions for this thread; always empty unless it
+          belongs to the binder pool *)
   ; mutable inited : bool
   ; mutable exited : bool
-  ; mutable frames : instr list list
+  ; mutable frames : instr list list  (** top first; may hold empty frames *)
   ; mutable running : Task_id.t option
   ; mutable waiting : waiting option
   ; mutable actx : async_ctx option
+  ; mutable next : next
+  ; mutable held : bool
+      (** [next] belongs to a stalled context (see [options.hold]) *)
   }
 
 type task_info =
   { t_body : instr list
   ; t_owner : int option
-  ; mutable t_hooks : (unit -> unit) list
+  ; mutable t_hooks_rev : (unit -> unit) list  (** latest first *)
   ; mutable t_posted : bool
   ; mutable t_begun : bool
   ; mutable t_cancelled : bool
@@ -122,6 +139,13 @@ type act_inst =
   ; cb_enabled : (string, Task_id.t) Hashtbl.t
   }
 
+module Task_tbl = Hashtbl.Make (struct
+    type t = Task_id.t
+
+    let equal = Task_id.equal
+    let hash = Hashtbl.hash
+  end)
+
 type rt =
   { app : Program.app
   ; opts : options
@@ -132,13 +156,14 @@ type rt =
   ; mutable sem : State.t
   ; mutable full_rev : Trace.event list
   ; mutable obs_rev : Trace.event list
-  ; threads : (int, thr) Hashtbl.t
-  ; mutable thread_list : thr list  (** in creation order *)
+  ; mutable threads : thr array  (** in creation order; main first *)
+  ; mutable n_threads : int
+  ; by_tid : (int, thr) Hashtbl.t
+  ; by_name : (string, thr) Hashtbl.t  (** the first thread of each name *)
   ; mutable next_tid : int
   ; task_instances : (string, int) Hashtbl.t
-  ; tasks : (string, task_info) Hashtbl.t
+  ; tasks : task_info Task_tbl.t
   ; mutable binder : Binder.t
-  ; binder_queues : (int, (Task_id.t * Operation.post_flavour) Queue.t) Hashtbl.t
   ; mutable stack : act_inst list  (** top first *)
   ; all_activities : (int, act_inst) Hashtbl.t
   ; mutable next_obj : int
@@ -147,14 +172,38 @@ type rt =
   ; mutable steps : int
   ; services_created : (string, bool) Hashtbl.t
   ; mutable pending_by_proc : (string * Task_id.t) list
-  ; main : thr Lazy.t
   }
 
-let main rt = Lazy.force rt.main
-let thread_by_tid rt tid = Hashtbl.find rt.threads (Thread_id.to_int tid)
+let main rt = rt.threads.(0)
+let thread_by_tid rt tid = Hashtbl.find rt.by_tid (Thread_id.to_int tid)
+let thread_by_name rt name = Hashtbl.find_opt rt.by_name name
 
-let thread_by_name rt name =
-  List.find_opt (fun t -> String.equal t.thr_name name) rt.thread_list
+let add_thread rt thr =
+  let n = rt.n_threads in
+  if n = Array.length rt.threads then
+    rt.threads <- Array.append rt.threads (Array.make n thr);
+  rt.threads.(n) <- thr;
+  rt.n_threads <- n + 1;
+  Hashtbl.replace rt.by_tid (Thread_id.to_int thr.tid) thr;
+  if not (Hashtbl.mem rt.by_name thr.thr_name) then
+    Hashtbl.replace rt.by_name thr.thr_name thr
+
+let make_thread ~tid ~name ~native ~queue ~frames ~exits ~actx =
+  { tid
+  ; thr_name = name
+  ; is_native = native
+  ; has_queue = queue
+  ; exits_when_done = exits
+  ; inbox = Queue.create ()
+  ; inited = false
+  ; exited = false
+  ; frames
+  ; running = None
+  ; waiting = None
+  ; actx
+  ; next = Blocked
+  ; held = false
+  }
 
 (* One scheduling decision among [n] alternatives.  Every decision is
    logged so that the schedule explorer can enumerate the tree. *)
@@ -211,10 +260,10 @@ let fresh_task rt name =
   Task_id.make ~name ~instance:n
 
 let register_task rt id ~body ~owner =
-  Hashtbl.replace rt.tasks (Task_id.to_string id)
+  Task_tbl.replace rt.tasks id
     { t_body = body
     ; t_owner = owner
-    ; t_hooks = []
+    ; t_hooks_rev = []
     ; t_posted = false
     ; t_begun = false
     ; t_cancelled = false
@@ -223,13 +272,14 @@ let register_task rt id ~body ~owner =
     }
 
 let task_info rt id =
-  match Hashtbl.find_opt rt.tasks (Task_id.to_string id) with
-  | Some info -> info
-  | None -> stuck "interpreter bug: unregistered task %a" Task_id.pp id
+  match Task_tbl.find rt.tasks id with
+  | info -> info
+  | exception Not_found ->
+    stuck "interpreter bug: unregistered task %a" Task_id.pp id
 
 let add_hook rt id f =
   let info = task_info rt id in
-  info.t_hooks <- info.t_hooks @ [ f ]
+  info.t_hooks_rev <- f :: info.t_hooks_rev
 
 let do_post rt (thr : thr) id ~target ~flavour =
   let info = task_info rt id in
@@ -248,21 +298,11 @@ let new_thread rt ~name ~native ~queue ~body ~exits ~actx =
   let tid = Thread_id.make rt.next_tid in
   rt.next_tid <- rt.next_tid + 1;
   let thr =
-    { tid
-    ; thr_name = name
-    ; is_native = native
-    ; has_queue = queue
-    ; exits_when_done = exits
-    ; inited = false
-    ; exited = false
-    ; frames = (if queue then [] else [ body ])
-    ; running = None
-    ; waiting = None
-    ; actx
-    }
+    make_thread ~tid ~name ~native ~queue
+      ~frames:(if queue then [] else [ body ])
+      ~exits ~actx
   in
-  Hashtbl.replace rt.threads (Thread_id.to_int tid) thr;
-  rt.thread_list <- rt.thread_list @ [ thr ];
+  add_thread rt thr;
   thr
 
 (* {1 Binder transactions} *)
@@ -270,15 +310,7 @@ let new_thread rt ~name ~native ~queue ~body ~exits ~actx =
 let binder_post rt id flavour =
   let btid, binder = Binder.next rt.binder in
   rt.binder <- binder;
-  let q =
-    match Hashtbl.find_opt rt.binder_queues (Thread_id.to_int btid) with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace rt.binder_queues (Thread_id.to_int btid) q;
-      q
-  in
-  Queue.add (id, flavour) q
+  Queue.add (id, flavour) (thread_by_tid rt btid).inbox
 
 (* {1 Activities and enables} *)
 
@@ -708,24 +740,30 @@ let interpret_instr rt (thr : thr) = function
 
 (* {1 Scheduling} *)
 
-let normalize_frames (thr : thr) =
-  thr.frames <- List.filter (fun f -> f <> []) thr.frames
+(* Drops the empty frames on top of the stack, so that the head of the
+   top frame, if any, is the next instruction. *)
+let rec drop_empty_frames (thr : thr) =
+  match thr.frames with
+  | [] :: more ->
+    thr.frames <- more;
+    drop_empty_frames thr
+  | _ -> ()
 
-(* Pending tasks of a looper thread that the dispatch policy and the
-   virtual clock both allow to run now. *)
-let dispatchable rt (thr : thr) =
+(* Applies [f] to the pending tasks of a looper thread that the dispatch
+   policy and the virtual clock both allow to run now. *)
+let iter_dispatchable rt (thr : thr) f =
   match State.queue rt.sem thr.tid with
-  | None -> []
+  | None -> ()
   | Some q ->
-    List.filter
+    Queue_model.iter_eligible
       (fun id ->
-         let info = task_info rt id in
-         (not rt.opts.respect_delays)
-         ||
-         match info.t_delay with
-         | None -> true
-         | Some d -> rt.clock >= info.t_post_step + d)
-      (Queue_model.eligible q)
+         if not rt.opts.respect_delays then f id
+         else
+           let info = task_info rt id in
+           match info.t_delay with
+           | None -> f id
+           | Some d -> if rt.clock >= info.t_post_step + d then f id)
+      q
 
 (* Completion hooks run while the task is still executing, so that the
    [enable] operations they emit fall inside the task body — as in
@@ -735,8 +773,8 @@ let dispatchable rt (thr : thr) =
    follow-up post. *)
 let finish_task rt (thr : thr) id =
   let info = task_info rt id in
-  let hooks = info.t_hooks in
-  info.t_hooks <- [];
+  let hooks = List.rev info.t_hooks_rev in
+  info.t_hooks_rev <- [];
   List.iter (fun f -> f ()) hooks;
   emit rt thr (Operation.End_task id);
   thr.running <- None
@@ -760,81 +798,100 @@ let thread_held rt (thr : thr) =
   | Some id -> held_context rt (Task_id.name id)
   | None -> false
 
-(* One unit of work for a thread, or None if it cannot progress.  The
-   returned closure performs the step; the boolean marks a stalled
-   context that should run only when nothing else can. *)
-let thread_step rt (thr : thr) =
-  let step ?(held = thread_held rt thr) f = Some (held, f) in
-  if thr.exited then None
-  else if not thr.inited then
-    step (fun () ->
-      thr.inited <- true;
-      emit rt thr Operation.Thread_init;
-      if thr.has_queue then begin
-        emit rt thr Operation.Attach_queue;
-        emit rt thr Operation.Loop_on_queue
-      end)
+(* Dispatch candidates of an idle looper thread: [(all, free)] counts
+   them and the ones not stalled by [hold]. *)
+let dispatch_counts rt (thr : thr) =
+  let all = ref 0 and free = ref 0 in
+  iter_dispatchable rt thr (fun id ->
+    incr all;
+    if not (held_context rt (Task_id.name id)) then incr free);
+  (!all, !free)
+
+(* Records in [thr.next] and [thr.held] what the thread can do next.
+   A stalled context runs only when nothing else can make progress. *)
+let classify rt (thr : thr) =
+  let set next held =
+    thr.next <- next;
+    thr.held <- held
+  in
+  if not (Queue.is_empty thr.inbox) then begin
+    if not thr.inited then set Init false
+    else
+      let id, _ = Queue.peek thr.inbox in
+      set Deliver (held_context rt (Task_id.name id))
+  end
+  else if thr.exited then set Blocked false
+  else if not thr.inited then set Init (thread_held rt thr)
   else
     match thr.waiting with
     | Some w ->
-      if w.can_proceed () then
-        step (fun () ->
-          thr.waiting <- None;
-          w.proceed ())
-      else None
+      if w.can_proceed () then set Proceed (thread_held rt thr)
+      else set Blocked false
     | None ->
-      normalize_frames thr;
-      (match thr.frames with
-       | (i :: rest) :: more ->
-         step (fun () ->
-           thr.frames <- rest :: more;
-           interpret_instr rt thr i)
-       | [] :: _ -> assert false
-       | [] ->
-         (match thr.running with
-          | Some id -> step (fun () -> finish_task rt thr id)
-          | None ->
-            if thr.has_queue then
-              (match dispatchable rt thr with
-               | [] -> None
-               | candidates ->
-                 let free =
-                   List.filter
-                     (fun id -> not (held_context rt (Task_id.name id)))
-                     candidates
-                 in
-                 let held = free = [] in
-                 let candidates = if held then candidates else free in
-                 step ~held (fun () ->
-                   let id =
-                     List.nth candidates (choose rt (List.length candidates))
-                   in
-                   begin_task rt thr id))
-            else if thr.exits_when_done then
-              step (fun () ->
-                thr.exited <- true;
-                emit rt thr Operation.Thread_exit)
-            else None))
+      drop_empty_frames thr;
+      (match thr.frames, thr.running with
+       | _ :: _, _ -> set Instr (thread_held rt thr)
+       | [], Some _ -> set Finish (thread_held rt thr)
+       | [], None ->
+         if thr.has_queue then begin
+           match dispatch_counts rt thr with
+           | 0, _ -> set Blocked false
+           | _, free -> set Dispatch (free = 0)
+         end
+         else if thr.exits_when_done then set Exit (thread_held rt thr)
+         else set Blocked false)
 
-let binder_step rt (thr : thr) =
-  match Hashtbl.find_opt rt.binder_queues (Thread_id.to_int thr.tid) with
-  | None -> None
-  | Some q ->
-    if Queue.is_empty q then None
-    else if not thr.inited then
-      Some
-        (false, fun () ->
-           thr.inited <- true;
-           emit rt thr Operation.Thread_init)
-    else
-      Some
-        ( (match Queue.peek_opt q with
-           | Some (id, _) -> held_context rt (Task_id.name id)
-           | None -> false)
-        , fun () ->
-            let id, flavour = Queue.pop q in
-            (* lifecycle, service and receiver tasks all run on main *)
-            do_post rt thr id ~target:(main rt).tid ~flavour )
+(* Begins one of the dispatchable tasks: a scheduling decision among the
+   free candidates, or among all of them when every one is stalled. *)
+let dispatch rt (thr : thr) =
+  let all, free = dispatch_counts rt thr in
+  let only_free = free > 0 in
+  let k = ref (choose rt (if only_free then free else all)) in
+  let chosen = ref None in
+  iter_dispatchable rt thr (fun id ->
+    if (not only_free) || not (held_context rt (Task_id.name id)) then begin
+      if !k = 0 then chosen := Some id;
+      decr k
+    end);
+  match !chosen with
+  | Some id -> begin_task rt thr id
+  | None -> assert false
+
+(* Performs the step [classify] recorded. *)
+let execute rt (thr : thr) =
+  match thr.next with
+  | Blocked -> assert false
+  | Init ->
+    thr.inited <- true;
+    emit rt thr Operation.Thread_init;
+    if thr.has_queue then begin
+      emit rt thr Operation.Attach_queue;
+      emit rt thr Operation.Loop_on_queue
+    end
+  | Deliver ->
+    let id, flavour = Queue.pop thr.inbox in
+    (* lifecycle, service and receiver tasks all run on main *)
+    do_post rt thr id ~target:(main rt).tid ~flavour
+  | Proceed ->
+    (match thr.waiting with
+     | Some w ->
+       thr.waiting <- None;
+       w.proceed ()
+     | None -> assert false)
+  | Instr ->
+    (match thr.frames with
+     | (i :: rest) :: more ->
+       thr.frames <- rest :: more;
+       interpret_instr rt thr i
+     | [] :: _ | [] -> assert false)
+  | Finish ->
+    (match thr.running with
+     | Some id -> finish_task rt thr id
+     | None -> assert false)
+  | Dispatch -> dispatch rt thr
+  | Exit ->
+    thr.exited <- true;
+    emit rt thr Operation.Thread_exit
 
 (* {1 The driver} *)
 
@@ -845,16 +902,22 @@ let main_quiescent rt =
   let all_held ids =
     List.for_all (fun id -> held_context rt (Task_id.name id)) ids
   in
+  let inbox_held (thr : thr) =
+    Queue.fold
+      (fun acc (id, _) -> acc && held_context rt (Task_id.name id))
+      true thr.inbox
+  in
   m.inited
   && m.running = None
   && m.frames = []
   && (match State.queue rt.sem m.tid with
       | Some q -> all_held (Queue_model.pending q)
       | None -> false)
-  && Hashtbl.fold
-       (fun _ q acc ->
-          acc && all_held (List.map fst (List.of_seq (Queue.to_seq q))))
-       rt.binder_queues true
+  &&
+  let rec inboxes_held i =
+    i >= rt.n_threads || (inbox_held rt.threads.(i) && inboxes_held (i + 1))
+  in
+  inboxes_held 0
 
 let event_available rt = function
   | Click e ->
@@ -910,7 +973,7 @@ let inject rt event =
 
 (* The earliest virtual time at which a pending delayed task expires. *)
 let earliest_delay_expiry rt =
-  Hashtbl.fold
+  Task_tbl.fold
     (fun _ (info : task_info) acc ->
        if info.t_posted && (not info.t_begun) && not info.t_cancelled then
          match info.t_delay with
@@ -925,8 +988,6 @@ let earliest_delay_expiry rt =
          | None -> acc
        else acc)
     rt.tasks None
-
-let pick rt choices = List.nth choices (choose rt (List.length choices))
 
 let run ?(options = default_options) app events =
   Obs.with_span "runtime.run" @@ fun () ->
@@ -943,7 +1004,11 @@ let run ?(options = default_options) app events =
     | Scripted s -> s
     | Round_robin | Seeded _ -> []
   in
-  let rec rt =
+  let m =
+    make_thread ~tid:(Thread_id.make 1) ~name:"main" ~native:false ~queue:true
+      ~frames:[] ~exits:false ~actx:None
+  in
+  let rt =
     { app
     ; opts = options
     ; rng
@@ -953,13 +1018,14 @@ let run ?(options = default_options) app events =
     ; sem = State.initial
     ; full_rev = []
     ; obs_rev = []
-    ; threads = Hashtbl.create 16
-    ; thread_list = []
+    ; threads = [| m |]
+    ; n_threads = 0
+    ; by_tid = Hashtbl.create 16
+    ; by_name = Hashtbl.create 16
     ; next_tid = 2 + options.binder_pool_size
     ; task_instances = Hashtbl.create 64
-    ; tasks = Hashtbl.create 64
+    ; tasks = Task_tbl.create 64
     ; binder = Binder.create ~size:options.binder_pool_size ~first_tid:2
-    ; binder_queues = Hashtbl.create 4
     ; stack = []
     ; all_activities = Hashtbl.create 4
     ; next_obj = 0
@@ -968,45 +1034,16 @@ let run ?(options = default_options) app events =
     ; steps = 0
     ; services_created = Hashtbl.create 4
     ; pending_by_proc = []
-    ; main = lazy (Hashtbl.find rt.threads 1)
     }
   in
-  (* the main thread *)
-  let m =
-    { tid = Thread_id.make 1
-    ; thr_name = "main"
-    ; is_native = false
-    ; has_queue = true
-    ; exits_when_done = false
-    ; inited = false
-    ; exited = false
-    ; frames = []
-    ; running = None
-    ; waiting = None
-    ; actx = None
-    }
-  in
-  Hashtbl.replace rt.threads 1 m;
-  rt.thread_list <- [ m ];
+  add_thread rt m;
   (* the binder pool *)
   List.iter
     (fun btid ->
-       let b =
-         { tid = btid
-         ; thr_name = "binder" ^ string_of_int (Thread_id.to_int btid)
-         ; is_native = false
-         ; has_queue = false
-         ; exits_when_done = false
-         ; inited = false
-         ; exited = false
-         ; frames = []
-         ; running = None
-         ; waiting = None
-         ; actx = None
-         }
-       in
-       Hashtbl.replace rt.threads (Thread_id.to_int btid) b;
-       rt.thread_list <- rt.thread_list @ [ b ])
+       add_thread rt
+         (make_thread ~tid:btid
+            ~name:("binder" ^ string_of_int (Thread_id.to_int btid))
+            ~native:false ~queue:false ~frames:[] ~exits:false ~actx:None))
     (Binder.threads rt.binder);
   (* launch: the main thread initialises and enables the main activity's
      LAUNCH (operations 1–4 of Figure 3), then AMS posts it. *)
@@ -1018,37 +1055,31 @@ let run ?(options = default_options) app events =
   let pending_events = ref events in
   let injected = ref [] in
   let skipped = ref [] in
+  (* One scheduling step.  The alternatives are, in order, the pending
+     UI event (once the main thread is quiescent and the event is
+     enabled) and then every thread that can progress, in creation
+     order; stalled contexts count only when nothing else can run. *)
   let rec loop () =
     if rt.steps > options.max_steps then
       stuck "exceeded %d steps (livelock?)" options.max_steps;
-    let choices =
-      List.filter_map
-        (fun thr ->
-           match binder_step rt thr with
-           | Some f -> Some f
-           | None -> thread_step rt thr)
-        rt.thread_list
-    in
-    let choices =
+    let free = ref 0 and held = ref 0 in
+    for i = 0 to rt.n_threads - 1 do
+      let thr = rt.threads.(i) in
+      classify rt thr;
+      match thr.next with
+      | Blocked -> ()
+      | Init | Deliver | Proceed | Instr | Finish | Dispatch | Exit ->
+        if thr.held then incr held else incr free
+    done;
+    let ui =
       match !pending_events with
-      | e :: rest when main_quiescent rt && event_available rt e ->
-        ( false
-        , fun () ->
-            pending_events := rest;
-            injected := e :: !injected;
-            Obs.add "runtime.ui_events_dispatched";
-            inject rt e )
-        :: choices
-      | _ :: _ | [] -> choices
+      | e :: _ -> main_quiescent rt && event_available rt e
+      | [] -> false
     in
-    (* stalled contexts run only when nothing else can make progress *)
-    let choices =
-      match List.filter (fun (held, _) -> not held) choices with
-      | [] -> List.map snd choices
-      | free -> List.map snd free
-    in
-    match choices with
-    | [] ->
+    if ui then incr free;
+    let only_free = !free > 0 in
+    match if only_free then !free else !held with
+    | 0 ->
       (match earliest_delay_expiry rt with
        | Some expiry ->
          rt.clock <- expiry;
@@ -1061,9 +1092,32 @@ let run ?(options = default_options) app events =
             skipped := e :: !skipped;
             loop ()
           | [] -> ()))
-    | _ :: _ ->
+    | n ->
       rt.steps <- rt.steps + 1;
-      (pick rt choices) ();
+      let k = choose rt n in
+      (if ui && k = 0 then begin
+         match !pending_events with
+         | e :: rest ->
+           pending_events := rest;
+           injected := e :: !injected;
+           Obs.add "runtime.ui_events_dispatched";
+           inject rt e
+         | [] -> assert false
+       end
+       else begin
+         let k = ref (if ui then k - 1 else k) and i = ref 0 in
+         while !k >= 0 do
+           let thr = rt.threads.(!i) in
+           (match thr.next with
+            | Blocked -> ()
+            | Init | Deliver | Proceed | Instr | Finish | Dispatch | Exit ->
+              if (not only_free) || not thr.held then begin
+                if !k = 0 then execute rt thr;
+                decr k
+              end);
+           incr i
+         done
+       end);
       loop ()
   in
   loop ();
@@ -1085,7 +1139,10 @@ let run ?(options = default_options) app events =
   Obs.set_span_arg "steps" (string_of_int rt.steps);
   { observed = to_trace rt.obs_rev
   ; full = to_trace rt.full_rev
-  ; thread_names = List.map (fun t -> (t.tid, t.thr_name)) rt.thread_list
+  ; thread_names =
+      List.init rt.n_threads (fun i ->
+        let t = rt.threads.(i) in
+        (t.tid, t.thr_name))
   ; injected = List.rev !injected
   ; skipped = List.rev !skipped
   ; enabled_at_end

@@ -24,6 +24,7 @@ type spec =
   ; s_unknown : int * int
   ; s_event_bound : int
   ; s_seed : int
+  ; s_filler : int
   }
 
 type built =
@@ -318,16 +319,14 @@ let build_app spec ~extra_accesses =
   let contexts = max 1 (n_filler + n_bg + (2 * n_loop)) in
   let per_ctx = max 1 ((extra_accesses / contexts) + 1) in
   let shared_fields =
-    List.init shared_pool (fun i ->
+    Array.init shared_pool (fun i ->
       Program.field ~cls:"Filler" (Printf.sprintf "f%d" i))
   in
-  let shared_count = max 1 (List.length shared_fields) in
   let access_block ~ctx n =
     List.init n (fun k ->
-      match shared_fields with
-      | [] -> Program.Read (Program.field ~cls:"Filler" "f0")
-      | _ :: _ ->
-        let f = List.nth shared_fields (((ctx * per_ctx) + k) mod shared_count) in
+      if shared_pool = 0 then Program.Read (Program.field ~cls:"Filler" "f0")
+      else
+        let f = shared_fields.(((ctx * per_ctx) + k) mod shared_pool) in
         if k land 1 = 0 then Program.Write f else Program.Read f)
   in
   let private_field tag i = Program.field ~cls:("Priv" ^ tag) (Printf.sprintf "f%d" i) in
@@ -394,20 +393,19 @@ let build_app spec ~extra_accesses =
   let plants = List.filter_map (fun p -> p.pc_plant) pieces in
   (app, planted_events, plants)
 
-let build spec =
-  let options =
-    { Runtime.default_options with policy = Runtime.Seeded spec.s_seed }
-  in
-  (* Calibrate the filler volume against the Table 2 trace length.
-     Multiplicative updates converge even when filler contexts emit
-     more than one operation per unit (background threads emit two). *)
-  let rec calibrate extra iterations =
-    let app, events, plants = build_app spec ~extra_accesses:extra in
+let options spec =
+  { Runtime.default_options with policy = Runtime.Seeded spec.s_seed }
+
+(* Multiplicative updates converge even when filler contexts emit more
+   than one operation per unit (background threads emit two). *)
+let calibrate spec =
+  let options = options spec in
+  let rec loop extra iterations =
+    let app, events, _ = build_app spec ~extra_accesses:extra in
     let result = Runtime.run ~options app events in
     let measured = Trace.length result.Runtime.observed in
     let diff = spec.s_trace_length - measured in
-    if iterations <= 0 || abs diff * 50 < spec.s_trace_length then
-      (app, events, plants)
+    if iterations <= 0 || abs diff * 50 < spec.s_trace_length then extra
     else begin
       let scaled =
         int_of_float
@@ -415,15 +413,17 @@ let build spec =
            *. float_of_int spec.s_trace_length
            /. float_of_int (max 1 measured))
       in
-      calibrate (max 0 scaled) (iterations - 1)
+      loop (max 0 scaled) (iterations - 1)
     end
   in
-  let initial = max 0 (spec.s_trace_length - 200) in
-  let app, events, plants = calibrate initial 6 in
+  loop (max 0 (spec.s_trace_length - 200)) 6
+
+let build spec =
+  let app, events, plants = build_app spec ~extra_accesses:spec.s_filler in
   { b_spec = spec
   ; b_app = app
   ; b_events = events
-  ; b_options = options
+  ; b_options = options spec
   ; b_plants = plants
   }
 

@@ -13,9 +13,11 @@ open! Import
     untracked native posts, disabled widgets, large timeouts and
     front-of-queue posts for false positives).
 
-    Generation is deterministic.  An auto-calibration loop sizes the
-    filler workload until the observed trace length lands within a few
-    percent of the Table 2 target. *)
+    Generation is deterministic.  Each spec carries its filler volume
+    ([s_filler]) as a constant, so {!build} runs no interpreter;
+    {!calibrate} is the loop that finds the volume for a new spec, sizing
+    the filler workload until the observed trace length lands within a
+    few percent of the Table 2 target. *)
 
 (** How a planted race is realised, and whether an alternate order of
     its accesses is actually reachable (the ground truth the verifier
@@ -48,6 +50,9 @@ type spec =
   ; s_unknown : int * int
   ; s_event_bound : int  (** length of UI sequences the paper used *)
   ; s_seed : int
+  ; s_filler : int
+      (** filler accesses spread over the filler contexts: the value
+          {!calibrate} converges to for this spec *)
   }
 
 type built =
@@ -60,9 +65,17 @@ type built =
   }
 
 val build : spec -> built
-(** Deterministically builds and calibrates the application.
+(** Deterministically builds the application with [s_filler] filler
+    accesses.  The interpreter does not run.
     @raise Invalid_argument when the spec is inconsistent (e.g. fewer
     fields than planted races need). *)
+
+val calibrate : spec -> int
+(** The filler volume that brings the observed trace of the
+    representative test within 2% of [s_trace_length]: multiplicative
+    updates from [s_trace_length - 200], at most seven interpreter runs.
+    [s_filler] of the spec is ignored.  Run it once for a new spec and
+    store the result in [s_filler]. *)
 
 val plant_of_location : built -> Ident.Location.t -> plant option
 (** The plant that owns a racy location, for grouping verification. *)

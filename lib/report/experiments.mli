@@ -16,9 +16,9 @@ type app_run =
   }
 
 val run_spec : ?config:Detector.config -> Synthetic.spec -> app_run
-(** Builds (with calibration), runs the representative test and analyses
-    its observed trace with the given detector configuration (default
-    {!Detector.default_config}). *)
+(** Builds (from the spec's pinned filler volume), runs the
+    representative test and analyses its observed trace with the given
+    detector configuration (default {!Detector.default_config}). *)
 
 val run_catalog :
   ?jobs:int ->

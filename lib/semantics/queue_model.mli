@@ -43,6 +43,10 @@ val eligible : t -> Ident.Task_id.t list
 (** The tasks the dispatch policy allows to run next, in arrival order.
     Empty iff the queue is empty. *)
 
+val iter_eligible : (Ident.Task_id.t -> unit) -> t -> unit
+(** [iter_eligible f q] applies [f] to the tasks of {!eligible}, in the
+    same order, without building the list: one pass over the queue. *)
+
 val dequeue : t -> Ident.Task_id.t -> (t, string) result
 (** Removes the task if {!eligible} permits it; the error message
     explains which policy clause was violated. *)

@@ -235,9 +235,13 @@ let remove_cancelled t =
        | Some p -> not (cancelled p)
        | None -> true)
   in
-  let kept = ref [] in
-  Array.iteri (fun i e -> if keep i e then kept := e :: !kept) t.events;
-  build (Array.of_list (List.rev !kept))
+  if Task_id.Map.for_all (fun _ i -> Option.is_none i.cancel_at) t.task_infos
+  then t
+  else begin
+    let kept = ref [] in
+    Array.iteri (fun i e -> if keep i e then kept := e :: !kept) t.events;
+    build (Array.of_list (List.rev !kept))
+  end
 
 type stats =
   { trace_length : int

@@ -93,7 +93,8 @@ val remove_cancelled : t -> t
     never began), the task's [post], the [cancel] itself and any
     operations of the task body; this is how Section 4.2 handles
     cancellation before happens-before analysis.  [cancel] operations for
-    tasks that already began are deleted but the executed task is kept. *)
+    tasks that already began are deleted but the executed task is kept.
+    A trace without [cancel] operations is returned as it is. *)
 
 (** {1 Statistics (Table 2)} *)
 

@@ -2,6 +2,7 @@
    generator, the catalog and the bug apps. *)
 
 module Trace = Droidracer_trace.Trace
+module Binfmt = Droidracer_trace.Binfmt
 module Step = Droidracer_semantics.Step
 module Runtime = Droidracer_appmodel.Runtime
 module Detector = Droidracer_core.Detector
@@ -37,6 +38,55 @@ let test_catalog_shape () =
 let run_built b =
   Runtime.run ~options:b.Synthetic.b_options b.Synthetic.b_app
     b.Synthetic.b_events
+
+(* The pinned filler volume of every spec is where the calibration loop
+   lands, so [Synthetic.build] without it builds the same application. *)
+let test_filler_is_calibrated () =
+  List.iter
+    (fun s ->
+       check_int (s.Synthetic.s_name ^ " filler") s.Synthetic.s_filler
+         (Synthetic.calibrate s))
+    Catalog.all
+
+(* The representative run of every catalog app, pinned as the MD5 of its
+   observed trace's binary encoding, its scheduling steps and its number
+   of scheduling decisions.  A change to the interpreter or the
+   scheduler that draws a different schedule fails here, even when race
+   counts happen to stay the same. *)
+let golden_runs =
+  [ ("Aard Dictionary", "3f74d3bfd07e400d1effd9816a01317d", 1346, 1404)
+  ; ("Music Player", "6d993d5c43e7cf60de1a1ad18031bcd8", 5520, 5582)
+  ; ("My Tracks", "d62a969ec35da125411895cedd7c4389", 7376, 7540)
+  ; ("Messenger", "fd50dc098ce05daf85f8c451dc04a68c", 10121, 10220)
+  ; ("Tomdroid Notes", "66a5aae9c8f9a235eea77708f1c559c8", 9995, 10343)
+  ; ("FBReader", "56962f70d671e9398e94f28eab2187c4", 10754, 10873)
+  ; ("Browser", "f74fbdd22adfb74c9a3f3b889ee1f9ee", 19107, 19210)
+  ; ("OpenSudoku", "7513ac9c7914e7a97ea3a56ec18092c6", 24886, 24931)
+  ; ("K-9 Mail", "068030c2c3f4fd9d52dd6c34dd686ec5", 29961, 30650)
+  ; ("SGTPuzzles", "ff6f333bd4f502a8968392c0eef21fc7", 39016, 39096)
+  ; ("Remind Me", "c0cf6bcf67d5999d08ba4df3d14e93d4", 10290, 10466)
+  ; ("Twitter", "adddcdf85f9f2d4be1daa60d56d06455", 17095, 17192)
+  ; ("Adobe Reader", "9b2f3e7eb8a29550492250c043af0a8b", 33890, 34116)
+  ; ("Facebook", "528496db8ec21cbe8c75d6b4528678e5", 52233, 52249)
+  ; ("Flipkart", "f8391378139a2164ce219a23ff1d1273", 157837, 157942)
+  ]
+
+let test_golden_schedules () =
+  check_int "every catalog app is pinned" (List.length Catalog.all)
+    (List.length golden_runs);
+  List.iter
+    (fun (name, digest, steps, decisions) ->
+       let r = run_built (Synthetic.build (Option.get (Catalog.find name))) in
+       let bytes =
+         Binfmt.encode_events_to_string (Trace.events r.Runtime.observed)
+       in
+       Alcotest.(check string)
+         (name ^ " trace digest") digest
+         (Digest.to_hex (Digest.string bytes));
+       check_int (name ^ " steps") steps r.Runtime.steps;
+       check_int (name ^ " decisions") decisions
+         (List.length r.Runtime.choice_arities))
+    golden_runs
 
 let test_synthetic_matches_table2 () =
   List.iter
@@ -217,6 +267,9 @@ let () =
         ; Alcotest.test_case "plants cover races" `Quick test_plants_cover_races
         ; Alcotest.test_case "verification vs ground truth" `Quick
             test_verification_matches_ground_truth
+        ; Alcotest.test_case "filler is calibrated" `Quick
+            test_filler_is_calibrated
+        ; Alcotest.test_case "golden schedules" `Quick test_golden_schedules
         ] )
     ; ( "music player"
       , [ Alcotest.test_case "scenarios" `Quick test_music_player_scenarios ] )

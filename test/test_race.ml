@@ -319,6 +319,25 @@ let prop_no_race_between_ordered =
                  race.Race.second.position))
          report.Detector.all_races)
 
+(* Detection drops a task cancelled before it began: the race list of a
+   trace with a cancelled post is that of the trace without it, and a
+   trace without cancels goes to the detector as it is. *)
+let test_cancelled_post_leaves_races () =
+  let p = task "p" and q = task "q" and f = loc "f" in
+  let prefix = [ threadinit 0; threadinit 1; attachq 1; looponq 1 ] in
+  let suffix = [ write 0 f; begin_task 1 q; write 1 f; end_task 1 q ] in
+  let with_cancel =
+    trace (prefix @ [ post 0 p 1; post 0 q 1; cancel 0 p ] @ suffix)
+  in
+  let without = trace (prefix @ [ post 0 q 1 ] @ suffix) in
+  check_bool "cancel-free trace is not rebuilt" true
+    (Trace.remove_cancelled without == without);
+  Alcotest.check pair_list "the write-write race" [ (5, 7) ]
+    (race_pairs (Detector.analyze without));
+  Alcotest.check pair_list "cancelled post removed before detection"
+    (race_pairs (Detector.analyze without))
+    (race_pairs (Detector.analyze with_cancel))
+
 (* The streaming engine without folding or sweeps is the online
    vector-clock engine of the engine ablation table, hence the name. *)
 let prop_ablation_engine_subset =
@@ -570,6 +589,8 @@ let () =
             test_fork_ordering_suppresses_race
         ; Alcotest.test_case "naive lock treatment misses a race" `Quick
             test_lock_spurious_ordering_not_missed
+        ; Alcotest.test_case "cancelled post" `Quick
+            test_cancelled_post_leaves_races
         ] )
     ; ( "classification"
       , [ Alcotest.test_case "co-enabled" `Quick test_co_enabled

@@ -265,6 +265,51 @@ let prop_dequeue_only_eligible =
             allowed = Result.is_ok (Queue_model.dequeue q p))
          (Queue_model.pending q))
 
+(* The dispatch policy stated pairwise, as the interface does: the
+   latest front post pre-empts everything; otherwise an entry is
+   eligible unless an earlier entry blocks it (any immediate post blocks;
+   a delayed post blocks a later delayed one with a larger or equal
+   timeout). *)
+let eligible_pairwise posted =
+  match List.rev (List.filter (fun (_, f) -> f = Operation.Front) posted) with
+  | (p, _) :: _ -> [ p ]
+  | [] ->
+    let rec go before = function
+      | [] -> []
+      | ((p, f) as e) :: rest ->
+        let blocks (_, f') =
+          match f, f' with
+          | Operation.Front, _ -> true
+          | _, Operation.Immediate -> true
+          | Operation.Delayed d, Operation.Delayed d' -> d' <= d
+          | Operation.Immediate, (Operation.Delayed _ | Operation.Front)
+          | Operation.Delayed _, Operation.Front -> false
+        in
+        let rest' = go (e :: before) rest in
+        if List.exists blocks before then rest' else p :: rest'
+    in
+    go [] posted
+
+let prop_eligible_matches_pairwise_policy =
+  let flavour = function
+    | 0 -> Operation.Immediate
+    | 1 -> Operation.Front
+    | k -> Operation.Delayed (k mod 4)
+  in
+  QCheck2.Test.make ~name:"eligible follows the pairwise policy" ~count:300
+    ~print:QCheck2.Print.(list int)
+    QCheck2.Gen.(list_size (int_bound 12) (int_bound 7))
+    (fun kinds ->
+       let posted =
+         List.mapi (fun i k -> (task ~instance:i "q", flavour k)) kinds
+       in
+       let q =
+         List.fold_left (fun q (p, f) -> Queue_model.post q p f)
+           Queue_model.empty posted
+       in
+       List.equal Ident.Task_id.equal (eligible_pairwise posted)
+         (Queue_model.eligible q))
+
 (* {1 Properties} *)
 
 let prop_generated_traces_validate =
@@ -310,6 +355,7 @@ let () =
       , [ QCheck_alcotest.to_alcotest prop_eligible_subset_of_pending
         ; QCheck_alcotest.to_alcotest prop_nonempty_queue_has_eligible
         ; QCheck_alcotest.to_alcotest prop_dequeue_only_eligible
+        ; QCheck_alcotest.to_alcotest prop_eligible_matches_pairwise_policy
         ; QCheck_alcotest.to_alcotest prop_generated_traces_validate
         ; QCheck_alcotest.to_alcotest prop_prefix_closed
         ] )

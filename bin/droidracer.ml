@@ -610,8 +610,9 @@ let trace_cmd =
   in
   let run name seed events output full =
     let _, _, _, result = run_app name seed events in
-    let trace = if full then result.Runtime.full else result.Runtime.observed in
-    (match Step.validate result.Runtime.full with
+    let ground_truth = Lazy.force result.Runtime.full in
+    let trace = if full then ground_truth else result.Runtime.observed in
+    (match Step.validate ground_truth with
      | Ok _ -> ()
      | Error v ->
        Format.eprintf "warning: ground-truth trace violates the semantics: %a@."

@@ -1,15 +1,8 @@
 open! Import
 
-type field =
-  { cls : string
-  ; field_name : string
-  ; obj : int
-  }
+type field = Ident.Location.t
 
-let field ?(obj = 0) ~cls field_name = { cls; field_name; obj }
-
-let location_of_field f =
-  Ident.Location.make ~cls:f.cls ~field:f.field_name ~obj:f.obj
+let field ?(obj = 0) ~cls name = Ident.Location.make ~cls ~field:name ~obj
 
 type target =
   | Main_thread
@@ -147,31 +140,49 @@ let intent_actions a =
 let validate a =
   let error fmt = Format.kasprintf (fun s -> Error s) fmt in
   let ( let* ) = Result.bind in
+  (* The first error of [f] over [xs], in order. *)
+  let rec all f = function
+    | [] -> Ok ()
+    | x :: xs ->
+      let* () = f x in
+      all f xs
+  in
+  (* The interpreter makes monitors and tasks out of these names, some
+     with a suffix such as [".onReceive"]; a name its {!Ident}
+     constructor would reject is an error here, not mid-run. *)
+  let named what ?(suffix = "") make path name =
+    match make (name ^ suffix) with
+    | _ -> Ok ()
+    | exception Invalid_argument _ ->
+      error "%s: invalid %s name %S" path what name
+  in
+  let lock = named "monitor" Ident.Lock_id.make in
+  let task what ?suffix =
+    named what ?suffix (fun name -> Ident.Task_id.make ~name ~instance:0)
+  in
   let rec check_stmts ~in_background path stmts =
-    List.fold_left
-      (fun acc s ->
-         let* () = acc in
-         check_stmt ~in_background path s)
-      (Ok ()) stmts
+    all (check_stmt ~in_background path) stmts
   and check_stmt ~in_background path s =
     match s with
     | Read _ | Write _ | Handoff_send _ | Handoff_wait _ | Enable_ui _
     | Disable_ui _ | Finish_activity | Cancel_last _ -> Ok ()
-    | Synchronized (_, body) -> check_stmts ~in_background path body
+    | Synchronized (l, body) ->
+      let* () = lock path l in
+      check_stmts ~in_background path body
     | Fork (name, body) | Fork_native (name, body) ->
       check_stmts ~in_background (path ^ "/" ^ name) body
     | Fork_looper _ | Join _ -> Ok ()
     | Post { proc; _ } ->
-      if Option.is_some (find_proc a proc) then Ok ()
+      if Option.is_some (find_proc a proc) then task "procedure" path proc
       else error "%s: posted procedure %S is not defined" path proc
     | Execute_async_task spec ->
+      let* () = task "AsyncTask" ~suffix:".onPostExecute" path spec.task_name in
       let* () = check_stmts ~in_background path spec.pre in
       let* () =
         check_stmts ~in_background:true (path ^ "/" ^ spec.task_name)
           spec.background
       in
-      let* () = check_stmts ~in_background path spec.progress in
-      check_stmts ~in_background path spec.post_exec
+      check_stmts ~in_background path (spec.progress @ spec.post_exec)
     | Publish_progress ->
       if in_background then Ok ()
       else error "%s: publishProgress outside doInBackground" path
@@ -183,50 +194,44 @@ let validate a =
       else error "%s: service %S is not defined" path name
     | Send_broadcast _ -> Ok ()
   in
+  let callbacks path = all (check_stmts ~in_background:false path) in
   let* () =
     if Option.is_some (find_activity a a.main_activity) then Ok ()
     else error "main activity %S is not defined" a.main_activity
   in
   let* () =
-    List.fold_left
-      (fun acc act ->
-         let* () = acc in
+    all
+      (fun act ->
          let path = act.activity_name in
-         let* () = check_stmts ~in_background:false path act.on_create in
-         let* () = check_stmts ~in_background:false path act.on_start in
-         let* () = check_stmts ~in_background:false path act.on_resume in
-         let* () = check_stmts ~in_background:false path act.on_pause in
-         let* () = check_stmts ~in_background:false path act.on_stop in
-         let* () = check_stmts ~in_background:false path act.on_restart in
-         let* () = check_stmts ~in_background:false path act.on_destroy in
-         List.fold_left
-           (fun acc h ->
-              let* () = acc in
-              check_stmts ~in_background:false
-                (path ^ "#" ^ h.event)
+         let* () = task "activity" ~suffix:"_0.onDestroy" path path in
+         let* () =
+           callbacks path
+             [ act.on_create; act.on_start; act.on_resume; act.on_pause
+             ; act.on_stop; act.on_restart; act.on_destroy ]
+         in
+         all
+           (fun h ->
+              let* () = task "handler event" path h.event in
+              check_stmts ~in_background:false (path ^ "#" ^ h.event)
                 h.handler_body)
-           (Ok ()) act.ui)
-      (Ok ()) a.activities
+           act.ui)
+      a.activities
   in
   let* () =
-    List.fold_left
-      (fun acc s ->
-         let* () = acc in
+    all
+      (fun s ->
          let path = s.service_name in
-         let* () = check_stmts ~in_background:false path s.on_create_svc in
-         let* () = check_stmts ~in_background:false path s.on_start_command in
-         check_stmts ~in_background:false path s.on_destroy_svc)
-      (Ok ()) a.services
+         let* () = task "service" ~suffix:".onStartCommand" path path in
+         callbacks path
+           [ s.on_create_svc; s.on_start_command; s.on_destroy_svc ])
+      a.services
   in
   let* () =
-    List.fold_left
-      (fun acc r ->
-         let* () = acc in
-         check_stmts ~in_background:false r.receiver_name r.on_receive)
-      (Ok ()) a.receivers
+    all
+      (fun r ->
+         let path = r.receiver_name in
+         let* () = task "receiver" ~suffix:".onReceive" path path in
+         check_stmts ~in_background:false path r.on_receive)
+      a.receivers
   in
-  List.fold_left
-    (fun acc (name, body) ->
-       let* () = acc in
-       check_stmts ~in_background:false name body)
-    (Ok ()) a.procs
+  all (fun (name, body) -> check_stmts ~in_background:false name body) a.procs

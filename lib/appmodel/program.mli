@@ -12,18 +12,19 @@ open! Import
     / cancellation, AsyncTask, activity lifecycles, services, broadcast
     receivers — plus the untracked mechanisms (natively created threads,
     ad-hoc flag synchronization) responsible for the false positives and
-    negatives discussed in Section 6. *)
+    negatives discussed in Section 6.  A run builds its full
+    (ground-truth) trace lazily, only when {!Runtime.run_result} [full]
+    is forced. *)
 
-(** A field of an object, the unit of race detection. *)
-type field =
-  { cls : string
-  ; field_name : string
-  ; obj : int
-  }
+(** A field of an object, the unit of race detection: the location that
+    the interpreter's [read] and [write] operations carry as is. *)
+type field = Ident.Location.t
 
 val field : ?obj:int -> cls:string -> string -> field
-
-val location_of_field : field -> Ident.Location.t
+(** [field ~cls name] is field [name] of object [obj] (default [0]) of
+    class [cls], validated eagerly, once, by {!Ident.Location.make}.
+    @raise Invalid_argument on an invalid class or field name or a
+    negative [obj]. *)
 
 (** Where a post is directed. *)
 type target =
@@ -182,6 +183,9 @@ val intent_actions : app -> string list
 
 val validate : app -> (unit, string) result
 (** Checks that every name referenced by a statement (posted procedure,
-    activity, service, thread join target) is defined, that
-    [Publish_progress] appears only inside AsyncTask backgrounds, and
-    that the main activity exists. *)
+    activity, service) is defined, that [Publish_progress] appears only
+    inside AsyncTask backgrounds, that the main activity exists, and that
+    every name the interpreter makes a monitor or a task of (monitors,
+    procedures, handler events, activities, services, receivers,
+    AsyncTasks) passes {!Ident.Lock_id.make} or {!Ident.Task_id.make}.
+    The error names the path of the first violation. *)

@@ -51,7 +51,7 @@ let default_options =
 
 type run_result =
   { observed : Trace.t
-  ; full : Trace.t
+  ; full : Trace.t Lazy.t
   ; thread_names : (Thread_id.t * string) list
   ; injected : ui_event list
   ; skipped : ui_event list
@@ -68,7 +68,7 @@ let stuck fmt = Format.kasprintf (fun s -> raise (Stuck s)) fmt
    continuations. *)
 type instr =
   | Prog of Program.stmt
-  | Release_monitor of string
+  | Release_monitor of Lock_id.t
   | Async_fork of Program.async_spec
   | Async_finish  (** end of doInBackground: post onPostExecute *)
 
@@ -84,8 +84,7 @@ type async_ctx =
 (* A blocked thread: [can_proceed] is polled by the scheduler and
    [proceed] performs the delayed action once it holds. *)
 type waiting =
-  { reason : string
-  ; can_proceed : unit -> bool
+  { can_proceed : unit -> bool
   ; proceed : unit -> unit
   }
 
@@ -167,7 +166,7 @@ type rt =
   ; mutable stack : act_inst list  (** top first *)
   ; all_activities : (int, act_inst) Hashtbl.t
   ; mutable next_obj : int
-  ; flags : (string, unit) Hashtbl.t
+  ; mutable flags : Location.Set.t  (** published handoff flags *)
   ; mutable clock : int
   ; mutable steps : int
   ; services_created : (string, bool) Hashtbl.t
@@ -556,8 +555,6 @@ let broadcast_flow rt (thr : thr) action =
 
 let push_frame (thr : thr) body = thr.frames <- body :: thr.frames
 
-let location_key f = Location.to_string (Program.location_of_field f)
-
 let resolve_target rt = function
   | Program.Main_thread -> Some (main rt)
   | Program.Named_thread n ->
@@ -567,10 +564,8 @@ let resolve_target rt = function
 
 let interpret_stmt rt (thr : thr) (s : Program.stmt) =
   match s with
-  | Program.Read f ->
-    emit rt thr (Operation.Read (Program.location_of_field f))
-  | Program.Write f ->
-    emit rt thr (Operation.Write (Program.location_of_field f))
+  | Program.Read f -> emit rt thr (Operation.Read f)
+  | Program.Write f -> emit rt thr (Operation.Write f)
   | Program.Synchronized (l, body) ->
     let lock = Lock_id.make l in
     let mine_or_free () =
@@ -580,12 +575,10 @@ let interpret_stmt rt (thr : thr) (s : Program.stmt) =
     in
     let enter () =
       emit rt thr (Operation.Acquire lock);
-      push_frame thr (instrs body @ [ Release_monitor l ])
+      push_frame thr (instrs body @ [ Release_monitor lock ])
     in
     if mine_or_free () then enter ()
-    else
-      thr.waiting <-
-        Some { reason = "lock " ^ l; can_proceed = mine_or_free; proceed = enter }
+    else thr.waiting <- Some { can_proceed = mine_or_free; proceed = enter }
   | Program.Fork (name, body) ->
     let t = new_thread rt ~name ~native:false ~queue:false ~body:(instrs body)
               ~exits:true ~actx:None
@@ -614,9 +607,7 @@ let interpret_stmt rt (thr : thr) (s : Program.stmt) =
       | None -> ()
     in
     if ready () then go ()
-    else
-      thr.waiting <-
-        Some { reason = "join " ^ name; can_proceed = ready; proceed = go }
+    else thr.waiting <- Some { can_proceed = ready; proceed = go }
   | Program.Post { proc; target; delay; front } ->
     let body =
       match Program.find_proc rt.app proc with
@@ -642,13 +633,7 @@ let interpret_stmt rt (thr : thr) (s : Program.stmt) =
       | None -> stuck "post target of %s unavailable" proc
     in
     if attempt () then go ()
-    else
-      thr.waiting <-
-        Some
-          { reason = "post target for " ^ proc
-          ; can_proceed = attempt
-          ; proceed = go
-          }
+    else thr.waiting <- Some { can_proceed = attempt; proceed = go }
   | Program.Cancel_last proc ->
     let cancellable (p, id) =
       String.equal p proc
@@ -705,19 +690,17 @@ let interpret_stmt rt (thr : thr) (s : Program.stmt) =
      | Some act -> Hashtbl.remove act.ui_enabled event
      | None -> ())
   | Program.Handoff_send f ->
-    emit rt thr (Operation.Write (Program.location_of_field f));
-    Hashtbl.replace rt.flags (location_key f) ()
+    emit rt thr (Operation.Write f);
+    rt.flags <- Location.Set.add f rt.flags
   | Program.Handoff_wait f ->
-    let set () = Hashtbl.mem rt.flags (location_key f) in
-    let go () = emit rt thr (Operation.Read (Program.location_of_field f)) in
+    let set () = Location.Set.mem f rt.flags in
+    let go () = emit rt thr (Operation.Read f) in
     if set () then go ()
-    else
-      thr.waiting <-
-        Some { reason = "handoff " ^ location_key f; can_proceed = set; proceed = go }
+    else thr.waiting <- Some { can_proceed = set; proceed = go }
 
 let interpret_instr rt (thr : thr) = function
   | Prog s -> interpret_stmt rt thr s
-  | Release_monitor l -> emit rt thr (Operation.Release (Lock_id.make l))
+  | Release_monitor lock -> emit rt thr (Operation.Release lock)
   | Async_fork spec ->
     Obs.add "runtime.async_tasks";
     let owner = Option.map (fun a -> a.obj) (current_activity rt thr) in
@@ -1029,7 +1012,7 @@ let run ?(options = default_options) app events =
     ; stack = []
     ; all_activities = Hashtbl.create 4
     ; next_obj = 0
-    ; flags = Hashtbl.create 8
+    ; flags = Location.Set.empty
     ; clock = 0
     ; steps = 0
     ; services_created = Hashtbl.create 4
@@ -1137,8 +1120,9 @@ let run ?(options = default_options) app events =
     | Error msg -> stuck "interpreter bug: ill-formed trace: %s" msg
   in
   Obs.set_span_arg "steps" (string_of_int rt.steps);
+  let full_rev = rt.full_rev in
   { observed = to_trace rt.obs_rev
-  ; full = to_trace rt.full_rev
+  ; full = lazy (to_trace full_rev)
   ; thread_names =
       List.init rt.n_threads (fun i ->
         let t = rt.threads.(i) in

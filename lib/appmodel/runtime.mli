@@ -74,7 +74,10 @@ val default_options : options
 
 type run_result =
   { observed : Trace.t
-  ; full : Trace.t
+  ; full : Trace.t Lazy.t
+      (** built on first force, with the same {!Trace.of_events} check
+          as [observed] (a failure raises {!Stuck}); callers that only
+          analyse [observed] never pay for it *)
   ; thread_names : (Ident.Thread_id.t * string) list
       (** stable, program-defined names of the dynamic threads *)
   ; injected : ui_event list  (** events delivered, in order *)

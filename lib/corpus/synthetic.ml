@@ -36,7 +36,6 @@ type built =
   }
 
 let fields cls n = List.init n (fun i -> Program.field ~cls (Printf.sprintf "f%d" i))
-let locations fs = List.map Program.location_of_field fs
 let writes fs = List.map (fun f -> Program.Write f) fs
 let reads fs = List.map (fun f -> Program.Read f) fs
 
@@ -75,7 +74,7 @@ let mt_true n =
           { p_category = Classify.Multithreaded
           ; p_genuine = true
           ; p_mechanism = "unsynchronised sharing between the main and a background thread"
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     ; pc_threads = 1
     }
@@ -96,7 +95,7 @@ let mt_fp n =
           { p_category = Classify.Multithreaded
           ; p_genuine = false
           ; p_mechanism = "ad-hoc flag handoff invisible to happens-before reasoning"
-          ; p_locations = locations (flag :: fs)
+          ; p_locations = flag :: fs
           }
     ; pc_threads = 1
     }
@@ -120,7 +119,7 @@ let cross_true n =
           { p_category = Classify.Cross_posted
           ; p_genuine = true
           ; p_mechanism = "task posted by a background thread vs a UI handler task"
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     ; pc_posts = 1
     ; pc_threads = 1
@@ -146,7 +145,7 @@ let cross_fp n =
           ; p_genuine = false
           ; p_mechanism =
               "post by an untracked natively-created thread; the ordering flag is invisible"
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     ; pc_posts = 1
     ; pc_threads = 1  (* the native thread appears in the trace via its post *)
@@ -168,7 +167,7 @@ let co_true n =
           { p_category = Classify.Co_enabled
           ; p_genuine = true
           ; p_mechanism = "two co-enabled UI handlers sharing state"
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     }
   end
@@ -189,7 +188,7 @@ let co_fp n =
           { p_category = Classify.Co_enabled
           ; p_genuine = false
           ; p_mechanism = "the second handler disables the first: the events are not co-enabled"
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     }
   end
@@ -217,7 +216,7 @@ let delayed_plant ~genuine n =
           ; p_mechanism =
               (if genuine then "small timeout: either task may run first"
                else "large timeout always orders the tasks")
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     ; pc_posts = 2
     }
@@ -242,7 +241,7 @@ let unknown_plant (n, claimed_true) =
               Printf.sprintf
                 "front-of-queue post below a shared cross-thread post (paper verified %d of these manually)"
                 claimed_true
-          ; p_locations = locations fs
+          ; p_locations = fs
           }
     ; pc_posts = 3
     ; pc_threads = 1

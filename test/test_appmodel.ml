@@ -47,13 +47,72 @@ let test_validation () =
   check_bool "music player validates" true
     (Result.is_ok (Program.validate Mp.app))
 
+(* An identifier the interpreter would reject mid-run is a located
+   validation error; [Runtime.run] refuses the app before running it. *)
+let test_invalid_identifiers () =
+  let rejects what ~path app =
+    match Program.validate app with
+    | Ok () -> Alcotest.failf "%s: validated" what
+    | Error msg ->
+      check_bool (what ^ " located") true
+        (String.starts_with ~prefix:(path ^ ":") msg);
+      (match Runtime.run app [] with
+       | _ -> Alcotest.failf "%s: ran" what
+       | exception Invalid_argument m ->
+         check_bool (what ^ " refused before running") true
+           (String.starts_with ~prefix:"Runtime.run: invalid app" m))
+  in
+  rejects "monitor with a space" ~path:"Main"
+    (simple_app ~on_create:[ Program.Synchronized ("my lock", []) ] ());
+  rejects "procedure with '#'" ~path:"Main"
+    (simple_app ~procs:[ ("a#b", []) ] ~on_create:[ Program.post "a#b" ] ());
+  rejects "handler event with a space" ~path:"Main"
+    (simple_app ~ui:[ Program.handler "on click" [] ] ());
+  rejects "AsyncTask with '#'" ~path:"Main"
+    (simple_app
+       ~on_create:
+         [ Program.Execute_async_task
+             { task_name = "t#1"; pre = []; background = []; progress = []
+             ; post_exec = [] }
+         ]
+       ());
+  rejects "activity with a space" ~path:"Main Screen"
+    (Program.app ~name:"Test" ~main:"Main Screen"
+       ~activities:[ Program.activity "Main Screen" ] ());
+  rejects "service with a space" ~path:"my svc"
+    (Program.app ~name:"Test" ~main:"Main"
+       ~activities:[ Program.activity "Main" ]
+       ~services:[ Program.service "my svc" ] ());
+  rejects "receiver with '#'" ~path:"r#1"
+    (Program.app ~name:"Test" ~main:"Main"
+       ~activities:[ Program.activity "Main" ]
+       ~receivers:[ { receiver_name = "r#1"; action = "A"; on_receive = [] } ]
+       ())
+
+(* A field's location is validated once, when the program is built. *)
+let test_field_validates_eagerly () =
+  let raises what f =
+    match f () with
+    | (_ : Program.field) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "dotted class" (fun () -> Program.field ~cls:"A.B" "x");
+  raises "empty class" (fun () -> Program.field ~cls:"" "x");
+  raises "field with a space" (fun () -> Program.field ~cls:"A" "my field");
+  raises "field with '@'" (fun () -> Program.field ~cls:"A" "x@1");
+  raises "negative object" (fun () -> Program.field ~obj:(-1) ~cls:"A" "x");
+  let loc = Program.field ~obj:3 ~cls:"A" "x" in
+  Alcotest.(check string) "the location itself" "A.x@3"
+    (Ident.Location.to_string loc)
+
 (* {1 Trace generation basics} *)
 
 let test_traces_valid () =
   List.iter
     (fun (events, opts) ->
        let r = Runtime.run ~options:opts Mp.app events in
-       check_bool "full trace valid" true (Step.is_valid r.Runtime.full))
+       check_bool "full trace valid" true
+         (Step.is_valid (Lazy.force r.Runtime.full)))
     [ (Mp.play_scenario, Mp.options)
     ; (Mp.back_scenario, Mp.options)
     ; (Mp.back_scenario, { Mp.options with compressed_lifecycle = false })
@@ -117,7 +176,8 @@ let test_monitor_exclusion () =
        let r =
          run ~options:{ Runtime.default_options with policy = Runtime.Seeded seed } app
        in
-       check_bool "valid under contention" true (Step.is_valid r.Runtime.full))
+       check_bool "valid under contention" true
+         (Step.is_valid (Lazy.force r.Runtime.full)))
     [ 1; 2; 3; 4; 5 ]
 
 let test_join () =
@@ -131,7 +191,7 @@ let test_join () =
       ()
   in
   let r = run app in
-  check_bool "valid" true (Step.is_valid r.Runtime.full);
+  check_bool "valid" true (Step.is_valid (Lazy.force r.Runtime.full));
   check_int "no race through join" 0
     (List.length (Detector.analyze r.Runtime.observed).Detector.all_races)
 
@@ -159,7 +219,7 @@ let test_handoff_orders_execution () =
             | Operation.Write m when Ident.Location.field m = "x" -> write_pos := i
             | Operation.Read m when Ident.Location.field m = "x" -> read_pos := i
             | _ -> ())
-         r.Runtime.full;
+         (Lazy.force r.Runtime.full);
        check_bool "write before read in every schedule" true
          (!write_pos >= 0 && !read_pos > !write_pos);
        (* ... but the detector reports the race: the handoff is invisible *)
@@ -179,7 +239,7 @@ let test_native_thread_instrumentation () =
   in
   let r = run app in
   check_bool "full trace has the native write" true
-    (count_ops r.Runtime.full (fun _ e ->
+    (count_ops (Lazy.force r.Runtime.full) (fun _ e ->
        match e.Trace.op with
        | Operation.Write m -> Ident.Location.field m = "y"
        | _ -> false)
@@ -196,7 +256,7 @@ let test_native_thread_instrumentation () =
   (* with full instrumentation the observed and ground-truth agree *)
   let r2 = run ~options:{ Runtime.default_options with log_native = true } app in
   check_int "log_native shows everything"
-    (Trace.length r2.Runtime.full)
+    (Trace.length (Lazy.force r2.Runtime.full))
     (Trace.length r2.Runtime.observed)
 
 let test_emit_enables_off () =
@@ -208,7 +268,7 @@ let test_emit_enables_off () =
     (count_ops r.Runtime.observed (fun _ e ->
        match e.Trace.op with Operation.Enable _ -> true | _ -> false));
   check_bool "enables still in the ground truth" true
-    (count_ops r.Runtime.full (fun _ e ->
+    (count_ops (Lazy.force r.Runtime.full) (fun _ e ->
        match e.Trace.op with Operation.Enable _ -> true | _ -> false)
      > 0)
 
@@ -220,7 +280,7 @@ let test_cancel_last () =
       ()
   in
   let r = run app in
-  check_bool "valid" true (Step.is_valid r.Runtime.full);
+  check_bool "valid" true (Step.is_valid (Lazy.force r.Runtime.full));
   check_int "job never begins" 0
     (count_ops r.Runtime.observed (fun _ e ->
        match e.Trace.op with Operation.Begin_task _ -> true | _ -> false)
@@ -265,7 +325,7 @@ let test_looper_thread () =
       ()
   in
   let r = run app in
-  check_bool "valid" true (Step.is_valid r.Runtime.full);
+  check_bool "valid" true (Step.is_valid (Lazy.force r.Runtime.full));
   let work_thread = ref None in
   Trace.iteri
     (fun i (e : Trace.event) ->
@@ -303,7 +363,7 @@ let test_hold_stalls_context () =
          match e.op with
          | Operation.Write m when Ident.Location.field m = field_name -> p := i
          | _ -> ())
-      r.Runtime.full;
+      (Lazy.force r.Runtime.full);
     !p
   in
   check_bool "held thread runs last" true (pos_of "a" > pos_of "b")
@@ -323,7 +383,7 @@ let test_intent_delivery () =
   in
   let r = run ~events:[ Runtime.Intent "SEND" ] app in
   check_int "intent injected" 1 (List.length r.Runtime.injected);
-  check_bool "valid" true (Step.is_valid r.Runtime.full);
+  check_bool "valid" true (Step.is_valid (Lazy.force r.Runtime.full));
   (* the filtered activity launched, pausing the main activity first *)
   check_int "share launched" 1
     (count_ops r.Runtime.observed (fun _ e ->
@@ -404,7 +464,7 @@ let prop_music_player_always_valid =
     (fun seed ->
        let opts = { Mp.options with policy = Runtime.Seeded seed } in
        let r = Runtime.run ~options:opts Mp.app Mp.back_scenario in
-       Step.is_valid r.Runtime.full)
+       Step.is_valid (Lazy.force r.Runtime.full))
 
 let prop_back_races_found_under_any_seed =
   QCheck2.Test.make
@@ -420,7 +480,12 @@ let prop_back_races_found_under_any_seed =
 let () =
   Alcotest.run "appmodel"
     [ ( "program"
-      , [ Alcotest.test_case "validation" `Quick test_validation ] )
+      , [ Alcotest.test_case "validation" `Quick test_validation
+        ; Alcotest.test_case "invalid identifiers" `Quick
+            test_invalid_identifiers
+        ; Alcotest.test_case "field validates eagerly" `Quick
+            test_field_validates_eagerly
+        ] )
     ; ( "runtime"
       , [ Alcotest.test_case "traces valid" `Quick test_traces_valid
         ; Alcotest.test_case "seed determinism" `Quick test_seed_determinism

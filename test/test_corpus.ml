@@ -2,8 +2,10 @@
    generator, the catalog and the bug apps. *)
 
 module Trace = Droidracer_trace.Trace
+module Operation = Droidracer_trace.Operation
 module Binfmt = Droidracer_trace.Binfmt
 module Step = Droidracer_semantics.Step
+module Program = Droidracer_appmodel.Program
 module Runtime = Droidracer_appmodel.Runtime
 module Detector = Droidracer_core.Detector
 module Classify = Droidracer_core.Classify
@@ -88,13 +90,93 @@ let test_golden_schedules () =
          (List.length r.Runtime.choice_arities))
     golden_runs
 
+(* The full (ground-truth) trace of three apps with natively created
+   threads, pinned as the MD5 of its binary encoding: forcing the lazy
+   [full] builds the same trace as the interpreter always did. *)
+let golden_full_runs =
+  [ ("Music Player", "7f65e7d9c589550c209372d2bf95953e", 5539)
+  ; ("Browser", "9364882966a7be4f1abcf817d1444ef9", 19123)
+  ; ("Twitter", "8c898bccb120ac82f19a9407480d8e41", 17121)
+  ]
+
+let test_golden_full_traces () =
+  List.iter
+    (fun (name, digest, length) ->
+       let r = run_built (Synthetic.build (Option.get (Catalog.find name))) in
+       let full = Lazy.force r.Runtime.full in
+       let bytes = Binfmt.encode_events_to_string (Trace.events full) in
+       Alcotest.(check string)
+         (name ^ " full digest") digest
+         (Digest.to_hex (Digest.string bytes));
+       check_int (name ^ " full length") length (Trace.length full))
+    golden_full_runs
+
+(* Names of the threads an app creates with [Fork_native]. *)
+let native_thread_names (app : Program.app) =
+  let rec stmt acc = function
+    | Program.Fork_native (name, body) -> stmts (name :: acc) body
+    | Program.Synchronized (_, body) | Program.Fork (_, body) -> stmts acc body
+    | Program.Execute_async_task spec ->
+      List.fold_left stmts acc
+        [ spec.pre; spec.background; spec.progress; spec.post_exec ]
+    | _ -> acc
+  and stmts acc body = List.fold_left stmt acc body in
+  let bodies =
+    List.concat_map
+      (fun (a : Program.activity) ->
+         [ a.on_create; a.on_start; a.on_resume; a.on_pause; a.on_stop
+         ; a.on_restart; a.on_destroy ]
+         @ List.map (fun (h : Program.ui_handler) -> h.handler_body) a.ui)
+      app.activities
+    @ List.concat_map
+        (fun (s : Program.service) ->
+           [ s.on_create_svc; s.on_start_command; s.on_destroy_svc ])
+        app.services
+    @ List.map (fun (r : Program.receiver) -> r.on_receive) app.receivers
+    @ List.map snd app.procs
+  in
+  List.fold_left stmts [] bodies
+
+(* The observed trace is the full one filtered by the instrumentation's
+   rule: a native thread shows only its posts, forks and joins of native
+   threads are invisible, and enables follow [emit_enables]. *)
+let test_observed_filters_full () =
+  let b = Synthetic.build (Option.get (Catalog.find "Browser")) in
+  let r = run_built b in
+  let natives = native_thread_names b.Synthetic.b_app in
+  let native tid =
+    List.exists
+      (fun (t, name) ->
+         Droidracer_trace.Ident.Thread_id.equal t tid && List.mem name natives)
+      r.Runtime.thread_names
+  in
+  let opts = b.Synthetic.b_options in
+  let observed (e : Trace.event) =
+    if native e.thread && not opts.Runtime.log_native then
+      match e.op with
+      | Operation.Post _ -> true
+      | _ -> false
+    else
+      match e.op with
+      | Operation.Enable _ -> opts.Runtime.emit_enables
+      | Operation.Fork t | Operation.Join t -> not (native t)
+      | _ -> true
+  in
+  let full = Trace.events (Lazy.force r.Runtime.full) in
+  check_bool "Browser has a native thread" true
+    (List.exists (fun (e : Trace.event) -> native e.thread) full);
+  check_bool "observed = filtered full" true
+    (List.equal Trace.event_equal (List.filter observed full)
+       (Trace.events r.Runtime.observed))
+
 let test_synthetic_matches_table2 () =
   List.iter
     (fun name ->
        let spec = Option.get (Catalog.find name) in
        let b = Synthetic.build spec in
        let r = run_built b in
-       check_bool (name ^ " valid") true (Step.is_valid r.Runtime.full);
+       check_bool (name ^ " valid") true
+         (Step.is_valid (Lazy.force r.Runtime.full));
        let s = Trace.stats r.Runtime.observed in
        let close target actual =
          abs (target - actual) * 20 <= target + 20
@@ -194,7 +276,7 @@ let test_aard_bug () =
   let r =
     Runtime.run Bug_apps.Aard_dictionary.app Bug_apps.Aard_dictionary.scenario
   in
-  check_bool "valid" true (Step.is_valid r.Runtime.full);
+  check_bool "valid" true (Step.is_valid (Lazy.force r.Runtime.full));
   let report = Detector.analyze r.Runtime.observed in
   check_int "two multithreaded races" 2 (List.length report.Detector.all_races);
   List.iter
@@ -270,6 +352,10 @@ let () =
         ; Alcotest.test_case "filler is calibrated" `Quick
             test_filler_is_calibrated
         ; Alcotest.test_case "golden schedules" `Quick test_golden_schedules
+        ; Alcotest.test_case "golden full traces" `Quick
+            test_golden_full_traces
+        ; Alcotest.test_case "observed filters full" `Quick
+            test_observed_filters_full
         ] )
     ; ( "music player"
       , [ Alcotest.test_case "scenarios" `Quick test_music_player_scenarios ] )

@@ -162,7 +162,7 @@ let test_accepts_interpreter_traces () =
             | Error e ->
               Alcotest.failf "%s (%s) rejected: %s" name kind
                 (Wellformed.error_message e))
-         [ ("observed", r.Runtime.observed); ("full", r.Runtime.full) ])
+         [ ("observed", r.Runtime.observed); ("full", Lazy.force r.Runtime.full) ])
     (aard :: runs)
 
 let test_prefixes_accepted () =

@@ -74,6 +74,59 @@ type instr =
 
 let instrs stmts = List.map (fun s -> Prog s) stmts
 
+(* An app with the names its statements use resolved once: every run
+   of it looks posted procedures and monitors up here instead of
+   scanning [app.procs] or re-checking a monitor name per entry. *)
+type prepared =
+  { p_app : Program.app
+  ; p_procs : (string, instr list) Hashtbl.t  (** posted bodies *)
+  ; p_monitors : (string, Lock_id.t) Hashtbl.t
+  }
+
+let prepare_as caller app =
+  (match Program.validate app with
+   | Ok () -> ()
+   | Error msg -> invalid_arg (caller ^ ": invalid app: " ^ msg));
+  let p_procs = Hashtbl.create 64 and p_monitors = Hashtbl.create 8 in
+  List.iter
+    (fun (name, body) ->
+       if not (Hashtbl.mem p_procs name) then
+         Hashtbl.add p_procs name (instrs body))
+    app.Program.procs;
+  let rec stmts body = List.iter stmt body
+  and stmt (s : Program.stmt) =
+    match s with
+    | Synchronized (l, body) ->
+      if not (Hashtbl.mem p_monitors l) then
+        Hashtbl.add p_monitors l (Lock_id.make l);
+      stmts body
+    | Fork (_, body) | Fork_native (_, body) -> stmts body
+    | Execute_async_task spec ->
+      List.iter stmts
+        [ spec.pre; spec.background; spec.progress; spec.post_exec ]
+    | Read _ | Write _ | Fork_looper _ | Join _ | Post _ | Cancel_last _
+    | Publish_progress | Start_activity _ | Finish_activity | Start_service _
+    | Stop_service _ | Send_broadcast _ | Enable_ui _ | Disable_ui _
+    | Handoff_send _ | Handoff_wait _ -> ()
+  in
+  List.iter
+    (fun (a : Program.activity) ->
+       List.iter stmts
+         [ a.on_create; a.on_start; a.on_resume; a.on_pause; a.on_stop
+         ; a.on_restart; a.on_destroy ];
+       List.iter (fun (h : Program.ui_handler) -> stmts h.handler_body) a.ui)
+    app.activities;
+  List.iter
+    (fun (s : Program.service) ->
+       List.iter stmts
+         [ s.on_create_svc; s.on_start_command; s.on_destroy_svc ])
+    app.services;
+  List.iter (fun (r : Program.receiver) -> stmts r.on_receive) app.receivers;
+  List.iter (fun (_, body) -> stmts body) app.procs;
+  { p_app = app; p_procs; p_monitors }
+
+let prepare app = prepare_as "Runtime.prepare" app
+
 type async_ctx =
   { spec : Program.async_spec
   ; origin : Thread_id.t
@@ -138,15 +191,8 @@ type act_inst =
   ; cb_enabled : (string, Task_id.t) Hashtbl.t
   }
 
-module Task_tbl = Hashtbl.Make (struct
-    type t = Task_id.t
-
-    let equal = Task_id.equal
-    let hash = Hashtbl.hash
-  end)
-
 type rt =
-  { app : Program.app
+  { prepared : prepared
   ; opts : options
   ; rng : Random.State.t option
   ; mutable script : int list
@@ -161,7 +207,7 @@ type rt =
   ; by_name : (string, thr) Hashtbl.t  (** the first thread of each name *)
   ; mutable next_tid : int
   ; task_instances : (string, int) Hashtbl.t
-  ; tasks : task_info Task_tbl.t
+  ; tasks : task_info Task_id.Table.t
   ; mutable binder : Binder.t
   ; mutable stack : act_inst list  (** top first *)
   ; all_activities : (int, act_inst) Hashtbl.t
@@ -259,7 +305,7 @@ let fresh_task rt name =
   Task_id.make ~name ~instance:n
 
 let register_task rt id ~body ~owner =
-  Task_tbl.replace rt.tasks id
+  Task_id.Table.replace rt.tasks id
     { t_body = body
     ; t_owner = owner
     ; t_hooks_rev = []
@@ -271,7 +317,7 @@ let register_task rt id ~body ~owner =
     }
 
 let task_info rt id =
-  match Task_tbl.find rt.tasks id with
+  match Task_id.Table.find rt.tasks id with
   | info -> info
   | exception Not_found ->
     stuck "interpreter bug: unregistered task %a" Task_id.pp id
@@ -381,7 +427,7 @@ let claim_cb rt (thr : thr) act cb_name ~body =
     id
 
 let new_activity_instance rt name =
-  match Program.find_activity rt.app name with
+  match Program.find_activity rt.prepared.p_app name with
   | None -> stuck "unknown activity %s" name
   | Some program ->
     let obj = rt.next_obj in
@@ -508,7 +554,7 @@ let rotate_flow rt (thr : thr) =
 (* {1 Services and broadcasts} *)
 
 let service_flow rt (thr : thr) name ~start =
-  match Program.find_service rt.app name with
+  match Program.find_service rt.prepared.p_app name with
   | None -> stuck "unknown service %s" name
   | Some svc ->
     let created =
@@ -549,7 +595,7 @@ let broadcast_flow rt (thr : thr) action =
          emit rt thr (Operation.Enable id);
          binder_post rt id Operation.Immediate
        end)
-    rt.app.receivers
+    rt.prepared.p_app.receivers
 
 (* {1 Statement interpretation} *)
 
@@ -567,7 +613,7 @@ let interpret_stmt rt (thr : thr) (s : Program.stmt) =
   | Program.Read f -> emit rt thr (Operation.Read f)
   | Program.Write f -> emit rt thr (Operation.Write f)
   | Program.Synchronized (l, body) ->
-    let lock = Lock_id.make l in
+    let lock = Hashtbl.find rt.prepared.p_monitors l in
     let mine_or_free () =
       match State.lock_holder rt.sem lock with
       | None -> true
@@ -610,8 +656,8 @@ let interpret_stmt rt (thr : thr) (s : Program.stmt) =
     else thr.waiting <- Some { can_proceed = ready; proceed = go }
   | Program.Post { proc; target; delay; front } ->
     let body =
-      match Program.find_proc rt.app proc with
-      | Some b -> instrs b
+      match Hashtbl.find_opt rt.prepared.p_procs proc with
+      | Some b -> b
       | None -> stuck "unknown procedure %s" proc
     in
     let flavour =
@@ -911,7 +957,7 @@ let event_available rt = function
   | Intent action ->
     List.exists
       (fun (act : Program.activity) -> List.mem action act.Program.intent_filters)
-      rt.app.Program.activities
+      rt.prepared.p_app.activities
 
 let inject rt event =
   let m = main rt in
@@ -942,7 +988,7 @@ let inject rt event =
        List.find_opt
          (fun (act : Program.activity) ->
             List.mem action act.Program.intent_filters)
-         rt.app.Program.activities
+         rt.prepared.p_app.activities
      with
      | Some target ->
        (match rt.stack with
@@ -956,7 +1002,7 @@ let inject rt event =
 
 (* The earliest virtual time at which a pending delayed task expires. *)
 let earliest_delay_expiry rt =
-  Task_tbl.fold
+  Task_id.Table.fold
     (fun _ (info : task_info) acc ->
        if info.t_posted && (not info.t_begun) && not info.t_cancelled then
          match info.t_delay with
@@ -972,11 +1018,9 @@ let earliest_delay_expiry rt =
        else acc)
     rt.tasks None
 
-let run ?(options = default_options) app events =
+let run_prepared ?(options = default_options) prepared events =
   Obs.with_span "runtime.run" @@ fun () ->
-  (match Program.validate app with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Runtime.run: invalid app: " ^ msg));
+  let app = prepared.p_app in
   let rng =
     match options.policy with
     | Round_robin | Scripted _ -> None
@@ -992,7 +1036,7 @@ let run ?(options = default_options) app events =
       ~frames:[] ~exits:false ~actx:None
   in
   let rt =
-    { app
+    { prepared
     ; opts = options
     ; rng
     ; script
@@ -1007,7 +1051,7 @@ let run ?(options = default_options) app events =
     ; by_name = Hashtbl.create 16
     ; next_tid = 2 + options.binder_pool_size
     ; task_instances = Hashtbl.create 64
-    ; tasks = Task_tbl.create 64
+    ; tasks = Task_id.Table.create 64
     ; binder = Binder.create ~size:options.binder_pool_size ~first_tid:2
     ; stack = []
     ; all_activities = Hashtbl.create 4
@@ -1133,3 +1177,6 @@ let run ?(options = default_options) app events =
   ; choice_arities = List.rev rt.arities_rev
   ; steps = rt.steps
   }
+
+let run ?options app events =
+  run_prepared ?options (prepare_as "Runtime.run" app) events

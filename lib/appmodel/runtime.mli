@@ -99,7 +99,21 @@ exception Stuck of string
 val run : ?options:options -> Program.app -> ui_event list -> run_result
 (** Executes the application from launch, injecting the given UI events
     one by one (each once the previous one has been consumed and its
-    triggering conditions hold).
+    triggering conditions hold).  [run ?options app events] is
+    [run_prepared ?options (prepare app) events].
 
     @raise Stuck on deadlock.
     @raise Invalid_argument when {!Program.validate} rejects the app. *)
+
+type prepared
+(** An app validated once, with its posted procedures and monitors
+    resolved: replaying one app many times (schedule exploration, race
+    verification) validates and resolves it once.  Immutable, so one
+    value may serve any number of runs. *)
+
+val prepare : Program.app -> prepared
+(** @raise Invalid_argument when {!Program.validate} rejects the app. *)
+
+val run_prepared :
+  ?options:options -> prepared -> ui_event list -> run_result
+(** {!run} on a prepared app. *)

@@ -4,7 +4,7 @@ module Task_id = Ident.Task_id
 
 type node_kind =
   | Anchor of int
-  | Access_block of int list
+  | Access_block
 
 type node =
   { kind : node_kind
@@ -35,52 +35,41 @@ let build ~coalesce trace =
   let node_of_pos = Array.make n (-1) in
   let nodes = ref [] in
   let count = ref 0 in
-  (* Last open access block per thread: (node id, positions rev, task). *)
-  let open_blocks : (int, int * int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let close_block tid = Hashtbl.remove open_blocks (Thread_id.to_int tid) in
-  let add_node kind tid task first last =
+  (* The open access block of each thread, by node id. *)
+  let open_blocks : int Ident.Int_table.t = Ident.Int_table.create 16 in
+  let add_node kind tid task i =
     let id = !count in
     incr count;
-    nodes := { kind; node_thread = tid; node_task = task; first; last } :: !nodes;
+    nodes :=
+      { kind; node_thread = tid; node_task = task; first = i; last = i }
+      :: !nodes;
     id
   in
   for i = 0 to n - 1 do
     let { Trace.thread = tid; op } = Trace.get trace i in
     let task = Trace.enclosing_task trace i in
     if coalesce && is_coalescible op then begin
-      match Hashtbl.find_opt open_blocks (Thread_id.to_int tid) with
-      | Some (id, positions) ->
-        positions := i :: !positions;
-        node_of_pos.(i) <- id
+      match Ident.Int_table.find_opt open_blocks (Thread_id.to_int tid) with
+      | Some id -> node_of_pos.(i) <- id
       | None ->
-        let positions = ref [ i ] in
-        let id = add_node (Access_block []) tid task i i in
-        Hashtbl.add open_blocks (Thread_id.to_int tid) (id, positions);
+        let id = add_node Access_block tid task i in
+        Ident.Int_table.add open_blocks (Thread_id.to_int tid) id;
         node_of_pos.(i) <- id
     end
     else begin
-      close_block tid;
-      let kind = if is_coalescible op then Access_block [ i ] else Anchor i in
-      let id = add_node kind tid task i i in
-      node_of_pos.(i) <- id
+      Ident.Int_table.remove open_blocks (Thread_id.to_int tid);
+      let kind = if is_coalescible op then Access_block else Anchor i in
+      node_of_pos.(i) <- add_node kind tid task i
     end
   done;
   let nodes = Array.of_list (List.rev !nodes) in
-  (* Patch the positions and extents of coalesced blocks. *)
-  let positions_of = Array.make (Array.length nodes) [] in
-  Array.iteri (fun i id -> positions_of.(id) <- i :: positions_of.(id)) node_of_pos;
+  (* A block ends at its last access. *)
+  let last = Array.make (Array.length nodes) 0 in
+  Array.iteri (fun i id -> last.(id) <- i) node_of_pos;
   Array.iteri
     (fun id node ->
-       let positions = List.rev positions_of.(id) in
-       match positions with
-       | [] -> ()
-       | first :: _ ->
-         let last = List.fold_left (fun _ p -> p) first positions in
-         nodes.(id) <-
-           (match node.kind with
-            | Anchor _ -> { node with first; last }
-            | Access_block _ ->
-              { node with kind = Access_block positions; first; last }))
+       if node.last < last.(id) then
+         nodes.(id) <- { node with last = last.(id) })
     nodes;
   let by_thread = ref Thread_id.Map.empty in
   let by_task = ref Task_id.Map.empty in

@@ -21,7 +21,9 @@ open! Import
 
 type node_kind =
   | Anchor of int  (** trace position of a non-access operation *)
-  | Access_block of int list  (** trace positions of the accesses, ascending *)
+  | Access_block
+      (** accesses of one thread, from {!first_pos} to {!last_pos};
+          {!node_of_pos} maps each back to the block *)
 
 type t
 

@@ -136,7 +136,7 @@ let iter ~config:cfg g ~f =
                   (match Trace.op trace pos with
                    | Operation.Attach_queue -> true
                    | _ -> false)
-                | Graph.Access_block _ -> false)
+                | Graph.Access_block -> false)
              (Graph.nodes_of_thread g tid)
          with
          | Some id -> Hashtbl.add attach_node (Thread_id.to_int tid) id

@@ -64,41 +64,27 @@ type segments =
   }
 
 let segment trace graph =
-  (* dense location ids in order of first access, -1 off accesses *)
-  let ids : (Location.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let loc_of_pos = Array.make (Trace.length trace) (-1) in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-       match Operation.accessed_location e.op with
-       | Some location ->
-         loc_of_pos.(i) <-
-           (match Hashtbl.find_opt ids location with
-            | Some id -> id
-            | None ->
-              let id = Hashtbl.length ids in
-              Hashtbl.add ids location id;
-              id)
-       | None -> ())
-    trace;
-  let locs = Hashtbl.length ids in
+  let n_pos = Trace.length trace in
+  let locs = Array.length (Trace.locations trace) in
   (* counting sort of the positions by location: trace order within *)
   let loc_start = Array.make (locs + 1) 0 in
-  Array.iter
-    (fun l -> if l >= 0 then loc_start.(l + 1) <- loc_start.(l + 1) + 1)
-    loc_of_pos;
+  for i = 0 to n_pos - 1 do
+    let l = Trace.location_id trace i in
+    if l >= 0 then loc_start.(l + 1) <- loc_start.(l + 1) + 1
+  done;
   for l = 1 to locs do
     loc_start.(l) <- loc_start.(l) + loc_start.(l - 1)
   done;
   let n = loc_start.(locs) in
   let by_loc = Array.make n 0 in
   let cursor = Array.sub loc_start 0 locs in
-  Array.iteri
-    (fun i l ->
-       if l >= 0 then begin
-         by_loc.(cursor.(l)) <- i;
-         cursor.(l) <- cursor.(l) + 1
-       end)
-    loc_of_pos;
+  for i = 0 to n_pos - 1 do
+    let l = Trace.location_id trace i in
+    if l >= 0 then begin
+      by_loc.(cursor.(l)) <- i;
+      cursor.(l) <- cursor.(l) + 1
+    end
+  done;
   (* Per location, one segment per node it touches: a first walk
      numbers and sizes them, a second places the positions.
      [last_loc] marks the nodes given a segment of the current
@@ -195,12 +181,14 @@ let detect ?(jobs = 1) trace ~hb =
     done
   in
   let scan (loc_lo, loc_hi, lo, hi) =
-    Obs.with_span "race.chunk"
-      ~args:
+    let args =
+      if Obs.enabled () then
         [ ("lo", string_of_int (lo - loc_lo))
         ; ("hi", string_of_int (hi - loc_lo))
         ]
-    @@ fun () ->
+      else []
+    in
+    Obs.with_span "race.chunk" ~args @@ fun () ->
     let races = ref [] and node_pairs = ref 0 in
     (* Two accesses of one node never race: the relation orders them by
        position.  Accesses of two distinct nodes are ordered exactly

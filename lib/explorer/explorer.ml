@@ -17,6 +17,7 @@ let explore ?(options = Runtime.default_options) ?(bound = 3) ?(max_cases = 200)
       List.map (fun a -> Runtime.Intent a) (Program.intent_actions app)
     else []
   in
+  let prepared = Runtime.prepare app in
   let budget = ref max_cases in
   let truncated = ref false in
   let cases = ref [] in
@@ -26,7 +27,7 @@ let explore ?(options = Runtime.default_options) ?(bound = 3) ?(max_cases = 200)
     if !budget <= 0 then truncated := true
     else begin
       decr budget;
-      let result = Runtime.run ~options app prefix in
+      let result = Runtime.run_prepared ~options prepared prefix in
       cases := { events = prefix; result } :: !cases;
       if List.length prefix < bound then begin
         let candidates =

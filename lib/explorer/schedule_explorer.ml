@@ -13,6 +13,7 @@ type exploration =
    siblings of the *last* divergence first keeps the frontier a stack
    (classic stateless search).  [on_run] can stop the search early. *)
 let enumerate ?(max_runs = 500) ~options app events ~on_run =
+  let prepared = Runtime.prepare app in
   let runs = ref 0 in
   let exhausted = ref true in
   let stopped = ref false in
@@ -22,9 +23,9 @@ let enumerate ?(max_runs = 500) ~options app events ~on_run =
     else begin
       incr runs;
       let result =
-        Runtime.run
+        Runtime.run_prepared
           ~options:{ options with Runtime.policy = Runtime.Scripted script }
-          app events
+          prepared events
       in
       if on_run result then stopped := true
       else begin

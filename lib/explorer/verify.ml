@@ -139,15 +139,16 @@ let verify ?(attempts = 12) ?(options = Runtime.default_options) ~app ~events
       ([] :: [ context_name site1.s_context ]
        :: List.map (fun c -> [ c ]) chain_contexts)
   in
+  let prepared = Runtime.prepare app in
   let tried = ref 0 in
   let result = ref None in
   let try_run seed order hold =
     if Option.is_none !result then begin
       incr tried;
       match
-        Runtime.run
+        Runtime.run_prepared
           ~options:{ options with policy = Runtime.Seeded seed; hold }
-          app order
+          prepared order
       with
       | r ->
         let names = r.Runtime.thread_names in

@@ -253,7 +253,7 @@ type decoder =
   ; mutable last_inst : int array  (* per name idx; -1 = unseen *)
   ; mutable last_task : Task_id.t option array
   ; mutable lock_memo : Lock_id.t option array
-  ; loc_memo : (int, loc_memo) Hashtbl.t  (* cls_idx<<21 | field_idx *)
+  ; loc_memo : loc_memo Ident.Int_table.t  (* cls_idx<<21 | field_idx *)
   ; mutable prev_thread : int
   ; mutable decoded : int
   }
@@ -332,7 +332,7 @@ let make_decoder ~base_offset fill =
   ; last_inst = Array.make 64 (-1)
   ; last_task = Array.make 64 None
   ; lock_memo = Array.make 64 None
-  ; loc_memo = Hashtbl.create 256
+  ; loc_memo = Ident.Int_table.create 256
   ; prev_thread = 0
   ; decoded = 0
   }
@@ -390,7 +390,7 @@ let read_access d ~write =
     && field_idx < 0x200000
   then begin
     let key = (cls_idx lsl 21) lor field_idx in
-    match Hashtbl.find_opt d.loc_memo key with
+    match Ident.Int_table.find_opt d.loc_memo key with
     | Some m when m.m_obj = obj -> if write then m.m_write else m.m_read
     | found ->
       let cls = ident_of_idx d cls_idx in
@@ -404,7 +404,8 @@ let read_access d ~write =
          m.m_read <- m_read;
          m.m_write <- m_write
        | None ->
-         Hashtbl.replace d.loc_memo key { m_obj = obj; m_read; m_write });
+         Ident.Int_table.replace d.loc_memo key
+           { m_obj = obj; m_read; m_write });
       if write then m_write else m_read
   end
   else begin

@@ -83,6 +83,13 @@ module Task_id = struct
 
   module Set = Set.Make (Ord)
   module Map = Map.Make (Ord)
+
+  module Table = Hashtbl.Make (struct
+      type nonrec t = t
+
+      let equal = equal
+      let hash = Hashtbl.hash
+    end)
 end
 
 module Interner = struct
@@ -132,26 +139,43 @@ module Interner = struct
 end
 
 module Location = struct
-  type t = { cls : string; field : string; obj : int }
+  (* [hash] is a function of the other three fields, computed once at
+     construction so that hash tables keyed on locations never rehash
+     the strings. *)
+  type t = { cls : string; field : string; obj : int; hash : int }
 
   let valid_part s =
-    s <> "" && no_whitespace s && not (String.contains s '.')
-    && not (String.contains s '@')
+    let rec ok i =
+      i = String.length s
+      ||
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '.' | '@' -> false
+      | _ -> ok (i + 1)
+    in
+    s <> "" && ok 0
+
+  let build cls field obj =
+    let hash =
+      (((Hashtbl.hash cls * 31) + Hashtbl.hash field) * 31) + obj
+    in
+    { cls; field; obj; hash = hash land max_int }
 
   let make ~cls ~field ~obj =
     if not (valid_part cls) then invalid_arg "Location.make: invalid class";
     if not (valid_part field) then invalid_arg "Location.make: invalid field";
     if obj < 0 then invalid_arg "Location.make: negative object id";
-    { cls; field; obj }
+    build cls field obj
 
   let cls t = t.cls
   let field t = t.field
   let obj t = t.obj
+  let hash t = t.hash
   let field_key t = t.cls ^ "." ^ t.field
 
   let equal a b =
-    Int.equal a.obj b.obj && String.equal a.field b.field
-    && String.equal a.cls b.cls
+    a == b
+    || Int.equal a.hash b.hash && Int.equal a.obj b.obj
+       && String.equal a.field b.field && String.equal a.cls b.cls
 
   let compare a b =
     match String.compare a.cls b.cls with
@@ -172,7 +196,7 @@ module Location = struct
       let rest = String.sub s (j + 1) (String.length s - j - 1) in
       (match int_of_string_opt rest with
        | Some obj when obj >= 0 && valid_part cls && valid_part field ->
-         Some { cls; field; obj }
+         Some (build cls field obj)
        | Some _ | None -> None)
     | Some _, (Some _ | None) | None, (Some _ | None) -> None
 
@@ -184,4 +208,20 @@ module Location = struct
 
   module Set = Set.Make (Ord)
   module Map = Map.Make (Ord)
+
+  module Table = Hashtbl.Make (struct
+      type nonrec t = t
+
+      let equal = equal
+      let hash = hash
+    end)
 end
+
+(* The hash folds the high bits onto the low ones, which pick the
+   bucket: Binfmt's location memo packs two 21-bit indices in a key. *)
+module Int_table = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash x = (x lxor (x lsr 21)) land max_int
+  end)

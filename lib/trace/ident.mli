@@ -89,6 +89,9 @@ module Task_id : sig
   module Set : Set.S with type elt = t
 
   module Map : Map.S with type key = t
+
+  module Table : Hashtbl.S with type key = t
+  (** Keyed by {!equal}: no string is built to look a task up. *)
 end
 
 (** A shared string-interning table.
@@ -142,11 +145,17 @@ module Location : sig
 
   val obj : t -> int
 
+  val hash : t -> int
+  (** A hash of the class, field and object, computed once when the
+      location is built: [equal a b] implies [hash a = hash b]. *)
+
   val field_key : t -> string
   (** [field_key l] is ["cls.field"], the key under which Table 2 counts
       distinct fields. *)
 
   val equal : t -> t -> bool
+  (** Same class, field and object.  Physically equal locations are
+      equal without a look at their strings. *)
 
   val compare : t -> t -> int
 
@@ -160,4 +169,11 @@ module Location : sig
   module Set : Set.S with type elt = t
 
   module Map : Map.S with type key = t
+
+  module Table : Hashtbl.S with type key = t
+  (** Keyed by {!equal}, hashed by the stored {!hash}. *)
 end
+
+(** Hash tables keyed by integers (thread numbers, identifier indices)
+    without polymorphic hashing or comparison. *)
+module Int_table : Hashtbl.S with type key = int

@@ -1,5 +1,6 @@
 module Thread_id = Ident.Thread_id
 module Task_id = Ident.Task_id
+module Location = Ident.Location
 
 type event =
   { thread : Thread_id.t
@@ -35,6 +36,8 @@ type t =
   ; thread_infos : thread_info Thread_id.Map.t
   ; task_order : Task_id.t list  (** in posting order *)
   ; thread_order : Thread_id.t list  (** in order of first appearance *)
+  ; loc_ids : int array  (** per position; -1 off accesses *)
+  ; locations : Location.t array  (** by id, in order of first access *)
   }
 
 exception Ill_formed of string
@@ -56,25 +59,37 @@ let fresh_task_info () =
 let build events =
   let n = Array.length events in
   let enclosing = Array.make n None in
-  let task_infos = Hashtbl.create 64 in
-  let thread_infos = Hashtbl.create 16 in
+  let task_infos = Task_id.Table.create 64 in
+  let thread_infos = Ident.Int_table.create 16 in
   let task_order = ref [] in
   let thread_order = ref [] in
+  let loc_ids = Array.make n (-1) in
+  let loc_table = Location.Table.create 64 in
+  let locations = ref [] in
+  let location_id m =
+    match Location.Table.find_opt loc_table m with
+    | Some id -> id
+    | None ->
+      let id = Location.Table.length loc_table in
+      Location.Table.add loc_table m id;
+      locations := m :: !locations;
+      id
+  in
   let task_info p =
-    match Hashtbl.find_opt task_infos (Task_id.to_string p) with
-    | Some (_, info) -> info
+    match Task_id.Table.find_opt task_infos p with
+    | Some info -> info
     | None ->
       let info = fresh_task_info () in
-      Hashtbl.add task_infos (Task_id.to_string p) (p, info);
+      Task_id.Table.add task_infos p info;
       info
   and thread_info t =
-    match Hashtbl.find_opt thread_infos (Thread_id.to_int t) with
+    match Ident.Int_table.find_opt thread_infos (Thread_id.to_int t) with
     | Some (_, info) -> info
     | None ->
       let info =
         { attach_at = None; loop_at = None; current_task = None }
       in
-      Hashtbl.add thread_infos (Thread_id.to_int t) (t, info);
+      Ident.Int_table.add thread_infos (Thread_id.to_int t) (t, info);
       thread_order := t :: !thread_order;
       info
   in
@@ -143,16 +158,14 @@ let build events =
        (match info.cancel_at with
         | Some j -> fail "position %d: task %a cancelled twice (first at %d)" i Task_id.pp p j
         | None -> info.cancel_at <- Some i)
+     | Operation.Read m | Operation.Write m -> loc_ids.(i) <- location_id m
      | Operation.Thread_init | Operation.Thread_exit | Operation.Fork _
-     | Operation.Join _ | Operation.Acquire _ | Operation.Release _
-     | Operation.Read _ | Operation.Write _ -> ())
+     | Operation.Join _ | Operation.Acquire _ | Operation.Release _ -> ())
   done;
   let task_infos =
-    Hashtbl.fold
-      (fun _ (p, info) acc -> Task_id.Map.add p info acc)
-      task_infos Task_id.Map.empty
+    Task_id.Table.fold Task_id.Map.add task_infos Task_id.Map.empty
   and thread_infos =
-    Hashtbl.fold
+    Ident.Int_table.fold
       (fun _ (t, info) acc -> Thread_id.Map.add t info acc)
       thread_infos Thread_id.Map.empty
   in
@@ -162,6 +175,8 @@ let build events =
   ; thread_infos
   ; task_order = List.rev !task_order
   ; thread_order = List.rev !thread_order
+  ; loc_ids
+  ; locations = Array.of_list (List.rev !locations)
   }
 
 let of_events events =
@@ -190,6 +205,13 @@ let enclosing_task t i =
   if i < 0 || i >= length t then
     invalid_arg (Printf.sprintf "Trace.enclosing_task: index %d out of bounds" i);
   t.enclosing.(i)
+
+let location_id t i =
+  if i < 0 || i >= length t then
+    invalid_arg (Printf.sprintf "Trace.location_id: index %d out of bounds" i);
+  t.loc_ids.(i)
+
+let locations t = Array.copy t.locations
 
 let threads t = t.thread_order
 
@@ -254,11 +276,8 @@ type stats =
 let stats t =
   let fields = Hashtbl.create 64 in
   Array.iter
-    (fun e ->
-       match Operation.accessed_location e.op with
-       | Some m -> Hashtbl.replace fields (Ident.Location.field_key m) ()
-       | None -> ())
-    t.events;
+    (fun m -> Hashtbl.replace fields (Location.field_key m) ())
+    t.locations;
   let with_q, without_q =
     List.partition (fun tid -> has_queue t tid) t.thread_order
   in

@@ -58,6 +58,18 @@ val enclosing_task : t -> int -> Ident.Task_id.t option
     contains position [i] ([begin] and [end] included), or [None] when
     the operation runs outside any task. *)
 
+val location_id : t -> int -> int
+(** The dense id of the location accessed at a position, [-1] when the
+    operation there is not a [read] or [write].  Ids are numbered
+    [0, 1, ...] in order of first access, once, when the trace is
+    built; two accesses get the same id exactly when their locations
+    are {!Ident.Location.equal}.
+    @raise Invalid_argument if the index is out of bounds. *)
+
+val locations : t -> Ident.Location.t array
+(** The accessed locations indexed by {!location_id}: a fresh array of
+    one entry per distinct location. *)
+
 val threads : t -> Ident.Thread_id.t list
 (** All threads executing at least one operation, in order of first
     appearance. *)

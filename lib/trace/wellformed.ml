@@ -162,8 +162,8 @@ type lock_state =
   }
 
 type state =
-  { threads : (int, thread_state) Hashtbl.t
-  ; tasks : (string, task_state) Hashtbl.t
+  { threads : thread_state Ident.Int_table.t
+  ; tasks : task_state Task_id.Table.t
   ; locks : (string, lock_state) Hashtbl.t
   ; mutable n_events : int
   ; mutable n_accesses : int
@@ -173,8 +173,8 @@ type state =
   }
 
 let create () =
-  { threads = Hashtbl.create 16
-  ; tasks = Hashtbl.create 64
+  { threads = Ident.Int_table.create 16
+  ; tasks = Task_id.Table.create 64
   ; locks = Hashtbl.create 8
   ; n_events = 0
   ; n_accesses = 0
@@ -185,7 +185,7 @@ let create () =
 
 let thread_state st t =
   let key = Thread_id.to_int t in
-  match Hashtbl.find_opt st.threads key with
+  match Ident.Int_table.find_opt st.threads key with
   | Some s -> s
   | None ->
     let s =
@@ -200,19 +200,18 @@ let thread_state st t =
       ; op_count = 0
       }
     in
-    Hashtbl.add st.threads key s;
+    Ident.Int_table.add st.threads key s;
     s
 
 let task_state st p =
-  let key = Task_id.to_string p in
-  match Hashtbl.find_opt st.tasks key with
+  match Task_id.Table.find_opt st.tasks p with
   | Some s -> s
   | None ->
     let s =
       { posted = None; begun = None; ended = None; enabled = None
       ; cancelled = None }
     in
-    Hashtbl.add st.tasks key s;
+    Task_id.Table.add st.tasks p s;
     s
 
 let lock_state st l =
@@ -490,15 +489,17 @@ let feed st ~line event =
 
 let finish st =
   let queue_threads =
-    Hashtbl.fold
+    Ident.Int_table.fold
       (fun _ ts n -> if ts.attached <> None then n + 1 else n)
       st.threads 0
   in
   let pending =
-    Hashtbl.fold (fun _ ts n -> n + List.length ts.queue) st.threads 0
+    Ident.Int_table.fold
+      (fun _ ts n -> n + List.length ts.queue)
+      st.threads 0
   in
   { events = st.n_events
-  ; threads = Hashtbl.length st.threads
+  ; threads = Ident.Int_table.length st.threads
   ; queue_threads
   ; tasks = st.n_tasks
   ; completed_tasks = st.n_completed

@@ -336,6 +336,118 @@ let prop_enclosing_task_brackets =
          t;
        !ok)
 
+(* {1 Dense location ids} *)
+
+module Binfmt = Droidracer_trace.Binfmt
+module Catalog = Droidracer_corpus.Catalog
+module Longtrace = Droidracer_corpus.Longtrace
+module Runtime = Droidracer_appmodel.Runtime
+module Synthetic = Droidracer_corpus.Synthetic
+module Vargen = Droidracer_corpus.Vargen
+
+(* Observed traces of the open-source catalog apps of at most 20k
+   events, built once: the interpreter emits one shared location value
+   per field, where the decoders build a fresh one per access. *)
+let catalog_traces =
+  lazy
+    (Catalog.open_source
+     |> List.filter_map (fun spec ->
+       let b = Synthetic.build spec in
+       let t =
+         (Runtime.run ~options:b.Synthetic.b_options b.Synthetic.b_app
+            b.Synthetic.b_events)
+           .Runtime.observed
+       in
+       if Trace.length t <= 20_000 then Some t else None)
+     |> Array.of_list)
+
+let id_trace (source, seed, size) =
+  match source with
+  | 0 -> Random_trace.generate ~seed ~size ()
+  | 1 ->
+    let v =
+      List.hd (Vargen.variants ~seed ~events:(10 * size) ~count:1 ())
+    in
+    let evs = ref [] in
+    ignore
+      (Longtrace.generate ~config:v.Vargen.v_config ~events:v.Vargen.v_events
+         (fun e -> evs := e :: !evs));
+    Trace.of_events_exn (List.rev !evs)
+  | _ ->
+    let traces = Lazy.force catalog_traces in
+    traces.(seed mod Array.length traces)
+
+let prop_location_ids =
+  QCheck2.Test.make ~name:"location ids are dense, exact and stable"
+    ~count:60
+    ~print:QCheck2.Print.(triple int int int)
+    QCheck2.Gen.(triple (int_bound 2) (int_bound 10_000) (int_range 10 120))
+    (fun input ->
+       let t = id_trace input in
+       let locations = Trace.locations t in
+       let located i = Operation.accessed_location (Trace.op t i) in
+       (* dense, in first-access order, inverted by [locations] *)
+       let next = ref 0 in
+       for i = 0 to Trace.length t - 1 do
+         let id = Trace.location_id t i in
+         match located i with
+         | None ->
+           if id <> -1 then
+             QCheck2.Test.fail_reportf "id %d off an access at %d" id i
+         | Some m ->
+           if id = !next then incr next
+           else if id < 0 || id > !next then
+             QCheck2.Test.fail_reportf "id %d at %d, next new id %d" id i !next;
+           if not (Location.equal locations.(id) m) then
+             QCheck2.Test.fail_reportf
+               "locations.(%d) is not the location at %d" id i
+       done;
+       if Array.length locations <> !next then
+         QCheck2.Test.fail_reportf "%d locations for %d ids"
+           (Array.length locations) !next;
+       (* distinct ids name distinct locations, so equal locations share
+          an id: with the inversion above, ids agree exactly when the
+          locations are equal *)
+       let distinct = Location.Set.of_list (Array.to_list locations) in
+       if Location.Set.cardinal distinct <> Array.length locations then
+         QCheck2.Test.fail_reportf "two ids name one location";
+       (* equal locations hash alike, however they were built *)
+       let text = Result.get_ok (Trace_io.parse (Trace_io.to_string t)) in
+       let binary =
+         Binfmt.encode_events_to_string (Trace.events t)
+         |> Binfmt.decode_string |> Result.get_ok |> Array.of_list
+       in
+       for i = 0 to Trace.length t - 1 do
+         match located i with
+         | None -> ()
+         | Some m ->
+           let rebuilt =
+             [ Location.make ~cls:(Location.cls m) ~field:(Location.field m)
+                 ~obj:(Location.obj m)
+             ; Option.get (Location.of_string (Location.to_string m))
+             ; Option.get (Operation.accessed_location (Trace.op text i))
+             ; Option.get (Operation.accessed_location binary.(i).Trace.op)
+             ]
+           in
+           List.iter
+             (fun m' ->
+                if
+                  not
+                    (Location.equal m m' && Location.hash m = Location.hash m')
+                then
+                  QCheck2.Test.fail_reportf "%s rebuilt unequal or hashed apart"
+                    (Location.to_string m))
+             rebuilt
+       done;
+       (* the Fields column, restated per event *)
+       let fields = Hashtbl.create 16 in
+       for i = 0 to Trace.length t - 1 do
+         Option.iter
+           (fun m -> Hashtbl.replace fields (Location.field_key m) ())
+           (located i)
+       done;
+       (Trace.stats t).Trace.fields = Hashtbl.length fields)
+
 let () =
   Alcotest.run "trace"
     [ ( "ident"
@@ -371,5 +483,6 @@ let () =
     ; ( "properties"
       , [ QCheck_alcotest.to_alcotest prop_io_round_trip
         ; QCheck_alcotest.to_alcotest prop_enclosing_task_brackets
+        ; QCheck_alcotest.to_alcotest prop_location_ids
         ] )
     ]

@@ -1159,7 +1159,7 @@ let run_prepared ?(options = default_options) prepared events =
       clicks @ [ Back; Rotate ]
   in
   let to_trace rev =
-    match Trace.of_events (List.rev rev) with
+    match Trace.of_rev_events rev with
     | Ok t -> t
     | Error msg -> stuck "interpreter bug: ill-formed trace: %s" msg
   in

@@ -76,37 +76,91 @@ let iter_row m i f =
 
 (* {1 Strictly lower-triangular closure} *)
 
-let iter_row_down m i f =
-  let row = m.rows.(i) in
-  for w = m.words - 1 downto 0 do
-    let base = w * bits_per_word in
-    let b = ref (bits_per_word - 1) in
-    (* The word is re-read at every step, since [f] may set lower bits
-       of it; the loop stops as soon as no bit at or below [b] is set. *)
-    while
-      !b >= 0
-      && Array.unsafe_get row w land ((1 lsl !b) lor ((1 lsl !b) - 1)) <> 0
-    do
-      if Array.unsafe_get row w land (1 lsl !b) <> 0 then f (base + !b);
-      decr b
-    done
-  done
+(* Index of the highest set bit of a non-zero word: smear it into every
+   lower bit, keep the top one, and look it up.  [lsr] is logical, so a
+   set sign bit (bit 62) smears like any other. *)
+let[@inline] top_bit x =
+  let x = x lor (x lsr 1) in
+  let x = x lor (x lsr 2) in
+  let x = x lor (x lsr 4) in
+  let x = x lor (x lsr 8) in
+  let x = x lor (x lsr 16) in
+  let x = x lor (x lsr 32) in
+  log2_pow2 (x lxor (x lsr 1))
 
-let or_lower_row m ~dst ~src =
-  let d = m.rows.(dst) and s = m.rows.(src) in
-  let hi = src / bits_per_word in
-  for w = 0 to hi do
-    Array.unsafe_set d w (Array.unsafe_get d w lor Array.unsafe_get s w)
-  done;
-  hi + 1
+(* Closing row [j] of a strictly lower-triangular matrix whose rows
+   below [j] are closed.  Columns come in groups (the happens-before
+   closure's threads) and a row [k] composes into row [j] whole when
+   [k] is in [j]'s group, otherwise without [j]'s group:
+   contrib(k) = row k, or row k ∖ N(g j), where N(g) is group [g]'s
+   columns and [g] maps a column to its group.  Row [j] is closed when
+   it holds contrib(k) for every column [k] it holds.
 
-let or_lower_row_outside m ~dst ~src ~(mask : Mask.t) =
-  let d = m.rows.(dst) and s = m.rows.(src) in
-  let mw = mask.Mask.words in
-  let hi = src / bits_per_word in
-  for w = 0 to hi do
-    Array.unsafe_set d w
-      (Array.unsafe_get d w
-       lor (Array.unsafe_get s w land lnot (Array.unsafe_get mw w)))
+   The walk visits row [j]'s columns in descending order, so a column
+   a visited row adds (always a lower one) is still ahead.  It skips a
+   column [k] that the cover row holds: after visiting [k'], the cover
+   gets all of row [k'] when [k'] is in [j]'s group, and row [k'] ∩
+   N(g k') otherwise.  Skipping [k] is exact, since contrib(k) ⊆
+   contrib(k') was already ORed in:
+   - (A) [g k = g k']: row [k'] is closed and holds [k] of its own
+     group, so row [k'] ⊇ row [k]; and [k], [k'] are both in [j]'s
+     group or both outside it, so their contributions keep or drop the
+     same columns.
+   - (B1) [g k' = g j ≠ g k]: row [k'] is closed and holds [k] of
+     another group, so row [k'] ⊇ row [k] ∖ N(g k') = contrib(k), and
+     row [k'] went into row [j] whole.
+   - (B2) [g k ≠ g k'] and [g k' ≠ g j]: row [k'] lacks row [k]'s
+     columns in [g k'], which lie outside [j]'s group, so [j] must
+     still receive them through [k] (TRANS-MT).  The cover takes none
+     of these [k]: they are visited.
+   The next column to visit is the top set bit of [row j ∧ ¬cover]
+   below the last one visited, found a word at a time.  An OR reads
+   only the words that can hold a column below [k']. *)
+let close_lower_row m j ~cover ~group ~(group_masks : Mask.t array) =
+  let row = m.rows.(j) and cw = cover.Mask.words in
+  let gj = group.(j) in
+  let outside = group_masks.(gj).Mask.words in
+  let words = ref 0 and cover_top = ref (-1) in
+  let w = ref (j / bits_per_word) in
+  (* the bits of word [!w] still to visit: below the last visited *)
+  let below = ref (-1) in
+  while !w >= 0 do
+    let cur = !w in
+    let x =
+      Array.unsafe_get row cur land lnot (Array.unsafe_get cw cur) land !below
+    in
+    if x = 0 then begin
+      w := cur - 1;
+      below := -1
+    end
+    else begin
+      let b = top_bit x in
+      below := (1 lsl b) - 1;
+      let k = (cur * bits_per_word) + b in
+      let src = m.rows.(k) in
+      let hi = k / bits_per_word in
+      if !cover_top < 0 then cover_top := hi;
+      let gk = group.(k) in
+      if gk = gj then
+        for v = 0 to hi do
+          let s = Array.unsafe_get src v in
+          Array.unsafe_set row v (Array.unsafe_get row v lor s);
+          Array.unsafe_set cw v (Array.unsafe_get cw v lor s)
+        done
+      else begin
+        let own = group_masks.(gk).Mask.words in
+        for v = 0 to hi do
+          let s = Array.unsafe_get src v in
+          Array.unsafe_set row v
+            (Array.unsafe_get row v lor (s land lnot (Array.unsafe_get outside v)));
+          Array.unsafe_set cw v
+            (Array.unsafe_get cw v lor (s land Array.unsafe_get own v))
+        done
+      end;
+      words := !words + hi + 1
+    end
   done;
-  hi + 1
+  (* every visited row lies below the first, so the cover is dirty only
+     up to its last word *)
+  Array.fill cw 0 (!cover_top + 1) 0;
+  !words

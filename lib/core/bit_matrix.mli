@@ -2,7 +2,7 @@
 
     The happens-before computation stores the relation ⪯ as an n×n
     matrix and spends its time OR-ing rows into each other, so rows are
-    packed 63 bits per word.  A masked OR implements the
+    packed 63 bits per word.  Column groups implement the
     thread-sensitive transitivity restriction (Section 4.1). *)
 
 type t
@@ -33,17 +33,18 @@ val iter_row : t -> int -> (int -> unit) -> unit
 
     The happens-before closure keeps, in row [j], the nodes ordered
     before node [j]; every such node has a smaller id, so row [k] has
-    no column [≥ k].  These operations rely on that shape. *)
+    no column [≥ k]. *)
 
-val iter_row_down : t -> int -> (int -> unit) -> unit
-(** [iter_row_down m i f] calls [f] on every set column of row [i],
-    descending.  [f] may set columns of row [i] below the one it was
-    called on: those are visited too. *)
+val close_lower_row :
+  t -> int -> cover:Mask.t -> group:int array -> group_masks:Mask.t array -> int
+(** [close_lower_row m j ~cover ~group ~group_masks] closes row [j]
+    through the rows of its columns, which must already be closed.
+    Column [k] belongs to group [group.(k)], whose columns
+    [group_masks.(g)] holds.  Row [k] is ORed into row [j] whole when
+    [k] is in [j]'s group, and otherwise without the columns of [j]'s
+    group; columns that rows add are composed in turn.  Columns whose
+    contribution an already-composed row contains are skipped.
 
-val or_lower_row : t -> dst:int -> src:int -> int
-(** [or_lower_row m ~dst ~src] ORs row [src] into row [dst], reading
-    only the words that can hold a column below [src].  Returns the
-    number of words ORed. *)
-
-val or_lower_row_outside : t -> dst:int -> src:int -> mask:Mask.t -> int
-(** {!or_lower_row} restricted to the columns outside [mask]. *)
+    [cover] is scratch space of the matrix's width; it must be empty on
+    entry and is empty again on return, so one serves every row.
+    Returns the number of words ORed into row [j]. *)

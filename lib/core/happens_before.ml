@@ -114,15 +114,19 @@ let compute_impl ~config g =
   let n = Graph.node_count g in
   let preds = Bit_matrix.create n in
   let pred_of i j = Bit_matrix.get preds j i in
-  (* Thread index per node, and per thread the mask of its nodes. *)
-  let tidx =
-    Array.init n (fun id -> Graph.thread_index g (Graph.thread_of_node g id))
+  (* The closure's column groups: each node's thread, and per thread
+     the mask of its nodes.  Without the restriction every row composes
+     whole, as if all nodes ran on one thread. *)
+  let group, groups =
+    if cfg.restricted_transitivity then
+      ( Array.init n (fun id ->
+          Graph.thread_index g (Graph.thread_of_node g id))
+      , Graph.thread_count g )
+    else (Array.make n 0, 1)
   in
-  let thread_masks =
-    Array.init (Graph.thread_count g) (fun _ -> Bit_matrix.Mask.create n)
-  in
+  let group_masks = Array.init groups (fun _ -> Bit_matrix.Mask.create n) in
   for id = 0 to n - 1 do
-    Bit_matrix.Mask.set thread_masks.(tidx.(id)) id
+    Bit_matrix.Mask.set group_masks.(group.(id)) id
   done;
   (* The static rules (program order, ENABLE, POST, ATTACH-Q, FORK,
      JOIN, LOCK) come from the shared builder — the same edges the
@@ -192,24 +196,18 @@ let compute_impl ~config g =
      node [j] are all below [j], and once row [j] is closed no later
      node can add to it — one pass over ascending ids computes the
      least fixpoint.  Closing row [j] is the column form of TRANS-ST /
-     TRANS-MT: for each predecessor [k] (descending, so the
-     predecessors [k] contributes are visited after it), absorb row
-     [k] whole when [k] runs on [j]'s thread, and otherwise only the
-     nodes of other threads — i ⪯ k ⪯ j composes across threads only
-     when [thread i ≠ thread j]. *)
+     TRANS-MT: each predecessor [k] contributes row [k] whole when [k]
+     runs on [j]'s thread, and otherwise only the nodes of other
+     threads — i ⪯ k ⪯ j composes across threads only when
+     [thread i ≠ thread j].  {!Bit_matrix.close_lower_row} skips the
+     predecessors whose contribution a visited row already made. *)
+  let cover = Bit_matrix.Mask.create n in
   let word_ors = ref 0 in
   for j = 0 to n - 1 do
     List.iter (dynamic_edges j) by_begin.(j);
-    let tj = tidx.(j) in
-    Bit_matrix.iter_row_down preds j (fun k ->
-      let words =
-        if (not cfg.restricted_transitivity) || tidx.(k) = tj then
-          Bit_matrix.or_lower_row preds ~dst:j ~src:k
-        else
-          Bit_matrix.or_lower_row_outside preds ~dst:j ~src:k
-            ~mask:thread_masks.(tj)
-      in
-      word_ors := !word_ors + words)
+    word_ors :=
+      !word_ors
+      + Bit_matrix.close_lower_row preds j ~cover ~group ~group_masks
   done;
   Obs.add "hb.passes";
   Obs.add ~n:!word_ors "hb.word_ors";

@@ -70,7 +70,9 @@ val compute : ?config:config -> Graph.t -> t
     dynamic rules FIFO, NOPRE and the front-of-queue extension (whose
     premises read only rows already final), then the restricted
     transitive closure of the row through the final rows of its
-    predecessors.  The cost is one masked row OR per ordered pair. *)
+    predecessors.  A predecessor whose contribution the row of a later
+    predecessor already carried is skipped, so the cost is one masked
+    row OR per predecessor that no other predecessor covers. *)
 
 val graph : t -> Graph.t
 

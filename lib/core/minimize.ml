@@ -66,7 +66,7 @@ let remove trace keep =
          kept := e :: !kept
        end)
     trace;
-  match Trace.of_events (List.rev !kept) with
+  match Trace.of_rev_events !kept with
   | Ok t -> Some (t, fun pos -> remap.(pos))
   | Error _ -> None
 

@@ -140,24 +140,6 @@ let detect ?(jobs = 1) trace ~hb =
     invalid_arg "Race.detect: the relation was computed on another trace";
   let s = segment trace graph in
   let has_write seg = s.seg_wstart.(seg) < s.seg_start.(seg + 1) in
-  (* The node-pair scan is quadratic in a location's nodes, so one hot
-     location would serialise a per-location fan-out; chunk its
-     first-node range instead.  The chunk size depends on [jobs], which
-     is fine: the final sort makes the output independent of how the
-     work was split. *)
-  let work =
-    List.concat_map
-      (fun l ->
-         let lo = s.loc_seg.(l) and hi = s.loc_seg.(l + 1) in
-         let k = hi - lo in
-         let chunk =
-           if jobs <= 1 then k else max 16 ((k + (4 * jobs) - 1) / (4 * jobs))
-         in
-         List.map
-           (fun (a, b) -> (lo, hi, lo + a, lo + b))
-           (Par_pool.ranges ~chunk k))
-      (List.init (Array.length s.loc_seg - 1) Fun.id)
-  in
   (* Access records are built for racing accesses only. *)
   let access_at i =
     let e = Trace.get trace i in
@@ -180,31 +162,33 @@ let detect ?(jobs = 1) trace ~hb =
       done
     done
   in
-  let scan (loc_lo, loc_hi, lo, hi) =
-    let args =
-      if Obs.enabled () then
-        [ ("lo", string_of_int (lo - loc_lo))
-        ; ("hi", string_of_int (hi - loc_lo))
-        ]
-      else []
-    in
-    Obs.with_span "race.chunk" ~args @@ fun () ->
+  (* The races of the first segments [lo, hi) of the location whose
+     segments are [loc_lo, loc_hi) against its later segments. *)
+  let scan (_, loc_hi, lo, hi) =
     let races = ref [] and node_pairs = ref 0 in
     (* Two accesses of one node never race: the relation orders them by
        position.  Accesses of two distinct nodes are ordered exactly
-       when the nodes are, so one lookup each way decides every pair. *)
+       when the nodes are, and every edge of the relation points to the
+       higher node id, so one lookup decides every pair. *)
     for p = lo to hi - 1 do
       let np = s.seg_node.(p) and wp = has_write p in
       for q = p + 1 to loc_hi - 1 do
         if wp || has_write q then begin
           incr node_pairs;
           let nq = s.seg_node.(q) in
-          if not (Happens_before.node_hb hb np nq)
-             && not (Happens_before.node_hb hb nq np)
-          then emit p q races
+          let ordered =
+            if np < nq then Happens_before.node_hb hb np nq
+            else Happens_before.node_hb hb nq np
+          in
+          if not ordered then emit p q races
         end
       done
     done;
+    (!races, !node_pairs)
+  in
+  (* A scan's counters, when telemetry is on; also as the arguments of
+     the scan's own span, when it has one. *)
+  let record ~span (loc_lo, loc_hi, lo, hi) (races, node_pairs) =
     if Obs.enabled () then begin
       (* access pairs = Σ_{i=a}^{b-1} (len-1-i) over the chunk's
          accesses [a, b) of the location's [len], in closed form: what
@@ -215,18 +199,63 @@ let detect ?(jobs = 1) trace ~hb =
       let a = s.seg_start.(lo) - base and b = s.seg_start.(hi) - base in
       let k = b - a in
       let pairs = (k * (len - 1)) - (k * (a + b - 1) / 2) in
-      let conflicts = List.length !races in
+      let conflicts = List.length races in
       Obs.add ~n:pairs "race.pairs_examined";
-      Obs.add ~n:!node_pairs "race.node_pairs_examined";
+      Obs.add ~n:node_pairs "race.node_pairs_examined";
       Obs.add ~n:conflicts "race.conflicts";
-      Obs.set_span_arg "pairs" (string_of_int pairs);
-      Obs.set_span_arg "node_pairs" (string_of_int !node_pairs);
-      Obs.set_span_arg "conflicts" (string_of_int conflicts)
+      if span then begin
+        Obs.set_span_arg "pairs" (string_of_int pairs);
+        Obs.set_span_arg "node_pairs" (string_of_int node_pairs);
+        Obs.set_span_arg "conflicts" (string_of_int conflicts)
+      end
     end;
-    !races
+    races
   in
-  List.concat (Par_pool.parallel_map ~jobs scan work)
-  |> List.sort (fun r1 r2 ->
-    match Int.compare r1.first.position r2.first.position with
-    | 0 -> Int.compare r1.second.position r2.second.position
-    | c -> c)
+  let locs = Array.length s.loc_seg - 1 in
+  let races =
+    if jobs <= 1 then begin
+      let races = ref [] in
+      for l = 0 to locs - 1 do
+        let lo = s.loc_seg.(l) and hi = s.loc_seg.(l + 1) in
+        let w = (lo, hi, lo, hi) in
+        races := List.rev_append (record ~span:false w (scan w)) !races
+      done;
+      !races
+    end
+    else begin
+      (* The node-pair scan is quadratic in a location's nodes, so one
+         hot location would serialise a per-location fan-out; chunk its
+         first-node range instead.  The chunk size depends on [jobs],
+         which is fine: the final sort makes the output independent of
+         how the work was split. *)
+      let work =
+        List.concat_map
+          (fun l ->
+             let lo = s.loc_seg.(l) and hi = s.loc_seg.(l + 1) in
+             let k = hi - lo in
+             let chunk = max 16 ((k + (4 * jobs) - 1) / (4 * jobs)) in
+             List.map
+               (fun (a, b) -> (lo, hi, lo + a, lo + b))
+               (Par_pool.ranges ~chunk k))
+          (List.init locs Fun.id)
+      in
+      let chunk ((loc_lo, _, lo, hi) as w) =
+        let args =
+          if Obs.enabled () then
+            [ ("lo", string_of_int (lo - loc_lo))
+            ; ("hi", string_of_int (hi - loc_lo))
+            ]
+          else []
+        in
+        Obs.with_span "race.chunk" ~args (fun () ->
+          record ~span:true w (scan w))
+      in
+      List.concat (Par_pool.parallel_map ~jobs chunk work)
+    end
+  in
+  List.sort
+    (fun r1 r2 ->
+       match Int.compare r1.first.position r2.first.position with
+       | 0 -> Int.compare r1.second.position r2.second.position
+       | c -> c)
+    races

@@ -179,10 +179,20 @@ let build events =
   ; locations = Array.of_list (List.rev !locations)
   }
 
-let of_events events =
-  match build (Array.of_list events) with
+let of_array events =
+  match build events with
   | trace -> Ok trace
   | exception Ill_formed msg -> Error msg
+
+let of_events events = of_array (Array.of_list events)
+
+let of_rev_events = function
+  | [] -> of_array [||]
+  | last :: _ as rev_events ->
+    let n = List.length rev_events in
+    let events = Array.make n last in
+    List.iteri (fun i e -> Array.unsafe_set events (n - 1 - i) e) rev_events;
+    of_array events
 
 let of_events_exn events =
   match of_events events with

@@ -32,6 +32,11 @@ val of_events : event list -> (t, string) result
     transition system of Figure 5) is checked by
     {!Droidracer_semantics.Step.validate}. *)
 
+val of_rev_events : event list -> (t, string) result
+(** [of_rev_events (List.rev events)] is [of_events events], without
+    the intermediate list: for readers that collect events by
+    prepending. *)
+
 val of_events_exn : event list -> t
 (** @raise Invalid_argument when {!of_events} would return [Error]. *)
 

@@ -275,7 +275,7 @@ let fold_events path ~init ~f =
   | exception Sys_error msg -> Error (Io msg)
 
 let events_of_rev rev_events =
-  match Trace.of_events (List.rev rev_events) with
+  match Trace.of_rev_events rev_events with
   | Ok trace -> Ok trace
   | Error msg -> Error (Ill_formed msg)
 

@@ -29,33 +29,94 @@ let test_matrix_basics () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
-(* The closure's row operations on a strictly lower-triangular matrix:
-   descending iteration that also visits the columns its callback adds,
-   and ORs bounded to the words below the source row. *)
+(* Closes every row of [m] in ascending order with one cover row, as
+   the happens-before sweep does; the words ORed per row. *)
+let close_all m ~n ~group =
+  let groups = Array.fold_left max 0 group + 1 in
+  let group_masks = Array.init groups (fun _ -> Bit_matrix.Mask.create n) in
+  Array.iteri (fun c g -> Bit_matrix.Mask.set group_masks.(g) c) group;
+  let cover = Bit_matrix.Mask.create n in
+  Array.init n (fun j ->
+    Bit_matrix.close_lower_row m j ~cover ~group ~group_masks)
+
+(* The closure kernel on a strictly lower-triangular matrix, three
+   groups.  The word counts pin which rows were visited, each costing
+   the words up to its own row: row 128 skips 70 and 2, which row 100
+   covered (so the walk went down from 100), but visits 1, whose group
+   differs from 64's; row 129 visits 64, which row 128 added mid-walk
+   without covering it, and then 3, which only row 64 adds, while row
+   64's column 1 is in 129's group and dropped. *)
 let test_matrix_lower_closure () =
-  let m = Bit_matrix.create 130 in
-  List.iter (fun j -> Bit_matrix.set m 129 j) [ 128; 70; 5 ];
-  let visited = ref [] in
-  Bit_matrix.iter_row_down m 129 (fun k ->
-    visited := k :: !visited;
-    if k = 70 then begin
-      Bit_matrix.set m 129 64;
-      Bit_matrix.set m 129 3
-    end);
-  Alcotest.(check (list int)) "descending, added columns included"
-    [ 128; 70; 64; 5; 3 ] (List.rev !visited);
-  Bit_matrix.set m 100 2;
-  Bit_matrix.set m 100 70;
-  check_int "words up to the source row" 2
-    (Bit_matrix.or_lower_row m ~dst:120 ~src:100);
-  check_bool "dst has src bits" true
-    (Bit_matrix.get m 120 2 && Bit_matrix.get m 120 70);
-  let mask = Bit_matrix.Mask.create 130 in
-  Bit_matrix.Mask.set mask 2;
-  check_int "masked: same words" 2
-    (Bit_matrix.or_lower_row_outside m ~dst:110 ~src:100 ~mask);
-  check_bool "masked column dropped" false (Bit_matrix.get m 110 2);
-  check_bool "other column kept" true (Bit_matrix.get m 110 70)
+  let n = 130 in
+  let m = Bit_matrix.create n in
+  let group = Array.make n 0 in
+  group.(128) <- 1;
+  group.(3) <- 1;
+  group.(64) <- 2;
+  List.iter
+    (fun (row, cols) -> List.iter (Bit_matrix.set m row) cols)
+    [ (64, [ 3; 1 ]); (100, [ 70; 2 ]); (128, [ 100; 64 ]); (129, [ 128; 5 ]) ];
+  let words = close_all m ~n ~group in
+  Alcotest.(check (list int)) "words ORed per closed row"
+    [ 2; 3; 2 + 2 + 1; 3 + 2 + 1 + 1 ]
+    [ words.(64); words.(100); words.(128); words.(129) ];
+  check_int "rows without columns OR nothing" 0
+    (Array.fold_left ( + ) 0 words - (2 + 3 + 5 + 7));
+  let row j = List.filter (Bit_matrix.get m j) (List.init n Fun.id) in
+  Alcotest.(check (list int)) "row 128: other groups whole, own dropped"
+    [ 1; 2; 64; 70; 100 ] (row 128);
+  Alcotest.(check (list int)) "row 129: columns added mid-walk visited"
+    [ 3; 5; 64; 128 ] (row 129)
+
+(* The restricted closure by definition: each row absorbs, until
+   nothing changes, row [k] of every column [k] it holds, whole when
+   [k] is in its group and otherwise outside it. *)
+let naive_close m ~n ~group =
+  for j = 0 to n - 1 do
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for k = 0 to j - 1 do
+        if Bit_matrix.get m j k then
+          for i = 0 to k - 1 do
+            if Bit_matrix.get m k i
+               && (group.(k) = group.(j) || group.(i) <> group.(j))
+               && not (Bit_matrix.get m j i)
+            then begin
+              Bit_matrix.set m j i;
+              changed := true
+            end
+          done
+      done
+    done
+  done
+
+let prop_matrix_close_lower_row =
+  QCheck2.Test.make ~name:"close_lower_row equals the naive closure"
+    ~count:200
+    ~print:QCheck2.Print.(quad int int int (list (pair int int)))
+    QCheck2.Gen.(
+      quad (int_range 1 150) (int_range 1 4) nat
+        (list_size (int_bound 300) (pair nat nat)))
+    (fun (n, groups, salt, edges) ->
+       let group = Array.init n (fun c -> Hashtbl.hash (salt, c) mod groups) in
+       let fast = Bit_matrix.create n and slow = Bit_matrix.create n in
+       List.iter
+         (fun (a, b) ->
+            let a = a mod n and b = b mod n in
+            if a <> b then
+              List.iter
+                (fun m -> Bit_matrix.set m (max a b) (min a b))
+                [ fast; slow ])
+         edges;
+       ignore (close_all fast ~n ~group);
+       naive_close slow ~n ~group;
+       List.for_all
+         (fun j ->
+            List.for_all
+              (fun i -> Bit_matrix.get fast j i = Bit_matrix.get slow j i)
+              (List.init n Fun.id))
+         (List.init n Fun.id))
 
 let prop_matrix_iter_row =
   QCheck2.Test.make ~name:"iter_row visits exactly the set bits" ~count:100
@@ -119,6 +180,7 @@ let () =
         ; Alcotest.test_case "lower-triangular closure" `Quick
             test_matrix_lower_closure
         ; QCheck_alcotest.to_alcotest prop_matrix_iter_row
+        ; QCheck_alcotest.to_alcotest prop_matrix_close_lower_row
         ] )
     ; ( "race coverage"
       , [ QCheck_alcotest.to_alcotest prop_coverage_partitions

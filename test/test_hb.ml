@@ -358,6 +358,48 @@ let test_front_post_no_fifo () =
   check_bool "front-posted task unordered w.r.t. FIFO" false (Hb.hb r 7 8);
   check_bool "reverse also unordered" false (Hb.hb r 9 6)
 
+(* The closure's case B2: i(t1) ⪯ k(t2) ⪯ k'(t1) ⪯ j(t3).  Row k'
+   drops i (TRANS-MT needs thread i ≠ thread k'), so j's row gets i
+   only through k, which row k' holds: a closure that skipped every
+   predecessor some absorbed row contains would lose i ⪯ j. *)
+let test_transitivity_through_absorbed_row () =
+  let la = "a" and lb = "b" and lc = "c" in
+  let t =
+    trace
+      [ threadinit 0
+      ; threadinit 1
+      ; threadinit 2
+      ; threadinit 3
+      ; attachq 1
+      ; looponq 1
+      ; post 0 p 1
+      ; post 2 q 1  (* 7: unordered with post(p): no FIFO, no NOPRE *)
+      ; begin_task 1 p
+      ; write 1 (loc "x")  (* 9: i *)
+      ; acquire 1 la
+      ; release 1 la  (* 11 *)
+      ; end_task 1 p
+      ; acquire 2 la  (* 13: k *)
+      ; acquire 2 lb
+      ; release 2 lb  (* 15 *)
+      ; begin_task 1 q
+      ; acquire 1 lb  (* 17: k' *)
+      ; acquire 1 lc
+      ; release 1 lc  (* 19 *)
+      ; end_task 1 q
+      ; acquire 3 lc  (* 21: j *)
+      ; read 3 (loc "x")  (* 22 *)
+      ]
+  in
+  let r = relation t in
+  check_bool "i before k" true (Hb.hb r 9 13);
+  check_bool "k before k'" true (Hb.hb r 13 17);
+  check_bool "i, k' unordered (restricted transitivity)" false (Hb.hb r 9 17);
+  check_bool "i before j through k" true (Hb.hb r 9 21);
+  check_bool "i before the read on j's thread" true (Hb.hb r 9 22);
+  check_bool "the oracle agrees" true
+    (oracle_hb t 9 22 && not (oracle_hb t 9 17))
+
 let test_front_rule_extension () =
   (* the deferred-to-future-work treatment of posting-to-the-front:
      sound only when both posts come from one task on the target thread *)
@@ -626,6 +668,8 @@ let () =
             test_front_post_no_fifo
         ; Alcotest.test_case "front rule extension" `Quick
             test_front_rule_extension
+        ; Alcotest.test_case "transitivity through an absorbed row" `Quick
+            test_transitivity_through_absorbed_row
         ] )
     ; ( "figures"
       , [ Alcotest.test_case "figure 3 edges a-e" `Quick test_figure3_edges

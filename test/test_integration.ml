@@ -190,6 +190,91 @@ let test_hb_edges_on_corpus () =
     ; 57542; 264338; 90130; 433500; 5489; 116528 ]
     (edges { Hb.default with program_order = Hb.Full_po })
 
+(* An MD5 of a relation's whole predecessor matrix: row [j] packs the
+   bits [node_hb i j], [i < j], into bytes, and each row is digested
+   with the digest of the rows before it. *)
+let matrix_digest hb =
+  let digest = ref (Digest.string "") in
+  for j = 0 to Hb.node_count hb - 1 do
+    let row = Bytes.make ((j + 7) / 8) '\000' in
+    for i = 0 to j - 1 do
+      if Hb.node_hb hb i j then
+        Bytes.set_uint8 row (i / 8)
+          (Bytes.get_uint8 row (i / 8) lor (1 lsl (i mod 8)))
+    done;
+    digest := Digest.string (!digest ^ Bytes.unsafe_to_string row)
+  done;
+  Digest.to_hex !digest
+
+let test_hb_matrices_on_corpus () =
+  (* The relation itself per catalog app, under the configurations of
+     "hb edges on corpus": two closures with equal edge counts can
+     still order different pairs. *)
+  let runs = Lazy.force catalog_runs in
+  let digests hb =
+    List.map
+      (fun (run : Experiments.app_run) ->
+         matrix_digest
+           (Detector.relation ~config:{ Detector.default_config with hb }
+              run.ar_result.Runtime.observed))
+      runs
+  in
+  Alcotest.(check (list string)) "default"
+    [ "cd3e98744216e03d13046ed2db64dd28"; "1d2c050afce24851b38596d4cc3775eb"
+    ; "e0fe8f4d20a6c74482723bd7d3704737"; "ab88a36229ac9a1ebd2ac19c41e34980"
+    ; "dc226dc3e23cf625e224177da8d3bc83"; "6bafb1efcde82ba4cf8cc188ed5148ee"
+    ; "f27cf60885c1af04d4daa8d3d4641e49"; "23ef103b47784211491c2bcc4d0d3c50"
+    ; "482c974d83ac8be2043b0b5c41063d91"; "70b238ac193dc23e738ac456384c3472"
+    ; "4716b24ad4d5f6023fca151267abd04c"; "d05d47614ec1ac9b23a517b497d6ac69"
+    ; "4591eae0241e87f6f7e35317d5512c90"; "ebd85ab9b163b186e7c3ed1f0e6e6cc7"
+    ; "293bd718b65cc72641c5629f0d0b8f6e"
+    ]
+    (digests Hb.default);
+  Alcotest.(check (list string)) "restricted_transitivity = false"
+    [ "44bf50e0da669457708bc02fe0109cda"; "51ee8704f5deaede8f108a9b2fd5e166"
+    ; "99c1351681c25e66b90698be3b1b8d70"; "033552903ebe15f1f4926b27083e92ff"
+    ; "19e4468291c6ec39efe8b3b96355a672"; "e6801ac302c6623051a1d689a104edea"
+    ; "d01e2feb74b2aafcdedbe5d56f0fc803"; "53b459fbd5ecb57acf702491c9010609"
+    ; "c6bfb6b4e27e3e2fb56b9f6f9b7233b4"; "0b297c125c61447b2546d351f0e41ac4"
+    ; "218efdf57eecbcebf5971ce70549ec44"; "d925782571b99e56ca81d16fcbc22bb5"
+    ; "7e9f0b904e49b5ce2c6812cc88a76b54"; "db73707f20a1c3ee47e592935c8ae94b"
+    ; "e881581b1a353b84144273aa64e62d35"
+    ]
+    (digests { Hb.default with restricted_transitivity = false });
+  Alcotest.(check (list string)) "front_rule"
+    [ "cd3e98744216e03d13046ed2db64dd28"; "330b4ba9df0a050801574ab152ef08f5"
+    ; "e0fe8f4d20a6c74482723bd7d3704737"; "ab88a36229ac9a1ebd2ac19c41e34980"
+    ; "dc226dc3e23cf625e224177da8d3bc83"; "6bafb1efcde82ba4cf8cc188ed5148ee"
+    ; "f27cf60885c1af04d4daa8d3d4641e49"; "23ef103b47784211491c2bcc4d0d3c50"
+    ; "482c974d83ac8be2043b0b5c41063d91"; "70b238ac193dc23e738ac456384c3472"
+    ; "4716b24ad4d5f6023fca151267abd04c"; "d05d47614ec1ac9b23a517b497d6ac69"
+    ; "d7ea75cbe3f829116ff751478292c968"; "ebd85ab9b163b186e7c3ed1f0e6e6cc7"
+    ; "1cbb9c8788df17db977cd5ffb251997a"
+    ]
+    (digests { Hb.default with front_rule = true });
+  Alcotest.(check (list string)) "lock_same_thread"
+    [ "cd3e98744216e03d13046ed2db64dd28"; "27f2ec964c21c999d12ffb27ca54ce83"
+    ; "36640268bffdd54bcdffb7dfb5bf6fbd"; "5a8d8cc0c7ac5a035299026d1fb5fbf3"
+    ; "b20280582302f6df912df944557687e3"; "205072c75f4a8c347915899b164db8fc"
+    ; "b93a6314cdea9fd7120c6c2c3a753381"; "23ef103b47784211491c2bcc4d0d3c50"
+    ; "482c974d83ac8be2043b0b5c41063d91"; "cb9b529eb05eaa1de226ba03089d580e"
+    ; "e311f4ece3faf9b05ff433b91c8a40a5"; "58e83e2bd8418a0c91f728b71ec703da"
+    ; "4941a2d535bccd520a22e0c1731ae4bd"; "ebd85ab9b163b186e7c3ed1f0e6e6cc7"
+    ; "39eaf096e2456b944679e836423109c1"
+    ]
+    (digests { Hb.default with lock_same_thread = true });
+  Alcotest.(check (list string)) "Full_po"
+    [ "266d514d11f27b804beb454441da0edc"; "1269900d99f2d60001aa692cfe5b3505"
+    ; "c71e884aa07a1ea5966ac33f9136d441"; "81d526d6eff8d4ae6138cd163e04e36e"
+    ; "087d31707745aada759af1a137b2c8f2"; "c2ed88492d92e692cc810635921ce44e"
+    ; "02a4385b7450765237792b42b3070781"; "3ba207a6c0a09b8f7df24468918a6f6c"
+    ; "06080b2a9898e5e87b5aec72628c5c51"; "ef2601eb0e35f5dbc8bce4ceb2b1f200"
+    ; "e1594cd94695a573567e310039ffe928"; "487baf0381d3e42fd820b42fd7d57666"
+    ; "8dd99f4db44f85a73b21ad014ed41f14"; "3edf132f0c8b68d7c6f918cda7b06998"
+    ; "dc4c14006c2d5c688dae9b7dc4ab2c85"
+    ]
+    (digests { Hb.default with program_order = Hb.Full_po })
+
 (* {1 Semantics of every corpus trace} *)
 
 let test_corpus_traces_valid () =
@@ -229,6 +314,8 @@ let () =
         ; Alcotest.test_case "graph race pairs on corpus" `Slow
             test_graph_race_pairs_on_corpus
         ; Alcotest.test_case "hb edges on corpus" `Slow test_hb_edges_on_corpus
+        ; Alcotest.test_case "hb matrices on corpus" `Slow
+            test_hb_matrices_on_corpus
         ] )
     ; ( "corpus"
       , [ Alcotest.test_case "traces valid" `Quick test_corpus_traces_valid ] )

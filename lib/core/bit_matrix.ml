@@ -50,6 +50,15 @@ let log2_table =
 let[@inline] log2_pow2 b =
   Array.unsafe_get log2_table (b land max_int mod 67)
 
+(* [f (base + b)] for every set bit [b] of [x], ascending. *)
+let[@inline] iter_bits x base f =
+  let x = ref x in
+  while !x <> 0 do
+    let bit = !x land - !x in
+    f (base + log2_pow2 bit);
+    x := !x land lnot bit
+  done
+
 module Mask = struct
   type t = { words : int array }
 
@@ -60,6 +69,18 @@ module Mask = struct
   let set t j =
     let w = j / bits_per_word in
     t.words.(w) <- t.words.(w) lor (1 lsl (j mod bits_per_word))
+
+  let iter_range t lo hi f =
+    if lo <= hi then
+      for w = lo / bits_per_word to hi / bits_per_word do
+        iter_bits t.words.(w) (w * bits_per_word) f
+      done
+
+  let clear_range t lo hi =
+    if lo <= hi then
+      Array.fill t.words (lo / bits_per_word)
+        ((hi / bits_per_word) - (lo / bits_per_word) + 1)
+        0
 end
 
 let iter_row m i f =
@@ -163,4 +184,69 @@ let close_lower_row m j ~cover ~group ~(group_masks : Mask.t array) =
   (* every visited row lies below the first, so the cover is dirty only
      up to its last word *)
   Array.fill cw 0 (!cover_top + 1) 0;
+  !words
+
+(* {1 Reading a row against a mask} *)
+
+(* The columns [from <= c < j] of [among] that row [j] lacks, one
+   AND-NOT per word: the first word drops the bits below [from], the
+   word of [j] the bits from [j] up (none when [j mod 63 = 0]). *)
+let check_mask m (among : Mask.t) =
+  if Array.length among.words < m.words then
+    invalid_arg "Bit_matrix: mask narrower than the matrix"
+
+let iter_absent m j ~among ~from f =
+  check_mask m among;
+  if from < 0 then invalid_arg "Bit_matrix.iter_absent: negative column";
+  if from >= j then 0
+  else begin
+    let row = m.rows.(j) and aw = among.Mask.words in
+    let lo = from / bits_per_word and hi = j / bits_per_word in
+    for w = lo to hi do
+      let x = Array.unsafe_get aw w land lnot (Array.unsafe_get row w) in
+      let x = if w = lo then x land (-1 lsl (from mod bits_per_word)) else x in
+      let x =
+        if w = hi then x land ((1 lsl (j mod bits_per_word)) - 1) else x
+      in
+      iter_bits x (w * bits_per_word) f
+    done;
+    hi - lo + 1
+  end
+
+(* The walk of [close_lower_row] without a cover row: row [j] itself
+   is the cover.  An admitted column's row goes in whole, so every
+   column it holds is off the walk before the walk reaches it. *)
+let absorb_below m j ~among admit =
+  check_mask m among;
+  let row = m.rows.(j) and aw = among.Mask.words in
+  let words = ref 0 in
+  let w = ref (j / bits_per_word) in
+  (* the bits of word [!w] still to offer: below [j], then below the
+     last offered *)
+  let below = ref ((1 lsl (j mod bits_per_word)) - 1) in
+  while !w >= 0 do
+    let cur = !w in
+    let x =
+      Array.unsafe_get aw cur land lnot (Array.unsafe_get row cur) land !below
+    in
+    if x = 0 then begin
+      w := cur - 1;
+      below := -1
+    end
+    else begin
+      let b = top_bit x in
+      below := (1 lsl b) - 1;
+      let c = (cur * bits_per_word) + b in
+      if admit c then begin
+        let src = m.rows.(c) in
+        let hi = c / bits_per_word in
+        for v = 0 to hi do
+          Array.unsafe_set row v
+            (Array.unsafe_get row v lor Array.unsafe_get src v)
+        done;
+        Array.unsafe_set row cur (Array.unsafe_get row cur lor (1 lsl b));
+        words := !words + hi + 1
+      end
+    end
+  done;
   !words

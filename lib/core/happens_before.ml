@@ -37,10 +37,7 @@ let default =
 type task_entry =
   { task : Task_id.t
   ; post_node : int
-  ; begin_info : (int * int) option  (** node, trace position *)
-  ; end_info : (int * int) option
   ; flavour : Operation.post_flavour
-  ; task_nodes : int list
   }
 
 type t =
@@ -66,48 +63,52 @@ let static_config (cfg : config) : Hb_edges.config =
   ; lock_same_thread = cfg.lock_same_thread
   }
 
-(* Per node, the tasks whose [begin] it is, each with the position of
-   that [begin] and the tasks posted to the same thread: the candidates
-   for FIFO, NOPRE and the front rule. *)
-let tasks_by_begin g =
+(* The candidates for FIFO, NOPRE and the front rule, indexed by node:
+   the task whose [begin] a node is, with its target thread's index;
+   the task whose [end] a node is; and per target thread, the mask of
+   the [end] nodes of the tasks posted to it.  A task begins and ends
+   on its target thread ({!Trace} rejects anything else), so every
+   candidate [end] runs on the [begin]'s thread. *)
+type siblings =
+  { begin_of : (task_entry * int) option array  (** and the thread index *)
+  ; end_of : task_entry option array
+  ; ends : Bit_matrix.Mask.t array
+  }
+
+let siblings g =
   let trace = Graph.trace g in
   let node_of_pos = Graph.node_of_pos g in
-  let by_target : (int, task_entry list ref) Hashtbl.t = Hashtbl.create 8 in
+  let n = Graph.node_count g in
+  let begin_of = Array.make n None and end_of = Array.make n None in
+  let ends = Array.init (Graph.thread_count g) (fun _ -> Bit_matrix.Mask.create n) in
   List.iter
     (fun p ->
        match Trace.post_index trace p, Trace.post_target trace p with
        | Some q, Some target ->
-         let info idx = Option.map (fun i -> (node_of_pos i, i)) idx in
          let entry =
            { task = p
            ; post_node = node_of_pos q
-           ; begin_info = info (Trace.begin_index trace p)
-           ; end_info = info (Trace.end_index trace p)
            ; flavour =
                Option.value (Trace.post_flavour trace p)
                  ~default:Operation.Immediate
-           ; task_nodes = Graph.nodes_of_task g p
            }
          in
-         let key = Thread_id.to_int target in
-         (match Hashtbl.find_opt by_target key with
-          | Some l -> l := entry :: !l
-          | None -> Hashtbl.add by_target key (ref [ entry ]))
+         (* a task that began did so on its target, so the target has
+            an index; one that ended began first *)
+         Option.iter
+           (fun b ->
+              let t = Graph.thread_index g target in
+              begin_of.(node_of_pos b) <- Some (entry, t);
+              Option.iter
+                (fun e ->
+                   let end_node = node_of_pos e in
+                   end_of.(end_node) <- Some entry;
+                   Bit_matrix.Mask.set ends.(t) end_node)
+                (Trace.end_index trace p))
+           (Trace.begin_index trace p)
        | (Some _ | None), _ -> ())
     (Trace.tasks trace);
-  let by_begin = Array.make (Graph.node_count g) [] in
-  Hashtbl.iter
-    (fun _ entries ->
-       List.iter
-         (fun p2 ->
-            match p2.begin_info with
-            | Some (begin_node, begin_pos) ->
-              by_begin.(begin_node) <-
-                (p2, begin_pos, !entries) :: by_begin.(begin_node)
-            | None -> ())
-         !entries)
-    by_target;
-  by_begin
+  { begin_of; end_of; ends }
 
 let compute_impl ~config g =
   let cfg = config in
@@ -135,60 +136,54 @@ let compute_impl ~config g =
     assert (src < dst);
     Bit_matrix.set preds dst src);
   let seeded = if Obs.enabled () then Bit_matrix.count preds else 0 in
-  let by_begin = tasks_by_begin g in
+  let sib = siblings g in
+  let checks = ref 0 in
   (* FIFO, NOPRE and the front rule: end(p1) ⪯ begin(p2) for a task p1
-     posted to the same thread that ended before p2 began.  Called
-     while row [begin(p2)] is being built: every premise reads the row
-     of a post or of a node of p1, all at lower ids, hence final. *)
-  let dynamic_edges begin_node (p2, begin_pos, siblings) =
-    List.iter
-      (fun p1 ->
-         match p1.end_info with
-         | Some (end_node, end_pos)
-           when (not (Task_id.equal p1.task p2.task))
-                && end_pos < begin_pos
-                && not (pred_of end_node begin_node) ->
-           let fifo =
-             cfg.fifo_rule
-             && Hb_edges.fifo_flavours_ok p1.flavour p2.flavour
-             && pred_of p1.post_node p2.post_node
-           in
-           (* EXTENSION: a front post pre-empts pending tasks.  Sound
-              premise: both posts come from one task executing on the
-              target thread itself — the target is busy between the
-              two posts in every schedule, so p2 is still pending when
-              the front post p1 arrives and p1 always jumps ahead:
-              end(p1) ⪯ begin(p2). *)
-           let front () =
-             cfg.front_rule
-             && (match p1.flavour with
-                 | Operation.Front -> true
-                 | Operation.Immediate | Operation.Delayed _ -> false)
-             && pred_of p2.post_node p1.post_node
-             && Thread_id.equal
-                  (Graph.thread_of_node g p1.post_node)
-                  (Graph.thread_of_node g end_node)
-             && (match
-                   ( Graph.task_of_node g p1.post_node
-                   , Graph.task_of_node g p2.post_node )
-                 with
-                 | Some q1, Some q2 -> Task_id.equal q1 q2
-                 | (Some _ | None), _ -> false)
-           in
-           let nopre () =
-             cfg.nopre_rule
-             &&
-             ((* αk = the post itself: p2 was posted from within p1
-                 (⪯st is reflexive) *)
-              (match Graph.task_of_node g p2.post_node with
-               | Some q -> Task_id.equal q p1.task
-               | None -> false)
-              || List.exists (fun k -> pred_of k p2.post_node) p1.task_nodes)
-           in
-           if fifo || front () || nopre () then
-             Bit_matrix.set preds begin_node end_node
-         | Some _ | None -> ())
-      siblings
+     posted to the same thread that ended before p2 began.  Every
+     premise reads the row of a post or of a node of p1, all below
+     begin(p2), hence final. *)
+  let dynamic_edge p2 end_node =
+    incr checks;
+    let p1 = Option.get sib.end_of.(end_node) in
+    let fifo =
+      cfg.fifo_rule
+      && Hb_edges.fifo_flavours_ok p1.flavour p2.flavour
+      && pred_of p1.post_node p2.post_node
+    in
+    (* EXTENSION: a front post pre-empts pending tasks.  Sound premise:
+       both posts come from one task executing on the target thread
+       itself — the target is busy between the two posts in every
+       schedule, so p2 is still pending when the front post p1 arrives
+       and p1 always jumps ahead: end(p1) ⪯ begin(p2). *)
+    let front () =
+      cfg.front_rule
+      && (match p1.flavour with
+          | Operation.Front -> true
+          | Operation.Immediate | Operation.Delayed _ -> false)
+      && pred_of p2.post_node p1.post_node
+      && Thread_id.equal
+           (Graph.thread_of_node g p1.post_node)
+           (Graph.thread_of_node g end_node)
+      && (match
+            ( Graph.task_of_node g p1.post_node
+            , Graph.task_of_node g p2.post_node )
+          with
+          | Some q1, Some q2 -> Task_id.equal q1 q2
+          | (Some _ | None), _ -> false)
+    in
+    let nopre () =
+      cfg.nopre_rule
+      &&
+      ((* αk = the post itself: p2 was posted from within p1 (⪯st is
+          reflexive) *)
+       (match Graph.task_of_node g p2.post_node with
+        | Some q -> Task_id.equal q p1.task
+        | None -> false)
+       || List.exists
+            (fun k -> pred_of k p2.post_node)
+            (Graph.nodes_of_task g p1.task))
+    in
+    fifo || front () || nopre ()
   in
   (* One forward sweep.  Every edge points to a higher node id: the
      static edges by {!Hb_edges}' invariant, the dynamic ones from an
@@ -200,15 +195,30 @@ let compute_impl ~config g =
      runs on [j]'s thread, and otherwise only the nodes of other
      threads — i ⪯ k ⪯ j composes across threads only when
      [thread i ≠ thread j].  {!Bit_matrix.close_lower_row} skips the
-     predecessors whose contribution a visited row already made. *)
+     predecessors whose contribution a visited row already made.
+
+     A [begin] row is closed over its static edges first, then offered
+     the [end]s of its thread that it still lacks, latest first
+     ({!Bit_matrix.absorb_below}).  An [end] that a rule orders before
+     the [begin] brings its whole row at once — exact, since it runs on
+     the [begin]'s thread — so the earlier tasks it is ordered after
+     (a FIFO chain) are never checked, and the row stays closed: row
+     [end] is closed and composes whole, so no second closure is
+     needed. *)
   let cover = Bit_matrix.Mask.create n in
   let word_ors = ref 0 in
   for j = 0 to n - 1 do
-    List.iter (dynamic_edges j) by_begin.(j);
     word_ors :=
       !word_ors
-      + Bit_matrix.close_lower_row preds j ~cover ~group ~group_masks
+      + Bit_matrix.close_lower_row preds j ~cover ~group ~group_masks;
+    match sib.begin_of.(j) with
+    | Some (p2, t) ->
+      word_ors :=
+        !word_ors
+        + Bit_matrix.absorb_below preds j ~among:sib.ends.(t) (dynamic_edge p2)
+    | None -> ()
   done;
+  Obs.add ~n:!checks "hb.sibling_checks";
   Obs.add "hb.passes";
   Obs.add ~n:!word_ors "hb.word_ors";
   if Obs.enabled () then begin
@@ -225,6 +235,7 @@ let compute ?(config = default) g =
     (fun () -> compute_impl ~config g)
 
 let node_hb t i j = i <> j && Bit_matrix.get t.preds j i
+let preds t = t.preds
 
 let hb t i j =
   if i = j then false

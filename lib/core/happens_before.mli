@@ -67,12 +67,17 @@ val compute : ?config:config -> Graph.t -> t
     sweep.  Every rule orders a node before a node of higher id, so the
     sweep builds, for each node in ascending id order, the row of nodes
     ordered before it: the static edges of {!Hb_edges}, then the
-    dynamic rules FIFO, NOPRE and the front-of-queue extension (whose
-    premises read only rows already final), then the restricted
-    transitive closure of the row through the final rows of its
-    predecessors.  A predecessor whose contribution the row of a later
-    predecessor already carried is skipped, so the cost is one masked
-    row OR per predecessor that no other predecessor covers. *)
+    restricted transitive closure of the row through the final rows of
+    its predecessors, then, at a task's [begin], the dynamic rules
+    FIFO, NOPRE and the front-of-queue extension (whose premises read
+    only rows already final).  In the closure a predecessor whose
+    contribution the row of a later predecessor already carried is
+    skipped, so the cost is one masked row OR per predecessor that no
+    other predecessor covers.  The dynamic rules are checked for the
+    [end]s of the tasks posted to the [begin]'s thread that the row
+    still lacks, latest first; an ordered [end] brings its whole row at
+    once, so the earlier tasks it is already ordered after are never
+    checked ([hb.sibling_checks] counts the checks). *)
 
 val graph : t -> Graph.t
 
@@ -95,6 +100,11 @@ val same_thread : t -> int -> int -> bool
 
 val node_hb : t -> int -> int -> bool
 
+val preds : t -> Bit_matrix.t
+(** The relation as a matrix over nodes: row [j] holds the nodes
+    ordered before node [j], all of them below [j].  [node_hb t i j]
+    is bit [(j, i)].  Shared, not copied: read it, never write it. *)
+
 (** {1 Statistics} *)
 
 val node_count : t -> int
@@ -106,5 +116,6 @@ val passes : t -> int
 (** Passes over the nodes: always 1 ([hb.passes]). *)
 
 val word_ors : t -> int
-(** Machine-word OR operations the closure performed — its work metric
-    ([hb.word_ors]).  Deterministic for a given trace and config. *)
+(** Machine-word OR operations the closure performed, the dynamic
+    rules' row ORs included — its work metric ([hb.word_ors]).
+    Deterministic for a given trace and config. *)

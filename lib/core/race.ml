@@ -50,7 +50,7 @@ let accesses trace =
 (* The access positions of a trace grouped by location, then by graph
    node, and cut into segments: the reads [start, wstart) and writes
    [wstart, stop) of one location in one node, each in trace order.  A
-   location's segments are consecutive, in order of first access.
+   location's segments are consecutive, in ascending node order.
    Built by counting passes over int arrays — no sort, no table per
    location, no access record until an access races: small traces are
    analysed by the thousand, and large ones have accesses by the
@@ -63,10 +63,18 @@ type segments =
   ; loc_seg : int array  (** first segment per location, plus an end entry *)
   }
 
+(* A location's accesses, packed as position, node and write flag into
+   one int: positions and nodes fit in 31 bits each. *)
+let pos_bits = 31
+
+let[@inline] packed_node e = (e lsr 1) land ((1 lsl pos_bits) - 1)
+let[@inline] packed_pos e = e lsr (pos_bits + 1)
+
 let segment trace graph =
   let n_pos = Trace.length trace in
+  if n_pos >= 1 lsl pos_bits then invalid_arg "Race.detect: trace too long";
   let locs = Array.length (Trace.locations trace) in
-  (* counting sort of the positions by location: trace order within *)
+  (* counting sort of the accesses by location, trace order within *)
   let loc_start = Array.make (locs + 1) 0 in
   for i = 0 to n_pos - 1 do
     let l = Trace.location_id trace i in
@@ -78,59 +86,77 @@ let segment trace graph =
   let n = loc_start.(locs) in
   let by_loc = Array.make n 0 in
   let cursor = Array.sub loc_start 0 locs in
+  (* the one pass that reads the events and the nodes *)
   for i = 0 to n_pos - 1 do
     let l = Trace.location_id trace i in
     if l >= 0 then begin
-      by_loc.(cursor.(l)) <- i;
+      let write = Operation.is_write (Trace.get trace i).op in
+      by_loc.(cursor.(l)) <-
+        (i lsl (pos_bits + 1))
+        lor (Graph.node_of_pos graph i lsl 1)
+        lor Bool.to_int write;
       cursor.(l) <- cursor.(l) + 1
     end
   done;
-  (* Per location, one segment per node it touches: a first walk
-     numbers and sizes them, a second places the positions.
-     [last_loc] marks the nodes given a segment of the current
-     location. *)
-  let is_write i = Operation.is_write (Trace.get trace i).op in
+  (* Per location, one segment per node it touches, numbered in node
+     order: a first walk marks the nodes in [touched] and counts their
+     reads and writes, the mask's set bits number the segments, and a
+     second walk places the positions, with per-node cursors.
+     [last_loc] marks the nodes counted for the current location. *)
   let nodes = Graph.node_count graph in
-  let last_loc = Array.make nodes (-1) and node_seg = Array.make nodes 0 in
+  let touched = Bit_matrix.Mask.create nodes in
+  let last_loc = Array.make nodes (-1) in
+  let read_at = Array.make nodes 0 and write_at = Array.make nodes 0 in
   let seg_node = Array.make n 0 and seg_start = Array.make (n + 1) 0 in
   let seg_wstart = Array.make n 0 in
-  let read_at = Array.make n 0 and write_at = Array.make n 0 in
   let sorted = Array.make n 0 in
   let loc_seg = Array.make (locs + 1) 0 in
   let segs = ref 0 in
   for l = 0 to locs - 1 do
-    let first = !segs in
-    loc_seg.(l) <- first;
+    loc_seg.(l) <- !segs;
+    let lowest = ref nodes and highest = ref (-1) in
     for x = loc_start.(l) to loc_start.(l + 1) - 1 do
-      let v = Graph.node_of_pos graph by_loc.(x) in
+      let e = by_loc.(x) in
+      let v = packed_node e in
       if last_loc.(v) <> l then begin
         last_loc.(v) <- l;
-        node_seg.(v) <- !segs;
-        seg_node.(!segs) <- v;
-        incr segs
+        read_at.(v) <- 0;
+        write_at.(v) <- 0;
+        Bit_matrix.Mask.set touched v;
+        if v < !lowest then lowest := v;
+        if v > !highest then highest := v
       end;
-      let sg = node_seg.(v) in
-      if is_write by_loc.(x) then write_at.(sg) <- write_at.(sg) + 1
-      else read_at.(sg) <- read_at.(sg) + 1
+      if e land 1 = 1 then write_at.(v) <- write_at.(v) + 1
+      else read_at.(v) <- read_at.(v) + 1
     done;
     (* counts to extents; the cursors start at each part's beginning *)
-    for sg = first to !segs - 1 do
-      let reads = read_at.(sg) and total = read_at.(sg) + write_at.(sg) in
+    Bit_matrix.Mask.iter_range touched !lowest !highest (fun v ->
+      let sg = !segs in
+      incr segs;
+      let reads = read_at.(v) in
+      seg_node.(sg) <- v;
       seg_wstart.(sg) <- seg_start.(sg) + reads;
-      seg_start.(sg + 1) <- seg_start.(sg) + total;
-      read_at.(sg) <- seg_start.(sg);
-      write_at.(sg) <- seg_wstart.(sg)
-    done;
+      seg_start.(sg + 1) <- seg_start.(sg) + reads + write_at.(v);
+      read_at.(v) <- seg_start.(sg);
+      write_at.(v) <- seg_wstart.(sg));
+    Bit_matrix.Mask.clear_range touched !lowest !highest;
     for x = loc_start.(l) to loc_start.(l + 1) - 1 do
-      let i = by_loc.(x) in
-      let sg = node_seg.(Graph.node_of_pos graph i) in
-      let at = if is_write i then write_at else read_at in
-      sorted.(at.(sg)) <- i;
-      at.(sg) <- at.(sg) + 1
+      let e = by_loc.(x) in
+      let v = packed_node e in
+      let at = if e land 1 = 1 then write_at else read_at in
+      sorted.(at.(v)) <- packed_pos e;
+      at.(v) <- at.(v) + 1
     done
   done;
   loc_seg.(locs) <- !segs;
   { sorted; seg_node; seg_start; seg_wstart; loc_seg }
+
+(* Per-worker scratch for the scan: the node masks of a location's
+   nodes and of its writers. *)
+type scratch =
+  { among : Bit_matrix.Mask.t
+  ; writers : Bit_matrix.Mask.t
+  }
 
 let detect ?(jobs = 1) trace ~hb =
   Obs.with_span "race.detect" ~args:[ ("jobs", string_of_int jobs) ]
@@ -138,7 +164,14 @@ let detect ?(jobs = 1) trace ~hb =
   let graph = Happens_before.graph hb in
   if Trace.length trace <> Trace.length (Graph.trace graph) then
     invalid_arg "Race.detect: the relation was computed on another trace";
+  let preds = Happens_before.preds hb in
   let s = segment trace graph in
+  let nodes = Graph.node_count graph in
+  let scratch () =
+    { among = Bit_matrix.Mask.create nodes
+    ; writers = Bit_matrix.Mask.create nodes
+    }
+  in
   let has_write seg = s.seg_wstart.(seg) < s.seg_start.(seg + 1) in
   (* Access records are built for racing accesses only. *)
   let access_at i =
@@ -151,8 +184,9 @@ let detect ?(jobs = 1) trace ~hb =
   in
   (* Every access of segment [p] against the accesses of segment [q] it
      conflicts with: a write against all of them, a read against the
-     writes. *)
+     writes.  The scan hands it conflicting segments only. *)
   let emit p q races =
+    assert (has_write p || has_write q);
     for x = s.seg_start.(p) to s.seg_start.(p + 1) - 1 do
       let from =
         if x >= s.seg_wstart.(p) then s.seg_start.(q) else s.seg_wstart.(q)
@@ -162,46 +196,71 @@ let detect ?(jobs = 1) trace ~hb =
       done
     done
   in
-  (* The races of the first segments [lo, hi) of the location whose
-     segments are [loc_lo, loc_hi) against its later segments. *)
-  let scan (_, loc_hi, lo, hi) =
-    let races = ref [] and node_pairs = ref 0 in
-    (* Two accesses of one node never race: the relation orders them by
-       position.  Accesses of two distinct nodes are ordered exactly
-       when the nodes are, and every edge of the relation points to the
-       higher node id, so one lookup decides every pair. *)
-    for p = lo to hi - 1 do
-      let np = s.seg_node.(p) and wp = has_write p in
-      for q = p + 1 to loc_hi - 1 do
-        if wp || has_write q then begin
-          incr node_pairs;
-          let nq = s.seg_node.(q) in
-          let ordered =
-            if np < nq then Happens_before.node_hb hb np nq
-            else Happens_before.node_hb hb nq np
-          in
-          if not ordered then emit p q races
-        end
-      done
+  (* The segment of node [v] among the segments [lo, hi) of one
+     location, which are in ascending node order. *)
+  let rec seg_of v lo hi =
+    let mid = (lo + hi) / 2 in
+    let m = s.seg_node.(mid) in
+    if m = v then mid else if m < v then seg_of v (mid + 1) hi else seg_of v lo mid
+  in
+  (* The races of the segments [lo, hi) of the location whose first
+     segment is [loc_lo] against its segments of lower nodes, with
+     the chunk's counters.  Two accesses of one node never race: the
+     relation orders them by position.  Accesses of two distinct nodes
+     are ordered exactly when the nodes are, and every edge of the
+     relation points to the higher node id, so the lower nodes that
+     race with segment [q]'s node are its location's nodes — only the
+     writers when [q] only reads — that row [q] lacks: one AND-NOT per
+     word of the row. *)
+  let scan sc (loc_lo, lo, hi) =
+    let races = ref [] and node_pairs = ref 0 and words = ref 0 in
+    let lowest = s.seg_node.(loc_lo) in
+    Bit_matrix.Mask.clear_range sc.among lowest s.seg_node.(hi - 1);
+    Bit_matrix.Mask.clear_range sc.writers lowest s.seg_node.(hi - 1);
+    (* writers below the chunk *)
+    let wb = ref 0 in
+    for p = loc_lo to lo - 1 do
+      Bit_matrix.Mask.set sc.among s.seg_node.(p);
+      if has_write p then begin
+        Bit_matrix.Mask.set sc.writers s.seg_node.(p);
+        incr wb
+      end
     done;
-    (!races, !node_pairs)
+    for q = lo to hi - 1 do
+      let nq = s.seg_node.(q) and wq = has_write q in
+      (* node pairs decided, in closed form: every lower node when [q]
+         writes, else the lower writers *)
+      let decided = if wq then q - loc_lo else !wb in
+      if decided > 0 then begin
+        node_pairs := !node_pairs + decided;
+        let among = if wq then sc.among else sc.writers in
+        words :=
+          !words
+          + Bit_matrix.iter_absent preds nq ~among ~from:lowest (fun np ->
+            emit (seg_of np loc_lo q) q races)
+      end;
+      Bit_matrix.Mask.set sc.among nq;
+      if wq then begin
+        Bit_matrix.Mask.set sc.writers nq;
+        incr wb
+      end
+    done;
+    (!races, !node_pairs, !words)
   in
   (* A scan's counters, when telemetry is on; also as the arguments of
      the scan's own span, when it has one. *)
-  let record ~span (loc_lo, loc_hi, lo, hi) (races, node_pairs) =
+  let record ~span (loc_lo, lo, hi) (races, node_pairs, words) =
     if Obs.enabled () then begin
-      (* access pairs = Σ_{i=a}^{b-1} (len-1-i) over the chunk's
-         accesses [a, b) of the location's [len], in closed form: what
-         an access-pair scan would examine, the base against which
-         [node_pairs] reads as the saving *)
+      (* access pairs with a later access in the chunk, in closed form:
+         what an access-pair scan would examine, the base against
+         which [node_pairs] reads as the saving *)
       let base = s.seg_start.(loc_lo) in
-      let len = s.seg_start.(loc_hi) - base in
       let a = s.seg_start.(lo) - base and b = s.seg_start.(hi) - base in
-      let k = b - a in
-      let pairs = (k * (len - 1)) - (k * (a + b - 1) / 2) in
+      let pairs = ((b * (b - 1)) - (a * (a - 1))) / 2 in
       let conflicts = List.length races in
       Obs.add ~n:pairs "race.pairs_examined";
       Obs.add ~n:node_pairs "race.node_pairs_examined";
+      Obs.add ~n:words "race.words_anded";
       Obs.add ~n:conflicts "race.conflicts";
       if span then begin
         Obs.set_span_arg "pairs" (string_of_int pairs);
@@ -214,20 +273,22 @@ let detect ?(jobs = 1) trace ~hb =
   let locs = Array.length s.loc_seg - 1 in
   let races =
     if jobs <= 1 then begin
+      let sc = scratch () in
       let races = ref [] in
       for l = 0 to locs - 1 do
         let lo = s.loc_seg.(l) and hi = s.loc_seg.(l + 1) in
-        let w = (lo, hi, lo, hi) in
-        races := List.rev_append (record ~span:false w (scan w)) !races
+        let w = (lo, lo, hi) in
+        races := List.rev_append (record ~span:false w (scan sc w)) !races
       done;
       !races
     end
     else begin
-      (* The node-pair scan is quadratic in a location's nodes, so one
-         hot location would serialise a per-location fan-out; chunk its
-         first-node range instead.  The chunk size depends on [jobs],
-         which is fine: the final sort makes the output independent of
-         how the work was split. *)
+      (* The scan is quadratic in a location's nodes, so one hot
+         location would serialise a per-location fan-out; chunk its
+         segments instead.  The chunk size depends on [jobs], which is
+         fine: the final sort makes the output independent of how the
+         work was split.  The chunks are dealt out in a few runs, each
+         with its own scratch. *)
       let work =
         List.concat_map
           (fun l ->
@@ -235,11 +296,11 @@ let detect ?(jobs = 1) trace ~hb =
              let k = hi - lo in
              let chunk = max 16 ((k + (4 * jobs) - 1) / (4 * jobs)) in
              List.map
-               (fun (a, b) -> (lo, hi, lo + a, lo + b))
+               (fun (a, b) -> (lo, lo + a, lo + b))
                (Par_pool.ranges ~chunk k))
           (List.init locs Fun.id)
       in
-      let chunk ((loc_lo, _, lo, hi) as w) =
+      let chunk sc ((loc_lo, lo, hi) as w) =
         let args =
           if Obs.enabled () then
             [ ("lo", string_of_int (lo - loc_lo))
@@ -248,9 +309,20 @@ let detect ?(jobs = 1) trace ~hb =
           else []
         in
         Obs.with_span "race.chunk" ~args (fun () ->
-          record ~span:true w (scan w))
+          record ~span:true w (scan sc w))
       in
-      List.concat (Par_pool.parallel_map ~jobs chunk work)
+      let work = Array.of_list work in
+      let runs =
+        Par_pool.ranges
+          ~chunk:(max 1 ((Array.length work + (4 * jobs) - 1) / (4 * jobs)))
+          (Array.length work)
+      in
+      Par_pool.parallel_map ~jobs
+        (fun (a, b) ->
+           let sc = scratch () in
+           List.concat_map (chunk sc) (Array.to_list (Array.sub work a (b - a))))
+        runs
+      |> List.concat
     end
   in
   List.sort

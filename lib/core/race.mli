@@ -35,22 +35,29 @@ val detect : ?jobs:int -> Trace.t -> hb:Happens_before.t -> t list
     lexicographic order of positions.  [trace] must be the trace the
     relation's graph was built on.
 
-    The relation is looked up once per pair of graph nodes, not once
-    per pair of accesses.  Two accesses in the same node never race:
-    [hb] orders them by position.  Accesses in distinct nodes [m] and
-    [n] are ordered exactly when [m] and [n] are, so for each pair of
-    nodes that touch a location, at least one of them writing it, one
-    {!Happens_before.node_hb} lookup in each direction decides every
-    access pair at once.  An unordered node pair contributes its
-    write×access and read×write pairs, so emission work is
-    proportional to the races reported.  On an uncoalesced graph every
-    node is one position and this is the access-pair scan.
+    The relation is decided once per pair of graph nodes, not once
+    per pair of accesses, and a word of node pairs at a time.  Two
+    accesses in the same node never race: [hb] orders them by
+    position.  Accesses in distinct nodes [m] and [n] are ordered
+    exactly when [m] and [n] are, and every edge of the relation
+    points to the higher node id.  So for each node [q] touching a
+    location, the lower nodes that race with it are the location's
+    nodes — only its writers when [q] only reads the location — that
+    {!Happens_before.preds}' row [q] lacks: one AND-NOT per word of
+    that row ({!Bit_matrix.iter_absent}), never a per-pair
+    {!Happens_before.node_hb} lookup.  An unordered node pair
+    contributes its write×access and read×write pairs, so emission
+    work is proportional to the races reported.  On an uncoalesced
+    graph every node is one position and this is the access-pair scan.
 
-    With [jobs > 1] each location's node-pair scan is chunked by
-    first-node ranges over a {!Par_pool}; the result list and the
-    [race.*] counters are identical for every [jobs] value.
-    [race.pairs_examined] counts the access pairs per location (what
-    an access-pair scan would examine), [race.node_pairs_examined] the
-    node pairs actually looked up.
+    With [jobs > 1] each location's nodes are chunked into ranges over
+    a {!Par_pool}, and each run of chunks gets its own scratch masks;
+    the result list and the [race.*] counters are identical for every
+    [jobs] value.  [race.pairs_examined] counts the access pairs per
+    location (what an access-pair scan would examine),
+    [race.node_pairs_examined] the node pairs decided (a writing node
+    against every lower node of its location, a reading one against
+    the lower writers) — both in closed form — [race.words_anded] the
+    row words read, and [race.conflicts] the races.
     @raise Invalid_argument if [trace] and the relation's trace differ
-    in length. *)
+    in length, or if it has 2{^31} positions or more. *)

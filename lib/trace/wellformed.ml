@@ -142,7 +142,12 @@ type thread_state =
   ; mutable attached : (int * Trace.event) option
   ; mutable looping : (int * Trace.event) option
   ; mutable executing : (Task_id.t * int * Trace.event) option
-  ; mutable queue : pending list  (** arrival order *)
+  ; mutable queue : pending list
+        (** the pending tasks, oldest first: [queue], then [arrivals]
+            reversed *)
+  ; mutable arrivals : pending list  (** newest first *)
+  ; mutable queued : int  (** pending tasks *)
+  ; mutable fronts : int  (** front posts pending *)
   ; mutable next_seq : int
   ; mutable op_count : int
   }
@@ -196,6 +201,9 @@ let thread_state st t =
       ; looping = None
       ; executing = None
       ; queue = []
+      ; arrivals = []
+      ; queued = 0
+      ; fronts = 0
       ; next_seq = 0
       ; op_count = 0
       }
@@ -234,7 +242,16 @@ let reject ~line ~rule ~event ?(related = []) fmt =
    entries: front posts pre-empt everything (most recent first); among
    immediate posts strict FIFO; a delayed post waits for every earlier
    immediate post and every earlier delayed post with a smaller or
-   equal timeout. *)
+   equal timeout.  [blocks entry e]: with no front post pending, [e],
+   posted before [entry], must be dispatched first. *)
+let blocks (entry : pending) e =
+  match entry.pd_flavour, e.pd_flavour with
+  | (Operation.Immediate | Operation.Delayed _), Operation.Immediate -> true
+  | Operation.Delayed d, Operation.Delayed d' -> d' <= d
+  | Operation.Immediate, (Operation.Delayed _ | Operation.Front)
+  | Operation.Delayed _, Operation.Front
+  | Operation.Front, _ -> false
+
 let dispatch_blockers queue (entry : pending) =
   let fronts =
     List.filter (fun e -> e.pd_flavour = Operation.Front) queue
@@ -242,24 +259,33 @@ let dispatch_blockers queue (entry : pending) =
   match List.rev fronts with
   | top :: _ ->
     if Task_id.equal top.pd_task entry.pd_task then [] else [ top ]
-  | [] ->
-    (match entry.pd_flavour with
-     | Operation.Front -> []  (* unreachable: covered above *)
-     | Operation.Immediate ->
-       List.filter
-         (fun e ->
-            e.pd_seq < entry.pd_seq && e.pd_flavour = Operation.Immediate)
-         queue
-     | Operation.Delayed d ->
-       List.filter
-         (fun e ->
-            e.pd_seq < entry.pd_seq
-            &&
-            match e.pd_flavour with
-            | Operation.Immediate -> true
-            | Operation.Delayed d' -> d' <= d
-            | Operation.Front -> false)
-         queue)
+  | [] -> List.filter (fun e -> e.pd_seq < entry.pd_seq && blocks entry e) queue
+
+(* The whole pending queue of a thread, oldest first. *)
+let pending_queue ts = ts.queue @ List.rev ts.arrivals
+
+(* Task [p]'s entry in the pending queue, with the entries before it
+   (nearest first) and after it; the walk stops at [p], and reads the
+   arrivals only when [p] is not among the older entries. *)
+let find_pending ts p =
+  let rec go before = function
+    | [] -> None
+    | e :: after ->
+      if Task_id.equal e.pd_task p then Some (before, e, after)
+      else go (e :: before) after
+  in
+  match go [] ts.queue with
+  | Some _ as found -> found
+  | None when ts.arrivals = [] -> None
+  | None ->
+    ts.queue <- pending_queue ts;
+    ts.arrivals <- [];
+    go [] ts.queue
+
+let remove_pending ts (before, e, after) =
+  ts.queue <- List.rev_append before after;
+  ts.queued <- ts.queued - 1;
+  if e.pd_flavour = Operation.Front then ts.fronts <- ts.fronts - 1
 
 let feed_exn st ~line event =
   let { Trace.thread = t; op } = event in
@@ -343,17 +369,18 @@ let feed_exn st ~line event =
      | None ->
        info.posted <- Some (line, event, target);
        st.n_tasks <- st.n_tasks + 1;
-       tgt.queue <-
-         tgt.queue
-         @ [ { pd_task = p
-             ; pd_flavour = flavour
-             ; pd_seq = tgt.next_seq
-             ; pd_line = line
-             ; pd_event = event
-             }
-           ];
+       tgt.arrivals <-
+         { pd_task = p
+         ; pd_flavour = flavour
+         ; pd_seq = tgt.next_seq
+         ; pd_line = line
+         ; pd_event = event
+         }
+         :: tgt.arrivals;
        tgt.next_seq <- tgt.next_seq + 1;
-       st.max_queue_depth <- max st.max_queue_depth (List.length tgt.queue))
+       tgt.queued <- tgt.queued + 1;
+       if flavour = Operation.Front then tgt.fronts <- tgt.fronts + 1;
+       st.max_queue_depth <- max st.max_queue_depth tgt.queued)
   | Operation.Begin_task p ->
     let info = task_state st p in
     (match info.posted with
@@ -386,29 +413,29 @@ let feed_exn st ~line event =
           begun at line %d)"
          Task_id.pp p Task_id.pp q Thread_id.pp t l
      | None -> ());
-    (match
-       List.find_opt (fun e -> Task_id.equal e.pd_task p) ts.queue
-     with
+    (match find_pending ts p with
      | None ->
        (* posted, not begun, not cancelled, target = t: the entry must be
           pending — this is unreachable, kept as a guard. *)
        reject ~line ~rule:Begin_without_post ~event
          "task %a is not pending on thread %a" Task_id.pp p Thread_id.pp t
-     | Some entry ->
-       (match dispatch_blockers ts.queue entry with
-        | [] -> ()
-        | blockers ->
-          reject ~line ~rule:Fifo_violation ~event
-            ~related:(List.map (fun b -> (b.pd_line, b.pd_event)) blockers)
-            "task %a dispatched out of order on %a: the queue policy \
-             requires %a first"
-            Task_id.pp p Thread_id.pp t
-            (Format.pp_print_list
-               ~pp_sep:(fun f () -> Format.fprintf f ", ")
-               Task_id.pp)
-            (List.map (fun b -> b.pd_task) blockers));
-       ts.queue <-
-         List.filter (fun e -> not (Task_id.equal e.pd_task p)) ts.queue;
+     | Some ((before, entry, _) as found) ->
+       (* With no front post pending, only the entries before [p] can
+          block it; the whole queue is read on the reject path alone. *)
+       (if ts.fronts > 0 || List.exists (blocks entry) before then
+          match dispatch_blockers (pending_queue ts) entry with
+          | [] -> ()
+          | blockers ->
+            reject ~line ~rule:Fifo_violation ~event
+              ~related:(List.map (fun b -> (b.pd_line, b.pd_event)) blockers)
+              "task %a dispatched out of order on %a: the queue policy \
+               requires %a first"
+              Task_id.pp p Thread_id.pp t
+              (Format.pp_print_list
+                 ~pp_sep:(fun f () -> Format.fprintf f ", ")
+                 Task_id.pp)
+              (List.map (fun b -> b.pd_task) blockers));
+       remove_pending ts found;
        info.begun <- Some (line, event);
        ts.executing <- Some (p, line, event))
   | Operation.End_task p ->
@@ -438,8 +465,7 @@ let feed_exn st ~line event =
      | Some (_, _, target) when info.begun = None && info.cancelled = None ->
        info.cancelled <- Some (line, event);
        let tgt = thread_state st target in
-       tgt.queue <-
-         List.filter (fun e -> not (Task_id.equal e.pd_task p)) tgt.queue
+       Option.iter (remove_pending tgt) (find_pending tgt p)
      | Some (l, ev, _) ->
        let related, why =
          match info.begun, info.cancelled with
@@ -495,7 +521,7 @@ let finish st =
   in
   let pending =
     Ident.Int_table.fold
-      (fun _ ts n -> n + List.length ts.queue)
+      (fun _ ts n -> n + ts.queued)
       st.threads 0
   in
   { events = st.n_events

@@ -102,9 +102,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Incremental checking}
 
-    One validator [state] consumes events in trace order; feeding is
-    O(queue depth) per event and allocates nothing on the accept
-    path beyond entity bookkeeping. *)
+    One validator [state] consumes events in trace order.  A [post]
+    is O(1); a [begin] walks its thread's queue only up to the task it
+    dispatches (the whole queue while a front post is pending, or to
+    name the blockers of a rejected dispatch); nothing is allocated on
+    the accept path beyond entity bookkeeping and the walked prefix. *)
 
 type state
 

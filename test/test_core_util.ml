@@ -132,6 +132,79 @@ let prop_matrix_iter_row =
        Bit_matrix.iter_row m 0 (fun j -> visited := j :: !visited);
        List.rev !visited = expected)
 
+(* A random row [j] of an [n]-column matrix and a random mask, for the
+   row-against-mask kernels.  The row may hold columns at and above
+   [j], which both kernels must ignore; [n] up to 200 spans four words,
+   so the first and last words read are often different ones. *)
+let gen_row_and_mask =
+  QCheck2.Gen.(
+    int_range 1 200 >>= fun n ->
+    quad (return n) (int_bound (n - 1)) (int_bound n)
+      (pair
+         (list_size (int_bound 120) (int_bound (n - 1)))
+         (list_size (int_bound 120) (int_bound (n - 1)))))
+
+let print_row_and_mask =
+  QCheck2.Print.(quad int int int (pair (list int) (list int)))
+
+let prop_matrix_iter_absent =
+  QCheck2.Test.make ~name:"iter_absent equals the per-bit loop" ~count:300
+    ~print:print_row_and_mask gen_row_and_mask
+    (fun (n, j, from, (row, among)) ->
+       let m = Bit_matrix.create n and mask = Bit_matrix.Mask.create n in
+       List.iter (Bit_matrix.set m j) row;
+       List.iter (Bit_matrix.Mask.set mask) among;
+       let visited = ref [] in
+       let words =
+         Bit_matrix.iter_absent m j ~among:mask ~from (fun c ->
+           visited := c :: !visited)
+       in
+       let expected =
+         List.filter
+           (fun c -> List.mem c among && not (Bit_matrix.get m j c))
+           (List.init (max 0 (j - from)) (fun k -> from + k))
+       in
+       List.rev !visited = expected
+       && words = if from >= j then 0 else (j / 63) - (from / 63) + 1)
+
+let prop_matrix_absorb_below =
+  QCheck2.Test.make ~name:"absorb_below equals the descending per-bit loop"
+    ~count:300 ~print:print_row_and_mask gen_row_and_mask
+    (fun (n, j, salt, (edges, among)) ->
+       (* a lower-triangular matrix: [edges] scattered over the rows *)
+       let build () =
+         let m = Bit_matrix.create n in
+         List.iteri
+           (fun k c -> if c > 0 then Bit_matrix.set m c (k * 7 mod c))
+           edges;
+         m
+       in
+       let admit c = Hashtbl.hash (salt, c) mod 3 = 0 in
+       let fast = build () and slow = build () in
+       let mask = Bit_matrix.Mask.create n in
+       List.iter (fun c -> if c < j then Bit_matrix.Mask.set mask c) among;
+       let offered = ref [] in
+       ignore
+         (Bit_matrix.absorb_below fast j ~among:mask (fun c ->
+            offered := c :: !offered;
+            admit c));
+       let expected = ref [] in
+       for c = j - 1 downto 0 do
+         if List.mem c among && not (Bit_matrix.get slow j c) then begin
+           expected := c :: !expected;
+           if admit c then begin
+             Bit_matrix.set slow j c;
+             for i = 0 to c - 1 do
+               if Bit_matrix.get slow c i then Bit_matrix.set slow j i
+             done
+           end
+         end
+       done;
+       !offered = !expected
+       && List.for_all
+            (fun i -> Bit_matrix.get fast j i = Bit_matrix.get slow j i)
+            (List.init n Fun.id))
+
 (* {1 Race coverage properties} *)
 
 let prop_coverage_partitions =
@@ -181,6 +254,8 @@ let () =
             test_matrix_lower_closure
         ; QCheck_alcotest.to_alcotest prop_matrix_iter_row
         ; QCheck_alcotest.to_alcotest prop_matrix_close_lower_row
+        ; QCheck_alcotest.to_alcotest prop_matrix_iter_absent
+        ; QCheck_alcotest.to_alcotest prop_matrix_absorb_below
         ] )
     ; ( "race coverage"
       , [ QCheck_alcotest.to_alcotest prop_coverage_partitions

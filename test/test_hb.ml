@@ -2,6 +2,7 @@ open Helpers
 module Graph = Droidracer_core.Graph
 module Hb = Droidracer_core.Happens_before
 module Reference_hb = Droidracer_core.Reference_hb
+module Obs = Droidracer_obs.Obs
 
 let check_bool = Alcotest.check Alcotest.bool
 
@@ -400,6 +401,65 @@ let test_transitivity_through_absorbed_row () =
   check_bool "the oracle agrees" true
     (oracle_hb t 9 22 && not (oracle_hb t 9 17))
 
+(* The FIFO/NOPRE sibling walk.  Thread 1 runs x, then a FIFO chain
+   a, b, c posted in order by thread 0, then d, also posted by thread
+   0.  x is a delayed post from thread 2, so FIFO never orders it; but
+   its lock release reaches thread 0 before d is posted, so NOPRE
+   orders end(x) before begin(d).  The walk offers begin(d) the ends of
+   its thread latest first: end(c) brings the whole chain, and end(x),
+   which no chain row holds, must still be checked.  The check count
+   pins the walk: 1 at begin(a) (x), 2 at b (a, x), 2 at c (b, x) and 2
+   at d (c, x); an ascending walk would make 10 checks. *)
+let test_sibling_walk_below_fifo_chain () =
+  let x = task "x" and a = task "a" and b = task "b" in
+  let c = task "c" and d = task "d" in
+  let t =
+    trace
+      [ threadinit 0
+      ; threadinit 1
+      ; threadinit 2
+      ; attachq 1
+      ; looponq 1
+      ; post ~flavour:(Operation.Delayed 100) 2 x 1
+      ; post 0 a 1
+      ; post 0 b 1
+      ; post 0 c 1
+      ; begin_task 1 x
+      ; write 1 (loc "v")  (* 10 *)
+      ; acquire 1 "l"
+      ; release 1 "l"
+      ; end_task 1 x  (* 13 *)
+      ; acquire 0 "l"
+      ; release 0 "l"
+      ; post 0 d 1
+      ; begin_task 1 a  (* 17 *)
+      ; end_task 1 a  (* 18 *)
+      ; begin_task 1 b
+      ; end_task 1 b
+      ; begin_task 1 c
+      ; end_task 1 c  (* 22 *)
+      ; begin_task 1 d  (* 23 *)
+      ; read 1 (loc "v")  (* 24 *)
+      ; end_task 1 d
+      ]
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let r =
+    Fun.protect ~finally:Obs.disable (fun () -> relation t)
+  in
+  let checks = List.assoc_opt "hb.sibling_checks" (Obs.counters_with_prefix "hb.") in
+  Obs.reset ();
+  check_bool "FIFO chain reaches d" true (Hb.hb r 18 23 && Hb.hb r 22 23);
+  check_bool "NOPRE sibling below the chain" true (Hb.hb r 13 23);
+  check_bool "x's write before d's read" true (Hb.hb r 10 24);
+  check_bool "x unordered with the chain" false (Hb.hb r 13 17);
+  let config = { Hb.default with nopre_rule = false } in
+  check_bool "only NOPRE orders x before d" false
+    (Hb.hb (relation ~config t) 13 23 || oracle_hb ~config t 13 23);
+  check_bool "the oracle agrees" true (oracle_hb t 13 23);
+  Alcotest.(check (option int)) "sibling checks" (Some 7) checks
+
 let test_front_rule_extension () =
   (* the deferred-to-future-work treatment of posting-to-the-front:
      sound only when both posts come from one task on the target thread *)
@@ -670,6 +730,8 @@ let () =
             test_front_rule_extension
         ; Alcotest.test_case "transitivity through an absorbed row" `Quick
             test_transitivity_through_absorbed_row
+        ; Alcotest.test_case "sibling walk below a FIFO chain" `Quick
+            test_sibling_walk_below_fifo_chain
         ] )
     ; ( "figures"
       , [ Alcotest.test_case "figure 3 edges a-e" `Quick test_figure3_edges

@@ -40,11 +40,20 @@ val kind : t -> int -> node_kind
 val node_of_pos : t -> int -> int
 (** The node containing a trace position. *)
 
+val anchor_pos : t -> int -> int
+(** The position of an anchor node, [-1] for an access block. *)
+
 val thread_of_node : t -> int -> Ident.Thread_id.t
+
+val thread_index_of_node : t -> int -> int
+(** {!Trace.thread_index} of the node's positions. *)
 
 val task_of_node : t -> int -> Ident.Task_id.t option
 (** The enclosing asynchronous task shared by all positions of the
     node. *)
+
+val task_index_of_node : t -> int -> int
+(** {!Trace.enclosing_index} of the node's positions. *)
 
 val first_pos : t -> int -> int
 
@@ -53,11 +62,19 @@ val last_pos : t -> int -> int
 val nodes_of_thread : t -> Ident.Thread_id.t -> int list
 (** Nodes executed by the thread, ascending. *)
 
+val nodes_of_thread_index : t -> int -> int list
+(** {!nodes_of_thread} by the trace's thread index. *)
+
 val nodes_of_task : t -> Ident.Task_id.t -> int list
 (** Nodes belonging to the task's execution, ascending ([begin] and
     [end] included). *)
 
+val nodes_of_task_index : t -> int -> int list
+(** {!nodes_of_task} by the trace's task index. *)
+
 val thread_index : t -> Ident.Thread_id.t -> int
-(** A dense 0-based index for the thread, for mask tables. *)
+(** A dense 0-based index for the thread, for mask tables: the trace's
+    {!Trace.index_of_thread}.
+    @raise Invalid_argument for a thread that executes nothing. *)
 
 val thread_count : t -> int

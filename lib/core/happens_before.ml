@@ -1,7 +1,5 @@
 open! Import
 module Thread_id = Ident.Thread_id
-module Task_id = Ident.Task_id
-module Lock_id = Ident.Lock_id
 
 type program_order = Hb_edges.program_order = Android_po | Full_po
 
@@ -35,7 +33,7 @@ let default =
 
 (* Per-task data consumed by the FIFO and NOPRE rules. *)
 type task_entry =
-  { task : Task_id.t
+  { task : int  (** the trace's task index *)
   ; post_node : int
   ; flavour : Operation.post_flavour
   }
@@ -81,33 +79,28 @@ let siblings g =
   let n = Graph.node_count g in
   let begin_of = Array.make n None and end_of = Array.make n None in
   let ends = Array.init (Graph.thread_count g) (fun _ -> Bit_matrix.Mask.create n) in
-  List.iter
-    (fun p ->
-       match Trace.post_index trace p, Trace.post_target trace p with
-       | Some q, Some target ->
+  Trace.iter_posted
+    (fun k ->
+       let b = Trace.begin_at trace k in
+       if b >= 0 then begin
          let entry =
-           { task = p
-           ; post_node = node_of_pos q
-           ; flavour =
-               Option.value (Trace.post_flavour trace p)
-                 ~default:Operation.Immediate
+           { task = k
+           ; post_node = node_of_pos (Trace.post_at trace k)
+           ; flavour = Trace.task_flavour trace k
            }
          in
          (* a task that began did so on its target, so the target has
             an index; one that ended began first *)
-         Option.iter
-           (fun b ->
-              let t = Graph.thread_index g target in
-              begin_of.(node_of_pos b) <- Some (entry, t);
-              Option.iter
-                (fun e ->
-                   let end_node = node_of_pos e in
-                   end_of.(end_node) <- Some entry;
-                   Bit_matrix.Mask.set ends.(t) end_node)
-                (Trace.end_index trace p))
-           (Trace.begin_index trace p)
-       | (Some _ | None), _ -> ())
-    (Trace.tasks trace);
+         let t = Trace.target_index trace k in
+         begin_of.(node_of_pos b) <- Some (entry, t);
+         let e = Trace.end_at trace k in
+         if e >= 0 then begin
+           let end_node = node_of_pos e in
+           end_of.(end_node) <- Some entry;
+           Bit_matrix.Mask.set ends.(t) end_node
+         end
+       end)
+    trace;
   { begin_of; end_of; ends }
 
 let compute_impl ~config g =
@@ -120,8 +113,7 @@ let compute_impl ~config g =
      whole, as if all nodes ran on one thread. *)
   let group, groups =
     if cfg.restricted_transitivity then
-      ( Array.init n (fun id ->
-          Graph.thread_index g (Graph.thread_of_node g id))
+      ( Array.init n (Graph.thread_index_of_node g)
       , Graph.thread_count g )
     else (Array.make n 0, 1)
   in
@@ -161,27 +153,21 @@ let compute_impl ~config g =
           | Operation.Front -> true
           | Operation.Immediate | Operation.Delayed _ -> false)
       && pred_of p2.post_node p1.post_node
-      && Thread_id.equal
-           (Graph.thread_of_node g p1.post_node)
-           (Graph.thread_of_node g end_node)
-      && (match
-            ( Graph.task_of_node g p1.post_node
-            , Graph.task_of_node g p2.post_node )
-          with
-          | Some q1, Some q2 -> Task_id.equal q1 q2
-          | (Some _ | None), _ -> false)
+      && Graph.thread_index_of_node g p1.post_node
+         = Graph.thread_index_of_node g end_node
+      &&
+      let q1 = Graph.task_index_of_node g p1.post_node in
+      q1 >= 0 && q1 = Graph.task_index_of_node g p2.post_node
     in
     let nopre () =
       cfg.nopre_rule
       &&
       ((* αk = the post itself: p2 was posted from within p1 (⪯st is
           reflexive) *)
-       (match Graph.task_of_node g p2.post_node with
-        | Some q -> Task_id.equal q p1.task
-        | None -> false)
+       Graph.task_index_of_node g p2.post_node = p1.task
        || List.exists
             (fun k -> pred_of k p2.post_node)
-            (Graph.nodes_of_task g p1.task))
+            (Graph.nodes_of_task_index g p1.task))
     in
     fifo || front () || nopre ()
   in

@@ -1,7 +1,5 @@
 open! Import
 module Thread_id = Ident.Thread_id
-module Task_id = Ident.Task_id
-module Lock_id = Ident.Lock_id
 
 type program_order = Android_po | Full_po
 
@@ -69,152 +67,112 @@ let iter ~config:cfg g ~f =
     if i < j then emit ~rule (node_of_pos i) (node_of_pos j)
   in
   (* Program order. *)
-  List.iter
-    (fun tid ->
-       let nodes = Graph.nodes_of_thread g tid in
-       let loop_pos = Trace.loop_index trace tid in
-       let chain_ok a b =
-         match cfg.program_order with
-         | Full_po -> true
-         | Android_po ->
-           (match loop_pos with
-            | None -> true
-            | Some lp ->
-              Graph.last_pos g a <= lp
-              ||
-              (match Graph.task_of_node g a, Graph.task_of_node g b with
-               | Some p, Some q -> Task_id.equal p q
-               | Some _, None | None, Some _ | None, None -> false))
-       in
-       let rec chain = function
-         | a :: (b :: _ as rest) ->
-           if chain_ok a b then emit ~rule:Program_order a b;
-           chain rest
-         | [ _ ] | [] -> ()
-       in
-       chain nodes;
-       (* NO-Q-PO with αi = loopOnQ: the loop node precedes every later
-          operation of the thread, across all tasks. *)
-       (match cfg.program_order, loop_pos with
-        | Android_po, Some lp ->
-          let loop_node = node_of_pos lp in
-          List.iter
-            (fun b ->
-               if Graph.first_pos g b > lp then emit ~rule:Loop_queue loop_node b)
-            nodes
-        | Android_po, None | Full_po, _ -> ()))
-    (Trace.threads trace);
+  for th = 0 to Trace.thread_count trace - 1 do
+    let nodes = Graph.nodes_of_thread_index g th in
+    let loop_pos = Trace.loop_index trace (Trace.thread_id trace th) in
+    let chain_ok a b =
+      match cfg.program_order with
+      | Full_po -> true
+      | Android_po ->
+        (match loop_pos with
+         | None -> true
+         | Some lp ->
+           Graph.last_pos g a <= lp
+           ||
+           let p = Graph.task_index_of_node g a in
+           p >= 0 && p = Graph.task_index_of_node g b)
+    in
+    let rec chain = function
+      | a :: (b :: _ as rest) ->
+        if chain_ok a b then emit ~rule:Program_order a b;
+        chain rest
+      | [ _ ] | [] -> ()
+    in
+    chain nodes;
+    (* NO-Q-PO with αi = loopOnQ: the loop node precedes every later
+       operation of the thread, across all tasks. *)
+    match cfg.program_order, loop_pos with
+    | Android_po, Some lp ->
+      let loop_node = node_of_pos lp in
+      List.iter
+        (fun b ->
+           if Graph.first_pos g b > lp then emit ~rule:Loop_queue loop_node b)
+        nodes
+    | Android_po, None | Full_po, _ -> ()
+  done;
   (* ENABLE-ST / ENABLE-MT and POST-ST / POST-MT. *)
-  List.iter
-    (fun p ->
-       match Trace.post_index trace p with
-       | Some q ->
-         if cfg.enable_rule then
-           (match Trace.enable_index trace p with
-            | Some e -> emit_pos ~rule:Enable e q
-            | None -> ());
-         if cfg.post_rule then
-           (match Trace.begin_index trace p with
-            | Some b -> emit_pos ~rule:Post q b
-            | None -> ())
-       | None -> ())
-    (Trace.tasks trace);
-  (* ATTACH-Q-MT.  Each thread's attach-queue node is found once up
-     front; the per-post scan over [nodes_of_thread] was quadratic in
-     the number of cross-thread posts.  Like every other rule it needs
-     the attach before the post (both are anchors, so node order is
-     trace order). *)
-  if cfg.attach_rule then begin
-    let attach_node : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun tid ->
-         match
-           List.find_opt
-             (fun id ->
-                match Graph.kind g id with
-                | Graph.Anchor pos ->
-                  (match Trace.op trace pos with
-                   | Operation.Attach_queue -> true
-                   | _ -> false)
-                | Graph.Access_block -> false)
-             (Graph.nodes_of_thread g tid)
-         with
-         | Some id -> Hashtbl.add attach_node (Thread_id.to_int tid) id
-         | None -> ())
-      (Trace.threads trace);
-    Trace.iteri
-      (fun i (e : Trace.event) ->
-         match e.op with
-         | Operation.Post { target; _ } when not (Thread_id.equal e.thread target)
-           ->
-           (match Hashtbl.find_opt attach_node (Thread_id.to_int target) with
-            | Some attach_node when attach_node < node_of_pos i ->
-              emit ~rule:Attach attach_node (node_of_pos i)
-            | Some _ | None -> ())
-         | _ -> ())
-      trace
-  end;
-  (* FORK, JOIN, LOCK.  Acquires and releases are bucketed per lock in
-     one pass (keyed by [Lock_id.t] directly, no string key), so the
-     LOCK rule pairs within a bucket instead of re-walking every
-     acquire binding of the hash table per release. *)
-  let init_pos = Hashtbl.create 8 and exit_pos = Hashtbl.create 8 in
-  let locks :
-    ( Lock_id.t
-    , (int * Thread_id.t) list ref * (int * Thread_id.t) list ref )
-      Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let lock_bucket l =
-    match Hashtbl.find_opt locks l with
-    | Some b -> b
-    | None ->
-      let b = (ref [], ref []) in
-      Hashtbl.add locks l b;
-      b
-  in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-       match e.op with
-       | Operation.Thread_init ->
-         if not (Hashtbl.mem init_pos (Thread_id.to_int e.thread)) then
-           Hashtbl.add init_pos (Thread_id.to_int e.thread) i
-       | Operation.Thread_exit ->
-         if not (Hashtbl.mem exit_pos (Thread_id.to_int e.thread)) then
-           Hashtbl.add exit_pos (Thread_id.to_int e.thread) i
-       | Operation.Release l ->
-         let _, releases = lock_bucket l in
-         releases := (i, e.thread) :: !releases
-       | Operation.Acquire l ->
-         let acquires, _ = lock_bucket l in
-         acquires := (i, e.thread) :: !acquires
-       | _ -> ())
+  Trace.iter_posted
+    (fun k ->
+       let q = Trace.post_at trace k in
+       if cfg.enable_rule then begin
+         let e = Trace.enable_at trace k in
+         if e >= 0 then emit_pos ~rule:Enable e q
+       end;
+       if cfg.post_rule then begin
+         let b = Trace.begin_at trace k in
+         if b >= 0 then emit_pos ~rule:Post q b
+       end)
     trace;
-  if cfg.fork_join_rules then
-    Trace.iteri
-      (fun i (e : Trace.event) ->
-         match e.op with
-         | Operation.Fork t' ->
-           (match Hashtbl.find_opt init_pos (Thread_id.to_int t') with
-            | Some j -> emit_pos ~rule:Fork i j
-            | None -> ())
-         | Operation.Join t' ->
-           (match Hashtbl.find_opt exit_pos (Thread_id.to_int t') with
-            | Some j -> emit_pos ~rule:Join j i
-            | None -> ())
-         | _ -> ())
-      trace;
+  (* One pass over the columns finds each thread's first threadinit,
+     threadexit and attachQ, and buckets the acquires and releases by
+     lock index, so the LOCK rule pairs within a bucket. *)
+  let threads = Trace.thread_count trace in
+  let init_pos = Array.make threads (-1) and exit_pos = Array.make threads (-1) in
+  let attach_pos = Array.make threads (-1) in
+  let acquires = Array.make (Trace.lock_count trace) [] in
+  let releases = Array.make (Trace.lock_count trace) [] in
+  let first_of at th i = if at.(th) < 0 then at.(th) <- i in
+  let n = Trace.length trace in
+  for i = 0 to n - 1 do
+    match Trace.kind trace i with
+    | Thread_init -> first_of init_pos (Trace.thread_index trace i) i
+    | Thread_exit -> first_of exit_pos (Trace.thread_index trace i) i
+    | Attach_queue -> first_of attach_pos (Trace.thread_index trace i) i
+    | Acquire ->
+      let l = Trace.operand trace i in
+      acquires.(l) <- (i, Trace.thread_index trace i) :: acquires.(l)
+    | Release ->
+      let l = Trace.operand trace i in
+      releases.(l) <- (i, Trace.thread_index trace i) :: releases.(l)
+    | Fork | Join | Loop_on_queue | Post | Begin_task | End_task | Read
+    | Write | Enable | Cancel -> ()
+  done;
+  (* ATTACH-Q-MT: like every other rule it needs the attach before the
+     post (both are anchors, so node order is trace order).  FORK and
+     JOIN go by the target's first threadinit and threadexit. *)
+  let target_pos at raw =
+    let th = Trace.index_of_thread trace (Thread_id.make raw) in
+    if th < 0 then -1 else at.(th)
+  in
+  if cfg.attach_rule || cfg.fork_join_rules then
+    for i = 0 to n - 1 do
+      match Trace.kind trace i with
+      | Post when cfg.attach_rule ->
+        let target = Trace.target_index trace (Trace.operand trace i) in
+        if target >= 0 && target <> Trace.thread_index trace i then begin
+          let a = attach_pos.(target) in
+          if a >= 0 && node_of_pos a < node_of_pos i then
+            emit ~rule:Attach (node_of_pos a) (node_of_pos i)
+        end
+      | Fork when cfg.fork_join_rules ->
+        let j = target_pos init_pos (Trace.operand trace i) in
+        if j >= 0 then emit_pos ~rule:Fork i j
+      | Join when cfg.fork_join_rules ->
+        let j = target_pos exit_pos (Trace.operand trace i) in
+        if j >= 0 then emit_pos ~rule:Join j i
+      | Post | Fork | Join | Thread_init | Thread_exit | Attach_queue
+      | Loop_on_queue | Begin_task | End_task | Acquire | Release | Read
+      | Write | Enable | Cancel -> ()
+    done;
   if cfg.lock_rule then
-    Hashtbl.iter
-      (fun _ (acquires, releases) ->
+    Array.iteri
+      (fun l releases ->
          List.iter
            (fun (ri, rt) ->
               List.iter
                 (fun (ai, at) ->
-                   if
-                     ri < ai
-                     && (cfg.lock_same_thread || not (Thread_id.equal rt at))
-                   then emit_pos ~rule:Lock ri ai)
-                !acquires)
-           !releases)
-      locks
+                   if ri < ai && (cfg.lock_same_thread || rt <> at) then
+                     emit_pos ~rule:Lock ri ai)
+                acquires.(l))
+           releases)
+      releases

@@ -29,23 +29,21 @@ let pp ppf r =
   Format.fprintf ppf "race between %a and %a" pp_access r.first pp_access
     r.second
 
-let access trace i (e : Trace.event) location =
+(* The access record of an access position, read from the columns. *)
+let access trace i =
   { position = i
-  ; location
-  ; is_write = Operation.is_write e.op
-  ; thread = e.thread
+  ; location = Trace.location trace (Trace.location_id trace i)
+  ; is_write = Trace.is_write trace i
+  ; thread = Trace.thread trace i
   ; task = Trace.enclosing_task trace i
   }
 
 let accesses trace =
   let out = ref [] in
-  Trace.iteri
-    (fun i (e : Trace.event) ->
-       match Operation.accessed_location e.op with
-       | Some location -> out := access trace i e location :: !out
-       | None -> ())
-    trace;
-  List.rev !out
+  for i = Trace.length trace - 1 downto 0 do
+    if Trace.is_access trace i then out := access trace i :: !out
+  done;
+  !out
 
 (* The access positions of a trace grouped by location, then by graph
    node, and cut into segments: the reads [start, wstart) and writes
@@ -73,28 +71,23 @@ let[@inline] packed_pos e = e lsr (pos_bits + 1)
 let segment trace graph =
   let n_pos = Trace.length trace in
   if n_pos >= 1 lsl pos_bits then invalid_arg "Race.detect: trace too long";
-  let locs = Array.length (Trace.locations trace) in
-  (* counting sort of the accesses by location, trace order within *)
+  let locs = Trace.location_count trace in
+  (* counting sort of the accesses by location, trace order within; the
+     trace counted each location's accesses when it was built *)
   let loc_start = Array.make (locs + 1) 0 in
-  for i = 0 to n_pos - 1 do
-    let l = Trace.location_id trace i in
-    if l >= 0 then loc_start.(l + 1) <- loc_start.(l + 1) + 1
-  done;
-  for l = 1 to locs do
-    loc_start.(l) <- loc_start.(l) + loc_start.(l - 1)
+  for l = 0 to locs - 1 do
+    loc_start.(l + 1) <- loc_start.(l) + Trace.location_accesses trace l
   done;
   let n = loc_start.(locs) in
   let by_loc = Array.make n 0 in
   let cursor = Array.sub loc_start 0 locs in
-  (* the one pass that reads the events and the nodes *)
+  (* the one pass that reads the columns and the nodes *)
   for i = 0 to n_pos - 1 do
-    let l = Trace.location_id trace i in
-    if l >= 0 then begin
-      let write = Operation.is_write (Trace.get trace i).op in
+    let a = Trace.access_code trace i in
+    if a >= 0 then begin
+      let l = a lsr 1 in
       by_loc.(cursor.(l)) <-
-        (i lsl (pos_bits + 1))
-        lor (Graph.node_of_pos graph i lsl 1)
-        lor Bool.to_int write;
+        (i lsl (pos_bits + 1)) lor (Graph.node_of_pos graph i lsl 1) lor (a land 1);
       cursor.(l) <- cursor.(l) + 1
     end
   done;
@@ -174,13 +167,9 @@ let detect ?(jobs = 1) trace ~hb =
   in
   let has_write seg = s.seg_wstart.(seg) < s.seg_start.(seg + 1) in
   (* Access records are built for racing accesses only. *)
-  let access_at i =
-    let e = Trace.get trace i in
-    access trace i e (Option.get (Operation.accessed_location e.op))
-  in
   let race i j =
     let i, j = if i < j then (i, j) else (j, i) in
-    { first = access_at i; second = access_at j }
+    { first = access trace i; second = access trace j }
   in
   (* Every access of segment [p] against the accesses of segment [q] it
      conflicts with: a write against all of them, a read against the

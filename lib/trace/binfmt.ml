@@ -232,10 +232,23 @@ let encode_events_to_string ?idents events =
   flush enc;
   Buffer.contents collect
 
-(* {2 Decoding} *)
+(* {2 Decoding}
+
+   One record reader, [next_record], decodes each event record into the
+   decoder's registers: the tag and its operation kind, the thread, a
+   target thread and up to three int operands, with identifier indices
+   canonical (see [define_ident]).  A
+   sink then turns the registers into an event ([event_of_record], for
+   the folds) or pushes them into a trace builder ([push_record], for
+   {!build_after_magic}). *)
 
 exception Fail of int * string
 
+type sink =
+  | Events
+  | Columns of Trace.Builder.t
+
+(* Events: the last object of one (cls, field) and its operations. *)
 type loc_memo =
   { mutable m_obj : int
   ; mutable m_read : Operation.t
@@ -248,14 +261,36 @@ type decoder =
   ; mutable pos : int  (* next unread byte of [dbuf] *)
   ; mutable len : int  (* valid bytes in [dbuf] *)
   ; mutable base : int  (* stream offset of [dbuf.(0)] *)
+  ; sink : sink
   ; mutable idents : string array
   ; mutable nidents : int
+  ; mutable canon : int array  (* the first index defining the same string *)
+  ; first_def : (string, int) Hashtbl.t
   ; mutable last_inst : int array  (* per name idx; -1 = unseen *)
-  ; mutable last_task : Task_id.t option array
-  ; mutable lock_memo : Lock_id.t option array
-  ; loc_memo : loc_memo Ident.Int_table.t  (* cls_idx<<21 | field_idx *)
+  ; mutable last_task : Task_id.t option array  (* Events: per name idx *)
+  ; mutable task_ix : int array  (* Columns: per name idx, the last task *)
+  ; mutable instances : int Ident.Int_table.t option array
+        (* Columns: per canonical name, instance -> task index *)
+  ; mutable lock_memo : Lock_id.t option array  (* Events: per canonical idx *)
+  ; mutable lock_ix : int array  (* Columns: per canonical idx; -1 = unseen *)
+  ; loc_memo : loc_memo Ident.Int_table.t  (* cls<<21 | field, canonical *)
+  ; mutable loc_slots : int array
+        (* Columns: open addressing from the key cls<<21 | field
+           (canonical) and the object to the location id, a slot of
+           three ints each: key (-1 = empty), object, id *)
+  ; mutable locs : int
+  ; wide_locs : (int * int * int, int) Hashtbl.t
+        (* Columns: locations whose indices do not fit the packed key *)
   ; mutable prev_thread : int
   ; mutable decoded : int
+  ; mutable r_tag : int
+  ; mutable r_kind : Trace.kind
+  ; mutable r_thread : int
+  ; mutable r_target : int  (* fork, join and post *)
+  ; mutable r_a : int
+        (* task records: name idx; locks: ident; accesses: class *)
+  ; mutable r_b : int  (* accesses: field *)
+  ; mutable r_c : int  (* accesses: object; delayed posts: delay *)
   }
 
 let offset d = d.base + d.pos
@@ -269,23 +304,37 @@ let refill d =
   Obs.add ~n:d.len "trace.decode_bytes";
   d.len > 0
 
-let read_byte d =
+let[@inline] read_byte d =
   if d.pos >= d.len && not (refill d) then fail d "truncated input";
   let c = Bytes.unsafe_get d.dbuf d.pos in
   d.pos <- d.pos + 1;
   Char.code c
 
-let read_varint d =
-  let rec go acc shift =
+let read_varint_slow d =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     let b = read_byte d in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift >= 56 then fail d "varint too long"
-    else go acc (shift + 7)
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false
+    else if !shift >= 56 then fail d "varint too long"
+    else shift := !shift + 7
+  done;
+  !acc
 
-let read_signed d = unzigzag (read_varint d)
+(* Most operands fit one byte. *)
+let[@inline] read_varint d =
+  let pos = d.pos in
+  if pos < d.len then begin
+    let b = Char.code (Bytes.unsafe_get d.dbuf pos) in
+    if b < 0x80 then begin
+      d.pos <- pos + 1;
+      b
+    end
+    else read_varint_slow d
+  end
+  else read_varint_slow d
+
+let[@inline] read_signed d = unzigzag (read_varint d)
 
 let read_string d len =
   if len < 0 || len > max_ident_len then fail d "unreasonable ident length";
@@ -302,39 +351,66 @@ let read_string d len =
 
 let grow_ident_tables d needed =
   let cap = max needed (2 * Array.length d.idents) in
-  let idents = Array.make cap "" in
-  Array.blit d.idents 0 idents 0 d.nidents;
-  d.idents <- idents;
-  let last_inst = Array.make cap (-1) in
-  Array.blit d.last_inst 0 last_inst 0 d.nidents;
-  d.last_inst <- last_inst;
-  let last_task = Array.make cap None in
-  Array.blit d.last_task 0 last_task 0 d.nidents;
-  d.last_task <- last_task;
-  let lock_memo = Array.make cap None in
-  Array.blit d.lock_memo 0 lock_memo 0 d.nidents;
-  d.lock_memo <- lock_memo
+  let widen a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 d.nidents;
+    a'
+  in
+  d.idents <- widen d.idents "";
+  d.canon <- widen d.canon 0;
+  d.last_inst <- widen d.last_inst (-1);
+  d.last_task <- widen d.last_task None;
+  d.task_ix <- widen d.task_ix (-1);
+  d.instances <- widen d.instances None;
+  d.lock_memo <- widen d.lock_memo None;
+  d.lock_ix <- widen d.lock_ix (-1)
 
+(* A string may be defined more than once; every index maps to the
+   first index defining its string, so one string names one
+   identifier whichever index a record uses. *)
 let define_ident d s =
   if d.nidents >= max_ident_count then fail d "too many idents";
   if d.nidents >= Array.length d.idents then grow_ident_tables d (d.nidents + 1);
-  d.idents.(d.nidents) <- s;
-  d.nidents <- d.nidents + 1
+  let idx = d.nidents in
+  d.idents.(idx) <- s;
+  d.canon.(idx) <-
+    (match Hashtbl.find_opt d.first_def s with
+     | Some first -> first
+     | None ->
+       Hashtbl.add d.first_def s idx;
+       idx);
+  d.nidents <- idx + 1
 
-let make_decoder ~base_offset fill =
+let make_decoder ~base_offset ~sink fill =
   { fill
   ; dbuf = Bytes.create 65_536
   ; pos = 0
   ; len = 0
   ; base = base_offset
+  ; sink
   ; idents = Array.make 64 ""
   ; nidents = 0
+  ; canon = Array.make 64 0
+  ; first_def = Hashtbl.create 64
   ; last_inst = Array.make 64 (-1)
   ; last_task = Array.make 64 None
+  ; task_ix = Array.make 64 (-1)
+  ; instances = Array.make 64 None
   ; lock_memo = Array.make 64 None
+  ; lock_ix = Array.make 64 (-1)
   ; loc_memo = Ident.Int_table.create 256
+  ; loc_slots = Array.make (3 * 256) (-1)
+  ; locs = 0
+  ; wide_locs = Hashtbl.create 16
   ; prev_thread = 0
   ; decoded = 0
+  ; r_tag = 0
+  ; r_kind = Thread_init
+  ; r_thread = 0
+  ; r_target = 0
+  ; r_a = 0
+  ; r_b = 0
+  ; r_c = 0
   }
 
 let read_header d =
@@ -344,58 +420,152 @@ let read_header d =
               version);
   let count = read_varint d in
   if count < 0 || count > max_ident_count then fail d "unreasonable ident count";
-  if count > Array.length d.idents then grow_ident_tables d count;
+  (* a hostile count must not drive the allocation: the tables double
+     as definitions arrive *)
+  if count > Array.length d.idents then grow_ident_tables d (min count 65_536);
   for _ = 1 to count do
     let len = read_varint d in
     define_ident d (read_string d len)
   done
 
-let ident_of_idx d idx =
-  if idx < 0 || idx >= d.nidents then fail d "ident index out of range";
-  Array.unsafe_get d.idents idx
+let[@inline] check_ident d idx =
+  if idx < 0 || idx >= d.nidents then fail d "ident index out of range"
+
+(* A task instance not seen under this name index since the last one:
+   the sink numbers it, validating the identifier on first use. *)
+let fresh_task d name_idx instance =
+  match d.sink with
+  | Events ->
+    d.last_task.(name_idx) <-
+      Some (Task_id.make ~name:d.idents.(name_idx) ~instance)
+  | Columns b ->
+    let name = d.canon.(name_idx) in
+    let ids =
+      match d.instances.(name) with
+      | Some ids -> ids
+      | None ->
+        let ids = Ident.Int_table.create 16 in
+        d.instances.(name) <- Some ids;
+        ids
+    in
+    d.task_ix.(name_idx) <-
+      (match Ident.Int_table.find ids instance with
+       | k -> k
+       | exception Not_found ->
+         let k =
+           Trace.Builder.new_task b
+             (Task_id.make ~name:d.idents.(name) ~instance)
+         in
+         Ident.Int_table.add ids instance k;
+         k)
 
 let read_task d =
   let name_idx = read_varint d in
-  let name = ident_of_idx d name_idx in
+  check_ident d name_idx;
   let delta = read_signed d in
-  let last = Array.unsafe_get d.last_inst name_idx in
-  if delta = 0 then
-    match Array.unsafe_get d.last_task name_idx with
-    | Some task -> task
-    | None -> fail d "task instance delta against unseen task"
+  if delta = 0 then begin
+    if d.last_inst.(name_idx) < 0 then
+      fail d "task instance delta against unseen task"
+  end
   else begin
-    let instance = last + delta in
-    let task = Task_id.make ~name ~instance in
-    d.last_inst.(name_idx) <- instance;
-    d.last_task.(name_idx) <- Some task;
-    task
+    let instance = d.last_inst.(name_idx) + delta in
+    fresh_task d name_idx instance;
+    d.last_inst.(name_idx) <- instance
+  end;
+  d.r_a <- name_idx
+
+(* A thread id read from the stream, as an int: [Thread_id.make]
+   rejects a negative one, with the message the folds report. *)
+let checked_thread n =
+  if n < 0 then ignore (Thread_id.make n);
+  n
+
+let read_target d thread = checked_thread (thread + read_signed d)
+
+(* Record tag -> operation kind; tag 0 (DEF) is no event. *)
+let kind_of_tag : Trace.kind array =
+  [| Thread_init; Thread_init; Thread_exit; Attach_queue; Loop_on_queue
+   ; Fork; Join; Post; Post; Post; Begin_task; End_task; Enable; Cancel
+   ; Acquire; Release; Read; Write
+  |]
+
+(* The next event record into the registers, after the DEF records
+   before it; [false] at a clean end of input. *)
+let rec next_record d =
+  if d.pos >= d.len && not (refill d) then false
+  else begin
+    let tag = read_byte d in
+    if tag = tag_def then begin
+      let len = read_varint d in
+      define_ident d (read_string d len);
+      next_record d
+    end
+    else if tag > max_tag then fail d "unknown record tag"
+    else begin
+      let thread = d.prev_thread + read_signed d in
+      d.prev_thread <- thread;
+      d.r_thread <- checked_thread thread;
+      d.r_tag <- tag;
+      let kind = Array.unsafe_get kind_of_tag tag in
+      d.r_kind <- kind;
+      (match kind with
+       | Thread_init | Thread_exit | Attach_queue | Loop_on_queue -> ()
+       | Fork | Join -> d.r_target <- read_target d thread
+       | Post ->
+         read_task d;
+         d.r_target <- read_target d thread;
+         if tag = tag_post_delayed then d.r_c <- read_signed d
+       | Begin_task | End_task | Enable | Cancel -> read_task d
+       | Acquire | Release ->
+         let idx = read_varint d in
+         check_ident d idx;
+         d.r_a <- d.canon.(idx)
+       | Read | Write ->
+         let cls = read_varint d in
+         let field = read_varint d in
+         let obj = read_varint d in
+         check_ident d cls;
+         check_ident d field;
+         d.r_a <- d.canon.(cls);
+         d.r_b <- d.canon.(field);
+         d.r_c <- obj);
+      true
+    end
   end
 
-let read_lock d =
-  let idx = read_varint d in
-  if idx < 0 || idx >= d.nidents then fail d "ident index out of range";
-  match Array.unsafe_get d.lock_memo idx with
+let packs cls field = cls < 0x200000 && field < 0x200000
+
+(* {3 The event sink} *)
+
+let last_task d name_idx =
+  match d.last_task.(name_idx) with
+  | Some task -> task
+  | None -> assert false (* [read_task] rejects an unseen task *)
+
+let flavour_of_record d : Operation.post_flavour =
+  if d.r_tag = tag_post_immediate then Immediate
+  else if d.r_tag = tag_post_front then Front
+  else Delayed d.r_c
+
+let lock_of_record d =
+  match d.lock_memo.(d.r_a) with
   | Some lock -> lock
   | None ->
-    let lock = Lock_id.make (Array.unsafe_get d.idents idx) in
-    d.lock_memo.(idx) <- Some lock;
+    let lock = Lock_id.make d.idents.(d.r_a) in
+    d.lock_memo.(d.r_a) <- Some lock;
     lock
 
-let read_access d ~write =
-  let cls_idx = read_varint d in
-  let field_idx = read_varint d in
-  let obj = read_varint d in
-  if
-    cls_idx >= 0 && cls_idx < 0x200000 && field_idx >= 0
-    && field_idx < 0x200000
-  then begin
-    let key = (cls_idx lsl 21) lor field_idx in
+let location_of_record d =
+  Location.make ~cls:d.idents.(d.r_a) ~field:d.idents.(d.r_b) ~obj:d.r_c
+
+let access_of_record d ~write =
+  let cls = d.r_a and field = d.r_b and obj = d.r_c in
+  if packs cls field then begin
+    let key = (cls lsl 21) lor field in
     match Ident.Int_table.find_opt d.loc_memo key with
     | Some m when m.m_obj = obj -> if write then m.m_write else m.m_read
     | found ->
-      let cls = ident_of_idx d cls_idx in
-      let field = ident_of_idx d field_idx in
-      let location = Location.make ~cls ~field ~obj in
+      let location = location_of_record d in
       let m_read = Operation.Read location in
       let m_write = Operation.Write location in
       (match found with
@@ -409,78 +579,119 @@ let read_access d ~write =
       if write then m_write else m_read
   end
   else begin
-    let cls = ident_of_idx d cls_idx in
-    let field = ident_of_idx d field_idx in
-    let location = Location.make ~cls ~field ~obj in
+    let location = location_of_record d in
     if write then Operation.Write location else Operation.Read location
   end
 
-let rec next_event d =
-  if d.pos >= d.len && not (refill d) then None
+let event_of_record d =
+  let op : Operation.t =
+    match d.r_kind with
+    | Thread_init -> Thread_init
+    | Thread_exit -> Thread_exit
+    | Attach_queue -> Attach_queue
+    | Loop_on_queue -> Loop_on_queue
+    | Fork -> Fork (Thread_id.make d.r_target)
+    | Join -> Join (Thread_id.make d.r_target)
+    | Post ->
+      Post
+        { task = last_task d d.r_a
+        ; target = Thread_id.make d.r_target
+        ; flavour = flavour_of_record d
+        }
+    | Begin_task -> Begin_task (last_task d d.r_a)
+    | End_task -> End_task (last_task d d.r_a)
+    | Enable -> Enable (last_task d d.r_a)
+    | Cancel -> Cancel (last_task d d.r_a)
+    | Acquire -> Acquire (lock_of_record d)
+    | Release -> Release (lock_of_record d)
+    | Read -> access_of_record d ~write:false
+    | Write -> access_of_record d ~write:true
+  in
+  { Trace.thread = Thread_id.make d.r_thread; op }
+
+(* {3 The column sink} *)
+
+let lock_index d b =
+  let c = d.r_a in
+  let k = d.lock_ix.(c) in
+  if k >= 0 then k
   else begin
-    let tag = read_byte d in
-    if tag = tag_def then begin
-      let len = read_varint d in
-      define_ident d (read_string d len);
-      next_event d
-    end
-    else if tag > max_tag then fail d "unknown record tag"
-    else begin
-      let thread_int = d.prev_thread + read_signed d in
-      d.prev_thread <- thread_int;
-      let thread = Thread_id.make thread_int in
-      let op =
-        if tag = tag_thread_init then Operation.Thread_init
-        else if tag = tag_thread_exit then Operation.Thread_exit
-        else if tag = tag_attach_queue then Operation.Attach_queue
-        else if tag = tag_loop_on_queue then Operation.Loop_on_queue
-        else if tag = tag_fork then
-          Operation.Fork (Thread_id.make (thread_int + read_signed d))
-        else if tag = tag_join then
-          Operation.Join (Thread_id.make (thread_int + read_signed d))
-        else if tag = tag_post_immediate then begin
-          let task = read_task d in
-          let target = Thread_id.make (thread_int + read_signed d) in
-          Operation.Post { task; target; flavour = Operation.Immediate }
-        end
-        else if tag = tag_post_front then begin
-          let task = read_task d in
-          let target = Thread_id.make (thread_int + read_signed d) in
-          Operation.Post { task; target; flavour = Operation.Front }
-        end
-        else if tag = tag_post_delayed then begin
-          let task = read_task d in
-          let target = Thread_id.make (thread_int + read_signed d) in
-          let delay = read_signed d in
-          Operation.Post { task; target; flavour = Operation.Delayed delay }
-        end
-        else if tag = tag_begin then Operation.Begin_task (read_task d)
-        else if tag = tag_end then Operation.End_task (read_task d)
-        else if tag = tag_enable then Operation.Enable (read_task d)
-        else if tag = tag_cancel then Operation.Cancel (read_task d)
-        else if tag = tag_acquire then Operation.Acquire (read_lock d)
-        else if tag = tag_release then Operation.Release (read_lock d)
-        else if tag = tag_read then read_access d ~write:false
-        else read_access d ~write:true
-      in
-      Some { Trace.thread; op }
-    end
+    let k = Trace.Builder.new_lock b (Lock_id.make d.idents.(c)) in
+    d.lock_ix.(c) <- k;
+    k
   end
 
-let fold_decoder d ~init ~f =
-  match
-    read_header d;
-    let rec go acc =
-      match next_event d with
-      | None -> Ok acc
-      | Some e ->
-        let index = d.decoded in
-        d.decoded <- index + 1;
-        go (f acc ~index e)
-    in
-    go init
-  with
-  | result -> result
+(* Location ids in order of first access: a location is registered
+   with the builder when its first access is decoded, and found by its
+   packed key and object afterwards, with linear probing in a table at
+   most half full. *)
+let rec probe slots key obj i =
+  let k = Array.unsafe_get slots i in
+  if (k = key && Array.unsafe_get slots (i + 1) = obj) || k = -1 then i
+  else probe slots key obj (if i + 3 = Array.length slots then 0 else i + 3)
+
+(* The slot of a key and object: theirs, or the empty one to fill. *)
+let loc_slot slots key obj =
+  let h = (key * 0x2545F491) lxor (obj * 0x9E3779B1) in
+  probe slots key obj (3 * ((h lxor (h lsr 17)) land ((Array.length slots / 3) - 1)))
+
+let grow_locs d =
+  let old = d.loc_slots in
+  let slots = Array.make (2 * Array.length old) (-1) in
+  for i = 0 to (Array.length old / 3) - 1 do
+    let key = old.(3 * i) in
+    if key >= 0 then begin
+      let j = loc_slot slots key old.((3 * i) + 1) in
+      Array.blit old (3 * i) slots j 3
+    end
+  done;
+  d.loc_slots <- slots
+
+let location_index d b =
+  let cls = d.r_a and field = d.r_b and obj = d.r_c in
+  if packs cls field then begin
+    let key = (cls lsl 21) lor field in
+    let slots = d.loc_slots in
+    let i = loc_slot slots key obj in
+    if Array.unsafe_get slots i = key then Array.unsafe_get slots (i + 2)
+    else begin
+      let id = Trace.Builder.new_location b (location_of_record d) in
+      slots.(i) <- key;
+      slots.(i + 1) <- obj;
+      slots.(i + 2) <- id;
+      d.locs <- d.locs + 1;
+      if 2 * d.locs > Array.length slots / 3 then grow_locs d;
+      id
+    end
+  end
+  else begin
+    match Hashtbl.find_opt d.wide_locs (cls, field, obj) with
+    | Some id -> id
+    | None ->
+      let id = Trace.Builder.new_location b (location_of_record d) in
+      Hashtbl.add d.wide_locs (cls, field, obj) id;
+      id
+  end
+
+let push_record d b =
+  let kind = d.r_kind and th = d.r_thread in
+  match kind with
+  | Read | Write -> Trace.Builder.push b kind th (location_index d b)
+  | Thread_init | Thread_exit | Attach_queue | Loop_on_queue ->
+    Trace.Builder.push b kind th (-1)
+  | Fork | Join -> Trace.Builder.push b kind th d.r_target
+  | Post ->
+    Trace.Builder.post b th d.task_ix.(d.r_a)
+      ~target:(Thread_id.make d.r_target) ~flavour:(flavour_of_record d)
+  | Begin_task | End_task | Enable | Cancel ->
+    Trace.Builder.push b kind th d.task_ix.(d.r_a)
+  | Acquire | Release -> Trace.Builder.push b kind th (lock_index d b)
+
+(* {3 Drivers} *)
+
+let guard d decode =
+  match decode () with
+  | result -> Ok result
   | exception Fail (off, msg) ->
     Error { be_offset = off; be_index = d.decoded; be_message = msg }
   | exception Invalid_argument msg ->
@@ -490,9 +701,36 @@ let fold_decoder d ~init ~f =
       ; be_message = "invalid identifier: " ^ msg
       }
 
+let fold_decoder d ~init ~f =
+  guard d (fun () ->
+    read_header d;
+    let rec go acc =
+      if next_record d then begin
+        let e = event_of_record d in
+        let index = d.decoded in
+        d.decoded <- index + 1;
+        go (f acc ~index e)
+      end
+      else acc
+    in
+    go init)
+
+let build_decoder d b =
+  guard d (fun () ->
+    read_header d;
+    while next_record d do
+      push_record d b;
+      d.decoded <- d.decoded + 1
+    done)
+
 let fold_after_magic ?(base_offset = 4) ic ~init ~f =
-  let d = make_decoder ~base_offset (In_channel.input ic) in
+  let d = make_decoder ~base_offset ~sink:Events (In_channel.input ic) in
   fold_decoder d ~init ~f
+
+let build_after_magic ?(base_offset = 4) ic b =
+  build_decoder
+    (make_decoder ~base_offset ~sink:(Columns b) (In_channel.input ic))
+    b
 
 let check_magic read_prefix =
   let got = read_prefix 4 in
@@ -523,7 +761,8 @@ let fold_channel ic ~init ~f =
 let fold_file path ~init ~f =
   In_channel.with_open_bin path (fun ic -> fold_channel ic ~init ~f)
 
-let fold_string s ~init ~f =
+(* A decoder over an in-memory byte string, past its magic. *)
+let string_decoder s ~sink =
   let cursor = ref 0 in
   let fill buf pos len =
     let n = min len (String.length s - !cursor) in
@@ -537,9 +776,16 @@ let fold_string s ~init ~f =
     cursor := !cursor + k;
     got
   in
-  match check_magic read_prefix with
-  | Error e -> Error e
-  | Ok () -> fold_decoder (make_decoder ~base_offset:4 fill) ~init ~f
+  Result.map
+    (fun () -> make_decoder ~base_offset:4 ~sink fill)
+    (check_magic read_prefix)
+
+let fold_string s ~init ~f =
+  Result.bind (string_decoder s ~sink:Events) (fun d ->
+    fold_decoder d ~init ~f)
+
+let build_string s b =
+  Result.bind (string_decoder s ~sink:(Columns b)) (fun d -> build_decoder d b)
 
 let decode_string s =
   match

@@ -122,3 +122,27 @@ val fold_string :
 (** Decode a complete in-memory byte string, magic included. *)
 
 val decode_string : string -> (Trace.event list, error) result
+
+(** {1 Decoding into a trace}
+
+    The same record reader feeds a {!Trace.Builder} directly: no event
+    is made.  The codec's identifier indices number the trace's
+    identifiers — a location by its memoised [(class, field, object)],
+    a task by its name's instance memo, a lock by its index — so no
+    task or location is hashed per event.  An index remap maps every
+    identifier index to the first index defining the same string, so a
+    string defined twice still names one identifier.  Identifiers are
+    validated on their first use in each role, at the same event and
+    with the same message as the folds.  A structural violation does
+    not stop decoding (the builder keeps the first one, see
+    {!Trace.Builder.failed}), so a later decode error still takes
+    precedence. *)
+
+val build_after_magic :
+  ?base_offset:int -> In_channel.t -> Trace.Builder.t -> (unit, error) result
+(** Decodes a channel positioned just past the magic bytes into the
+    builder. *)
+
+val build_string : string -> Trace.Builder.t -> (unit, error) result
+(** Decodes a complete in-memory byte string, magic included, into the
+    builder. *)

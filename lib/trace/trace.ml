@@ -1,5 +1,7 @@
+module Obs = Droidracer_obs.Obs
 module Thread_id = Ident.Thread_id
 module Task_id = Ident.Task_id
+module Lock_id = Ident.Lock_id
 module Location = Ident.Location
 
 type event =
@@ -13,266 +15,800 @@ let event_equal a b =
 let pp_event ppf e =
   Format.fprintf ppf "%a: %a" Thread_id.pp e.thread Operation.pp e.op
 
-type task_info =
-  { mutable post_at : int option
-  ; mutable begin_at : int option
-  ; mutable end_at : int option
-  ; mutable enable_at : int option
-  ; mutable cancel_at : int option
-  ; mutable target : Thread_id.t option
-  ; mutable flavour : Operation.post_flavour option
-  }
+type kind =
+  | Thread_init
+  | Thread_exit
+  | Fork
+  | Join
+  | Attach_queue
+  | Loop_on_queue
+  | Post
+  | Begin_task
+  | End_task
+  | Acquire
+  | Release
+  | Read
+  | Write
+  | Enable
+  | Cancel
 
-type thread_info =
-  { mutable attach_at : int option
-  ; mutable loop_at : int option
-  ; mutable current_task : Task_id.t option
-  }
+let kind_code = function
+  | Thread_init -> 0
+  | Thread_exit -> 1
+  | Fork -> 2
+  | Join -> 3
+  | Attach_queue -> 4
+  | Loop_on_queue -> 5
+  | Post -> 6
+  | Begin_task -> 7
+  | End_task -> 8
+  | Acquire -> 9
+  | Release -> 10
+  | Read -> 11
+  | Write -> 12
+  | Enable -> 13
+  | Cancel -> 14
 
+let kinds_by_code =
+  [| Thread_init; Thread_exit; Fork; Join; Attach_queue; Loop_on_queue; Post
+   ; Begin_task; End_task; Acquire; Release; Read; Write; Enable; Cancel
+  |]
+
+let code_read = kind_code Read
+let code_write = kind_code Write
+
+(* Post flavours in the int column of the task table. *)
+let flavour_none = -1
+let flavour_immediate = 0
+let flavour_front = 1
+let flavour_delayed = 2
+
+(* The columns hold [len] positions; their capacity may be larger.
+   Threads are numbered in order of first execution, tasks in order of
+   first mention (in any role), locks and locations in order of first
+   use.  The [*_ops] arrays memoise the operations [get] rebuilds. *)
 type t =
-  { events : event array
-  ; enclosing : Task_id.t option array
-  ; task_infos : task_info Task_id.Map.t
-  ; thread_infos : thread_info Thread_id.Map.t
-  ; task_order : Task_id.t list  (** in posting order *)
-  ; thread_order : Thread_id.t list  (** in order of first appearance *)
-  ; loc_ids : int array  (** per position; -1 off accesses *)
-  ; locations : Location.t array  (** by id, in order of first access *)
+  { len : int
+  ; kinds : Bytes.t
+  ; thread_col : int array  (** thread index *)
+  ; operand : int array  (** location id, task, lock or raw target thread *)
+  ; enclosing : int array  (** task index, or -1 *)
+  ; thread_ids : Thread_id.t array
+  ; thread_index : int Ident.Int_table.t
+  ; attach_at : int array
+  ; loop_at : int array
+  ; task_ids : Task_id.t array
+  ; task_index : int Task_id.Table.t
+  ; post_at : int array
+  ; begin_at : int array
+  ; end_at : int array
+  ; enable_at : int array
+  ; cancel_at : int array
+  ; target : int array  (** raw thread id, -1 when never posted *)
+  ; flavour : int array
+  ; delay : int array
+  ; posted : int array  (** task indices in posting order *)
+  ; lock_ids : Lock_id.t array
+  ; locations : Location.t array
+  ; loc_accesses : int array
+  ; read_ops : Operation.t array
+  ; write_ops : Operation.t array
+  ; post_ops : Operation.t array
+  ; begin_ops : Operation.t array
+  ; end_ops : Operation.t array
+  ; enable_ops : Operation.t array
+  ; cancel_ops : Operation.t array
+  ; acquire_ops : Operation.t array
+  ; release_ops : Operation.t array
+  ; fork_ops : Operation.t Ident.Int_table.t
+  ; join_ops : Operation.t Ident.Int_table.t
   }
 
 exception Ill_formed of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
-let fresh_task_info () =
-  { post_at = None
-  ; begin_at = None
-  ; end_at = None
-  ; enable_at = None
-  ; cancel_at = None
-  ; target = None
-  ; flavour = None
-  }
+let flavour_of_code code delay : Operation.post_flavour =
+  if code = flavour_front then Front
+  else if code = flavour_delayed then Delayed delay
+  else Immediate
 
-(* Single left-to-right pass computing all derived structure while
-   checking structural well-formedness. *)
-let build events =
-  let n = Array.length events in
-  let enclosing = Array.make n None in
-  let task_infos = Task_id.Table.create 64 in
-  let thread_infos = Ident.Int_table.create 16 in
-  let task_order = ref [] in
-  let thread_order = ref [] in
-  let loc_ids = Array.make n (-1) in
-  let loc_table = Location.Table.create 64 in
-  let locations = ref [] in
-  let location_id m =
-    match Location.Table.find_opt loc_table m with
-    | Some id -> id
-    | None ->
-      let id = Location.Table.length loc_table in
-      Location.Table.add loc_table m id;
-      locations := m :: !locations;
-      id
-  in
-  let task_info p =
-    match Task_id.Table.find_opt task_infos p with
-    | Some info -> info
-    | None ->
-      let info = fresh_task_info () in
-      Task_id.Table.add task_infos p info;
-      info
-  and thread_info t =
-    match Ident.Int_table.find_opt thread_infos (Thread_id.to_int t) with
-    | Some (_, info) -> info
-    | None ->
-      let info =
-        { attach_at = None; loop_at = None; current_task = None }
+module Builder = struct
+  type trace = t
+
+  type t =
+    { mutable len : int
+    ; mutable kinds : Bytes.t
+    ; mutable thread_col : int array
+    ; mutable operand : int array
+    ; mutable enclosing : int array
+    ; mutable failed : string option
+    ; thread_index : int Ident.Int_table.t
+    ; seen_raw : int array  (** a direct-mapped cache of [thread_index] *)
+    ; seen_ix : int array
+    ; mutable nthreads : int
+    ; mutable thread_ids : Thread_id.t array
+    ; mutable attach_at : int array
+    ; mutable loop_at : int array
+    ; mutable current : int array  (** the executing task, or -1 *)
+    ; task_index : int Task_id.Table.t
+    ; mutable ntasks : int
+    ; mutable task_ids : Task_id.t array
+    ; mutable post_at : int array
+    ; mutable begin_at : int array
+    ; mutable end_at : int array
+    ; mutable enable_at : int array
+    ; mutable cancel_at : int array
+    ; mutable target : int array
+    ; mutable flavour : int array
+    ; mutable delay : int array
+    ; mutable posted : int array
+    ; mutable nposted : int
+    ; lock_index : (string, int) Hashtbl.t
+    ; mutable nlocks : int
+    ; mutable lock_ids : Lock_id.t array
+    ; loc_index : int Location.Table.t
+    ; mutable nlocs : int
+    ; mutable locations : Location.t array
+    ; mutable loc_accesses : int array
+    ; fork_ops : Operation.t Ident.Int_table.t
+    ; join_ops : Operation.t Ident.Int_table.t
+    ; mutable last_task : Task_id.t  (** the last interned, by [add] *)
+    ; mutable last_task_ix : int
+    ; mutable last_lock : Lock_id.t
+    ; mutable last_lock_ix : int
+    ; mutable last_loc : Location.t
+    ; mutable last_loc_ix : int
+    }
+
+  let no_task = Task_id.make ~name:"_" ~instance:0
+  let no_lock = Lock_id.make "_"
+  let no_location = Location.make ~cls:"_" ~field:"_" ~obj:0
+
+  let thread_slots = 64
+
+  let create ?(capacity = 1024) () =
+    let capacity = max 16 capacity in
+    { len = 0
+    ; kinds = Bytes.create capacity
+    ; thread_col = Array.make capacity 0
+    ; operand = Array.make capacity 0
+    ; enclosing = Array.make capacity 0
+    ; failed = None
+    ; thread_index = Ident.Int_table.create 16
+    ; seen_raw = Array.make thread_slots (-1)
+    ; seen_ix = Array.make thread_slots 0
+    ; nthreads = 0
+    ; thread_ids = Array.make 8 (Thread_id.make 0)
+    ; attach_at = Array.make 8 (-1)
+    ; loop_at = Array.make 8 (-1)
+    ; current = Array.make 8 (-1)
+    ; task_index = Task_id.Table.create 64
+    ; ntasks = 0
+    ; task_ids = Array.make 64 no_task
+    ; post_at = Array.make 64 (-1)
+    ; begin_at = Array.make 64 (-1)
+    ; end_at = Array.make 64 (-1)
+    ; enable_at = Array.make 64 (-1)
+    ; cancel_at = Array.make 64 (-1)
+    ; target = Array.make 64 (-1)
+    ; flavour = Array.make 64 flavour_none
+    ; delay = Array.make 64 0
+    ; posted = Array.make 64 0
+    ; nposted = 0
+    ; lock_index = Hashtbl.create 8
+    ; nlocks = 0
+    ; lock_ids = Array.make 8 no_lock
+    ; loc_index = Location.Table.create 64
+    ; nlocs = 0
+    ; locations = Array.make 64 no_location
+    ; loc_accesses = Array.make 64 0
+    ; fork_ops = Ident.Int_table.create 4
+    ; join_ops = Ident.Int_table.create 4
+    ; last_task = no_task
+    ; last_task_ix = -1
+    ; last_lock = no_lock
+    ; last_lock_ix = -1
+    ; last_loc = no_location
+    ; last_loc_ix = -1
+    }
+
+  (* [a] with room for index [n], doubled when full. *)
+  let room a n fill =
+    if n < Array.length a then a
+    else begin
+      let b = Array.make (2 * Array.length a) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  (* Thread ids are hashed on a miss only: a trace's few threads keep
+     their own cache slots. *)
+  let thread b raw =
+    let slot = raw land (thread_slots - 1) in
+    if raw >= 0 && Array.unsafe_get b.seen_raw slot = raw then
+      Array.unsafe_get b.seen_ix slot
+    else begin
+      let ix =
+        match Ident.Int_table.find b.thread_index raw with
+        | ix -> ix
+        | exception Not_found ->
+          let ix = b.nthreads and tid = Thread_id.make raw in
+          b.thread_ids <- room b.thread_ids ix tid;
+          b.attach_at <- room b.attach_at ix (-1);
+          b.loop_at <- room b.loop_at ix (-1);
+          b.current <- room b.current ix (-1);
+          b.thread_ids.(ix) <- tid;
+          b.nthreads <- ix + 1;
+          Ident.Int_table.add b.thread_index raw ix;
+          ix
       in
-      Ident.Int_table.add thread_infos (Thread_id.to_int t) (t, info);
-      thread_order := t :: !thread_order;
-      info
-  in
-  for i = 0 to n - 1 do
-    let { thread = t; op } = events.(i) in
-    let tinfo = thread_info t in
-    enclosing.(i) <- tinfo.current_task;
-    (match op with
-     | Operation.Attach_queue ->
-       (match tinfo.attach_at with
-        | Some j -> fail "position %d: thread %a attaches a queue twice (first at %d)" i Thread_id.pp t j
-        | None -> tinfo.attach_at <- Some i)
-     | Operation.Loop_on_queue ->
-       (match tinfo.loop_at, tinfo.attach_at with
-        | Some j, _ -> fail "position %d: thread %a loops on its queue twice (first at %d)" i Thread_id.pp t j
-        | None, None -> fail "position %d: thread %a loops on a queue it never attached" i Thread_id.pp t
-        | None, Some _ -> tinfo.loop_at <- Some i)
-     | Operation.Post { task = p; target; flavour } ->
-       let info = task_info p in
-       (match info.post_at with
-        | Some j -> fail "position %d: task %a posted twice (first at %d); rename instances uniquely" i Task_id.pp p j
-        | None ->
-          info.post_at <- Some i;
-          info.target <- Some target;
-          info.flavour <- Some flavour;
-          task_order := p :: !task_order)
-     | Operation.Begin_task p ->
-       let info = task_info p in
-       (match info.begin_at with
-        | Some j -> fail "position %d: task %a begins twice (first at %d)" i Task_id.pp p j
-        | None -> ());
-       (match info.post_at with
-        | None -> fail "position %d: task %a begins without a prior post" i Task_id.pp p
-        | Some _ -> ());
-       (match info.target with
-        | Some target when not (Thread_id.equal target t) ->
-          fail "position %d: task %a begins on %a but was posted to %a"
-            i Task_id.pp p Thread_id.pp t Thread_id.pp target
-        | Some _ | None -> ());
-       (match tinfo.current_task with
-        | Some q -> fail "position %d: task %a begins inside task %a on %a (tasks run to completion)"
-                      i Task_id.pp p Task_id.pp q Thread_id.pp t
-        | None -> ());
-       info.begin_at <- Some i;
-       tinfo.current_task <- Some p;
-       enclosing.(i) <- Some p
-     | Operation.End_task p ->
-       let info = task_info p in
-       (match tinfo.current_task with
-        | Some q when Task_id.equal p q -> ()
-        | Some q -> fail "position %d: end of %a while %a is executing" i Task_id.pp p Task_id.pp q
-        | None -> fail "position %d: end of %a outside any task" i Task_id.pp p);
-       (match info.end_at with
-        | Some j -> fail "position %d: task %a ends twice (first at %d)" i Task_id.pp p j
-        | None -> ());
-       info.end_at <- Some i;
-       tinfo.current_task <- None;
-       enclosing.(i) <- Some p
-     | Operation.Enable p ->
-       let info = task_info p in
-       (match info.enable_at with
-        | Some j -> fail "position %d: task %a enabled twice (first at %d)" i Task_id.pp p j
-        | None -> info.enable_at <- Some i)
-     | Operation.Cancel p ->
-       let info = task_info p in
-       (match info.cancel_at with
-        | Some j -> fail "position %d: task %a cancelled twice (first at %d)" i Task_id.pp p j
-        | None -> info.cancel_at <- Some i)
-     | Operation.Read m | Operation.Write m -> loc_ids.(i) <- location_id m
-     | Operation.Thread_init | Operation.Thread_exit | Operation.Fork _
-     | Operation.Join _ | Operation.Acquire _ | Operation.Release _ -> ())
-  done;
-  let task_infos =
-    Task_id.Table.fold Task_id.Map.add task_infos Task_id.Map.empty
-  and thread_infos =
-    Ident.Int_table.fold
-      (fun _ (t, info) acc -> Thread_id.Map.add t info acc)
-      thread_infos Thread_id.Map.empty
-  in
-  { events
-  ; enclosing
-  ; task_infos
-  ; thread_infos
-  ; task_order = List.rev !task_order
-  ; thread_order = List.rev !thread_order
-  ; loc_ids
-  ; locations = Array.of_list (List.rev !locations)
-  }
+      b.seen_raw.(slot) <- raw;
+      b.seen_ix.(slot) <- ix;
+      ix
+    end
 
-let of_array events =
-  match build events with
-  | trace -> Ok trace
-  | exception Ill_formed msg -> Error msg
+  let new_task b p =
+    let k = b.ntasks in
+    b.task_ids <- room b.task_ids k no_task;
+    b.post_at <- room b.post_at k (-1);
+    b.begin_at <- room b.begin_at k (-1);
+    b.end_at <- room b.end_at k (-1);
+    b.enable_at <- room b.enable_at k (-1);
+    b.cancel_at <- room b.cancel_at k (-1);
+    b.target <- room b.target k (-1);
+    b.flavour <- room b.flavour k flavour_none;
+    b.delay <- room b.delay k 0;
+    b.task_ids.(k) <- p;
+    b.ntasks <- k + 1;
+    Task_id.Table.add b.task_index p k;
+    k
 
-let of_events events = of_array (Array.of_list events)
+  (* Producers tend to repeat one identifier value over neighbouring
+     events, so each table is fronted by its last hit, compared
+     physically. *)
+  let task b p =
+    if p == b.last_task then b.last_task_ix
+    else begin
+      let k =
+        match Task_id.Table.find b.task_index p with
+        | k -> k
+        | exception Not_found -> new_task b p
+      in
+      b.last_task <- p;
+      b.last_task_ix <- k;
+      k
+    end
 
-let of_rev_events = function
-  | [] -> of_array [||]
-  | last :: _ as rev_events ->
-    let n = List.length rev_events in
-    let events = Array.make n last in
-    List.iteri (fun i e -> Array.unsafe_set events (n - 1 - i) e) rev_events;
-    of_array events
+  let new_lock b l =
+    let k = b.nlocks in
+    b.lock_ids <- room b.lock_ids k no_lock;
+    b.lock_ids.(k) <- l;
+    b.nlocks <- k + 1;
+    Hashtbl.add b.lock_index (Lock_id.name l) k;
+    k
+
+  let lock b l =
+    if l == b.last_lock then b.last_lock_ix
+    else begin
+      let k =
+        match Hashtbl.find b.lock_index (Lock_id.name l) with
+        | k -> k
+        | exception Not_found -> new_lock b l
+      in
+      b.last_lock <- l;
+      b.last_lock_ix <- k;
+      k
+    end
+
+  let new_location b m =
+    let id = b.nlocs in
+    b.locations <- room b.locations id no_location;
+    b.loc_accesses <- room b.loc_accesses id 0;
+    b.locations.(id) <- m;
+    b.nlocs <- id + 1;
+    id
+
+  let location b m =
+    if m == b.last_loc then b.last_loc_ix
+    else begin
+      let id =
+        match Location.Table.find b.loc_index m with
+        | id -> id
+        | exception Not_found ->
+          let id = new_location b m in
+          Location.Table.add b.loc_index m id;
+          id
+      in
+      b.last_loc <- m;
+      b.last_loc_ix <- id;
+      id
+    end
+
+  let grow_columns b =
+    let cap = 2 * Bytes.length b.kinds in
+    let widen a =
+      let a' = Array.make cap 0 in
+      Array.blit a 0 a' 0 b.len;
+      a'
+    in
+    let kinds = Bytes.create cap in
+    Bytes.blit b.kinds 0 kinds 0 b.len;
+    b.kinds <- kinds;
+    b.thread_col <- widen b.thread_col;
+    b.operand <- widen b.operand;
+    b.enclosing <- widen b.enclosing
+
+  let[@inline] record b kind th x enclosing =
+    let i = b.len in
+    Bytes.unsafe_set b.kinds i (Char.unsafe_chr (kind_code kind));
+    Array.unsafe_set b.thread_col i th;
+    Array.unsafe_set b.operand i x;
+    Array.unsafe_set b.enclosing i enclosing;
+    b.len <- i + 1
+
+  (* The structural checks of one operation at the next position, in
+     the order [of_events] documents; raises [Ill_formed]. *)
+  let step b kind th x =
+    let i = b.len in
+    if i = Bytes.length b.kinds then grow_columns b;
+    let tid = b.thread_ids.(th) in
+    let cur = b.current.(th) in
+    match kind with
+    | Read | Write ->
+      b.loc_accesses.(x) <- b.loc_accesses.(x) + 1;
+      record b kind th x cur
+    | Attach_queue ->
+      let j = b.attach_at.(th) in
+      if j >= 0 then
+        fail "position %d: thread %a attaches a queue twice (first at %d)" i
+          Thread_id.pp tid j;
+      b.attach_at.(th) <- i;
+      record b kind th x cur
+    | Loop_on_queue ->
+      let j = b.loop_at.(th) in
+      if j >= 0 then
+        fail "position %d: thread %a loops on its queue twice (first at %d)" i
+          Thread_id.pp tid j;
+      if b.attach_at.(th) < 0 then
+        fail "position %d: thread %a loops on a queue it never attached" i
+          Thread_id.pp tid;
+      b.loop_at.(th) <- i;
+      record b kind th x cur
+    | Begin_task ->
+      let p = b.task_ids.(x) in
+      let j = b.begin_at.(x) in
+      if j >= 0 then
+        fail "position %d: task %a begins twice (first at %d)" i Task_id.pp p j;
+      if b.post_at.(x) < 0 then
+        fail "position %d: task %a begins without a prior post" i Task_id.pp p;
+      let target = b.target.(x) in
+      if target >= 0 && target <> Thread_id.to_int tid then
+        fail "position %d: task %a begins on %a but was posted to %a" i
+          Task_id.pp p Thread_id.pp tid Thread_id.pp (Thread_id.make target);
+      if cur >= 0 then
+        fail
+          "position %d: task %a begins inside task %a on %a (tasks run to \
+           completion)"
+          i Task_id.pp p Task_id.pp b.task_ids.(cur) Thread_id.pp tid;
+      b.begin_at.(x) <- i;
+      b.current.(th) <- x;
+      record b kind th x x
+    | End_task ->
+      let p = b.task_ids.(x) in
+      if cur < 0 then
+        fail "position %d: end of %a outside any task" i Task_id.pp p
+      else if cur <> x then
+        fail "position %d: end of %a while %a is executing" i Task_id.pp p
+          Task_id.pp b.task_ids.(cur);
+      let j = b.end_at.(x) in
+      if j >= 0 then
+        fail "position %d: task %a ends twice (first at %d)" i Task_id.pp p j;
+      b.end_at.(x) <- i;
+      b.current.(th) <- -1;
+      record b kind th x x
+    | Enable ->
+      let j = b.enable_at.(x) in
+      if j >= 0 then
+        fail "position %d: task %a enabled twice (first at %d)" i Task_id.pp
+          b.task_ids.(x) j;
+      b.enable_at.(x) <- i;
+      record b kind th x cur
+    | Cancel ->
+      let j = b.cancel_at.(x) in
+      if j >= 0 then
+        fail "position %d: task %a cancelled twice (first at %d)" i
+          Task_id.pp b.task_ids.(x) j;
+      b.cancel_at.(x) <- i;
+      record b kind th x cur
+    | Fork | Join ->
+      let ops = if kind = Fork then b.fork_ops else b.join_ops in
+      if not (Ident.Int_table.mem ops x) then
+        Ident.Int_table.add ops x
+          (if kind = Fork then Operation.Fork (Thread_id.make x)
+           else Operation.Join (Thread_id.make x));
+      record b kind th x cur
+    | Thread_init | Thread_exit | Acquire | Release -> record b kind th x cur
+    | Post -> invalid_arg "Trace.Builder.push: a post goes through Builder.post"
+
+  (* An operation of the thread with index [th]. *)
+  let push_at b kind th x =
+    if Option.is_none b.failed then
+      match step b kind th x with
+      | () -> ()
+      | exception Ill_formed msg -> b.failed <- Some msg
+
+  let push b kind tid x = push_at b kind (thread b tid) x
+
+  let post_step b th k ~target ~(flavour : Operation.post_flavour) =
+    let i = b.len in
+    if i = Bytes.length b.kinds then grow_columns b;
+    let j = b.post_at.(k) in
+    if j >= 0 then
+      fail
+        "position %d: task %a posted twice (first at %d); rename instances \
+         uniquely"
+        i Task_id.pp b.task_ids.(k) j;
+    b.post_at.(k) <- i;
+    b.target.(k) <- Thread_id.to_int target;
+    (match flavour with
+     | Immediate -> b.flavour.(k) <- flavour_immediate
+     | Front -> b.flavour.(k) <- flavour_front
+     | Delayed d ->
+       b.flavour.(k) <- flavour_delayed;
+       b.delay.(k) <- d);
+    b.posted <- room b.posted b.nposted 0;
+    b.posted.(b.nposted) <- k;
+    b.nposted <- b.nposted + 1;
+    record b Post th k b.current.(th)
+
+  let post_with b th k ~target ~flavour =
+    if Option.is_none b.failed then
+      match post_step b th k ~target ~flavour with
+      | () -> ()
+      | exception Ill_formed msg -> b.failed <- Some msg
+
+  let post b tid k ~target ~flavour = post_with b (thread b tid) k ~target ~flavour
+
+  let add b { thread = tid; op } =
+    if Option.is_none b.failed then begin
+      let th = thread b (Thread_id.to_int tid) in
+      match (op : Operation.t) with
+      | Thread_init -> push_at b Thread_init th (-1)
+      | Thread_exit -> push_at b Thread_exit th (-1)
+      | Attach_queue -> push_at b Attach_queue th (-1)
+      | Loop_on_queue -> push_at b Loop_on_queue th (-1)
+      | Fork t' -> push_at b Fork th (Thread_id.to_int t')
+      | Join t' -> push_at b Join th (Thread_id.to_int t')
+      | Post { task = p; target; flavour } ->
+        post_with b th (task b p) ~target ~flavour
+      | Begin_task p -> push_at b Begin_task th (task b p)
+      | End_task p -> push_at b End_task th (task b p)
+      | Enable p -> push_at b Enable th (task b p)
+      | Cancel p -> push_at b Cancel th (task b p)
+      | Acquire l -> push_at b Acquire th (lock b l)
+      | Release l -> push_at b Release th (lock b l)
+      | Read m -> push_at b Read th (location b m)
+      | Write m -> push_at b Write th (location b m)
+    end
+
+  let freeze b : trace =
+    let ntasks = b.ntasks and nlocks = b.nlocks and nlocs = b.nlocs in
+    let locations = Array.sub b.locations 0 nlocs in
+    let task_ids = Array.sub b.task_ids 0 ntasks in
+    let sub a = Array.sub a 0 ntasks in
+    let post_at = sub b.post_at and begin_at = sub b.begin_at
+    and end_at = sub b.end_at and enable_at = sub b.enable_at
+    and cancel_at = sub b.cancel_at and target = sub b.target
+    and flavour = sub b.flavour and delay = sub b.delay in
+    let lock_ids = Array.sub b.lock_ids 0 nlocks in
+    (* a task's operations exist only where it has a position *)
+    let task_ops at make =
+      Array.init ntasks (fun k ->
+        if at.(k) >= 0 then make task_ids.(k) else Operation.Thread_init)
+    in
+    { len = b.len
+    ; kinds = b.kinds
+    ; thread_col = b.thread_col
+    ; operand = b.operand
+    ; enclosing = b.enclosing
+    ; thread_ids = Array.sub b.thread_ids 0 b.nthreads
+    ; thread_index = b.thread_index
+    ; attach_at = Array.sub b.attach_at 0 b.nthreads
+    ; loop_at = Array.sub b.loop_at 0 b.nthreads
+    ; task_ids
+    ; task_index = b.task_index
+    ; post_at
+    ; begin_at
+    ; end_at
+    ; enable_at
+    ; cancel_at
+    ; target
+    ; flavour
+    ; delay
+    ; posted = Array.sub b.posted 0 b.nposted
+    ; lock_ids
+    ; locations
+    ; loc_accesses = Array.sub b.loc_accesses 0 nlocs
+    ; read_ops = Array.map (fun m -> Operation.Read m) locations
+    ; write_ops = Array.map (fun m -> Operation.Write m) locations
+    ; post_ops =
+        Array.init ntasks (fun k ->
+          if post_at.(k) >= 0 then
+            Operation.Post
+              { task = task_ids.(k)
+              ; target = Thread_id.make target.(k)
+              ; flavour = flavour_of_code flavour.(k) delay.(k)
+              }
+          else Operation.Thread_init)
+    ; begin_ops = task_ops begin_at (fun p -> Operation.Begin_task p)
+    ; end_ops = task_ops end_at (fun p -> Operation.End_task p)
+    ; enable_ops = task_ops enable_at (fun p -> Operation.Enable p)
+    ; cancel_ops = task_ops cancel_at (fun p -> Operation.Cancel p)
+    ; acquire_ops = Array.map (fun l -> Operation.Acquire l) lock_ids
+    ; release_ops = Array.map (fun l -> Operation.Release l) lock_ids
+    ; fork_ops = b.fork_ops
+    ; join_ops = b.join_ops
+    }
+
+  let finish b =
+    match b.failed with
+    | Some msg -> Error msg
+    | None -> Ok (freeze b)
+end
+
+let of_events events =
+  let b = Builder.create ~capacity:(List.length events) () in
+  List.iter (Builder.add b) events;
+  Builder.finish b
+
+let of_rev_events rev_events =
+  let n = List.length rev_events in
+  let b = Builder.create ~capacity:n () in
+  (match rev_events with
+   | [] -> ()
+   | last :: _ ->
+     let events = Array.make n last in
+     List.iteri (fun i e -> Array.unsafe_set events (n - 1 - i) e) rev_events;
+     Array.iter (Builder.add b) events);
+  Builder.finish b
 
 let of_events_exn events =
   match of_events events with
   | Ok trace -> trace
   | Error msg -> invalid_arg ("Trace.of_events_exn: " ^ msg)
 
-let length t = Array.length t.events
+let length t = t.len
 
-let get t i =
-  if i < 0 || i >= length t then
-    invalid_arg (Printf.sprintf "Trace.get: index %d out of bounds" i);
-  t.events.(i)
+let out_of_bounds name i =
+  invalid_arg (Printf.sprintf "Trace.%s: index %d out of bounds" name i)
 
-let op t i = (get t i).op
-let thread t i = (get t i).thread
-let events t = Array.to_list t.events
-let iteri f t = Array.iteri f t.events
+(* {1 Columns} *)
 
-let enclosing_task t i =
-  if i < 0 || i >= length t then
-    invalid_arg (Printf.sprintf "Trace.enclosing_task: index %d out of bounds" i);
-  t.enclosing.(i)
+let kind t i =
+  if i < 0 || i >= t.len then out_of_bounds "kind" i;
+  Array.unsafe_get kinds_by_code (Char.code (Bytes.unsafe_get t.kinds i))
+
+let thread_index t i =
+  if i < 0 || i >= t.len then out_of_bounds "thread_index" i;
+  Array.unsafe_get t.thread_col i
+
+let operand t i =
+  if i < 0 || i >= t.len then out_of_bounds "operand" i;
+  Array.unsafe_get t.operand i
+
+let enclosing_index t i =
+  if i < 0 || i >= t.len then out_of_bounds "enclosing_index" i;
+  Array.unsafe_get t.enclosing i
+
+let is_access t i =
+  if i < 0 || i >= t.len then out_of_bounds "is_access" i;
+  let c = Char.code (Bytes.unsafe_get t.kinds i) in
+  c = code_read || c = code_write
+
+let is_write t i =
+  if i < 0 || i >= t.len then out_of_bounds "is_write" i;
+  Char.code (Bytes.unsafe_get t.kinds i) = code_write
 
 let location_id t i =
-  if i < 0 || i >= length t then
-    invalid_arg (Printf.sprintf "Trace.location_id: index %d out of bounds" i);
-  t.loc_ids.(i)
+  if i < 0 || i >= t.len then out_of_bounds "location_id" i;
+  let c = Char.code (Bytes.unsafe_get t.kinds i) in
+  if c = code_read || c = code_write then Array.unsafe_get t.operand i else -1
 
+let access_code t i =
+  if i < 0 || i >= t.len then out_of_bounds "access_code" i;
+  let c = Char.code (Bytes.unsafe_get t.kinds i) in
+  if c = code_write then (Array.unsafe_get t.operand i lsl 1) lor 1
+  else if c = code_read then Array.unsafe_get t.operand i lsl 1
+  else -1
+
+(* {1 Events, rebuilt on demand} *)
+
+let op_unchecked t i : Operation.t =
+  let x = Array.unsafe_get t.operand i in
+  match Array.unsafe_get kinds_by_code (Char.code (Bytes.unsafe_get t.kinds i)) with
+  | Thread_init -> Thread_init
+  | Thread_exit -> Thread_exit
+  | Attach_queue -> Attach_queue
+  | Loop_on_queue -> Loop_on_queue
+  | Fork -> Ident.Int_table.find t.fork_ops x
+  | Join -> Ident.Int_table.find t.join_ops x
+  | Post -> t.post_ops.(x)
+  | Begin_task -> t.begin_ops.(x)
+  | End_task -> t.end_ops.(x)
+  | Enable -> t.enable_ops.(x)
+  | Cancel -> t.cancel_ops.(x)
+  | Acquire -> t.acquire_ops.(x)
+  | Release -> t.release_ops.(x)
+  | Read -> t.read_ops.(x)
+  | Write -> t.write_ops.(x)
+
+let event_unchecked t i =
+  { thread = t.thread_ids.(Array.unsafe_get t.thread_col i)
+  ; op = op_unchecked t i
+  }
+
+let get t i =
+  if i < 0 || i >= t.len then out_of_bounds "get" i;
+  Obs.add "trace.events_built";
+  event_unchecked t i
+
+let op t i =
+  if i < 0 || i >= t.len then out_of_bounds "op" i;
+  op_unchecked t i
+
+let thread t i =
+  if i < 0 || i >= t.len then out_of_bounds "thread" i;
+  t.thread_ids.(Array.unsafe_get t.thread_col i)
+
+let events t =
+  Obs.add ~n:t.len "trace.events_built";
+  let events = ref [] in
+  for i = t.len - 1 downto 0 do
+    events := event_unchecked t i :: !events
+  done;
+  !events
+
+let iteri f t =
+  Obs.add ~n:t.len "trace.events_built";
+  for i = 0 to t.len - 1 do
+    f i (event_unchecked t i)
+  done
+
+(* {1 Tables} *)
+
+let enclosing_task t i =
+  let k = enclosing_index t i in
+  if k < 0 then None else Some t.task_ids.(k)
+
+let location_count t = Array.length t.locations
+let location t id = t.locations.(id)
+let location_accesses t id = t.loc_accesses.(id)
 let locations t = Array.copy t.locations
+let thread_count t = Array.length t.thread_ids
+let thread_id t k = t.thread_ids.(k)
 
-let threads t = t.thread_order
+let index_of_thread t tid =
+  match Ident.Int_table.find t.thread_index (Thread_id.to_int tid) with
+  | k -> k
+  | exception Not_found -> -1
 
-let thread_info_opt t tid = Thread_id.Map.find_opt tid t.thread_infos
+let threads t = Array.to_list t.thread_ids
 
 let has_queue t tid =
-  match thread_info_opt t tid with
-  | Some info -> Option.is_some info.attach_at
-  | None -> false
+  let k = index_of_thread t tid in
+  k >= 0 && t.attach_at.(k) >= 0
 
 let loop_index t tid =
-  match thread_info_opt t tid with
-  | Some info -> info.loop_at
-  | None -> None
+  let k = index_of_thread t tid in
+  if k >= 0 && t.loop_at.(k) >= 0 then Some t.loop_at.(k) else None
 
-let tasks t = t.task_order
-let task_info_opt t p = Task_id.Map.find_opt p t.task_infos
-let post_index t p = Option.bind (task_info_opt t p) (fun i -> i.post_at)
-let begin_index t p = Option.bind (task_info_opt t p) (fun i -> i.begin_at)
-let end_index t p = Option.bind (task_info_opt t p) (fun i -> i.end_at)
-let enable_index t p = Option.bind (task_info_opt t p) (fun i -> i.enable_at)
-let cancel_index t p = Option.bind (task_info_opt t p) (fun i -> i.cancel_at)
-let post_target t p = Option.bind (task_info_opt t p) (fun i -> i.target)
-let post_flavour t p = Option.bind (task_info_opt t p) (fun i -> i.flavour)
+let task_count t = Array.length t.task_ids
+let task_id t k = t.task_ids.(k)
+
+let index_of_task t p =
+  match Task_id.Table.find t.task_index p with
+  | k -> k
+  | exception Not_found -> -1
+
+let tasks t = Array.fold_right (fun k acc -> t.task_ids.(k) :: acc) t.posted []
+let iter_posted f t = Array.iter f t.posted
+let post_at t k = t.post_at.(k)
+let begin_at t k = t.begin_at.(k)
+let end_at t k = t.end_at.(k)
+let enable_at t k = t.enable_at.(k)
+
+let target_index t k =
+  let target = t.target.(k) in
+  if target < 0 then -1 else index_of_thread t (Thread_id.make target)
+
+let task_flavour t k =
+  if t.post_at.(k) < 0 then invalid_arg "Trace.task_flavour: task never posted";
+  flavour_of_code t.flavour.(k) t.delay.(k)
+
+let lock_count t = Array.length t.lock_ids
+let lock_id t k = t.lock_ids.(k)
+
+let by_task at t p =
+  let k = index_of_task t p in
+  if k < 0 || at.(k) < 0 then None else Some at.(k)
+
+let post_index t p = by_task t.post_at t p
+let begin_index t p = by_task t.begin_at t p
+let end_index t p = by_task t.end_at t p
+let enable_index t p = by_task t.enable_at t p
+let cancel_index t p = by_task t.cancel_at t p
+
+let post_target t p =
+  let k = index_of_task t p in
+  if k < 0 || t.post_at.(k) < 0 then None
+  else Some (Thread_id.make t.target.(k))
+
+let post_flavour t p =
+  let k = index_of_task t p in
+  if k < 0 || t.post_at.(k) < 0 then None else Some (task_flavour t k)
+
+(* {1 Transformations} *)
 
 let remove_cancelled t =
-  let cancelled p =
-    match cancel_index t p, begin_index t p with
-    | Some _, None -> true
-    | Some c, Some b -> c < b
-    | None, _ -> false
+  let cancelled k =
+    let c = t.cancel_at.(k) in
+    c >= 0
+    &&
+    let b = t.begin_at.(k) in
+    b < 0 || c < b
   in
-  let keep i e =
-    match e.op with
-    | Operation.Cancel _ -> false
-    | Operation.Post { task = p; _ } -> not (cancelled p)
-    | Operation.Thread_init | Operation.Thread_exit | Operation.Fork _
-    | Operation.Join _ | Operation.Attach_queue | Operation.Loop_on_queue
-    | Operation.Begin_task _ | Operation.End_task _ | Operation.Acquire _
-    | Operation.Release _ | Operation.Read _ | Operation.Write _
-    | Operation.Enable _ ->
-      (match t.enclosing.(i) with
-       | Some p -> not (cancelled p)
-       | None -> true)
-  in
-  if Task_id.Map.for_all (fun _ i -> Option.is_none i.cancel_at) t.task_infos
-  then t
+  if Array.for_all (fun c -> c < 0) t.cancel_at then t
   else begin
-    let kept = ref [] in
-    Array.iteri (fun i e -> if keep i e then kept := e :: !kept) t.events;
-    build (Array.of_list (List.rev !kept))
+    (* the kept positions through a fresh builder, their ids renumbered
+       in order of first use *)
+    let b = Builder.create ~capacity:t.len () in
+    let renumber map k fresh =
+      let k' = map.(k) in
+      if k' >= 0 then k'
+      else begin
+        let k' = fresh () in
+        map.(k) <- k';
+        k'
+      end
+    in
+    let loc_map = Array.make (location_count t) (-1)
+    and task_map = Array.make (task_count t) (-1)
+    and lock_map = Array.make (lock_count t) (-1) in
+    let task x = renumber task_map x (fun () -> Builder.new_task b t.task_ids.(x)) in
+    for i = 0 to t.len - 1 do
+      let kind = kind t i and x = t.operand.(i) in
+      let keep =
+        match kind with
+        | Cancel -> false
+        | Post -> not (cancelled x)
+        | Thread_init | Thread_exit | Fork | Join | Attach_queue
+        | Loop_on_queue | Begin_task | End_task | Acquire | Release | Read
+        | Write | Enable ->
+          let e = t.enclosing.(i) in
+          e < 0 || not (cancelled e)
+      in
+      if keep then begin
+        let th = Thread_id.to_int t.thread_ids.(t.thread_col.(i)) in
+        match kind with
+        | Read | Write ->
+          Builder.push b kind th
+            (renumber loc_map x (fun () ->
+               Builder.new_location b t.locations.(x)))
+        | Post ->
+          Builder.post b th (task x) ~target:(Thread_id.make t.target.(x))
+            ~flavour:(task_flavour t x)
+        | Begin_task | End_task | Enable | Cancel -> Builder.push b kind th (task x)
+        | Acquire | Release ->
+          Builder.push b kind th
+            (renumber lock_map x (fun () -> Builder.new_lock b t.lock_ids.(x)))
+        | Thread_init | Thread_exit | Fork | Join | Attach_queue
+        | Loop_on_queue -> Builder.push b kind th x
+      end
+    done;
+    match Builder.finish b with
+    | Ok trace -> trace
+    | Error msg -> invalid_arg ("Trace.remove_cancelled: " ^ msg)
   end
 
 type stats =
@@ -288,14 +824,14 @@ let stats t =
   Array.iter
     (fun m -> Hashtbl.replace fields (Location.field_key m) ())
     t.locations;
-  let with_q, without_q =
-    List.partition (fun tid -> has_queue t tid) t.thread_order
+  let with_q =
+    Array.fold_left (fun n at -> if at >= 0 then n + 1 else n) 0 t.attach_at
   in
   { trace_length = length t
   ; fields = Hashtbl.length fields
-  ; threads_without_queue = List.length without_q
-  ; threads_with_queue = List.length with_q
-  ; async_tasks = List.length t.task_order
+  ; threads_without_queue = thread_count t - with_q
+  ; threads_with_queue = with_q
+  ; async_tasks = Array.length t.posted
   }
 
 let pp_stats ppf s =

@@ -287,17 +287,22 @@ let remove_pending ts (before, e, after) =
   ts.queued <- ts.queued - 1;
   if e.pd_flavour = Operation.Front then ts.fronts <- ts.fronts - 1
 
-let feed_exn st ~line event =
-  let { Trace.thread = t; op } = event in
-  let ts = thread_state st t in
+(* Every operation counts, and a thread performs no operation after
+   its threadexit (at line [l], event [ev]). *)
+let enter st ts =
   st.n_events <- st.n_events + 1;
-  ts.op_count <- ts.op_count + 1;
-  (* A thread performs no operation after its threadexit. *)
+  ts.op_count <- ts.op_count + 1
+
+let reject_after_exit ~line ~event (l, ev) =
+  reject ~line ~rule:Operation_after_exit ~event ~related:[ (l, ev) ]
+    "thread %a executes %a after its threadexit (line %d)" Thread_id.pp
+    event.Trace.thread Operation.pp event.Trace.op l
+
+let step_exn st ts ~line event =
+  let { Trace.thread = t; op } = event in
+  enter st ts;
   (match ts.exited with
-   | Some (l, ev) ->
-     reject ~line ~rule:Operation_after_exit ~event ~related:[ (l, ev) ]
-       "thread %a executes %a after its threadexit (line %d)" Thread_id.pp t
-       Operation.pp op l
+   | Some exit -> reject_after_exit ~line ~event exit
    | None -> ());
   match op with
   | Operation.Thread_init ->
@@ -508,6 +513,9 @@ let feed_exn st ~line event =
   | Operation.Read _ | Operation.Write _ ->
     st.n_accesses <- st.n_accesses + 1
 
+let feed_exn st ~line event =
+  step_exn st (thread_state st event.Trace.thread) ~line event
+
 let feed st ~line event =
   match feed_exn st ~line event with
   | () -> Ok ()
@@ -548,22 +556,29 @@ let check_events events =
   in
   go 1 events
 
+(* Over a trace's columns: the thread states by thread index, and an
+   access (the common case) checked without making its event. *)
 let check trace =
   let st = create () in
-  let result = ref None in
-  (try
-     Trace.iteri
-       (fun i e ->
-          match feed st ~line:(i + 1) e with
-          | Ok () -> ()
-          | Error err ->
-            result := Some err;
-            raise Exit)
-       trace
-   with Exit -> ());
-  match !result with
-  | Some err -> Error err
-  | None -> Ok (finish st)
+  let states =
+    Array.init (Trace.thread_count trace) (fun th ->
+      thread_state st (Trace.thread_id trace th))
+  in
+  match
+    for i = 0 to Trace.length trace - 1 do
+      let ts = states.(Trace.thread_index trace i) and line = i + 1 in
+      if Trace.is_access trace i then begin
+        enter st ts;
+        (match ts.exited with
+         | Some exit -> reject_after_exit ~line ~event:(Trace.get trace i) exit
+         | None -> ());
+        st.n_accesses <- st.n_accesses + 1
+      end
+      else step_exn st ts ~line (Trace.get trace i)
+    done
+  with
+  | () -> Ok (finish st)
+  | exception Reject err -> Error err
 
 (* {1 Files} *)
 

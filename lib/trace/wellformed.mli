@@ -127,7 +127,9 @@ val check_events : Trace.event list -> (stats, error) result
 
 val check : Trace.t -> (stats, error) result
 (** [error.line] is the 1-based event position (= the line the event
-    occupies in {!Trace_io.to_string} output). *)
+    occupies in {!Trace_io.to_string} output).  Reads the trace's
+    columns: thread states are found by thread index, and an access is
+    checked without rebuilding its event. *)
 
 (** {1 Files} *)
 

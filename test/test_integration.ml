@@ -16,6 +16,7 @@ module Catalog = Droidracer_corpus.Catalog
 module Synthetic = Droidracer_corpus.Synthetic
 module Experiments = Droidracer_report.Experiments
 module Table = Droidracer_report.Table
+module Obs = Droidracer_obs.Obs
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -292,6 +293,33 @@ let test_corpus_traces_valid () =
          (Result.is_ok (Trace.of_events (Trace.events r.Runtime.observed))))
     [ "Aard Dictionary"; "Messenger" ]
 
+(* The dense pipeline reads the trace's columns: on Flipkart's trace,
+   the graph, the closure and the pair scan rebuild no event at all
+   (classification, which names the races, is where events are made). *)
+let test_dense_pipeline_builds_no_events () =
+  let run =
+    List.find
+      (fun (r : Experiments.app_run) ->
+         r.ar_built.Synthetic.b_spec.Synthetic.s_name = "Flipkart")
+      (Lazy.force catalog_runs)
+  in
+  let trace = Trace.remove_cancelled run.ar_result.Runtime.observed in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+       let graph = Droidracer_core.Graph.build ~coalesce:true trace in
+       let hb = Hb.compute graph in
+       let races = Race.detect trace ~hb in
+       check_bool "Flipkart races" true (races <> []);
+       check_int "events built" 0 (Obs.counter_value "trace.events_built");
+       (* the counter counts: one event per [get] *)
+       ignore (Trace.get trace 0);
+       check_int "one event built" 1 (Obs.counter_value "trace.events_built"))
+
 let () =
   Alcotest.run "integration"
     [ ( "pipeline"
@@ -316,6 +344,8 @@ let () =
         ; Alcotest.test_case "hb edges on corpus" `Slow test_hb_edges_on_corpus
         ; Alcotest.test_case "hb matrices on corpus" `Slow
             test_hb_matrices_on_corpus
+        ; Alcotest.test_case "dense pipeline builds no events" `Slow
+            test_dense_pipeline_builds_no_events
         ] )
     ; ( "corpus"
       , [ Alcotest.test_case "traces valid" `Quick test_corpus_traces_valid ] )

@@ -448,6 +448,304 @@ let prop_location_ids =
        done;
        (Trace.stats t).Trace.fields = Hashtbl.length fields)
 
+(* {1 One builder behind every reader}
+
+   A trace decoded from binary, parsed from text and built from an
+   event list must agree on every accessor: the binary decoder numbers
+   identifiers with the codec's own indices, the others intern them
+   through hash tables. *)
+
+let with_binary_file events f =
+  let path = Filename.temp_file "trace_test" ".drt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+       Out_channel.with_open_bin path (fun oc ->
+         Out_channel.output_string oc (Binfmt.encode_events_to_string events));
+       f path)
+
+let read_file path = In_channel.with_open_bin path Trace_io.read
+
+(* The first accessor on which two traces differ, if any. *)
+let trace_difference a b =
+  let n = Trace.length a in
+  let opt_eq eq x y =
+    match x, y with
+    | Some x, Some y -> eq x y
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  let first_position what differs =
+    let rec go i =
+      if i >= n then None
+      else if differs i then Some (Printf.sprintf "%s at position %d" what i)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let tasks = List.init (Trace.task_count a) (Trace.task_id a) in
+  let first_task what differs =
+    List.find_map
+      (fun p ->
+         if differs p then
+           Some (Printf.sprintf "%s of task %s" what (Task_id.to_string p))
+         else None)
+      tasks
+  in
+  let checks =
+    [ (fun () -> if Trace.length b <> n then Some "length" else None)
+    ; (fun () ->
+        first_position "event" (fun i ->
+          not (Trace.event_equal (Trace.get a i) (Trace.get b i))))
+    ; (fun () ->
+        first_position "kind" (fun i -> Trace.kind a i <> Trace.kind b i))
+    ; (fun () ->
+        first_position "thread index" (fun i ->
+          Trace.thread_index a i <> Trace.thread_index b i))
+    ; (fun () ->
+        first_position "operand" (fun i ->
+          Trace.operand a i <> Trace.operand b i))
+    ; (fun () ->
+        first_position "enclosing task" (fun i ->
+          not
+            (opt_eq Task_id.equal (Trace.enclosing_task a i)
+               (Trace.enclosing_task b i))
+          || Trace.enclosing_index a i <> Trace.enclosing_index b i))
+    ; (fun () ->
+        first_position "location id" (fun i ->
+          Trace.location_id a i <> Trace.location_id b i))
+    ; (fun () ->
+        let la = Trace.locations a and lb = Trace.locations b in
+        if
+          Array.length la <> Array.length lb
+          || not (Array.for_all2 Location.equal la lb)
+          || List.exists
+               (fun l -> Trace.location_accesses a l <> Trace.location_accesses b l)
+               (List.init (Array.length la) Fun.id)
+        then Some "locations"
+        else None)
+    ; (fun () ->
+        if not (List.equal Thread_id.equal (Trace.threads a) (Trace.threads b))
+        then Some "threads"
+        else None)
+    ; (fun () ->
+        if not (List.equal Task_id.equal (Trace.tasks a) (Trace.tasks b)) then
+          Some "tasks"
+        else None)
+    ; (fun () ->
+        if
+          Trace.task_count b <> Trace.task_count a
+          || Trace.lock_count b <> Trace.lock_count a
+          || List.exists
+               (fun k -> not (Ident.Lock_id.equal (Trace.lock_id a k) (Trace.lock_id b k)))
+               (List.init (Trace.lock_count a) Fun.id)
+        then Some "task or lock tables"
+        else None)
+    ; (fun () ->
+        first_task "index" (fun p ->
+          Trace.index_of_task a p <> Trace.index_of_task b p
+          || List.exists
+               (fun at -> at a p <> at b p)
+               [ Trace.post_index; Trace.begin_index; Trace.end_index
+               ; Trace.enable_index; Trace.cancel_index ]))
+    ; (fun () ->
+        first_task "target" (fun p ->
+          not (opt_eq Thread_id.equal (Trace.post_target a p) (Trace.post_target b p))))
+    ; (fun () ->
+        first_task "flavour" (fun p -> Trace.post_flavour a p <> Trace.post_flavour b p))
+    ; (fun () -> if Trace.stats a <> Trace.stats b then Some "stats" else None)
+    ]
+  in
+  List.find_map (fun check -> check ()) checks
+
+let prop_binary_equals_list =
+  QCheck2.Test.make ~name:"binary load equals the list build" ~count:60
+    ~print:QCheck2.Print.(triple int int int)
+    QCheck2.Gen.(triple (int_bound 2) (int_bound 10_000) (int_range 10 120))
+    (fun input ->
+       let t = id_trace input in
+       let events = Trace.events t in
+       let listed = Trace.of_events_exn events in
+       let text = Result.get_ok (Trace_io.parse (Trace_io.to_string t)) in
+       with_binary_file events (fun path ->
+         match Trace_io.load path with
+         | Error msg -> QCheck2.Test.fail_reportf "load: %s" msg
+         | Ok binary ->
+           List.iter
+             (fun (name, u) ->
+                match trace_difference listed u with
+                | Some what -> QCheck2.Test.fail_reportf "%s: %s differs" name what
+                | None -> ())
+             [ ("binary", binary); ("text", text) ];
+           true))
+
+(* Ill-formedness is reported with one message whichever reader met it:
+   valid traces with one event repeated or moved elsewhere. *)
+let prop_ill_formed_same_message =
+  QCheck2.Test.make ~name:"ill-formed lists give one message, list or binary"
+    ~count:100
+    ~print:QCheck2.Print.(quad int int int int)
+    QCheck2.Gen.(
+      quad (int_bound 10_000) (int_range 10 80) (int_bound 1_000) (int_bound 1_000))
+    (fun (seed, size, a, b) ->
+       let events = Trace.events (Random_trace.generate ~seed ~size ()) in
+       let n = List.length events in
+       let moved = List.nth events (a mod n) and at = b mod (n + 1) in
+       let mutant =
+         List.concat
+           (List.mapi
+              (fun i e ->
+                 (if i = at then [ moved ] else [])
+                 @ if i = a mod n && seed mod 2 = 0 then [] else [ e ])
+              events)
+         @ if at = n then [ moved ] else []
+       in
+       with_binary_file mutant (fun path ->
+         match Trace.of_events mutant, Trace_io.load path with
+         | Ok listed, Ok binary -> trace_difference listed binary = None
+         | Error msg, Error msg' -> msg' = "ill-formed trace: " ^ msg
+         | Ok _, Error msg | Error msg, Ok _ ->
+           QCheck2.Test.fail_reportf "one reader accepts, the other: %s" msg))
+
+(* Hostile bytes: the builder's decoding and the fold agree on every
+   mutated or truncated encoding — the same located error, or the same
+   trace from the same events. *)
+let prop_hostile_bytes_agree =
+  QCheck2.Test.make ~name:"hostile bytes: load and fold agree" ~count:300
+    ~print:QCheck2.Print.(pair (pair int int) (list (pair int int)))
+    QCheck2.Gen.(
+      pair
+        (pair (int_bound 10_000) (int_range 5 60))
+        (list_size (int_range 0 3) (pair (int_bound 100_000) (int_bound 255))))
+    (fun ((seed, size), edits) ->
+       let bytes =
+         Binfmt.encode_events_to_string
+           (Trace.events (Random_trace.generate ~seed ~size ()))
+       in
+       let n = String.length bytes in
+       let mutated = Bytes.of_string bytes in
+       List.iter
+         (fun (at, byte) -> Bytes.set mutated (5 + (at mod (n - 5))) (Char.chr byte))
+         edits;
+       let cut = if seed mod 3 = 0 then n - (seed mod 7) else n in
+       let mutated = Bytes.sub_string mutated 0 (max 5 cut) in
+       let b = Trace.Builder.create () in
+       match Binfmt.decode_string mutated, Binfmt.build_string mutated b with
+       | Error e, Error e' -> e = e'
+       | Ok events, Ok () ->
+         (match Trace.of_events events, Trace.Builder.finish b with
+          | Ok listed, Ok built -> trace_difference listed built = None
+          | Error msg, Error msg' -> msg = msg'
+          | Ok _, Error msg | Error msg, Ok _ ->
+            QCheck2.Test.fail_reportf "one build accepts, the other: %s" msg)
+       | Error e, Ok () | Ok _, Error e ->
+         QCheck2.Test.fail_reportf "one decoder accepts, the other: %s"
+           (Binfmt.error_message e))
+
+let test_ill_formed_same_message () =
+  let p = task "p" and q = task "q" in
+  List.iter
+    (fun events ->
+       match Trace.of_events events with
+       | Ok _ -> Alcotest.fail "ill-formed list accepted"
+       | Error msg ->
+         with_binary_file events (fun path ->
+           match read_file path with
+           | Error (Trace_io.Ill_formed msg') ->
+             Alcotest.(check string) "same message" msg msg'
+           | Error e -> Alcotest.failf "binary: %s" (Trace_io.read_error_message e)
+           | Ok _ -> Alcotest.fail "ill-formed binary accepted"))
+    [ [ post 0 p 1; post 0 p 1 ]
+    ; [ begin_task 1 p ]
+    ; [ post 0 p 1; begin_task 2 p ]
+    ; [ post 0 p 1; post 0 q 1; begin_task 1 p; begin_task 1 q ]
+    ; [ post 0 p 1; end_task 1 p ]
+    ; [ post 0 p 1; post 0 q 1; begin_task 1 p; end_task 1 q ]
+    ; [ post 0 p 1; begin_task 1 p; end_task 1 p; end_task 1 p ]
+    ; [ attachq 1; attachq 1 ]
+    ; [ looponq 1 ]
+    ; [ attachq 1; looponq 1; looponq 1 ]
+    ; [ enable 0 p; enable 0 p ]
+    ; [ cancel 0 p; cancel 0 p ]
+    ; [ post 0 p 1; begin_task 1 p; begin_task 1 p ]
+    ]
+
+(* A decode error anywhere wins over an ill-formedness met before it,
+   as when the whole input was decoded before the trace was built. *)
+let test_decode_error_wins () =
+  let events =
+    [ threadinit 1; attachq 1; attachq 1; threadinit 2
+    ; write 2 (loc ~obj:300 "f") ]
+  in
+  let bytes = Binfmt.encode_events_to_string events in
+  let cut = String.sub bytes 0 (String.length bytes - 1) in
+  let path = Filename.temp_file "trace_test" ".drt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc cut);
+       let expected =
+         match Binfmt.decode_string cut with
+         | Error e -> e
+         | Ok _ -> Alcotest.fail "truncated bytes decoded"
+       in
+       check_int "the decode error is at the last event" 4 expected.Binfmt.be_index;
+       match read_file path with
+       | Error (Trace_io.Binary e) ->
+         Alcotest.(check string) "decode error"
+           (Binfmt.error_message expected) (Binfmt.error_message e)
+       | Error e ->
+         Alcotest.failf "expected the decode error, got %s"
+           (Trace_io.read_error_message e)
+       | Ok _ -> Alcotest.fail "truncated trace loaded")
+
+(* Identifier strings defined twice, used by both indices: one task,
+   one lock, one location, as in the list build of the same events. *)
+let test_duplicate_idents () =
+  let buf = Buffer.create 64 in
+  let byte n = Buffer.add_char buf (Char.chr n) in
+  Buffer.add_string buf Binfmt.magic;
+  byte Binfmt.version;
+  let idents = [ "C"; "f"; "C"; "f"; "job"; "job"; "lk"; "lk" ] in
+  byte (List.length idents);
+  List.iter
+    (fun s ->
+       byte (String.length s);
+       Buffer.add_string buf s)
+    idents;
+  (* tag, zigzag thread delta (0: thread t0 throughout), operands *)
+  List.iter (List.iter byte)
+    [ [ 0x01; 0 ] (* threadinit *)
+    ; [ 0x03; 0 ] (* attachq *)
+    ; [ 0x04; 0 ] (* looponq *)
+    ; [ 0x07; 0; 4; 2; 0 ] (* post job#0 (index 4) t0 *)
+    ; [ 0x0a; 0; 5; 2 ] (* begin job#0 (index 5) *)
+    ; [ 0x0e; 0; 6 ] (* acquire lk (index 6) *)
+    ; [ 0x11; 0; 0; 1; 3 ] (* write C.f@3 (indices 0, 1) *)
+    ; [ 0x10; 0; 2; 3; 3 ] (* read C.f@3 (indices 2, 3) *)
+    ; [ 0x0f; 0; 7 ] (* release lk (index 7) *)
+    ; [ 0x0b; 0; 4; 0 ] (* end job#0 (index 4) *)
+    ];
+  let bytes = Buffer.contents buf in
+  let events =
+    match Binfmt.decode_string bytes with
+    | Ok events -> events
+    | Error e -> Alcotest.failf "decode: %s" (Binfmt.error_message e)
+  in
+  let b = Trace.Builder.create () in
+  (match Binfmt.build_string bytes b with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "build: %s" (Binfmt.error_message e));
+  match Trace.Builder.finish b with
+  | Error msg -> Alcotest.failf "ill-formed: %s" msg
+  | Ok binary ->
+    check_int "one location" 1 (Trace.location_count binary);
+    check_int "one task" 1 (Trace.task_count binary);
+    check_int "one lock" 1 (Trace.lock_count binary);
+    (match trace_difference (Trace.of_events_exn events) binary with
+     | Some what -> Alcotest.failf "%s differs" what
+     | None -> ())
+
 let () =
   Alcotest.run "trace"
     [ ( "ident"
@@ -470,6 +768,17 @@ let () =
         ; Alcotest.test_case "stats" `Quick test_stats
         ; Alcotest.test_case "ill-formed traces rejected" `Quick test_ill_formed
         ; Alcotest.test_case "remove cancelled" `Quick test_remove_cancelled
+        ] )
+    ; ( "builder"
+      , [ Alcotest.test_case "ill-formed: one message, list or binary" `Quick
+            test_ill_formed_same_message
+        ; Alcotest.test_case "a later decode error wins" `Quick
+            test_decode_error_wins
+        ; Alcotest.test_case "identifiers defined twice" `Quick
+            test_duplicate_idents
+        ; QCheck_alcotest.to_alcotest prop_binary_equals_list
+        ; QCheck_alcotest.to_alcotest prop_ill_formed_same_message
+        ; QCheck_alcotest.to_alcotest prop_hostile_bytes_agree
         ] )
     ; ( "io"
       , [ Alcotest.test_case "figures round trip" `Quick test_io_round_trip_figures

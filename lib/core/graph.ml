@@ -81,8 +81,6 @@ let kind t id =
   let pos = t.anchor.(id) in
   if pos >= 0 then Anchor pos else Access_block
 
-let anchor_pos t id = t.anchor.(id)
-
 let node_of_pos t pos =
   if pos < 0 || pos >= Array.length t.node_of_pos then
     invalid_arg (Printf.sprintf "Graph.node_of_pos: position %d out of bounds" pos);

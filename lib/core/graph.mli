@@ -40,9 +40,6 @@ val kind : t -> int -> node_kind
 val node_of_pos : t -> int -> int
 (** The node containing a trace position. *)
 
-val anchor_pos : t -> int -> int
-(** The position of an anchor node, [-1] for an access block. *)
-
 val thread_of_node : t -> int -> Ident.Thread_id.t
 
 val thread_index_of_node : t -> int -> int

@@ -248,11 +248,13 @@ type sink =
   | Events
   | Columns of Trace.Builder.t
 
-(* Events: the last object of one (cls, field) and its operations. *)
+(* One (cls, field): the last object accessed on it, with its
+   operations (events) or its location id (columns). *)
 type loc_memo =
   { mutable m_obj : int
   ; mutable m_read : Operation.t
   ; mutable m_write : Operation.t
+  ; mutable m_id : int
   }
 
 type decoder =
@@ -273,14 +275,9 @@ type decoder =
         (* Columns: per canonical name, instance -> task index *)
   ; mutable lock_memo : Lock_id.t option array  (* Events: per canonical idx *)
   ; mutable lock_ix : int array  (* Columns: per canonical idx; -1 = unseen *)
-  ; loc_memo : loc_memo Ident.Int_table.t  (* cls<<21 | field, canonical *)
-  ; mutable loc_slots : int array
-        (* Columns: open addressing from the key cls<<21 | field
-           (canonical) and the object to the location id, a slot of
-           three ints each: key (-1 = empty), object, id *)
-  ; mutable locs : int
-  ; wide_locs : (int * int * int, int) Hashtbl.t
-        (* Columns: locations whose indices do not fit the packed key *)
+  ; loc_memo : loc_memo Ident.Int_table.t  (* by [loc_key] *)
+  ; loc_ids : (int * int, int) Hashtbl.t
+        (* Columns: ([loc_key], object) -> location id *)
   ; mutable prev_thread : int
   ; mutable decoded : int
   ; mutable r_tag : int
@@ -399,9 +396,7 @@ let make_decoder ~base_offset ~sink fill =
   ; lock_memo = Array.make 64 None
   ; lock_ix = Array.make 64 (-1)
   ; loc_memo = Ident.Int_table.create 256
-  ; loc_slots = Array.make (3 * 256) (-1)
-  ; locs = 0
-  ; wide_locs = Hashtbl.create 16
+  ; loc_ids = Hashtbl.create 256
   ; prev_thread = 0
   ; decoded = 0
   ; r_tag = 0
@@ -482,6 +477,9 @@ let checked_thread n =
 
 let read_target d thread = checked_thread (thread + read_signed d)
 
+let location_of_record d =
+  Location.make ~cls:d.idents.(d.r_a) ~field:d.idents.(d.r_b) ~obj:d.r_c
+
 (* Record tag -> operation kind; tag 0 (DEF) is no event. *)
 let kind_of_tag : Trace.kind array =
   [| Thread_init; Thread_init; Thread_exit; Attach_queue; Loop_on_queue
@@ -528,12 +526,29 @@ let rec next_record d =
          check_ident d field;
          d.r_a <- d.canon.(cls);
          d.r_b <- d.canon.(field);
-         d.r_c <- obj);
+         d.r_c <- obj;
+         (* a negative object fails [Location.make] here, with the
+            message a sink would give, and never meets a memo *)
+         if obj < 0 then ignore (location_of_record d));
       true
     end
   end
 
-let packs cls field = cls < 0x200000 && field < 0x200000
+(* The access in the registers' canonical class and field indices,
+   both below [max_ident_count], packed in one int. *)
+let loc_key d = (d.r_a lsl 24) lor d.r_b
+
+(* The memo of the access in the registers, made on first use.  A fresh
+   memo's object, -1, matches no access: [next_record] rejects a
+   negative object. *)
+let loc_memo d =
+  let key = loc_key d in
+  match Ident.Int_table.find d.loc_memo key with
+  | m -> m
+  | exception Not_found ->
+    let m = { m_obj = -1; m_read = Thread_init; m_write = Thread_init; m_id = -1 } in
+    Ident.Int_table.add d.loc_memo key m;
+    m
 
 (* {3 The event sink} *)
 
@@ -555,33 +570,15 @@ let lock_of_record d =
     d.lock_memo.(d.r_a) <- Some lock;
     lock
 
-let location_of_record d =
-  Location.make ~cls:d.idents.(d.r_a) ~field:d.idents.(d.r_b) ~obj:d.r_c
-
 let access_of_record d ~write =
-  let cls = d.r_a and field = d.r_b and obj = d.r_c in
-  if packs cls field then begin
-    let key = (cls lsl 21) lor field in
-    match Ident.Int_table.find_opt d.loc_memo key with
-    | Some m when m.m_obj = obj -> if write then m.m_write else m.m_read
-    | found ->
-      let location = location_of_record d in
-      let m_read = Operation.Read location in
-      let m_write = Operation.Write location in
-      (match found with
-       | Some m ->
-         m.m_obj <- obj;
-         m.m_read <- m_read;
-         m.m_write <- m_write
-       | None ->
-         Ident.Int_table.replace d.loc_memo key
-           { m_obj = obj; m_read; m_write });
-      if write then m_write else m_read
-  end
-  else begin
+  let m = loc_memo d in
+  if m.m_obj <> d.r_c then begin
     let location = location_of_record d in
-    if write then Operation.Write location else Operation.Read location
-  end
+    m.m_obj <- d.r_c;
+    m.m_read <- Read location;
+    m.m_write <- Write location
+  end;
+  if write then m.m_write else m.m_read
 
 let event_of_record d =
   let op : Operation.t =
@@ -622,56 +619,25 @@ let lock_index d b =
   end
 
 (* Location ids in order of first access: a location is registered
-   with the builder when its first access is decoded, and found by its
-   packed key and object afterwards, with linear probing in a table at
-   most half full. *)
-let rec probe slots key obj i =
-  let k = Array.unsafe_get slots i in
-  if (k = key && Array.unsafe_get slots (i + 1) = obj) || k = -1 then i
-  else probe slots key obj (if i + 3 = Array.length slots then 0 else i + 3)
-
-(* The slot of a key and object: theirs, or the empty one to fill. *)
-let loc_slot slots key obj =
-  let h = (key * 0x2545F491) lxor (obj * 0x9E3779B1) in
-  probe slots key obj (3 * ((h lxor (h lsr 17)) land ((Array.length slots / 3) - 1)))
-
-let grow_locs d =
-  let old = d.loc_slots in
-  let slots = Array.make (2 * Array.length old) (-1) in
-  for i = 0 to (Array.length old / 3) - 1 do
-    let key = old.(3 * i) in
-    if key >= 0 then begin
-      let j = loc_slot slots key old.((3 * i) + 1) in
-      Array.blit old (3 * i) slots j 3
-    end
-  done;
-  d.loc_slots <- slots
-
+   with the builder when its first access is decoded.  The memo answers
+   an access to the last object of its (cls, field), the table any
+   other. *)
 let location_index d b =
-  let cls = d.r_a and field = d.r_b and obj = d.r_c in
-  if packs cls field then begin
-    let key = (cls lsl 21) lor field in
-    let slots = d.loc_slots in
-    let i = loc_slot slots key obj in
-    if Array.unsafe_get slots i = key then Array.unsafe_get slots (i + 2)
-    else begin
-      let id = Trace.Builder.new_location b (location_of_record d) in
-      slots.(i) <- key;
-      slots.(i + 1) <- obj;
-      slots.(i + 2) <- id;
-      d.locs <- d.locs + 1;
-      if 2 * d.locs > Array.length slots / 3 then grow_locs d;
-      id
-    end
-  end
-  else begin
-    match Hashtbl.find_opt d.wide_locs (cls, field, obj) with
-    | Some id -> id
-    | None ->
-      let id = Trace.Builder.new_location b (location_of_record d) in
-      Hashtbl.add d.wide_locs (cls, field, obj) id;
-      id
-  end
+  let m = loc_memo d and obj = d.r_c in
+  if m.m_obj <> obj then begin
+    let key = (loc_key d, obj) in
+    let id =
+      match Hashtbl.find d.loc_ids key with
+      | id -> id
+      | exception Not_found ->
+        let id = Trace.Builder.new_location b (location_of_record d) in
+        Hashtbl.add d.loc_ids key id;
+        id
+    in
+    m.m_obj <- obj;
+    m.m_id <- id
+  end;
+  m.m_id
 
 let push_record d b =
   let kind = d.r_kind and th = d.r_thread in

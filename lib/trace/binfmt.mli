@@ -135,7 +135,7 @@ val decode_string : string -> (Trace.event list, error) result
     validated on their first use in each role, at the same event and
     with the same message as the folds.  A structural violation does
     not stop decoding (the builder keeps the first one, see
-    {!Trace.Builder.failed}), so a later decode error still takes
+    {!Trace.Builder.finish}), so a later decode error still takes
     precedence. *)
 
 val build_after_magic :

@@ -218,7 +218,8 @@ module Location = struct
 end
 
 (* The hash folds the high bits onto the low ones, which pick the
-   bucket: Binfmt's location memo packs two 21-bit indices in a key. *)
+   bucket: Binfmt's location memo packs two identifier indices in a
+   key. *)
 module Int_table = Hashtbl.Make (struct
     type t = int
 

@@ -109,7 +109,10 @@ module Builder : sig
   (** The trace, or the message of the first well-formedness
       violation.  Operations after a violation are ignored, but
       identifiers can still be registered: a reader keeps reading, so
-      that a later parse or decode error takes precedence. *)
+      that a later parse or decode error takes precedence.  Columns more than half
+      empty are trimmed to the trace's length.  The trace shares the
+      builder's identifier tables, so the builder is spent: any later
+      call on it raises [Invalid_argument]. *)
 end
 
 val of_events : event list -> (t, string) result

@@ -287,10 +287,12 @@ let read ic =
   let prefix = input_prefix ic 4 in
   if Binfmt.is_magic prefix then begin
     (* Room for the events up front, on the file's size: catalog
-       traces take 5-7.5 bytes per event. *)
+       traces take 5-7.5 bytes per event.  Past a million positions
+       (25 MB of columns) the columns grow by doubling instead, so a
+       file of mostly identifier definitions cannot reserve more. *)
     let capacity =
       match In_channel.length ic with
-      | bytes -> min (1 lsl 22) (Int64.to_int bytes / 5)
+      | bytes -> min (1 lsl 20) (Int64.to_int bytes / 5)
       | exception Sys_error _ -> 1024
     in
     let b = Trace.Builder.create ~capacity () in

@@ -746,6 +746,59 @@ let test_duplicate_idents () =
      | Some what -> Alcotest.failf "%s differs" what
      | None -> ())
 
+(* A negative object fails [Location.make] in both decoders, at the
+   same byte and event, even as the first access to its (class,
+   field). *)
+let test_negative_object () =
+  let buf = Buffer.create 64 in
+  let byte n = Buffer.add_char buf (Char.chr n) in
+  Buffer.add_string buf Binfmt.magic;
+  byte Binfmt.version;
+  byte 2;
+  List.iter
+    (fun s ->
+       byte (String.length s);
+       Buffer.add_string buf s)
+    [ "C"; "f" ];
+  List.iter byte [ 0x01; 0 ] (* threadinit t0 *);
+  (* write C.f@-1: the object is the 63-bit varint of -1 *)
+  List.iter byte ([ 0x11; 0; 0; 1 ] @ List.init 8 (fun _ -> 0xff) @ [ 0x7f ]);
+  let bytes = Buffer.contents buf in
+  let b = Trace.Builder.create () in
+  match Binfmt.decode_string bytes, Binfmt.build_string bytes b with
+  | Error e, Error e' ->
+    Alcotest.(check string) "same error" (Binfmt.error_message e)
+      (Binfmt.error_message e');
+    check_int "at the write" 1 e'.Binfmt.be_index;
+    check_bool "names the object" true
+      (String.ends_with ~suffix:"negative object id" e'.Binfmt.be_message)
+  | _ -> Alcotest.fail "a negative object decoded"
+
+(* [finish] spends a builder: the trace shares its tables. *)
+let test_spent_builder () =
+  let b = Trace.Builder.create () in
+  Trace.Builder.add b (threadinit 1);
+  let trace =
+    match Trace.Builder.finish b with
+    | Ok trace -> trace
+    | Error msg -> Alcotest.failf "ill-formed: %s" msg
+  in
+  let refused name f =
+    check_bool name true
+      (match f () with
+       | exception Invalid_argument _ -> true
+       | _ -> false)
+  in
+  refused "add" (fun () -> Trace.Builder.add b (threadinit 2));
+  refused "push" (fun () -> Trace.Builder.push b Trace.Thread_init 3 (-1));
+  refused "post" (fun () ->
+    Trace.Builder.post b 1 0 ~target:(Thread_id.make 1) ~flavour:Immediate);
+  refused "new_task" (fun () -> ignore (Trace.Builder.new_task b (task "p")));
+  refused "finish" (fun () -> ignore (Trace.Builder.finish b));
+  check_int "one position" 1 (Trace.length trace);
+  check_int "one thread" 1 (Trace.thread_count trace);
+  check_int "thread 2 unknown" (-1) (Trace.index_of_thread trace (Thread_id.make 2))
+
 let () =
   Alcotest.run "trace"
     [ ( "ident"
@@ -776,6 +829,10 @@ let () =
             test_decode_error_wins
         ; Alcotest.test_case "identifiers defined twice" `Quick
             test_duplicate_idents
+        ; Alcotest.test_case "a negative object fails in both decoders" `Quick
+            test_negative_object
+        ; Alcotest.test_case "a spent builder refuses more" `Quick
+            test_spent_builder
         ; QCheck_alcotest.to_alcotest prop_binary_equals_list
         ; QCheck_alcotest.to_alcotest prop_ill_formed_same_message
         ; QCheck_alcotest.to_alcotest prop_hostile_bytes_agree

@@ -348,6 +348,91 @@ let test_vargen_masked_variant () =
     (fun l -> check_bool ("covers " ^ l) true (List.mem l feasible))
     dense_locs
 
+(* {1 Pinned: reports stay as they are}
+
+   Every pair of the masked test traces and of twelve Longtrace traces
+   in the shape of the benchmark's masked corpus (3 loopers, 2 planted,
+   2 masked, 1,600 events), one line each, against
+   [data/predict_reports.txt]: positions, observed flag, verdict and
+   reason, window and iterations, and for a Feasible pair the witness's
+   length, new positions, flags and the MD5 of its text form.  A change
+   to how witnesses are built or checked must leave every line as it
+   is. *)
+
+let pin_traces () =
+  let longtrace ~seed ~loopers ~masked ~events =
+    let config =
+      { Longtrace.default_config with
+        Longtrace.planted = 2
+      ; masked
+      ; loopers
+      ; seed
+      }
+    in
+    ( Printf.sprintf "longtrace seed=%d loopers=%d masked=%d events=%d" seed
+        loopers masked events
+    , longtrace_trace config ~events )
+  in
+  [ ("lock-masked minimal", masked_trace)
+  ; ("figure 4", figure4)
+  ; ("FIFO", fifo_trace)
+  ; longtrace ~seed:11 ~loopers:3 ~masked:2 ~events:800
+  ; longtrace ~seed:11 ~loopers:3 ~masked:2 ~events:1600
+  ; longtrace ~seed:42 ~loopers:3 ~masked:2 ~events:800
+  ; longtrace ~seed:7 ~loopers:2 ~masked:3 ~events:900
+  ]
+  @ List.init 12 (fun i ->
+    longtrace ~seed:(101 + (2 * i)) ~loopers:3 ~masked:2 ~events:1600)
+
+let pair_line (p : Predict.pair_result) =
+  let a, b = positions p.Predict.pr_pair in
+  let verdict =
+    match p.Predict.pr_verdict with
+    | Predict.Feasible w ->
+      Printf.sprintf
+        "feasible length=%d at=%d,%d flipped=%b wellformed=%b replayed=%s \
+         unordered=%b md5=%s"
+        (Trace.length w.Predict.w_trace) w.Predict.w_first w.Predict.w_second
+        w.Predict.w_flipped w.Predict.w_wellformed
+        (match w.Predict.w_replayed with
+         | Some ok -> string_of_bool ok
+         | None -> "none")
+        w.Predict.w_unordered
+        (Digest.to_hex (Digest.string (Trace_io.to_string w.Predict.w_trace)))
+    | Predict.Refuted r -> "refuted " ^ Predict.refutation_label r
+    | Predict.Unknown u -> "unknown " ^ Predict.unknown_label u
+  in
+  Printf.sprintf "%d,%d observed=%b window=%s iterations=%d %s" a b
+    p.Predict.pr_observed
+    (match p.Predict.pr_window with
+     | Some (lo, hi) -> Printf.sprintf "%d-%d" lo hi
+     | None -> "none")
+    p.Predict.pr_iterations verdict
+
+let report_lines () =
+  List.concat_map
+    (fun (name, t) ->
+       ("# " ^ name) :: List.map pair_line (Predict.analyze t).Predict.pairs)
+    (pin_traces ())
+
+let test_reports_stable () =
+  let path =
+    if Sys.file_exists "data/predict_reports.txt" then "data/predict_reports.txt"
+    else "test/data/predict_reports.txt"
+  in
+  let expected = In_channel.with_open_text path In_channel.input_lines in
+  let actual = report_lines () in
+  let rec compare_lines n = function
+    | [], [] -> ()
+    | e :: es, a :: as_ ->
+      if e <> a then
+        Alcotest.failf "line %d:\n  expected %s\n  got      %s" n e a;
+      compare_lines (n + 1) (es, as_)
+    | e :: _, [] -> Alcotest.failf "line %d: missing %s" n e
+    | [], a :: _ -> Alcotest.failf "line %d: unexpected %s" n a
+  in
+  compare_lines 1 (expected, actual)
+
 (* {1 Soundness and completeness properties} *)
 
 (* Every random Step-valid trace: predictive ⊇ dense, all witnesses
@@ -428,6 +513,8 @@ let () =
         ; Alcotest.test_case "unmasked stays feasible" `Quick
             test_unmasked_still_feasible
         ; Alcotest.test_case "FIFO alone refutes" `Quick test_fifo_refutes
+        ; Alcotest.test_case "predict reports are stable" `Quick
+            test_reports_stable
         ] )
     ; ( "adversarial"
       , [ Alcotest.test_case "cyclic constraints" `Quick

@@ -1355,9 +1355,7 @@ let predict_cmd =
             (Printf.sprintf "%s-pair%03d.%s" base idx
                (if binary then "drt" else "trace"))
         in
-        (if binary then
-           Binfmt.write_file path (fun emit ->
-             List.iter emit (Trace.events w.Predict.w_trace))
+        (if binary then Binfmt.save path w.Predict.w_trace
          else Trace_io.save path w.Predict.w_trace);
         Hashtbl.replace witness_paths
           ( file

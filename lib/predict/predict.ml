@@ -263,6 +263,8 @@ let dense_unordered ~config trace i j =
   not (Happens_before.ordered hb i j)
 
 let check_witness ~config ~replay ~first ~second ~flipped trace =
+  Obs.with_span "predict.witness" @@ fun () ->
+  Obs.add ~n:(Trace.length trace) "predict.witness_events";
   let wellformed = Result.is_ok (Wellformed.check trace) in
   let replayed =
     if replay then Some (Result.is_ok (Step.validate trace)) else None
@@ -294,13 +296,6 @@ let window_start ~params ~first ~second =
   if second - first + 1 > params.window then None
   else Some (min first (max 0 (second - params.window + 1)))
 
-let truncated_witness trace upto =
-  let events = ref [] in
-  for p = upto downto 0 do
-    events := Trace.get trace p :: !events
-  done;
-  Trace.of_events_exn !events
-
 let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
     ~must_ordered (race : Race.t) ~observed =
   Obs.with_span "predict.pair" @@ fun () ->
@@ -311,11 +306,12 @@ let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
        the second access is its own witness (prefixes of admissible
        traces are admissible, and every rule instance and closure step
        of the prefix relation is one of the full relation, so the pair
-       stays unordered). *)
+       stays unordered).  The witness is a view of the analysed trace,
+       checked like any other. *)
     let w =
       check_witness ~config ~replay:replayable ~first:a ~second:b
         ~flipped:false
-        (truncated_witness trace b)
+        (Trace.prefix trace (b + 1))
     in
     if witness_ok w then begin
       Obs.add "predict.feasible";
@@ -403,26 +399,27 @@ let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
       Obs.add "predict.unknown";
       finish (Unknown Budget_exhausted)
     | Solver.Scheduled order ->
-      let events = ref [] in
-      for p = lo - 1 downto 0 do
-        events := Trace.get trace p :: !events
-      done;
-      let prefix_len = lo in
-      let rev_tail = List.rev_map (Trace.get trace) order in
-      let witness_events = !events @ List.rev rev_tail in
+      (* the replayed prefix [0, lo), then the solver's order *)
+      let positions =
+        Array.append (Array.init lo Fun.id) (Array.of_list order)
+      in
       let pos_in_witness p =
         (* position of trace position [p] in the witness *)
         let rec find i = function
           | [] -> raise Not_found
           | q :: rest -> if q = p then i else find (i + 1) rest
         in
-        prefix_len + find 0 order
+        lo + find 0 order
       in
       let first' = pos_in_witness a and second' = pos_in_witness b in
+      let witness =
+        match Trace.select trace positions with
+        | Ok witness -> witness
+        | Error msg -> invalid_arg ("Predict: ill-formed schedule: " ^ msg)
+      in
       let w =
         check_witness ~config ~replay:true ~first:first'
-          ~second:second' ~flipped:(second' < first')
-          (Trace.of_events_exn witness_events)
+          ~second:second' ~flipped:(second' < first') witness
       in
       if witness_ok w && w.w_flipped then begin
         Obs.add "predict.feasible";

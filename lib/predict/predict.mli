@@ -24,6 +24,9 @@ open! Import
       {e observed}: its witness is the observed trace truncated right
       after the second access (admissible prefixes stay admissible, and
       the relation of a prefix is the restriction of the full one).
+      The truncation is a {!Trace.prefix} view sharing the analysed
+      trace's storage, not a copy; the oracle checks it like any other
+      witness.
     - Candidates ordered by the {e must}-relation — the dense
       configuration with only the LOCK rule off, whose orderings hold
       in every admissible schedule (FIFO and NOPRE over must-facts are
@@ -39,10 +42,16 @@ open! Import
       thread lifecycle are enforced by construction), pruned by the
       {e must-happen-before} constraints of {!Hb_edges.must} — the
       static rules that hold in every admissible schedule.
+      A found schedule's witness is {!Trace.select} of the prefix
+      positions and the search's order: a fresh trace, built without an
+      event list.
     - Every witness is re-checked from scratch by the oracle
       ({!Wellformed.check}, {!Step.validate}, dense unorderedness at the
-      new positions); an engine bug can therefore produce [Unknown],
-      never an unsound [Feasible].
+      new positions), prefix views included, with nothing reused across
+      pairs; an engine bug can therefore produce [Unknown], never an
+      unsound [Feasible].  The checks run under the [predict.witness]
+      span, and the [predict.witness_events] counter sums the witnesses'
+      lengths.
 
     {2 Verdicts}
 
@@ -153,7 +162,9 @@ val refutation_label : refutation -> string
 val unknown_label : unknown_reason -> string
 
 type witness =
-  { w_trace : Trace.t  (** the complete reordered (or truncated) trace *)
+  { w_trace : Trace.t
+        (** the complete reordered trace, or the truncated one: a
+            {!Trace.prefix} view of the analysed trace *)
   ; w_first : int  (** position of the observed-first access in it *)
   ; w_second : int  (** position of the observed-second access in it *)
   ; w_flipped : bool

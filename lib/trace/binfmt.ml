@@ -139,8 +139,8 @@ let add_task enc name_idx instance =
   add_signed enc.buf (instance - last);
   if last <> instance then Hashtbl.replace enc.last_instance name_idx instance
 
-let encode enc (e : Trace.event) =
-  let t = Thread_id.to_int e.thread in
+let encode_op enc thread (op : Operation.t) =
+  let t = Thread_id.to_int thread in
   let dthread = t - enc.prev_thread in
   enc.prev_thread <- t;
   let buf = enc.buf in
@@ -148,7 +148,7 @@ let encode enc (e : Trace.event) =
     Buffer.add_char buf (Char.unsafe_chr tag);
     add_signed buf dthread
   in
-  (match e.op with
+  (match op with
    | Operation.Thread_init -> simple tag_thread_init
    | Operation.Thread_exit -> simple tag_thread_exit
    | Operation.Attach_queue -> simple tag_attach_queue
@@ -214,6 +214,8 @@ let encode enc (e : Trace.event) =
   enc.encoded <- enc.encoded + 1;
   maybe_flush enc
 
+let encode enc (e : Trace.event) = encode_op enc e.thread e.op
+
 let with_channel_encoder ?idents oc f =
   let enc = encoder ?idents (Out_channel.output_string oc) in
   Fun.protect ~finally:(fun () -> flush enc) (fun () -> f enc)
@@ -223,7 +225,11 @@ let write_file ?idents path f =
     with_channel_encoder ?idents oc (fun enc -> f (encode enc)))
 
 let save ?idents path trace =
-  write_file ?idents path (fun emit -> Trace.iteri (fun _ e -> emit e) trace)
+  Out_channel.with_open_bin path (fun oc ->
+    with_channel_encoder ?idents oc (fun enc ->
+      for i = 0 to Trace.length trace - 1 do
+        encode_op enc (Trace.thread trace i) (Trace.op trace i)
+      done))
 
 let encode_events_to_string ?idents events =
   let collect = Buffer.create 4096 in

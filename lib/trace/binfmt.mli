@@ -79,6 +79,8 @@ val write_file :
     closes the file when [f] returns. *)
 
 val save : ?idents:string list -> string -> Trace.t -> unit
+(** Encodes a trace to the named file, reading its columns and memoised
+    operations ({!Trace.thread}, {!Trace.op}): no event is rebuilt. *)
 
 val encode_events_to_string :
   ?idents:string list -> Trace.event list -> string

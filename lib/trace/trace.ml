@@ -671,9 +671,11 @@ let locations t = Array.copy t.locations
 let thread_count t = Array.length t.thread_ids
 let thread_id t k = t.thread_ids.(k)
 
+(* The identifier tables are shared with every {!prefix} view of the
+   trace, so an index is answered only below the view's bound. *)
 let index_of_thread t tid =
   match Ident.Int_table.find t.thread_index (Thread_id.to_int tid) with
-  | k -> k
+  | k -> if k < Array.length t.thread_ids then k else -1
   | exception Not_found -> -1
 
 let threads t = Array.to_list t.thread_ids
@@ -691,7 +693,7 @@ let task_id t k = t.task_ids.(k)
 
 let index_of_task t p =
   match Task_id.Table.find t.task_index p with
-  | k -> k
+  | k -> if k < Array.length t.task_ids then k else -1
   | exception Not_found -> -1
 
 let tasks t = Array.fold_right (fun k acc -> t.task_ids.(k) :: acc) t.posted []
@@ -733,6 +735,102 @@ let post_flavour t p =
 
 (* {1 Transformations} *)
 
+let prefix t n =
+  if n < 0 || n > t.len then
+    invalid_arg (Printf.sprintf "Trace.prefix: %d outside [0, %d]" n t.len);
+  if n = t.len then t
+  else begin
+    (* Every table is numbered in order of first use, so the ids the
+       first [n] positions use are those below one bound per table. *)
+    let nthreads = ref 0 and ntasks = ref 0 and nlocks = ref 0
+    and nlocs = ref 0 in
+    let counts = Array.make (Array.length t.locations) 0 in
+    let bound r x = if x >= !r then r := x + 1 in
+    for i = 0 to n - 1 do
+      bound nthreads (Array.unsafe_get t.thread_col i);
+      let x = Array.unsafe_get t.operand i in
+      match
+        Array.unsafe_get kinds_by_code (Char.code (Bytes.unsafe_get t.kinds i))
+      with
+      | Read | Write ->
+        counts.(x) <- counts.(x) + 1;
+        bound nlocs x
+      | Post | Begin_task | End_task | Enable | Cancel -> bound ntasks x
+      | Acquire | Release -> bound nlocks x
+      | Thread_init | Thread_exit | Fork | Join | Attach_queue | Loop_on_queue
+        -> ()
+    done;
+    let nthreads = !nthreads and ntasks = !ntasks in
+    (* a position at or past [n] is no position of the view *)
+    let before at k = Array.init k (fun j -> if at.(j) < n then at.(j) else -1) in
+    let post_at = before t.post_at ntasks in
+    let nposted = ref 0 in
+    while
+      !nposted < Array.length t.posted && t.post_at.(t.posted.(!nposted)) < n
+    do
+      incr nposted
+    done;
+    { t with
+      len = n
+    ; thread_ids = Array.sub t.thread_ids 0 nthreads
+    ; attach_at = before t.attach_at nthreads
+    ; loop_at = before t.loop_at nthreads
+    ; task_ids = Array.sub t.task_ids 0 ntasks
+    ; post_at
+    ; begin_at = before t.begin_at ntasks
+    ; end_at = before t.end_at ntasks
+    ; enable_at = before t.enable_at ntasks
+    ; cancel_at = before t.cancel_at ntasks
+    ; target =
+        (* [target_index] reads a target without asking [post_at], so a
+           cut post clears it; the shared flavours are read only where
+           [post_at] says posted *)
+        Array.init ntasks (fun k -> if post_at.(k) >= 0 then t.target.(k) else -1)
+    ; posted = Array.sub t.posted 0 !nposted
+    ; lock_ids = Array.sub t.lock_ids 0 !nlocks
+    ; locations = Array.sub t.locations 0 !nlocs
+    ; loc_accesses = Array.sub counts 0 !nlocs
+    }
+  end
+
+let select t positions =
+  (* the selected positions through a fresh builder, their ids
+     renumbered in order of first use *)
+  let b = Builder.create ~capacity:(Array.length positions) () in
+  let renumber map k fresh =
+    let k' = map.(k) in
+    if k' >= 0 then k'
+    else begin
+      let k' = fresh () in
+      map.(k) <- k';
+      k'
+    end
+  in
+  let loc_map = Array.make (location_count t) (-1)
+  and task_map = Array.make (task_count t) (-1)
+  and lock_map = Array.make (lock_count t) (-1) in
+  let task x = renumber task_map x (fun () -> Builder.new_task b t.task_ids.(x)) in
+  Array.iter
+    (fun i ->
+       if i < 0 || i >= t.len then out_of_bounds "select" i;
+       let kind = kind t i and x = t.operand.(i) in
+       let th = Thread_id.to_int t.thread_ids.(t.thread_col.(i)) in
+       match kind with
+       | Read | Write ->
+         Builder.push b kind th
+           (renumber loc_map x (fun () -> Builder.new_location b t.locations.(x)))
+       | Post ->
+         Builder.post b th (task x) ~target:(Thread_id.make t.target.(x))
+           ~flavour:(task_flavour t x)
+       | Begin_task | End_task | Enable | Cancel -> Builder.push b kind th (task x)
+       | Acquire | Release ->
+         Builder.push b kind th
+           (renumber lock_map x (fun () -> Builder.new_lock b t.lock_ids.(x)))
+       | Thread_init | Thread_exit | Fork | Join | Attach_queue | Loop_on_queue ->
+         Builder.push b kind th x)
+    positions;
+  Builder.finish b
+
 let remove_cancelled t =
   let cancelled k =
     let c = t.cancel_at.(k) in
@@ -743,53 +841,21 @@ let remove_cancelled t =
   in
   if Array.for_all (fun c -> c < 0) t.cancel_at then t
   else begin
-    (* the kept positions through a fresh builder, their ids renumbered
-       in order of first use *)
-    let b = Builder.create ~capacity:t.len () in
-    let renumber map k fresh =
-      let k' = map.(k) in
-      if k' >= 0 then k'
-      else begin
-        let k' = fresh () in
-        map.(k) <- k';
-        k'
-      end
-    in
-    let loc_map = Array.make (location_count t) (-1)
-    and task_map = Array.make (task_count t) (-1)
-    and lock_map = Array.make (lock_count t) (-1) in
-    let task x = renumber task_map x (fun () -> Builder.new_task b t.task_ids.(x)) in
-    for i = 0 to t.len - 1 do
-      let kind = kind t i and x = t.operand.(i) in
+    let kept = ref [] in
+    for i = t.len - 1 downto 0 do
       let keep =
-        match kind with
+        match kind t i with
         | Cancel -> false
-        | Post -> not (cancelled x)
+        | Post -> not (cancelled t.operand.(i))
         | Thread_init | Thread_exit | Fork | Join | Attach_queue
         | Loop_on_queue | Begin_task | End_task | Acquire | Release | Read
         | Write | Enable ->
           let e = t.enclosing.(i) in
           e < 0 || not (cancelled e)
       in
-      if keep then begin
-        let th = Thread_id.to_int t.thread_ids.(t.thread_col.(i)) in
-        match kind with
-        | Read | Write ->
-          Builder.push b kind th
-            (renumber loc_map x (fun () ->
-               Builder.new_location b t.locations.(x)))
-        | Post ->
-          Builder.post b th (task x) ~target:(Thread_id.make t.target.(x))
-            ~flavour:(task_flavour t x)
-        | Begin_task | End_task | Enable | Cancel -> Builder.push b kind th (task x)
-        | Acquire | Release ->
-          Builder.push b kind th
-            (renumber lock_map x (fun () -> Builder.new_lock b t.lock_ids.(x)))
-        | Thread_init | Thread_exit | Fork | Join | Attach_queue
-        | Loop_on_queue -> Builder.push b kind th x
-      end
+      if keep then kept := i :: !kept
     done;
-    match Builder.finish b with
+    match select t (Array.of_list !kept) with
     | Ok trace -> trace
     | Error msg -> invalid_arg ("Trace.remove_cancelled: " ^ msg)
   end

@@ -58,9 +58,10 @@ type kind =
 (** {1 Construction}
 
     Every trace is made by one {!Builder}: {!of_events},
-    {!of_rev_events}, {!Trace_io}'s text and binary readers and
-    {!remove_cancelled} all feed it, and it checks structural
-    well-formedness in position order, as each operation arrives. *)
+    {!of_rev_events}, {!Trace_io}'s text and binary readers, {!select}
+    and {!remove_cancelled} all feed it, and it checks structural
+    well-formedness in position order, as each operation arrives.  A
+    {!prefix} is a view of a built trace, sharing its storage. *)
 
 module Builder : sig
   type trace := t
@@ -281,13 +282,38 @@ val lock_id : t -> int -> Ident.Lock_id.t
 
 (** {1 Transformations} *)
 
+val prefix : t -> int -> t
+(** [prefix t n] is positions [[0, n)] of [t], equal on every accessor
+    to the trace {!of_events} builds from those events, but a view: it
+    shares [t]'s columns, its memoised operations and its identifier
+    tables, and copies only the dense per-identifier tables, cut to the
+    prefix.  Threads, tasks, locks and locations are numbered in order
+    of first use, so the prefix uses exactly the ids below one bound per
+    table; one pass over the [n] positions finds the bounds and
+    recounts {!location_accesses}.  Positions at or past [n] are no
+    positions of the view: {!post_at}, {!begin_at} and the other
+    position tables read [-1] for them, and {!index_of_thread} and
+    {!index_of_task} answer [-1] for a thread or task [t] numbers at or
+    past the bound.  [prefix t (length t)] is [t].
+    @raise Invalid_argument unless [0 <= n <= length t]. *)
+
+val select : t -> int array -> (t, string) result
+(** [select t positions] is the trace of the events at [positions], in
+    that order, as {!of_events} would build it: a fresh trace through
+    one {!Builder}, with identifiers renumbered in order of first use
+    and without rebuilding an event.  The positions may be any
+    reordering of any subset of [t]'s; [Error] carries the first
+    well-formedness violation of the selection.
+    @raise Invalid_argument if a position is out of bounds. *)
+
 val remove_cancelled : t -> t
 (** Deletes, for every task whose [cancel] precedes its [begin] (or that
     never began), the task's [post], the [cancel] itself and any
     operations of the task body; this is how Section 4.2 handles
     cancellation before happens-before analysis.  [cancel] operations for
     tasks that already began are deleted but the executed task is kept.
-    A trace without [cancel] operations is returned as it is. *)
+    The kept positions go through {!select}; a trace without [cancel]
+    operations is returned as it is. *)
 
 (** {1 Statistics (Table 2)} *)
 

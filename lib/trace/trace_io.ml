@@ -3,12 +3,17 @@ module Task_id = Ident.Task_id
 module Lock_id = Ident.Lock_id
 module Location = Ident.Location
 
-let print_event ppf (e : Trace.event) =
-  (* One line of the on-disk format; [parse_event] inverts it. *)
-  Format.fprintf ppf "%a %a" Thread_id.pp e.thread Operation.pp e.op
+(* One line of the on-disk format; [parse_event] inverts it. *)
+let print_op ppf thread op =
+  Format.fprintf ppf "%a %a" Thread_id.pp thread Operation.pp op
+
+let print_event ppf (e : Trace.event) = print_op ppf e.thread e.op
 
 let print ppf trace =
-  Trace.iteri (fun _ e -> Format.fprintf ppf "%a@\n" print_event e) trace
+  for i = 0 to Trace.length trace - 1 do
+    print_op ppf (Trace.thread trace i) (Trace.op trace i);
+    Format.pp_force_newline ppf ()
+  done
 
 let to_string trace = Format.asprintf "%a" print trace
 

@@ -41,6 +41,9 @@ val print_event : Format.formatter -> Trace.event -> unit
     are generated instead of materialising a {!Trace.t}. *)
 
 val print : Format.formatter -> Trace.t -> unit
+(** One {!print_event} line per position, read from the trace's columns
+    and memoised operations ({!Trace.thread}, {!Trace.op}): no event is
+    rebuilt. *)
 
 val to_string : Trace.t -> string
 

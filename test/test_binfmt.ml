@@ -95,6 +95,34 @@ let test_qcheck_roundtrip () =
           let s = Binfmt.encode_events_to_string events in
           events_equal events (decode_ok "qcheck" s)))
 
+(* The writers read a trace's columns, prefix views included, and
+   write the bytes the event encoders write. *)
+let test_qcheck_writers_match_events () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:40 ~name:"writers match the event encoders"
+       QCheck.(triple (int_bound 10_000) (int_range 10 400) (int_bound 1_000))
+       (fun (seed, size, cut) ->
+          let trace = Random_trace.generate ~seed ~size () in
+          let view = Trace.prefix trace (cut mod (Trace.length trace + 1)) in
+          List.for_all
+            (fun t ->
+               let events = Trace.events t in
+               let path = Filename.temp_file "binfmt_test" ".drt" in
+               let saved =
+                 Fun.protect
+                   ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+                   (fun () ->
+                      Binfmt.save path t;
+                      In_channel.with_open_bin path In_channel.input_all)
+               in
+               saved = Binfmt.encode_events_to_string events
+               && Trace_io.to_string t
+                  = String.concat ""
+                      (List.map
+                         (fun e -> Format.asprintf "%a\n" Trace_io.print_event e)
+                         events))
+            [ trace; view ]))
+
 (* {1 Text-parse ≡ binary-decode through the Trace_io dispatch} *)
 
 let longtrace_config =
@@ -394,6 +422,8 @@ let () =
             test_roundtrip_up_front_idents
         ; Alcotest.test_case "qcheck encode∘decode = id" `Slow
             test_qcheck_roundtrip
+        ; Alcotest.test_case "writers match the event encoders" `Quick
+            test_qcheck_writers_match_events
         ] )
     ; ( "dispatch"
       , [ Alcotest.test_case "text ≡ binary event streams" `Quick

@@ -466,8 +466,12 @@ let with_binary_file events f =
 
 let read_file path = In_channel.with_open_bin path Trace_io.read
 
-(* The first accessor on which two traces differ, if any. *)
-let trace_difference a b =
+(* The first accessor on which two traces differ, if any.  Threads and
+   tasks are also looked up by the ids of [universe] (default [a]): a
+   view of a longer trace must answer for the longer trace's ids as a
+   trace built without them does. *)
+let trace_difference ?universe a b =
+  let universe = Option.value universe ~default:a in
   let n = Trace.length a in
   let opt_eq eq x y =
     match x, y with
@@ -554,6 +558,31 @@ let trace_difference a b =
     ; (fun () ->
         first_task "flavour" (fun p -> Trace.post_flavour a p <> Trace.post_flavour b p))
     ; (fun () -> if Trace.stats a <> Trace.stats b then Some "stats" else None)
+    ; (fun () ->
+        List.find_map
+          (fun th ->
+             if
+               Trace.index_of_thread a th <> Trace.index_of_thread b th
+               || Trace.has_queue a th <> Trace.has_queue b th
+               || Trace.loop_index a th <> Trace.loop_index b th
+             then Some (Printf.sprintf "index of thread %d" (Thread_id.to_int th))
+             else None)
+          (Trace.threads universe))
+    ; (fun () ->
+        List.find_map
+          (fun k ->
+             if Trace.target_index a k <> Trace.target_index b k then
+               Some (Printf.sprintf "target index of task %d" k)
+             else None)
+          (List.init (Trace.task_count a) Fun.id))
+    ; (fun () ->
+        List.find_map
+          (fun k ->
+             let p = Trace.task_id universe k in
+             if Trace.index_of_task a p <> Trace.index_of_task b p then
+               Some ("index of task " ^ Task_id.to_string p)
+             else None)
+          (List.init (Trace.task_count universe) Fun.id))
     ]
   in
   List.find_map (fun check -> check ()) checks
@@ -578,6 +607,64 @@ let prop_binary_equals_list =
                 | None -> ())
              [ ("binary", binary); ("text", text) ];
            true))
+
+(* A prefix view and a selection equal the trace built from their
+   events: at the ends and a random point for [prefix] (and for
+   [remove_cancelled] of it), and for [select] on random subsequences —
+   of all positions, mostly ill-formed, and of the accesses and lock
+   operations only, always well-formed. *)
+let prop_prefix_select_equal_list =
+  QCheck2.Test.make ~name:"prefix and select equal the list build" ~count:60
+    ~print:QCheck2.Print.(quad int int int int)
+    QCheck2.Gen.(
+      quad (int_bound 2) (int_bound 10_000) (int_range 10 120) (int_bound 1_000_000))
+    (fun (source, seed, size, r) ->
+       let t = id_trace (source, seed, size) in
+       let len = Trace.length t in
+       let events = Array.of_list (Trace.events t) in
+       let differ name listed u =
+         match trace_difference ~universe:t listed u with
+         | Some what -> QCheck2.Test.fail_reportf "%s: %s differs" name what
+         | None -> ()
+       in
+       List.iter
+         (fun n ->
+            let listed =
+              Trace.of_events_exn (List.init n (fun i -> events.(i)))
+            in
+            let view = Trace.prefix t n in
+            differ (Printf.sprintf "prefix %d" n) listed view;
+            differ
+              (Printf.sprintf "remove_cancelled of prefix %d" n)
+              (Trace.remove_cancelled listed) (Trace.remove_cancelled view))
+         [ 0; 1; r mod (len + 1); len ];
+       let rng = Random.State.make [| r |] in
+       let subsequence keep =
+         List.filter keep (List.init len Fun.id) |> Array.of_list
+       in
+       let dropped_access i =
+         match Trace.kind t i with
+         | Read | Write | Acquire | Release -> Random.State.bool rng
+         | _ -> false
+       in
+       List.iter
+         (fun (name, positions) ->
+            match
+              ( Trace.of_events (Array.to_list (Array.map (Array.get events) positions))
+              , Trace.select t positions )
+            with
+            | Ok listed, Ok selected -> differ name listed selected
+            | Error msg, Error msg' when msg = msg' -> ()
+            | Error msg, Error msg' ->
+              QCheck2.Test.fail_reportf "%s: %S against %S" name msg msg'
+            | Ok _, Error msg | Error msg, Ok _ ->
+              QCheck2.Test.fail_reportf "%s: one build accepts, the other: %s" name msg)
+         [ ("select all", subsequence (fun _ -> true))
+         ; ("select any", subsequence (fun _ -> Random.State.bool rng))
+         ; ("select without some accesses",
+            subsequence (fun i -> not (dropped_access i)))
+         ];
+       true)
 
 (* Ill-formedness is reported with one message whichever reader met it:
    valid traces with one event repeated or moved elsewhere. *)
@@ -836,6 +923,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_binary_equals_list
         ; QCheck_alcotest.to_alcotest prop_ill_formed_same_message
         ; QCheck_alcotest.to_alcotest prop_hostile_bytes_agree
+        ; QCheck_alcotest.to_alcotest prop_prefix_select_equal_list
         ] )
     ; ( "io"
       , [ Alcotest.test_case "figures round trip" `Quick test_io_round_trip_figures

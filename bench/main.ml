@@ -26,6 +26,7 @@ module Runtime = Droidracer_appmodel.Runtime
 module Catalog = Droidracer_corpus.Catalog
 module Synthetic = Droidracer_corpus.Synthetic
 module Experiments = Droidracer_report.Experiments
+module Supervisor = Droidracer_report.Supervisor
 module Table = Droidracer_report.Table
 module Obs = Droidracer_obs.Obs
 
@@ -104,9 +105,13 @@ let () =
   section "Figure 8: activity lifecycle";
   Table.print (Experiments.lifecycle_table ());
   section "Running the corpus";
-  let runs, corpus_dt =
-    timed (fun () -> Experiments.run_catalog ~jobs:opts.jobs ~specs ())
+  let outcomes, corpus_dt =
+    timed (fun () -> Supervisor.run_catalog ~jobs:opts.jobs ~specs ())
   in
+  let runs = Supervisor.completed outcomes in
+  (match Supervisor.failures outcomes with
+   | [] -> ()
+   | fs -> Table.print (Supervisor.failure_table fs));
   Printf.printf "generated and analysed %d traces in %.1fs wall (%d jobs)\n"
     (List.length runs) corpus_dt opts.jobs;
   section "Ingest validation (the admissibility gate)";

@@ -546,39 +546,41 @@ let validate_cmd =
       results;
     Option.iter
       (fun path ->
-         let buf = Buffer.create 512 in
-         Buffer.add_string buf
-           "{\"schema\":\"droidracer-validation/1\",\"files\":[";
-         List.iteri
-           (fun i (file, result) ->
-              if i > 0 then Buffer.add_char buf ',';
-              match result with
-              | Ok (stats : Wellformed.stats) ->
-                Printf.bprintf buf
-                  "{\"file\":\"%s\",\"status\":\"ok\",\"events\":%d,\"threads\":%d,\"tasks\":%d,\"locks\":%d}"
-                  (Json.escape file) stats.Wellformed.events
-                  stats.Wellformed.threads stats.Wellformed.tasks
-                  stats.Wellformed.locks
-              | Error failure ->
-                let rule =
-                  match failure with
-                  | Wellformed.Violation e ->
-                    Printf.sprintf "\"%s\"" (Wellformed.rule_name e.Wellformed.rule)
-                  | Wellformed.Syntax _ -> "\"syntax\""
-                  | Wellformed.Binary _ -> "\"binary\""
-                  | Wellformed.Io _ -> "\"io\""
-                in
-                Printf.bprintf buf
-                  "{\"file\":\"%s\",\"status\":\"rejected\",\"rule\":%s,\"line\":%s,\"message\":\"%s\"}"
-                  (Json.escape file) rule
-                  (match Wellformed.failure_line failure with
-                   | Some l -> string_of_int l
-                   | None -> "null")
-                  (Json.escape (Wellformed.failure_message failure)))
-           results;
-         Buffer.add_string buf "]}\n";
+         let file_json (file, result) =
+           match result with
+           | Ok (stats : Wellformed.stats) ->
+             Json.Object
+               [ ("file", Json.String file)
+               ; ("status", Json.String "ok")
+               ; ("events", Json.int stats.Wellformed.events)
+               ; ("threads", Json.int stats.Wellformed.threads)
+               ; ("tasks", Json.int stats.Wellformed.tasks)
+               ; ("locks", Json.int stats.Wellformed.locks)
+               ]
+           | Error failure ->
+             let rule =
+               match failure with
+               | Wellformed.Violation e -> Wellformed.rule_name e.Wellformed.rule
+               | Wellformed.Syntax _ -> "syntax"
+               | Wellformed.Binary _ -> "binary"
+               | Wellformed.Io _ -> "io"
+             in
+             Json.Object
+               [ ("file", Json.String file)
+               ; ("status", Json.String "rejected")
+               ; ("rule", Json.String rule)
+               ; ("line", Json.option Json.int (Wellformed.failure_line failure))
+               ; ("message", Json.String (Wellformed.failure_message failure))
+               ]
+         in
+         let report =
+           Json.Object
+             [ ("schema", Json.String "droidracer-validation/1")
+             ; ("files", Json.Array (List.map file_json results))
+             ]
+         in
          Out_channel.with_open_text path (fun oc ->
-           Out_channel.output_string oc (Buffer.contents buf));
+           Out_channel.output_string oc (Json.to_string report ^ "\n"));
          Printf.eprintf "wrote validation report to %s\n%!" path)
       json_out;
     let rejected =
@@ -1691,7 +1693,7 @@ let submit_cmd =
       match Client.once endpoint ?trace request with
       | Error e -> or_die (Error e)
       | Ok response ->
-        print_endline (Swire.response_json_string response);
+        print_endline (Json.to_string response);
         Swire.response_status response
     in
     if health || stats then begin
@@ -1727,7 +1729,7 @@ let submit_cmd =
                  | Error e -> or_die (Error e)
                  | Ok outcome ->
                    print_endline
-                     (Swire.response_json_string outcome.Client.so_response);
+                     (Json.to_string outcome.Client.so_response);
                    Swire.response_status outcome.Client.so_response
                end
                else begin

@@ -93,31 +93,28 @@ let write ~dir ~binary v =
   path
 
 let manifest_json_string ~binary variants =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"droidracer-corpus/1\",\"binary\":%b,\"count\":%d,\"variants\":["
-    binary (List.length variants);
-  List.iteri
-    (fun i v ->
-       if i > 0 then Buffer.add_char buf ',';
-       let c = v.v_config in
-       Printf.bprintf buf
-         "{\"name\":\"%s\",\"file\":\"%s\",\"events\":%d,\"loopers\":%d,\"locations\":%d,\"locks\":%d,\"accesses_per_task\":%d,\"fork_every\":%d,\"lock_every\":%d,\"seed\":%d,\"planted\":["
-         v.v_name (filename ~binary v) v.v_events c.Longtrace.loopers
-         c.Longtrace.locations c.Longtrace.locks c.Longtrace.accesses_per_task
-         c.Longtrace.fork_every c.Longtrace.lock_every c.Longtrace.seed;
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" p)
-         v.v_planted;
-       Buffer.add_string buf "],\"masked\":[";
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" p)
-         v.v_masked;
-       Buffer.add_string buf "]}")
-    variants;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let variant_json v =
+    let c = v.v_config in
+    Json.Object
+      [ ("name", Json.String v.v_name)
+      ; ("file", Json.String (filename ~binary v))
+      ; ("events", Json.int v.v_events)
+      ; ("loopers", Json.int c.Longtrace.loopers)
+      ; ("locations", Json.int c.Longtrace.locations)
+      ; ("locks", Json.int c.Longtrace.locks)
+      ; ("accesses_per_task", Json.int c.Longtrace.accesses_per_task)
+      ; ("fork_every", Json.int c.Longtrace.fork_every)
+      ; ("lock_every", Json.int c.Longtrace.lock_every)
+      ; ("seed", Json.int c.Longtrace.seed)
+      ; ("planted", Json.strings v.v_planted)
+      ; ("masked", Json.strings v.v_masked)
+      ]
+  in
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-corpus/1")
+       ; ("binary", Json.Bool binary)
+       ; ("count", Json.int (List.length variants))
+       ; ("variants", Json.Array (List.map variant_json variants))
+       ])
+  ^ "\n"

@@ -1,21 +1,83 @@
-(* The one JSON string escaper shared by every emitter: the body of a
-   string literal, without the surrounding quotes.  Bytes >= 0x80 pass
-   through, so a UTF-8 input stays UTF-8; control bytes become the
-   escapes JSON allows (OCaml's [%S] would write [\195] or [\001],
-   which no JSON parser accepts). *)
+(* The one JSON printer.  Every artefact the project writes is built as
+   a [Json_parse.t] value and printed here: compact, on one line, with
+   string escaping done nowhere else. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
+type t = Json_parse.t =
+  | Null
+  | Bool of bool
+  | Number of float
+  | String of string
+  | Array of t list
+  | Object of (string * t) list
+
+let int n = Number (float_of_int n)
+let string s = String s
+let strings l = Array (List.map string l)
+let option f = function Some x -> f x | None -> Null
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Bytes >= 0x80 pass through, so a UTF-8 input stays UTF-8; control
+   bytes become the escapes JSON allows (OCaml's [%S] would write
+   [\195] or [\001], which no JSON parser accepts). *)
+let add_string b s =
+  Buffer.add_char b '"';
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+         match c with
+         | '"' -> Buffer.add_string b "\\\""
+         | '\\' -> Buffer.add_string b "\\\\"
+         | '\n' -> Buffer.add_string b "\\n"
+         | '\r' -> Buffer.add_string b "\\r"
+         | '\t' -> Buffer.add_string b "\\t"
+         | c when Char.code c < 0x20 ->
+           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+         | c -> Buffer.add_char b c)
+      s;
+  Buffer.add_char b '"'
+
+(* Integral values below 1e15 print as integers, so counts and ids
+   read as such; any other finite float prints with the shorter of
+   [%.15g] and [%.17g] that parses back equal; JSON has no spelling for
+   a non-finite float, so those print as [null]. *)
+let add_number b f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string b (Printf.sprintf "%.0f" f)
+  else if Float.is_finite f then begin
+    let short = Printf.sprintf "%.15g" f in
+    Buffer.add_string b
+      (if Float.equal (float_of_string short) f then short
+       else Printf.sprintf "%.17g" f)
+  end
+  else Buffer.add_string b "null"
+
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Number f -> add_number b f
+  | String s -> add_string b s
+  | Array l ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v ->
+         if i > 0 then Buffer.add_char b ',';
+         to_buffer b v)
+      l;
+    Buffer.add_char b ']'
+  | Object fields ->
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+         if i > 0 then Buffer.add_char b ',';
+         add_string b k;
+         Buffer.add_char b ':';
+         to_buffer b v)
+      fields;
+    Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
   Buffer.contents b

@@ -791,133 +791,127 @@ let summary_string () =
 
 (* {1 JSON exporters} *)
 
-let comma_sep buf emit items =
-  List.iteri
-    (fun i x ->
-       if i > 0 then Buffer.add_string buf ",";
-       emit x)
-    items
+let num f = Json.Number f
 
 let metrics_json_string () =
   let snap = snapshot () in
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"schema\": \"droidracer-metrics/2\",\n";
-  out "  \"spans_recorded\": %d,\n" (List.length snap.spans);
-  out "  \"processes\": [";
-  comma_sep buf
-    (fun (pid, label) ->
-       out "\n    {\"pid\": %d, \"label\": \"%s\"}" pid (Json.escape label))
-    snap.processes;
-  out "\n  ],\n";
-  out "  \"counters\": {";
-  comma_sep buf
-    (fun (name, v) -> out "\n    \"%s\": %d" (Json.escape name) v)
-    snap.counters;
-  out "\n  },\n";
-  out "  \"gauges\": {";
-  comma_sep buf
-    (fun (name, v) -> out "\n    \"%s\": %.6f" (Json.escape name) v)
-    snap.gauges;
-  out "\n  },\n";
-  out "  \"histograms\": {";
-  comma_sep buf
-    (fun (name, h) ->
-       out
-         "\n    \"%s\": {\"count\": %d, \"sum\": %.6f, \"min\": %.6f, \
-          \"max\": %.6f, \"mean\": %.6f, \"p50\": %.6f, \"p90\": %.6f, \
-          \"p99\": %.6f}"
-         (Json.escape name) h.h_count h.h_sum h.h_min h.h_max
-         (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count)
-         h.h_p50 h.h_p90 h.h_p99)
-    snap.histograms;
-  out "\n  },\n";
-  out "  \"domains\": [";
-  comma_sep buf
-    (fun d ->
-       out
-         "\n    {\"pid\": %d, \"domain\": %d, \"spans\": %d, \
-          \"busy_seconds\": %.6f}"
-         d.d_pid d.d_id d.d_spans d.d_busy_seconds)
-    snap.domains;
-  out "\n  ]\n}\n";
-  Buffer.contents buf
+  let named f l = Json.Object (List.map (fun (name, v) -> (name, f v)) l) in
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-metrics/2")
+       ; ("spans_recorded", Json.int (List.length snap.spans))
+       ; ( "processes"
+         , Json.Array
+             (List.map
+                (fun (pid, label) ->
+                   Json.Object
+                     [ ("pid", Json.int pid); ("label", Json.String label) ])
+                snap.processes) )
+       ; ("counters", named Json.int snap.counters)
+       ; ("gauges", named num snap.gauges)
+       ; ( "histograms"
+         , named
+             (fun h ->
+                Json.Object
+                  [ ("count", Json.int h.h_count)
+                  ; ("sum", num h.h_sum)
+                  ; ("min", num h.h_min)
+                  ; ("max", num h.h_max)
+                  ; ( "mean"
+                    , num
+                        (if h.h_count = 0 then 0.0
+                         else h.h_sum /. float_of_int h.h_count) )
+                  ; ("p50", num h.h_p50)
+                  ; ("p90", num h.h_p90)
+                  ; ("p99", num h.h_p99)
+                  ])
+             snap.histograms )
+       ; ( "domains"
+         , Json.Array
+             (List.map
+                (fun d ->
+                   Json.Object
+                     [ ("pid", Json.int d.d_pid)
+                     ; ("domain", Json.int d.d_id)
+                     ; ("spans", Json.int d.d_spans)
+                     ; ("busy_seconds", num d.d_busy_seconds)
+                     ])
+                snap.domains) )
+       ])
+  ^ "\n"
 
 let series_json_string () =
   let snap = snapshot () in
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"schema\": \"droidracer-series/1\",\n";
-  out "  \"sample_period_seconds\": %.6f,\n"
-    (Int64.to_float (Atomic.get sample_period_ns) /. 1e9);
-  out "  \"series\": [";
-  comma_sep buf
-    (fun (name, samples) ->
-       out "\n    {\"name\": \"%s\", \"samples\": [" (Json.escape name);
-       comma_sep buf
-         (fun s ->
-            out "\n      {\"pid\": %d, \"t_ns\": %Ld, \"value\": %.6f}" s.s_pid
-              s.s_ts_ns s.s_value)
-         samples;
-       out "\n    ]}")
-    snap.series;
-  out "\n  ]\n}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-series/1")
+       ; ( "sample_period_seconds"
+         , num (Int64.to_float (Atomic.get sample_period_ns) /. 1e9) )
+       ; ( "series"
+         , Json.Array
+             (List.map
+                (fun (name, samples) ->
+                   Json.Object
+                     [ ("name", Json.String name)
+                     ; ( "samples"
+                       , Json.Array
+                           (List.map
+                              (fun s ->
+                                 Json.Object
+                                   [ ("pid", Json.int s.s_pid)
+                                   ; ("t_ns", num (Int64.to_float s.s_ts_ns))
+                                   ; ("value", num s.s_value)
+                                   ])
+                              samples) )
+                     ])
+                snap.series) )
+       ])
+  ^ "\n"
 
 let chrome_trace_string () =
   let snap = snapshot () in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let us ns = Int64.to_float ns /. 1e3 in
-  out "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else out ",";
-    out "\n"
+  let us ns = num (Int64.to_float ns /. 1e3) in
+  let event ~name ~ph ~pid ~tid ?(cat = []) ?(time = []) args =
+    Json.Object
+      ((("name", Json.String name) :: cat)
+       @ (("ph", Json.String ph) :: time)
+       @ [ ("pid", Json.int pid); ("tid", Json.int tid) ]
+       @ if args = [] then [] else [ ("args", Json.Object args) ])
   in
-  List.iter
-    (fun (pid, label) ->
-       sep ();
-       out
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-         pid (Json.escape label))
-    snap.processes;
-  List.iter
-    (fun d ->
-       sep ();
-       out
-         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-         d.d_pid d.d_id d.d_id)
-    snap.domains;
-  List.iter
-    (fun s ->
-       sep ();
-       out
-         "{\"name\":\"%s\",\"cat\":\"droidracer\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-         (Json.escape s.sp_name) (us s.sp_start_ns) (us s.sp_dur_ns) s.sp_pid
-         s.sp_domain;
-       if s.sp_args <> [] then begin
-         out ",\"args\":{";
-         comma_sep buf
-           (fun (k, v) ->
-              out "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-           s.sp_args;
-         out "}"
-       end;
-       out "}")
-    snap.spans;
-  List.iter
-    (fun (name, samples) ->
-       List.iter
-         (fun s ->
-            sep ();
-            out
-              "{\"name\":\"%s\",\"cat\":\"droidracer\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"value\":%.6f}}"
-              (Json.escape name) (us s.s_ts_ns) s.s_pid s.s_value)
-         samples)
-    snap.series;
-  out "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  let cat = [ ("cat", Json.String "droidracer") ] in
+  let events =
+    List.map
+      (fun (pid, label) ->
+         event ~name:"process_name" ~ph:"M" ~pid ~tid:0
+           [ ("name", Json.String label) ])
+      snap.processes
+    @ List.map
+        (fun d ->
+           event ~name:"thread_name" ~ph:"M" ~pid:d.d_pid ~tid:d.d_id
+             [ ("name", Json.String (Printf.sprintf "domain-%d" d.d_id)) ])
+        snap.domains
+    @ List.map
+        (fun s ->
+           event ~name:s.sp_name ~ph:"X" ~pid:s.sp_pid ~tid:s.sp_domain ~cat
+             ~time:[ ("ts", us s.sp_start_ns); ("dur", us s.sp_dur_ns) ]
+             (List.map (fun (k, v) -> (k, Json.String v)) s.sp_args))
+        snap.spans
+    @ List.concat_map
+        (fun (name, samples) ->
+           List.map
+             (fun s ->
+                event ~name ~ph:"C" ~pid:s.s_pid ~tid:0 ~cat
+                  ~time:[ ("ts", us s.s_ts_ns) ]
+                  [ ("value", num s.s_value) ])
+             samples)
+        snap.series
+  in
+  Json.to_string
+    (Json.Object
+       [ ("traceEvents", Json.Array events)
+       ; ("displayTimeUnit", Json.String "ms")
+       ])
+  ^ "\n"
 
 let write_string path s =
   let oc = open_out path in

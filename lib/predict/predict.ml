@@ -647,88 +647,85 @@ let pp_report ppf report =
 
 (* {1 JSON} *)
 
-let access_json buf (a : Race.access) =
-  Printf.bprintf buf
-    "{\"position\":%d,\"kind\":\"%s\",\"location\":\"%s\",\"thread\":%d,\"task\":%s}"
-    a.Race.position
-    (if a.Race.is_write then "write" else "read")
-    (Json.escape (Ident.Location.to_string a.Race.location))
-    (Ident.Thread_id.to_int a.Race.thread)
-    (match a.Race.task with
-     | Some t -> Printf.sprintf "\"%s\"" (Json.escape (Ident.Task_id.to_string t))
-     | None -> "null")
+let access_json (a : Race.access) =
+  Json.Object
+    [ ("position", Json.int a.Race.position)
+    ; ("kind", Json.String (if a.Race.is_write then "write" else "read"))
+    ; ("location", Json.String (Ident.Location.to_string a.Race.location))
+    ; ("thread", Json.int (Ident.Thread_id.to_int a.Race.thread))
+    ; ( "task"
+      , Json.option
+          (fun t -> Json.String (Ident.Task_id.to_string t))
+          a.Race.task )
+    ]
 
-let pair_json buf ~witness_path ~file p =
+let pair_json ~witness_path ~file p =
   let verdict, reason =
     match p.pr_verdict with
-    | Feasible _ -> ("feasible", None)
-    | Refuted r -> ("refuted", Some (refutation_label r))
-    | Unknown u -> ("unknown", Some (unknown_label u))
+    | Feasible _ -> ("feasible", [])
+    | Refuted r -> ("refuted", [ ("reason", Json.String (refutation_label r)) ])
+    | Unknown u -> ("unknown", [ ("reason", Json.String (unknown_label u)) ])
   in
-  Printf.bprintf buf "{\"first\":";
-  access_json buf p.pr_pair.Race.first;
-  Printf.bprintf buf ",\"second\":";
-  access_json buf p.pr_pair.Race.second;
-  Printf.bprintf buf ",\"observed\":%b,\"verdict\":\"%s\"" p.pr_observed
-    verdict;
-  (match reason with
-   | Some r -> Printf.bprintf buf ",\"reason\":\"%s\"" r
-   | None -> ());
-  (match p.pr_window with
-   | Some (lo, hi) ->
-     Printf.bprintf buf ",\"window\":[%d,%d],\"window_events\":%d" lo hi
-       (hi - lo + 1)
-   | None -> Printf.bprintf buf ",\"window\":null");
-  Printf.bprintf buf ",\"iterations\":%d" p.pr_iterations;
-  (match p.pr_verdict with
-   | Feasible w ->
-     Printf.bprintf buf
-       ",\"flipped\":%b,\"witness_events\":%d,\"replay\":{\"wellformed\":%b,\"step\":%s,\"unordered\":%b}"
-       w.w_flipped (Trace.length w.w_trace) w.w_wellformed
-       (match w.w_replayed with
-        | Some ok -> string_of_bool ok
-        | None -> "null")
-       w.w_unordered;
-     (match witness_path ~file ~pair:p with
-      | Some path ->
-        Printf.bprintf buf ",\"witness\":\"%s\"" (Json.escape path)
-      | None -> Printf.bprintf buf ",\"witness\":null")
-   | Refuted _ | Unknown _ -> ());
-  Buffer.add_char buf '}'
+  let window =
+    match p.pr_window with
+    | Some (lo, hi) ->
+      [ ("window", Json.Array [ Json.int lo; Json.int hi ])
+      ; ("window_events", Json.int (hi - lo + 1))
+      ]
+    | None -> [ ("window", Json.Null) ]
+  in
+  let witness =
+    match p.pr_verdict with
+    | Feasible w ->
+      [ ("flipped", Json.Bool w.w_flipped)
+      ; ("witness_events", Json.int (Trace.length w.w_trace))
+      ; ( "replay"
+        , Json.Object
+            [ ("wellformed", Json.Bool w.w_wellformed)
+            ; ("step", Json.option (fun ok -> Json.Bool ok) w.w_replayed)
+            ; ("unordered", Json.Bool w.w_unordered)
+            ] )
+      ; ("witness", Json.option Json.string (witness_path ~file ~pair:p))
+      ]
+    | Refuted _ | Unknown _ -> []
+  in
+  Json.Object
+    ([ ("first", access_json p.pr_pair.Race.first)
+     ; ("second", access_json p.pr_pair.Race.second)
+     ; ("observed", Json.Bool p.pr_observed)
+     ; ("verdict", Json.String verdict)
+     ]
+     @ reason @ window
+     @ (("iterations", Json.int p.pr_iterations) :: witness))
 
 let json_string ~params ~witness_path files =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"droidracer-predictions/1\",\"window\":%d,\"max_iterations\":%d,\"files\":["
-    params.window params.max_iterations;
-  List.iteri
-    (fun i (file, report) ->
-       if i > 0 then Buffer.add_char buf ',';
-       Printf.bprintf buf
-         "{\"file\":\"%s\",\"events\":%d,\"replayable\":%b,\"degraded\":%b,\"summary\":{\"candidates\":%d,\"observed\":%d,\"feasible\":%d,\"extra\":%d,\"refuted\":%d,\"unknown\":%d,\"dropped\":%d},\"feasible_locations\":["
-         (Json.escape file)
-         (Trace.length report.trace)
-         report.replayable_input report.degraded report.candidates
-         report.observed report.feasible report.extra report.refuted
-         report.unknown report.dropped;
-       List.iteri
-         (fun j loc ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" (Json.escape loc))
-         (feasible_locations report);
-       Buffer.add_string buf "],\"extra_locations\":[";
-       List.iteri
-         (fun j loc ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" (Json.escape loc))
-         (extra_locations report);
-       Buffer.add_string buf "],\"pairs\":[";
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char buf ',';
-            pair_json buf ~witness_path ~file p)
-         report.pairs;
-       Buffer.add_string buf "]}")
-    files;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let file_json (file, report) =
+    Json.Object
+      [ ("file", Json.String file)
+      ; ("events", Json.int (Trace.length report.trace))
+      ; ("replayable", Json.Bool report.replayable_input)
+      ; ("degraded", Json.Bool report.degraded)
+      ; ( "summary"
+        , Json.Object
+            [ ("candidates", Json.int report.candidates)
+            ; ("observed", Json.int report.observed)
+            ; ("feasible", Json.int report.feasible)
+            ; ("extra", Json.int report.extra)
+            ; ("refuted", Json.int report.refuted)
+            ; ("unknown", Json.int report.unknown)
+            ; ("dropped", Json.int report.dropped)
+            ] )
+      ; ("feasible_locations", Json.strings (feasible_locations report))
+      ; ("extra_locations", Json.strings (extra_locations report))
+      ; ( "pairs"
+        , Json.Array (List.map (pair_json ~witness_path ~file) report.pairs) )
+      ]
+  in
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-predictions/1")
+       ; ("window", Json.int params.window)
+       ; ("max_iterations", Json.int params.max_iterations)
+       ; ("files", Json.Array (List.map file_json files))
+       ])
+  ^ "\n"

@@ -8,31 +8,6 @@ type app_run =
   ; ar_engine : string
   }
 
-let run_spec ?(config = Detector.default_config) spec =
-  Obs.with_span "corpus.app" ~args:[ ("app", spec.Synthetic.s_name) ]
-  @@ fun () ->
-  let built =
-    Obs.with_span "corpus.build" (fun () -> Synthetic.build spec)
-  in
-  let result =
-    Runtime.run ~options:built.Synthetic.b_options built.Synthetic.b_app
-      built.Synthetic.b_events
-  in
-  { ar_built = built
-  ; ar_result = result
-  ; ar_report = Detector.analyze ~config result.Runtime.observed
-  ; ar_engine = Detector.engine_name config.Detector.engine
-  }
-
-(* One domain per application: the corpus fan-out is embarrassingly
-   parallel (every run builds its own app, runtime and detector state).
-   Each in-flight run keeps its whole trace and bit matrix live, so the
-   analysis inside a run stays sequential — parallelism across
-   applications already saturates the machine. *)
-let run_catalog ?(jobs = 1) ?(specs = Catalog.all)
-    ?(config = Detector.default_config) () =
-  Par_pool.parallel_map ~jobs (run_spec ~config) specs
-
 (* The paper's thread counts exclude binder and other system threads. *)
 let app_thread_counts run =
   let pool = run.ar_built.Synthetic.b_options.Runtime.binder_pool_size in

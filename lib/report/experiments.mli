@@ -5,7 +5,8 @@ open! Import
     executable and the [droidracer] CLI print them; EXPERIMENTS.md
     records paper-versus-measured for a reference run. *)
 
-(** One application of the corpus, executed and analysed. *)
+(** One application of the corpus, executed and analysed — a completed
+    row of [Supervisor.run_catalog]. *)
 type app_run =
   { ar_built : Synthetic.built
   ; ar_result : Runtime.run_result
@@ -14,22 +15,6 @@ type app_run =
         (** the engine that ran ({!Detector.engine_name}), budget
             fallbacks applied *)
   }
-
-val run_spec : ?config:Detector.config -> Synthetic.spec -> app_run
-(** Builds (from the spec's pinned filler volume), runs the
-    representative test and analyses its observed trace with the given
-    detector configuration (default {!Detector.default_config}). *)
-
-val run_catalog :
-  ?jobs:int ->
-  ?specs:Synthetic.spec list ->
-  ?config:Detector.config ->
-  unit ->
-  app_run list
-(** All fifteen applications by default.  With [jobs > 1] (default 1)
-    applications run on a {!Par_pool}, one domain per application; the
-    returned runs are in spec order and identical (modulo wall-clock
-    timings) for every [jobs] value. *)
 
 val table2 : app_run list -> Table.t
 (** Table 2: per-application trace statistics, paper vs measured.

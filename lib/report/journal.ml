@@ -73,102 +73,24 @@ let b64_decode s =
     s;
   if !ok then Some (Buffer.contents buf) else None
 
-(* {1 JSON strings} *)
+(* {1 Lines} *)
 
-(* A scanner for exactly the object shape this module writes: string
-   keys, string values, no nesting.  Returns the fields in order, or
-   [None] for anything malformed — a torn line must never raise. *)
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then begin
-      advance ();
-      true
-    end
-    else false
-  in
-  let parse_string () =
-    skip_ws ();
-    if peek () <> Some '"' then None
-    else begin
-      advance ();
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then None
-        else
-          match line.[!pos] with
-          | '"' ->
-            advance ();
-            Some (Buffer.contents buf)
-          | '\\' ->
-            advance ();
-            if !pos >= n then None
-            else begin
-              (match line.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                 if !pos + 4 < n then begin
-                   let hex = String.sub line (!pos + 1) 4 in
-                   (match int_of_string_opt ("0x" ^ hex) with
-                    | Some code when Uchar.is_valid code ->
-                      Buffer.add_utf_8_uchar buf (Uchar.of_int code)
-                    | Some _ | None -> Buffer.add_char buf '?');
-                   pos := !pos + 4
-                 end
-               | _ -> Buffer.add_char buf line.[!pos]);
-              advance ();
-              go ()
-            end
-          | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-      in
-      go ()
-    end
-  in
-  if not (expect '{') then None
-  else begin
-    let fields = ref [] in
-    let rec members () =
-      match parse_string () with
-      | None -> None
-      | Some key ->
-        if not (expect ':') then None
-        else (
-          match parse_string () with
-          | None -> None
-          | Some v ->
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            (match peek () with
-             | Some ',' ->
-               advance ();
-               members ()
-             | Some '}' ->
-               advance ();
-               skip_ws ();
-               if !pos = n then Some (List.rev !fields) else None
-             | _ -> None))
+(* The fields of a line that is exactly the shape this module writes:
+   one flat object of string values.  Anything else — not JSON, a
+   number, a nested value — is [None], a torn line. *)
+let string_fields line =
+  match Json_parse.parse line with
+  | Ok (Json.Object fields) ->
+    let strings =
+      List.filter_map
+        (function k, Json.String v -> Some (k, v) | _ -> None)
+        fields
     in
-    members ()
-  end
+    if List.compare_lengths strings fields = 0 then Some strings else None
+  | Ok _ | Error _ -> None
+
+let line fields =
+  Json.to_string (Json.Object (List.map (fun (k, v) -> (k, Json.String v)) fields))
 
 (* {1 Records} *)
 
@@ -176,12 +98,11 @@ let record_digest ~app ~encoded = Digest.to_hex (Digest.string (app ^ "\x00" ^ e
 
 let record_line ~app ~payload =
   let encoded = b64_encode payload in
-  Printf.sprintf {|{"digest":"%s","app":"%s","payload":"%s"}|}
-    (record_digest ~app ~encoded)
-    (Json.escape app) encoded
+  line
+    [ ("digest", record_digest ~app ~encoded); ("app", app); ("payload", encoded) ]
 
 let parse_record line =
-  match parse_fields line with
+  match string_fields line with
   | Some [ ("digest", digest); ("app", app); ("payload", encoded) ]
     when String.equal digest (record_digest ~app ~encoded) ->
     Option.map (fun payload -> (app, payload)) (b64_decode encoded)
@@ -193,7 +114,7 @@ let binary_digest =
      with Sys_error _ -> "unknown")
 
 let header_line () =
-  Printf.sprintf {|{"schema":"%s","binary":"%s"}|} schema (Lazy.force binary_digest)
+  line [ ("schema", schema); ("binary", Lazy.force binary_digest) ]
 
 (* {1 The journal} *)
 
@@ -236,14 +157,19 @@ let warning_message = function
       n
       (if n = 1 then "" else "s")
 
-let warning_json w =
+let warning_to_json w =
   let kind, count =
     match w with
     | Torn_lines n -> ("torn_lines", n)
     | Stale_records n -> ("stale_records", n)
   in
-  Printf.sprintf {|{"kind":"%s","count":%d,"message":"%s"}|} kind count
-    (Json.escape (warning_message w))
+  Json.Object
+    [ ("kind", Json.String kind)
+    ; ("count", Json.int count)
+    ; ("message", Json.String (warning_message w))
+    ]
+
+let warning_json w = Json.to_string (warning_to_json w)
 
 let read_lines path =
   let ic = In_channel.open_bin path in
@@ -258,7 +184,7 @@ let replay path =
   | exception Sys_error _ -> Ok ([], 0, 0)
   | [] -> Ok ([], 0, 0)
   | header :: records ->
-    (match parse_fields header with
+    (match string_fields header with
      | Some (("schema", s) :: rest) when String.equal s schema ->
        let same_binary =
          match List.assoc_opt "binary" rest with

@@ -65,8 +65,11 @@ val warnings : t -> warning list
 val warning_message : warning -> string
 (** Human-readable one-liner. *)
 
-val warning_json : warning -> string
+val warning_to_json : warning -> Json.t
 (** One JSON object: [{"kind":…,"count":…,"message":…}]. *)
+
+val warning_json : warning -> string
+(** {!warning_to_json}, printed. *)
 
 val append : t -> app:string -> payload:string -> unit
 (** Durably append one record (single write + fsync).  Thread-safe. *)

@@ -30,20 +30,17 @@ type t =
   ; mutable p_finished : bool
   }
 
-(* The per-engine fallback counters, as a compact JSON object keyed by
+(* The per-engine fallback counters, as a JSON object keyed by
    edge name ("dense_streaming", ...).  Reading them through [Obs] keeps
    this module ignorant of which engines exist; in isolated mode the
    counts grow as worker telemetry is absorbed. *)
 let fallbacks_json () =
   let prefix = "supervisor.fallbacks." in
   let plen = String.length prefix in
-  let entries =
-    Obs.counters_with_prefix prefix
-    |> List.map (fun (name, v) ->
-      let edge = String.sub name plen (String.length name - plen) in
-      Printf.sprintf "\"%s\":%d" (Json.escape edge) v)
-  in
-  "{" ^ String.concat "," entries ^ "}"
+  Json.Object
+    (Obs.counters_with_prefix prefix
+     |> List.map (fun (name, v) ->
+       (String.sub name plen (String.length name - plen), Json.int v)))
 
 let fallbacks_human () =
   match Obs.counters_with_prefix "supervisor.fallbacks." with
@@ -52,11 +49,11 @@ let fallbacks_human () =
     let total = List.fold_left (fun acc (_, v) -> acc + v) 0 entries in
     Printf.sprintf " | %d fallback%s" total (if total = 1 then "" else "s")
 
-let emit_record t line =
+let emit_record t fields =
   match t.p_out with
   | None -> ()
   | Some oc ->
-    output_string oc line;
+    output_string oc (Json.to_string (Json.Object fields));
     output_char oc '\n';
     flush oc
 
@@ -82,9 +79,11 @@ let create ?out ?heartbeat ~mode ~jobs ~total () =
     }
   in
   emit_record t
-    (Printf.sprintf
-       "{\"schema\":\"droidracer-progress/1\",\"mode\":\"%s\",\"jobs\":%d,\"total\":%d}"
-       (Json.escape mode) jobs total);
+    [ ("schema", Json.String "droidracer-progress/1")
+    ; ("mode", Json.String mode)
+    ; ("jobs", Json.int jobs)
+    ; ("total", Json.int total)
+    ];
   t
 
 let rates t =
@@ -114,11 +113,19 @@ let app_done t ~app ~outcome ~engine ~events ~elapsed_seconds
   t.p_events <- t.p_events + events;
   let _, events_per_sec, eta_seconds = rates t in
   emit_record t
-    (Printf.sprintf
-       "{\"type\":\"app\",\"app\":\"%s\",\"outcome\":\"%s\",\"engine\":\"%s\",\"events\":%d,\"elapsed_seconds\":%.6f,\"resumed\":%b,\"done\":%d,\"total\":%d,\"events_per_sec\":%.3f,\"eta_seconds\":%.3f,\"fallbacks\":%s}"
-       (Json.escape app) (Json.escape outcome) (Json.escape engine) events
-       elapsed_seconds resumed t.p_done t.p_total events_per_sec eta_seconds
-       (fallbacks_json ()));
+    [ ("type", Json.String "app")
+    ; ("app", Json.String app)
+    ; ("outcome", Json.String outcome)
+    ; ("engine", Json.String engine)
+    ; ("events", Json.int events)
+    ; ("elapsed_seconds", Json.Number elapsed_seconds)
+    ; ("resumed", Json.Bool resumed)
+    ; ("done", Json.int t.p_done)
+    ; ("total", Json.int t.p_total)
+    ; ("events_per_sec", Json.Number events_per_sec)
+    ; ("eta_seconds", Json.Number eta_seconds)
+    ; ("fallbacks", fallbacks_json ())
+    ];
   emit_heartbeat t
     (Printf.sprintf "[%s] %s: %s (%s, %d events, %.2fs)%s | %.0f ev/s"
        (count_label t) app outcome engine events elapsed_seconds
@@ -135,10 +142,16 @@ let finish t =
     t.p_finished <- true;
     let elapsed, events_per_sec, _ = rates t in
     emit_record t
-      (Printf.sprintf
-         "{\"type\":\"summary\",\"done\":%d,\"total\":%d,\"completed\":%d,\"failed\":%d,\"events\":%d,\"elapsed_seconds\":%.6f,\"events_per_sec\":%.3f,\"fallbacks\":%s}"
-         t.p_done t.p_total t.p_completed t.p_failed t.p_events elapsed
-         events_per_sec (fallbacks_json ()));
+      [ ("type", Json.String "summary")
+      ; ("done", Json.int t.p_done)
+      ; ("total", Json.int t.p_total)
+      ; ("completed", Json.int t.p_completed)
+      ; ("failed", Json.int t.p_failed)
+      ; ("events", Json.int t.p_events)
+      ; ("elapsed_seconds", Json.Number elapsed)
+      ; ("events_per_sec", Json.Number events_per_sec)
+      ; ("fallbacks", fallbacks_json ())
+      ];
     emit_heartbeat t
       (Printf.sprintf
          "sweep done: %s apps (%d completed, %d failed) in %.1fs%s"

@@ -84,22 +84,31 @@ let failure_table fs =
     fs;
   table
 
+(* The fields a failure row shares between the failures and race
+   tables, after its name. *)
+let failure_fields ~outcome_key f =
+  [ (outcome_key, Json.String (reason_label f.f_reason))
+  ; ("reason", Json.String (reason_detail f.f_reason))
+  ; ("engine", Json.String f.f_engine)
+  ; ("elapsed_seconds", Json.Number f.f_elapsed)
+  ; ("retries", Json.int f.f_retries)
+  ]
+
 let failures_json_string fs =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"schema\":\"droidracer-failures/1\",\"failures\":[";
-  List.iteri
-    (fun i f ->
-       if i > 0 then Buffer.add_char buf ',';
-       Printf.bprintf buf
-         "{\"app\":\"%s\",\"outcome\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d,\"backoff_seconds\":%.6f}"
-         (Json.escape f.f_app)
-         (reason_label f.f_reason)
-         (Json.escape (reason_detail f.f_reason))
-         (Json.escape f.f_engine)
-         f.f_elapsed f.f_retries f.f_backoff)
-    fs;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-failures/1")
+       ; ( "failures"
+         , Json.Array
+             (List.map
+                (fun f ->
+                   Json.Object
+                     ((("app", Json.String f.f_app)
+                       :: failure_fields ~outcome_key:"outcome" f)
+                      @ [ ("backoff_seconds", Json.Number f.f_backoff) ]))
+                fs) )
+       ])
+  ^ "\n"
 
 (* {1 Fault injection}
 
@@ -649,30 +658,26 @@ let file_table reports =
    differ only in [file] (and timings) — the corpus gate's equality
    check relies on that. *)
 let files_json_string outcomes =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"droidracer-races/1\",\"files\":[";
-  List.iteri
-    (fun i outcome ->
-       if i > 0 then Buffer.add_char buf ',';
-       match outcome with
-       | Completed r ->
-         Printf.bprintf buf
-           "{\"name\":\"%s\",\"file\":\"%s\",\"status\":\"completed\",\"events\":%d,\"races\":%d,\"distinct_races\":%d,\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"locations\":["
-           (Json.escape r.fr_name) (Json.escape r.fr_file) r.fr_events
-           r.fr_races r.fr_distinct (Json.escape r.fr_engine) r.fr_elapsed;
-         List.iteri
-           (fun j loc ->
-              if j > 0 then Buffer.add_char buf ',';
-              Printf.bprintf buf "\"%s\"" (Json.escape loc))
-           r.fr_locations;
-         Buffer.add_string buf "]}"
-       | Failed f ->
-         Printf.bprintf buf
-           "{\"name\":\"%s\",\"status\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d}"
-           (Json.escape f.f_app)
-           (reason_label f.f_reason)
-           (Json.escape (reason_detail f.f_reason))
-           (Json.escape f.f_engine) f.f_elapsed f.f_retries)
-    outcomes;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let row = function
+    | Completed r ->
+      Json.Object
+        [ ("name", Json.String r.fr_name)
+        ; ("file", Json.String r.fr_file)
+        ; ("status", Json.String "completed")
+        ; ("events", Json.int r.fr_events)
+        ; ("races", Json.int r.fr_races)
+        ; ("distinct_races", Json.int r.fr_distinct)
+        ; ("engine", Json.String r.fr_engine)
+        ; ("elapsed_seconds", Json.Number r.fr_elapsed)
+        ; ("locations", Json.strings r.fr_locations)
+        ]
+    | Failed f ->
+      Json.Object
+        (("name", Json.String f.f_app) :: failure_fields ~outcome_key:"status" f)
+  in
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-races/1")
+       ; ("files", Json.Array (List.map row outcomes))
+       ])
+  ^ "\n"

@@ -2,10 +2,9 @@ open! Import
 
 (** Fault-tolerant supervision of corpus sweeps and single analyses.
 
-    {!Experiments.run_catalog} aborts the whole sweep when any one
-    application misbehaves; at the production scale the ROADMAP aims for
-    that is unacceptable — one bad input must cost one row, not the
-    fleet.  This module runs every input through {e one} supervised
+    An unsupervised sweep aborts when any one application misbehaves;
+    at the production scale the ROADMAP aims for that is unacceptable —
+    one bad input must cost one row, not the fleet.  This module runs every input through {e one} supervised
     job runner — load, ingest, analyze — over three job kinds that
     differ only in the load: a {e catalog app} ({!run_app},
     {!run_catalog}) builds and runs its model; a {e trace file}
@@ -197,9 +196,13 @@ val run_catalog :
   ?progress:Progress.t ->
   unit ->
   outcome list
-(** The supervised {!Experiments.run_catalog}: same order and
-    parallelism contract, but misbehaving applications yield {!Failed}
-    rows instead of aborting the sweep.
+(** The catalog sweep, the one path from an application spec to an
+    {!Experiments.app_run}: all fifteen applications by default, in
+    spec order, on a {!Par_pool} of [jobs] domains (one per
+    application) in {!Cooperative} mode, identical (modulo wall-clock
+    timings) for every [jobs] value.  Misbehaving applications yield
+    {!Failed} rows instead of aborting the sweep; {!completed} keeps
+    the runs the table drivers take.
 
     With [~progress], every finished item is reported to the tracker
     the moment its outcome is known (journal-replayed outcomes are

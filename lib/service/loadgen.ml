@@ -177,34 +177,43 @@ let json_string stats =
     if Array.length latencies = 0 then 0.0
     else Array.fold_left ( +. ) 0.0 latencies /. float_of_int (Array.length latencies)
   in
-  let counts label entries =
-    Printf.sprintf {|"%s":{%s}|} label
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Json.escape k) v)
-            entries))
+  let counts entries =
+    Json.Object (List.map (fun (k, v) -> (k, Json.int v)) entries)
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
   let ncompleted = completed stats in
-  Printf.sprintf
-    {|{"schema":"droidracer-service-bench/1","clients":%d,"requests_per_client":%d,"total_requests":%d,"completed":%d,"failed":%d,"lost":%d,"resumed":%d,"overloaded_retries":%d,"reconnects":%d,"wall_seconds":%.6f,"traces_per_sec":%.3f,"latency_seconds":{"p50":%.6f,"p90":%.6f,"p99":%.6f,"min":%.6f,"max":%.6f,"mean":%.6f},%s,%s,%s}|}
-    stats.lg_clients stats.lg_requests_per_client total ncompleted
-    (total - ncompleted - lost stats)
-    (lost stats)
-    (List.length (List.filter (fun r -> r.q_resumed) results))
-    (sum (fun r -> r.q_overloaded))
-    (sum (fun r -> r.q_reconnects))
-    stats.lg_wall
-    (float_of_int ncompleted /. Float.max 1e-9 stats.lg_wall)
-    (percentile latencies 50.0) (percentile latencies 90.0)
-    (percentile latencies 99.0)
-    (if Array.length latencies = 0 then 0.0 else latencies.(0))
-    (if Array.length latencies = 0 then 0.0
-     else latencies.(Array.length latencies - 1))
-    mean
-    (counts "statuses" (count_by (fun r -> r.q_status) results))
-    (counts "engines" (count_by (fun r -> r.q_engine) results))
-    (counts "ladders" (count_by (fun r -> r.q_ladder) results))
+  let nlatencies = Array.length latencies in
+  Json.to_string
+    (Json.Object
+       [ ("schema", Json.String "droidracer-service-bench/1")
+       ; ("clients", Json.int stats.lg_clients)
+       ; ("requests_per_client", Json.int stats.lg_requests_per_client)
+       ; ("total_requests", Json.int total)
+       ; ("completed", Json.int ncompleted)
+       ; ("failed", Json.int (total - ncompleted - lost stats))
+       ; ("lost", Json.int (lost stats))
+       ; ( "resumed"
+         , Json.int (List.length (List.filter (fun r -> r.q_resumed) results)) )
+       ; ("overloaded_retries", Json.int (sum (fun r -> r.q_overloaded)))
+       ; ("reconnects", Json.int (sum (fun r -> r.q_reconnects)))
+       ; ("wall_seconds", Json.Number stats.lg_wall)
+       ; ( "traces_per_sec"
+         , Json.Number (float_of_int ncompleted /. Float.max 1e-9 stats.lg_wall) )
+       ; ( "latency_seconds"
+         , Json.Object
+             [ ("p50", Json.Number (percentile latencies 50.0))
+             ; ("p90", Json.Number (percentile latencies 90.0))
+             ; ("p99", Json.Number (percentile latencies 99.0))
+             ; ("min", Json.Number (if nlatencies = 0 then 0.0 else latencies.(0)))
+             ; ( "max"
+               , Json.Number
+                   (if nlatencies = 0 then 0.0 else latencies.(nlatencies - 1)) )
+             ; ("mean", Json.Number mean)
+             ] )
+       ; ("statuses", counts (count_by (fun r -> r.q_status) results))
+       ; ("engines", counts (count_by (fun r -> r.q_engine) results))
+       ; ("ladders", counts (count_by (fun r -> r.q_ladder) results))
+       ])
 
 let write_json path stats =
   let oc = open_out path in

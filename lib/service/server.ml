@@ -366,9 +366,10 @@ let run config =
     let per = stats.s_avg_service /. float_of_int (max 1 live) in
     Float.min 60.0 (Float.max 0.05 (float_of_int (depth + 1) *. per))
   in
-  let queue_extra () =
-    Printf.sprintf {|"queue_depth":%d,"queue_capacity":%d|}
-      (Queue.length queue) config.queue_capacity
+  let queue_fields () =
+    [ ("queue_depth", Json.int (Queue.length queue))
+    ; ("queue_capacity", Json.int config.queue_capacity)
+    ]
   in
   let health_json () =
     let ready = (not !draining) && Proc_pool.live_count fleet > 0 in
@@ -377,23 +378,37 @@ let run config =
       let fill = float_of_int (Queue.length queue) /. cap in
       if fill >= config.degrade_high then "streaming" else "dense"
     in
-    let warnings =
-      "[" ^ String.concat "," (List.map Journal.warning_json journal_warnings)
-      ^ "]"
-    in
-    Printf.sprintf
-      {|{"schema":"%s","status":"%s","ready":%b,"workers":%d,"workers_live":%d,"worker_deaths":%d,"queue_depth":%d,"queue_capacity":%d,"max_queue_depth":%d,"inflight":%d,"accepted":%d,"completed":%d,"failed":%d,"executed":%d,"overloaded":%d,"errors":%d,"degraded":%d,"resumed_results":%d,"resumed_requeued":%d,"journal_warnings":%s,"avg_service_seconds":%.6f,"pressure":"%s","uptime_seconds":%.3f}|}
-      Wire.health_schema
-      (if !draining then "draining" else "ok")
-      ready (Array.length running) (Proc_pool.live_count fleet)
-      stats.s_worker_deaths (Queue.length queue) config.queue_capacity
-      stats.s_max_queue_depth (Proc_pool.busy_count fleet) stats.s_accepted
-      stats.s_completed stats.s_failed
-      (stats.s_completed + stats.s_failed)
-      stats.s_overloaded stats.s_errors stats.s_degraded
-      stats.s_resumed_results stats.s_resumed_requeued warnings
-      stats.s_avg_service pressure
-      (Unix.gettimeofday () -. started)
+    let count (key, n) = (key, Json.int n) in
+    Json.to_string
+      (Json.Object
+         ([ ("schema", Json.String Wire.health_schema)
+          ; ("status", Json.String (if !draining then "draining" else "ok"))
+          ; ("ready", Json.Bool ready)
+          ]
+          @ List.map count
+              [ ("workers", Array.length running)
+              ; ("workers_live", Proc_pool.live_count fleet)
+              ; ("worker_deaths", stats.s_worker_deaths)
+              ; ("queue_depth", Queue.length queue)
+              ; ("queue_capacity", config.queue_capacity)
+              ; ("max_queue_depth", stats.s_max_queue_depth)
+              ; ("inflight", Proc_pool.busy_count fleet)
+              ; ("accepted", stats.s_accepted)
+              ; ("completed", stats.s_completed)
+              ; ("failed", stats.s_failed)
+              ; ("executed", stats.s_completed + stats.s_failed)
+              ; ("overloaded", stats.s_overloaded)
+              ; ("errors", stats.s_errors)
+              ; ("degraded", stats.s_degraded)
+              ; ("resumed_results", stats.s_resumed_results)
+              ; ("resumed_requeued", stats.s_resumed_requeued)
+              ]
+          @ [ ( "journal_warnings"
+              , Json.Array (List.map Journal.warning_to_json journal_warnings) )
+            ; ("avg_service_seconds", Json.Number stats.s_avg_service)
+            ; ("pressure", Json.String pressure)
+            ; ("uptime_seconds", Json.Number (Unix.gettimeofday () -. started))
+            ]))
   in
 
   (* {2 Completion} *)
@@ -569,18 +584,18 @@ let run config =
         let prev = Option.value (Hashtbl.find_opt waiters id) ~default:[] in
         Hashtbl.replace waiters id (conn :: prev)
       end
-      else send conn (Wire.status_response ~id ~extra:"" "accepted")
+      else send conn (Wire.status_response ~id "accepted")
     | None ->
       if !draining then begin
         stats.s_draining_rejects <- stats.s_draining_rejects + 1;
         send conn
-          (Wire.status_response ~id ~retry_after:1.0 ~extra:"" "draining")
+          (Wire.status_response ~id ~retry_after:1.0 "draining")
       end
       else if trace = "" then begin
         stats.s_errors <- stats.s_errors + 1;
         send conn
           (Wire.status_response ~id
-             ~reason:"unknown id and no trace payload" ~extra:"" "unknown")
+             ~reason:"unknown id and no trace payload" "unknown")
       end
       else if Queue.length queue >= config.queue_capacity then begin
         stats.s_overloaded <- stats.s_overloaded + 1;
@@ -588,7 +603,7 @@ let run config =
         send conn
           (Wire.status_response ~id
              ~retry_after:(retry_after_hint ())
-             ~extra:(queue_extra ()) "overloaded")
+             ~fields:(queue_fields ()) "overloaded")
       end
       else begin
         let p =
@@ -617,14 +632,14 @@ let run config =
           let prev = Option.value (Hashtbl.find_opt waiters id) ~default:[] in
           Hashtbl.replace waiters id (conn :: prev)
         end
-        else send conn (Wire.status_response ~id ~extra:"" "accepted")
+        else send conn (Wire.status_response ~id "accepted")
       end
   in
 
   (* {2 Per-connection frame handling} *)
   let protocol_error conn msg =
     stats.s_errors <- stats.s_errors + 1;
-    send conn (Wire.status_response ~reason:msg ~extra:"" "error");
+    send conn (Wire.status_response ~reason:msg "error");
     conn.c_close_after <- true
   in
   let handle_frame conn frame =
@@ -647,8 +662,8 @@ let run config =
          (match Hashtbl.find_opt table id with
           | Some (Finished rs) -> send conn (Wire.result_response ~resumed:true rs)
           | Some (Queued _ | Running _) ->
-            send conn (Wire.status_response ~id ~extra:"" "pending")
-          | None -> send conn (Wire.status_response ~id ~extra:"" "unknown"))
+            send conn (Wire.status_response ~id "pending")
+          | None -> send conn (Wire.status_response ~id "unknown"))
        | Ok (Wire.Analyze a) ->
          if a.a_trace_bytes > config.max_trace_bytes then
            protocol_error conn
@@ -747,7 +762,7 @@ let run config =
           send conn
             (Wire.status_response
                ~retry_after:(retry_after_hint ())
-               ~extra:(queue_extra ()) "overloaded");
+               ~fields:(queue_fields ()) "overloaded");
           conn.c_close_after <- true
         end;
         conns := conn :: !conns;

@@ -76,11 +76,6 @@ let valid_id id =
          | _ -> false)
        id
 
-(* {1 JSON helpers} *)
-
-let json_string_list l =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ Json.escape s ^ "\"") l) ^ "]"
-
 (* {1 Requests}
 
    One JSON object per request frame.  An [analyze] with
@@ -101,22 +96,25 @@ type request =
   | Health
   | Stats
 
-let request_json = function
-  | Analyze a ->
-    let timeout =
-      match a.a_timeout with
-      | None -> "null"
-      | Some t -> Printf.sprintf "%g" t
-    in
-    Printf.sprintf
-      {|{"schema":"%s","op":"analyze","id":"%s","engine":"%s","timeout_seconds":%s,"sleep_seconds":%g,"trace_bytes":%d,"wait":%b}|}
-      request_schema (Json.escape a.a_id) (Json.escape a.a_engine) timeout
-      a.a_sleep a.a_trace_bytes a.a_wait
-  | Result id ->
-    Printf.sprintf {|{"schema":"%s","op":"result","id":"%s"}|} request_schema
-      (Json.escape id)
-  | Health -> Printf.sprintf {|{"schema":"%s","op":"health"}|} request_schema
-  | Stats -> Printf.sprintf {|{"schema":"%s","op":"stats"}|} request_schema
+let request_json request =
+  let op, fields =
+    match request with
+    | Analyze a ->
+      ( "analyze"
+      , [ ("id", Json.String a.a_id)
+        ; ("engine", Json.String a.a_engine)
+        ; ("timeout_seconds", Json.option (fun t -> Json.Number t) a.a_timeout)
+        ; ("sleep_seconds", Json.Number a.a_sleep)
+        ; ("trace_bytes", Json.int a.a_trace_bytes)
+        ; ("wait", Json.Bool a.a_wait)
+        ] )
+    | Result id -> ("result", [ ("id", Json.String id) ])
+    | Health -> ("health", [])
+    | Stats -> ("stats", [])
+  in
+  Json.to_string
+    (Json.Object
+       (("schema", Json.String request_schema) :: ("op", Json.String op) :: fields))
 
 let parse_request s =
   match Json_parse.parse s with
@@ -235,39 +233,35 @@ let summary_of_outcome ~id ~requested ~ladder ~queue_seconds
     }
 
 let result_response ?(resumed = false) rs =
-  let reason =
-    if rs.rs_reason = "" then ""
-    else Printf.sprintf {|"reason":"%s",|} (Json.escape rs.rs_reason)
-  in
-  Printf.sprintf
-    {|{"schema":"%s","id":"%s","status":"%s",%s"engine":"%s","engine_requested":"%s","ladder":"%s","events":%d,"races":%d,"distinct_races":%d,"locations":%s,"elapsed_seconds":%.6f,"queue_seconds":%.6f,"resumed":%b}|}
-    response_schema (Json.escape rs.rs_id) (Json.escape rs.rs_status) reason
-    (Json.escape rs.rs_engine)
-    (Json.escape rs.rs_requested)
-    (Json.escape rs.rs_ladder)
-    rs.rs_events rs.rs_races rs.rs_distinct
-    (json_string_list rs.rs_locations)
-    rs.rs_elapsed rs.rs_queue_seconds resumed
+  Json.to_string
+    (Json.Object
+       ([ ("schema", Json.String response_schema)
+        ; ("id", Json.String rs.rs_id)
+        ; ("status", Json.String rs.rs_status)
+        ]
+        @ (if rs.rs_reason = "" then []
+           else [ ("reason", Json.String rs.rs_reason) ])
+        @ [ ("engine", Json.String rs.rs_engine)
+          ; ("engine_requested", Json.String rs.rs_requested)
+          ; ("ladder", Json.String rs.rs_ladder)
+          ; ("events", Json.int rs.rs_events)
+          ; ("races", Json.int rs.rs_races)
+          ; ("distinct_races", Json.int rs.rs_distinct)
+          ; ("locations", Json.strings rs.rs_locations)
+          ; ("elapsed_seconds", Json.Number rs.rs_elapsed)
+          ; ("queue_seconds", Json.Number rs.rs_queue_seconds)
+          ; ("resumed", Json.Bool resumed)
+          ]))
 
-let status_response ?id ?reason ?retry_after ~extra status =
-  let id =
-    match id with
-    | None -> ""
-    | Some id -> Printf.sprintf {|"id":"%s",|} (Json.escape id)
-  in
-  let reason =
-    match reason with
-    | None -> ""
-    | Some r -> Printf.sprintf {|"reason":"%s",|} (Json.escape r)
-  in
-  let retry =
-    match retry_after with
-    | None -> ""
-    | Some t -> Printf.sprintf {|"retry_after_seconds":%.3f,|} t
-  in
-  let extra = if extra = "" then "" else extra ^ "," in
-  Printf.sprintf {|{"schema":"%s",%s%s%s%s"status":"%s"}|} response_schema id
-    reason retry extra (Json.escape status)
+let status_response ?id ?reason ?retry_after ?(fields = []) status =
+  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+  Json.to_string
+    (Json.Object
+       ((("schema", Json.String response_schema) :: opt "id" Json.string id)
+        @ opt "reason" Json.string reason
+        @ opt "retry_after_seconds" (fun t -> Json.Number t) retry_after
+        @ fields
+        @ [ ("status", Json.String status) ]))
 
 (* {1 Response accessors (client side)} *)
 
@@ -284,29 +278,6 @@ let response_num key json =
 
 let response_status json =
   Option.value (response_str "status" json) ~default:"error"
-
-(* Re-serialize a parsed response — the CLI prints responses it got
-   back as [Json_parse.t] values.  Numbers that are integral print
-   without a fractional part so ids and counts round-trip cleanly. *)
-let rec response_json_string (json : Json_parse.t) =
-  match json with
-  | Json_parse.Null -> "null"
-  | Json_parse.Bool b -> if b then "true" else "false"
-  | Json_parse.Number f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
-  | Json_parse.String s -> "\"" ^ Json.escape s ^ "\""
-  | Json_parse.Array l ->
-    "[" ^ String.concat "," (List.map response_json_string l) ^ "]"
-  | Json_parse.Object fields ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) ->
-              "\"" ^ Json.escape k ^ "\":" ^ response_json_string v)
-           fields)
-    ^ "}"
 
 (* {1 Incremental frame decoding}
 

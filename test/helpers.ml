@@ -347,3 +347,29 @@ let variant_files ?(seed = 5) ?(events = 400) ~count () =
   List.map
     (Droidracer_corpus.Vargen.write ~dir ~binary:true)
     (Droidracer_corpus.Vargen.variants ~seed ~events ~count ())
+
+(* {1 Catalog runs} *)
+
+(* The catalog through the supervised runner, every app required to
+   complete: the runs the table drivers take. *)
+let catalog_runs ?jobs specs =
+  let outcomes = Supervisor.run_catalog ?jobs ~specs () in
+  match Supervisor.failures outcomes with
+  | [] -> Supervisor.completed outcomes
+  | f :: _ ->
+    Alcotest.failf "%s did not complete: %s" f.Supervisor.f_app
+      (Supervisor.reason_detail f.Supervisor.f_reason)
+
+(* One catalog app built, run and analysed by the dense detector with
+   no supervisor around it: the reference the supervised runs are
+   compared with. *)
+let unsupervised_report spec =
+  let built = Droidracer_corpus.Synthetic.build spec in
+  let result =
+    Droidracer_appmodel.Runtime.run
+      ~options:built.Droidracer_corpus.Synthetic.b_options
+      built.Droidracer_corpus.Synthetic.b_app
+      built.Droidracer_corpus.Synthetic.b_events
+  in
+  Droidracer_core.Detector.analyze
+    result.Droidracer_appmodel.Runtime.observed

@@ -53,7 +53,10 @@ let test_figure_traces_equal_model_traces () =
 
 (* {1 Experiment drivers} *)
 
-let aard_run = lazy (Experiments.run_spec (Option.get (Catalog.find "Aard Dictionary")))
+let aard_run =
+  lazy
+    (List.hd
+       (Helpers.catalog_runs [ Option.get (Catalog.find "Aard Dictionary") ]))
 
 let test_table2_aard_exact () =
   let run = Lazy.force aard_run in
@@ -112,7 +115,7 @@ let column rendered header =
       rows
   | _ -> Alcotest.fail "not a rendered table"
 
-let catalog_runs = lazy (Experiments.run_catalog ())
+let catalog_runs = lazy (Helpers.catalog_runs Catalog.all)
 
 let test_clock_subset_on_corpus () =
   (* The clock column runs the streaming engine with folding and sweeps

@@ -108,6 +108,39 @@ let test_torn_final_line () =
   check_int "no torn lines after repair" 0 (Journal.torn_lines j2);
   check_int "three records again" 3 (List.length (Journal.prior j2))
 
+(* Lines that parse as JSON but are not the record shape the journal
+   writes: each one counts as torn, and the intact records around them
+   still replay.  The digests are valid, so only the shape is wrong. *)
+let test_wrong_shape_is_torn () =
+  let path = temp_path () in
+  ignore (write_sample path);
+  let encoded = "cGF5bG9hZA==" in
+  let digest app = Digest.to_hex (Digest.string (app ^ "\x00" ^ encoded)) in
+  let lines =
+    [ (* an extra field *)
+      Printf.sprintf {|{"digest":"%s","app":"A","payload":"%s","extra":"x"}|}
+        (digest "A") encoded
+    ; (* a non-string value *)
+      Printf.sprintf {|{"digest":"%s","app":"B","payload":"%s","n":1}|}
+        (digest "B") encoded
+    ; Printf.sprintf {|{"digest":"%s","app":7,"payload":"%s"}|} (digest "7")
+        encoded
+    ; (* a nested object *)
+      Printf.sprintf {|{"digest":"%s","app":{"name":"C"},"payload":"%s"}|}
+        (digest "C") encoded
+    ; (* reordered keys *)
+      Printf.sprintf {|{"app":"D","digest":"%s","payload":"%s"}|} (digest "D")
+        encoded
+    ]
+  in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+    List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+  let j = or_fail (Journal.create ~resume:true path) in
+  Journal.close j;
+  check_int "every wrong-shaped line is torn" (List.length lines)
+    (Journal.torn_lines j);
+  check_bool "intact records survive" true (Journal.prior j = sample_entries)
+
 let test_rejects_non_journal () =
   let path = temp_path () in
   Out_channel.with_open_bin path (fun oc ->
@@ -195,6 +228,8 @@ let () =
       , [ Alcotest.test_case "roundtrip" `Quick test_roundtrip
         ; Alcotest.test_case "torn final line skipped and counted" `Quick
             test_torn_final_line
+        ; Alcotest.test_case "valid JSON of the wrong shape is torn" `Quick
+            test_wrong_shape_is_torn
         ; Alcotest.test_case "non-journal file refused" `Quick
             test_rejects_non_journal
         ; Alcotest.test_case "missing file resumes fresh" `Quick

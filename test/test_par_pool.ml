@@ -127,7 +127,7 @@ let test_run_catalog_determinism () =
     [ List.nth Catalog.open_source 0; List.nth Catalog.open_source 3 ]
   in
   let fingerprints jobs =
-    Experiments.run_catalog ~jobs ~specs ()
+    Helpers.catalog_runs ~jobs specs
     |> List.map (fun run -> report_fingerprint run.Experiments.ar_report)
   in
   Alcotest.check

@@ -267,9 +267,9 @@ let test_response_json_roundtrip () =
     }
   in
   let json = ok (Swire.parse_response (Swire.result_response rs)) in
-  (* the CLI re-serializes responses with [response_json_string]; the
+  (* the CLI re-serializes responses with [Json.to_string]; the
      round-trip must preserve every field *)
-  let json' = ok (Swire.parse_response (Swire.response_json_string json)) in
+  let json' = ok (Swire.parse_response (Json.to_string json)) in
   check_string "id survives" "weird \"id\"" (str "id" json');
   check_bool "races survive" true (num "races" json' = 2.0);
   check_bool "resumed survives" true (not (bool_field "resumed" json'))

@@ -241,9 +241,9 @@ let test_event_budget_within_10x () =
      let report = run.Experiments.ar_report in
      Alcotest.(check (list string)) "the dense pipeline ran"
        Detector.phase_names (List.map fst report.Detector.phase_seconds);
-     let reference = Experiments.run_spec spec in
+     let reference = unsupervised_report spec in
      check_int "same races as the unsupervised run"
-       (List.length reference.Experiments.ar_report.Detector.all_races)
+       (List.length reference.Detector.all_races)
        (List.length report.Detector.all_races));
   check_int "no streaming fallback" 0
     (counter "supervisor.fallbacks.dense_streaming")
@@ -260,10 +260,10 @@ let test_event_budget_streaming_fallback () =
        (Supervisor.reason_detail f.Supervisor.f_reason)
    | Supervisor.Completed run ->
      (* Streaming under-approximates batch: never more races. *)
-     let reference = Experiments.run_spec spec in
+     let reference = unsupervised_report spec in
      check_bool "streaming finds a subset" true
        (List.length run.Experiments.ar_report.Detector.all_races
-        <= List.length reference.Experiments.ar_report.Detector.all_races));
+        <= List.length reference.Detector.all_races));
   check_int "supervisor.fallbacks.dense_streaming" 1
     (counter "supervisor.fallbacks.dense_streaming")
 

@@ -580,7 +580,7 @@ let validate_cmd =
              ]
          in
          Out_channel.with_open_text path (fun oc ->
-           Out_channel.output_string oc (Json.to_string report ^ "\n"));
+           Out_channel.output_string oc (Json.to_line report));
          Printf.eprintf "wrote validation report to %s\n%!" path)
       json_out;
     let rejected =

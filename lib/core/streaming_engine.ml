@@ -641,7 +641,7 @@ let detect_file ?config path =
 
 let stats_json_string ?(label = "streaming") ~elapsed_seconds ~peak_rss_kb
     (s : stats) =
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-streaming/1")
        ; ("label", Json.String label)
@@ -664,4 +664,3 @@ let stats_json_string ?(label = "streaming") ~elapsed_seconds ~peak_rss_kb
        ; ("gc_sweeps", Json.int s.gc_sweeps)
        ; ("peak_rss_kb", Json.int peak_rss_kb)
        ])
-  ^ "\n"

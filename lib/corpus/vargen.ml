@@ -110,11 +110,10 @@ let manifest_json_string ~binary variants =
       ; ("masked", Json.strings v.v_masked)
       ]
   in
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-corpus/1")
        ; ("binary", Json.Bool binary)
        ; ("count", Json.int (List.length variants))
        ; ("variants", Json.Array (List.map variant_json variants))
        ])
-  ^ "\n"

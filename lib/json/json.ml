@@ -1,6 +1,9 @@
-(* The one JSON printer.  Every artefact the project writes is built as
-   a [Json_parse.t] value and printed here: compact, on one line, with
-   string escaping done nowhere else. *)
+(* The one JSON value type and its one printer.  Every artefact the
+   project writes (wire frames, journal lines, tables, predictions,
+   progress records, telemetry) is built as a [t] — which is
+   [Json_parse.t], so what is printed parses back to the value — and
+   printed here: compact, on one line, with string escaping done
+   nowhere else. *)
 
 type t = Json_parse.t =
   | Null
@@ -80,4 +83,11 @@ let rec to_buffer b = function
 let to_string v =
   let b = Buffer.create 256 in
   to_buffer b v;
+  Buffer.contents b
+
+(* The value and a newline: the whole of a one-value artefact file. *)
+let to_line v =
+  let b = Buffer.create 4096 in
+  to_buffer b v;
+  Buffer.add_char b '\n';
   Buffer.contents b

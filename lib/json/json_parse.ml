@@ -1,7 +1,7 @@
-(* A minimal JSON parser, enough to validate the telemetry exporters by
-   parsing their output back (no JSON library ships in the container).
-   Accepts the full JSON grammar except surrogate-pair escapes, which
-   the exporters never emit. *)
+(* The JSON value type every artefact is built as (printed by [Json])
+   and a minimal parser for it (no JSON library ships with the
+   toolchain).  Accepts the full JSON grammar except surrogate-pair
+   escapes, which the printer never emits. *)
 
 type t =
   | Null

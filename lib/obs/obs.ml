@@ -796,7 +796,7 @@ let num f = Json.Number f
 let metrics_json_string () =
   let snap = snapshot () in
   let named f l = Json.Object (List.map (fun (name, v) -> (name, f v)) l) in
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-metrics/2")
        ; ("spans_recorded", Json.int (List.length snap.spans))
@@ -838,11 +838,10 @@ let metrics_json_string () =
                      ])
                 snap.domains) )
        ])
-  ^ "\n"
 
 let series_json_string () =
   let snap = snapshot () in
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-series/1")
        ; ( "sample_period_seconds"
@@ -866,7 +865,6 @@ let series_json_string () =
                      ])
                 snap.series) )
        ])
-  ^ "\n"
 
 let chrome_trace_string () =
   let snap = snapshot () in
@@ -906,12 +904,11 @@ let chrome_trace_string () =
              samples)
         snap.series
   in
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("traceEvents", Json.Array events)
        ; ("displayTimeUnit", Json.String "ms")
        ])
-  ^ "\n"
 
 let write_string path s =
   let oc = open_out path in

@@ -721,11 +721,10 @@ let json_string ~params ~witness_path files =
         , Json.Array (List.map (pair_json ~witness_path ~file) report.pairs) )
       ]
   in
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-predictions/1")
        ; ("window", Json.int params.window)
        ; ("max_iterations", Json.int params.max_iterations)
        ; ("files", Json.Array (List.map file_json files))
        ])
-  ^ "\n"

@@ -90,7 +90,7 @@ let string_fields line =
   | Ok _ | Error _ -> None
 
 let line fields =
-  Json.to_string (Json.Object (List.map (fun (k, v) -> (k, Json.String v)) fields))
+  Json.to_line (Json.Object (List.map (fun (k, v) -> (k, Json.String v)) fields))
 
 (* {1 Records} *)
 
@@ -209,7 +209,7 @@ let replay path =
        Error (Printf.sprintf "journal %s has no valid header line" path))
 
 let fsync_write fd line =
-  let bytes = Bytes.of_string (line ^ "\n") in
+  let bytes = Bytes.unsafe_of_string line in
   Proc_pool.write_all fd bytes 0 (Bytes.length bytes);
   Unix.fsync fd
 

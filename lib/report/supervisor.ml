@@ -95,7 +95,7 @@ let failure_fields ~outcome_key f =
   ]
 
 let failures_json_string fs =
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-failures/1")
        ; ( "failures"
@@ -108,7 +108,6 @@ let failures_json_string fs =
                       @ [ ("backoff_seconds", Json.Number f.f_backoff) ]))
                 fs) )
        ])
-  ^ "\n"
 
 (* {1 Fault injection}
 
@@ -675,9 +674,8 @@ let files_json_string outcomes =
       Json.Object
         (("name", Json.String f.f_app) :: failure_fields ~outcome_key:"status" f)
   in
-  Json.to_string
+  Json.to_line
     (Json.Object
        [ ("schema", Json.String "droidracer-races/1")
        ; ("files", Json.Array (List.map row outcomes))
        ])
-  ^ "\n"

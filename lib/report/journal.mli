@@ -17,8 +17,11 @@
 
     Records are written with a single [write] followed by [Unix.fsync]:
     a sweep killed at any instant leaves at most one torn final line.
-    Replay tolerates torn or corrupt lines by skipping and counting them
-    (counter [journal.torn]); a header whose binary digest no longer
+    Replay reads each line with [Json_parse] and tolerates torn or
+    corrupt lines by skipping and counting them (counter
+    [journal.torn]): a record is exactly one flat object of the three
+    string fields above, in that order, and any other line — valid
+    JSON or not — counts as torn; a header whose binary digest no longer
     matches discards every record as stale (counter [journal.stale])
     rather than feeding another binary's closures to [Marshal]. *)
 

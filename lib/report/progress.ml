@@ -53,8 +53,7 @@ let emit_record t fields =
   match t.p_out with
   | None -> ()
   | Some oc ->
-    output_string oc (Json.to_string (Json.Object fields));
-    output_char oc '\n';
+    output_string oc (Json.to_line (Json.Object fields));
     flush oc
 
 let emit_heartbeat t line =

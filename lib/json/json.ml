@@ -14,6 +14,7 @@ type t = Json_parse.t =
   | Object of (string * t) list
 
 let int n = Number (float_of_int n)
+let float f = Number f
 let string s = String s
 let strings l = Array (List.map string l)
 let option f = function Some x -> f x | None -> Null

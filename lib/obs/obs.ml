@@ -791,8 +791,6 @@ let summary_string () =
 
 (* {1 JSON exporters} *)
 
-let num f = Json.Number f
-
 let metrics_json_string () =
   let snap = snapshot () in
   let named f l = Json.Object (List.map (fun (name, v) -> (name, f v)) l) in
@@ -808,22 +806,22 @@ let metrics_json_string () =
                      [ ("pid", Json.int pid); ("label", Json.String label) ])
                 snap.processes) )
        ; ("counters", named Json.int snap.counters)
-       ; ("gauges", named num snap.gauges)
+       ; ("gauges", named Json.float snap.gauges)
        ; ( "histograms"
          , named
              (fun h ->
                 Json.Object
                   [ ("count", Json.int h.h_count)
-                  ; ("sum", num h.h_sum)
-                  ; ("min", num h.h_min)
-                  ; ("max", num h.h_max)
+                  ; ("sum", Json.Number h.h_sum)
+                  ; ("min", Json.Number h.h_min)
+                  ; ("max", Json.Number h.h_max)
                   ; ( "mean"
-                    , num
+                    , Json.Number
                         (if h.h_count = 0 then 0.0
                          else h.h_sum /. float_of_int h.h_count) )
-                  ; ("p50", num h.h_p50)
-                  ; ("p90", num h.h_p90)
-                  ; ("p99", num h.h_p99)
+                  ; ("p50", Json.Number h.h_p50)
+                  ; ("p90", Json.Number h.h_p90)
+                  ; ("p99", Json.Number h.h_p99)
                   ])
              snap.histograms )
        ; ( "domains"
@@ -834,7 +832,7 @@ let metrics_json_string () =
                      [ ("pid", Json.int d.d_pid)
                      ; ("domain", Json.int d.d_id)
                      ; ("spans", Json.int d.d_spans)
-                     ; ("busy_seconds", num d.d_busy_seconds)
+                     ; ("busy_seconds", Json.Number d.d_busy_seconds)
                      ])
                 snap.domains) )
        ])
@@ -845,7 +843,7 @@ let series_json_string () =
     (Json.Object
        [ ("schema", Json.String "droidracer-series/1")
        ; ( "sample_period_seconds"
-         , num (Int64.to_float (Atomic.get sample_period_ns) /. 1e9) )
+         , Json.Number (Int64.to_float (Atomic.get sample_period_ns) /. 1e9) )
        ; ( "series"
          , Json.Array
              (List.map
@@ -858,8 +856,8 @@ let series_json_string () =
                               (fun s ->
                                  Json.Object
                                    [ ("pid", Json.int s.s_pid)
-                                   ; ("t_ns", num (Int64.to_float s.s_ts_ns))
-                                   ; ("value", num s.s_value)
+                                   ; ("t_ns", Json.Number (Int64.to_float s.s_ts_ns))
+                                   ; ("value", Json.Number s.s_value)
                                    ])
                               samples) )
                      ])
@@ -868,7 +866,7 @@ let series_json_string () =
 
 let chrome_trace_string () =
   let snap = snapshot () in
-  let us ns = num (Int64.to_float ns /. 1e3) in
+  let us ns = Json.Number (Int64.to_float ns /. 1e3) in
   let event ~name ~ph ~pid ~tid ?(cat = []) ?(time = []) args =
     Json.Object
       ((("name", Json.String name) :: cat)
@@ -900,7 +898,7 @@ let chrome_trace_string () =
              (fun s ->
                 event ~name ~ph:"C" ~pid:s.s_pid ~tid:0 ~cat
                   ~time:[ ("ts", us s.s_ts_ns) ]
-                  [ ("value", num s.s_value) ])
+                  [ ("value", Json.Number s.s_value) ])
              samples)
         snap.series
   in

@@ -103,7 +103,7 @@ let request_json request =
       ( "analyze"
       , [ ("id", Json.String a.a_id)
         ; ("engine", Json.String a.a_engine)
-        ; ("timeout_seconds", Json.option (fun t -> Json.Number t) a.a_timeout)
+        ; ("timeout_seconds", Json.option Json.float a.a_timeout)
         ; ("sleep_seconds", Json.Number a.a_sleep)
         ; ("trace_bytes", Json.int a.a_trace_bytes)
         ; ("wait", Json.Bool a.a_wait)
@@ -259,7 +259,7 @@ let status_response ?id ?reason ?retry_after ?(fields = []) status =
     (Json.Object
        ((("schema", Json.String response_schema) :: opt "id" Json.string id)
         @ opt "reason" Json.string reason
-        @ opt "retry_after_seconds" (fun t -> Json.Number t) retry_after
+        @ opt "retry_after_seconds" Json.float retry_after
         @ fields
         @ [ ("status", Json.String status) ]))
 

@@ -27,6 +27,7 @@ module Catalog = Droidracer_corpus.Catalog
 module Synthetic = Droidracer_corpus.Synthetic
 module Experiments = Droidracer_report.Experiments
 module Supervisor = Droidracer_report.Supervisor
+module Proc_pool = Droidracer_report.Proc_pool
 module Table = Droidracer_report.Table
 module Obs = Droidracer_obs.Obs
 
@@ -105,13 +106,19 @@ let () =
   section "Figure 8: activity lifecycle";
   Table.print (Experiments.lifecycle_table ());
   section "Running the corpus";
+  (* No retry, and any failed app stops the harness: the tables are
+     for every app or for none. *)
   let outcomes, corpus_dt =
-    timed (fun () -> Supervisor.run_catalog ~jobs:opts.jobs ~specs ())
+    timed (fun () ->
+      Supervisor.run_catalog ~jobs:opts.jobs ~retry:Proc_pool.no_retry ~specs
+        ())
   in
   let runs = Supervisor.completed outcomes in
   (match Supervisor.failures outcomes with
    | [] -> ()
-   | fs -> Table.print (Supervisor.failure_table fs));
+   | fs ->
+     Table.print (Supervisor.failure_table fs);
+     exit 1);
   Printf.printf "generated and analysed %d traces in %.1fs wall (%d jobs)\n"
     (List.length runs) corpus_dt opts.jobs;
   section "Ingest validation (the admissibility gate)";

@@ -42,13 +42,14 @@ let add_string b s =
       s;
   Buffer.add_char b '"'
 
-(* Integral values below 1e15 print as integers, so counts and ids
-   read as such; any other finite float prints with the shorter of
-   [%.15g] and [%.17g] that parses back equal; JSON has no spelling for
-   a non-finite float, so those print as [null]. *)
+(* Integral values below 2^53, which convert to [int] exactly, print
+   as integers, so counts, ids and nanosecond clocks read as such; any
+   other finite float prints with the shorter of [%.15g] and [%.17g]
+   that parses back equal; JSON has no spelling for a non-finite float,
+   so those print as [null]. *)
 let add_number b f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
+  if Float.is_integer f && Float.abs f < 0x1p53 then
+    Buffer.add_string b (string_of_int (Float.to_int f))
   else if Float.is_finite f then begin
     let short = Printf.sprintf "%.15g" f in
     Buffer.add_string b
@@ -73,13 +74,16 @@ let rec to_buffer b = function
   | Object fields ->
     Buffer.add_char b '{';
     List.iteri
-      (fun i (k, v) ->
+      (fun i field ->
          if i > 0 then Buffer.add_char b ',';
-         add_string b k;
-         Buffer.add_char b ':';
-         to_buffer b v)
+         add_member b field)
       fields;
     Buffer.add_char b '}'
+
+and add_member b (k, v) =
+  add_string b k;
+  Buffer.add_char b ':';
+  to_buffer b v
 
 let to_string v =
   let b = Buffer.create 256 in
@@ -92,3 +96,23 @@ let to_line v =
   to_buffer b v;
   Buffer.add_char b '\n';
   Buffer.contents b
+
+(* [to_buffer b (Object (fields @ [ (key, Array items') ]))], where
+   [add_item b x] prints each of [items'] from the matching one of
+   [items] as it comes: for artefacts with many large items, so that
+   no item's value outlives its printing. *)
+let add_object_with_items b fields ~key add_item items =
+  Buffer.add_char b '{';
+  List.iter
+    (fun field ->
+       add_member b field;
+       Buffer.add_char b ',')
+    fields;
+  add_string b key;
+  Buffer.add_string b ":[";
+  List.iteri
+    (fun i x ->
+       if i > 0 then Buffer.add_char b ',';
+       add_item b x)
+    items;
+  Buffer.add_string b "]}"

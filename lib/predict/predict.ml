@@ -699,8 +699,10 @@ let pair_json ~witness_path ~file p =
      @ (("iterations", Json.int p.pr_iterations) :: witness))
 
 let json_string ~params ~witness_path files =
-  let file_json (file, report) =
-    Json.Object
+  (* A catalog's document runs to hundreds of megabytes: one pair's
+     value at a time. *)
+  let add_file b (file, report) =
+    Json.add_object_with_items b
       [ ("file", Json.String file)
       ; ("events", Json.int (Trace.length report.trace))
       ; ("replayable", Json.Bool report.replayable_input)
@@ -717,14 +719,17 @@ let json_string ~params ~witness_path files =
             ] )
       ; ("feasible_locations", Json.strings (feasible_locations report))
       ; ("extra_locations", Json.strings (extra_locations report))
-      ; ( "pairs"
-        , Json.Array (List.map (pair_json ~witness_path ~file) report.pairs) )
       ]
+      ~key:"pairs"
+      (fun b p -> Json.to_buffer b (pair_json ~witness_path ~file p))
+      report.pairs
   in
-  Json.to_line
-    (Json.Object
-       [ ("schema", Json.String "droidracer-predictions/1")
-       ; ("window", Json.int params.window)
-       ; ("max_iterations", Json.int params.max_iterations)
-       ; ("files", Json.Array (List.map file_json files))
-       ])
+  let b = Buffer.create 4096 in
+  Json.add_object_with_items b
+    [ ("schema", Json.String "droidracer-predictions/1")
+    ; ("window", Json.int params.window)
+    ; ("max_iterations", Json.int params.max_iterations)
+    ]
+    ~key:"files" add_file files;
+  Buffer.add_char b '\n';
+  Buffer.contents b

@@ -351,9 +351,14 @@ let variant_files ?(seed = 5) ?(events = 400) ~count () =
 (* {1 Catalog runs} *)
 
 (* The catalog through the supervised runner, every app required to
-   complete: the runs the table drivers take. *)
+   complete on its first attempt: the runs the table drivers take.  No
+   retry, so a crash that happens only sometimes still fails the
+   test. *)
 let catalog_runs ?jobs specs =
-  let outcomes = Supervisor.run_catalog ?jobs ~specs () in
+  let outcomes =
+    Supervisor.run_catalog ?jobs ~retry:Droidracer_report.Proc_pool.no_retry
+      ~specs ()
+  in
   match Supervisor.failures outcomes with
   | [] -> Supervisor.completed outcomes
   | f :: _ ->

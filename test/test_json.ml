@@ -1,6 +1,6 @@
 (* The JSON printer: what [Json.to_string] writes, [Json_parse.parse]
    reads back as the same value, and numbers follow the one rule (an
-   integral value below 1e15 is an integer, any other finite float the
+   integral value below 2^53 is an integer, any other finite float the
    shortest round-tripping of %.15g/%.17g, a non-finite one null). *)
 
 let check_string = Alcotest.(check string)
@@ -9,8 +9,13 @@ let test_numbers () =
   let show f = Json.to_string (Json.Number f) in
   check_string "integer" "42" (show 42.0);
   check_string "negative integer" "-7" (show (-7.0));
-  check_string "largest integer form" "999999999999999" (show 999999999999999.0);
-  check_string "1e15 is a float" "1e+15" (show 1e15);
+  check_string "negative zero" "0" (show (-0.0));
+  check_string "1e15 is an integer" "1000000000000000" (show 1e15);
+  check_string "a nanosecond clock after 12 days" "1500000000000123"
+    (show 1500000000000123.0);
+  check_string "largest integer form" "9007199254740991"
+    (show 9007199254740991.0);
+  check_string "1e16 is a float" "1e+16" (show 1e16);
   check_string "short fraction" "0.1" (show 0.1);
   check_string "fraction needing 17 digits" "0.33333333333333331"
     (show (1.0 /. 3.0));
@@ -27,6 +32,26 @@ let test_layout () =
           ; ("b", Json.Object [ ("c", Json.String "d\"\\\n\001\xc3\xa9") ])
           ; ("e", Json.Array [])
           ]))
+
+let test_items () =
+  let item n = Json.strings [ n ] in
+  let streamed fields items =
+    let b = Buffer.create 16 in
+    Json.add_object_with_items b fields ~key:"k"
+      (fun b n -> Json.to_buffer b (item n))
+      items;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (fields, items) ->
+       check_string "as the built object"
+         (Json.to_string
+            (Json.Object (fields @ [ ("k", Json.Array (List.map item items)) ])))
+         (streamed fields items))
+    [ ([], [])
+    ; ([], [ "a" ])
+    ; ([ ("x", Json.int 1); ("y", Json.Null) ], [ "a"; "b\"" ])
+    ]
 
 (* {1 Round trip} *)
 
@@ -57,7 +82,7 @@ let gen_string =
 let gen_number =
   let open QCheck2.Gen in
   oneof
-    [ map Float.of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000)
+    [ map Float.of_int (int_range (-(1 lsl 53) + 1) ((1 lsl 53) - 1))
     ; map
         (fun bits ->
            let f = Int64.float_of_bits bits in
@@ -100,6 +125,7 @@ let () =
     [ ( "printer"
       , [ Alcotest.test_case "number rule" `Quick test_numbers
         ; Alcotest.test_case "layout and escaping" `Quick test_layout
+        ; Alcotest.test_case "items printed one at a time" `Quick test_items
         ; QCheck_alcotest.to_alcotest roundtrip
         ] )
     ]

@@ -41,6 +41,7 @@ module Lock_id = struct
 
   module Set = Set.Make (String)
   module Map = Map.Make (String)
+  module Table = Hashtbl.Make (String)
 end
 
 module Task_id = struct

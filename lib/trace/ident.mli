@@ -55,6 +55,9 @@ module Lock_id : sig
   module Set : Set.S with type elt = t
 
   module Map : Map.S with type key = t
+
+  module Table : Hashtbl.S with type key = t
+  (** Keyed by {!equal}. *)
 end
 
 (** Identifiers of asynchronously posted tasks.
@@ -96,9 +99,9 @@ end
 
 (** A shared string-interning table.
 
-    The binary trace codec ({!Binfmt}), the streaming engine and the
-    corpus generator all need a stable [string -> small int] mapping for
-    identifier names.  Hoisting the table here keeps the numbering
+    The binary trace codec ({!Binfmt}), which the corpus generator
+    also writes through, needs a stable [string -> small int] mapping
+    for identifier names.  Hoisting the table here keeps the numbering
     consistent between producers and consumers.  Indices are dense and
     assigned in first-seen order, so an interner doubles as an ordered
     ident table.  Repeated lookups bump the [trace.intern_hits]

@@ -409,19 +409,20 @@ let pair_line (p : Predict.pair_result) =
      | None -> "none")
     p.Predict.pr_iterations verdict
 
-let report_lines () =
+let report_lines ?(jobs = 1) () =
   List.concat_map
     (fun (name, t) ->
-       ("# " ^ name) :: List.map pair_line (Predict.analyze t).Predict.pairs)
+       ("# " ^ name)
+       :: List.map pair_line (Predict.analyze ~jobs t).Predict.pairs)
     (pin_traces ())
 
-let test_reports_stable () =
+let test_reports_stable ?jobs () =
   let path =
     if Sys.file_exists "data/predict_reports.txt" then "data/predict_reports.txt"
     else "test/data/predict_reports.txt"
   in
   let expected = In_channel.with_open_text path In_channel.input_lines in
-  let actual = report_lines () in
+  let actual = report_lines ?jobs () in
   let rec compare_lines n = function
     | [], [] -> ()
     | e :: es, a :: as_ ->
@@ -432,6 +433,44 @@ let test_reports_stable () =
     | [], a :: _ -> Alcotest.failf "line %d: unexpected %s" n a
   in
   compare_lines 1 (expected, actual)
+
+(* {1 Adversarial: a deadline already past}
+
+   Observed pairs are settled without a search and stay Feasible; every
+   other pair is cut short before it runs, whatever the number of
+   domains. *)
+
+let test_deadline_past () =
+  let params = { Predict.default_params with Predict.deadline = Some 0.0 } in
+  List.iter
+    (fun seed ->
+       let config =
+         { Longtrace.default_config with
+           Longtrace.planted = 2
+         ; masked = 2
+         ; loopers = 3
+         ; seed
+         }
+       in
+       let t = longtrace_trace config ~events:1600 in
+       let report = Predict.analyze ~params t in
+       let searched = report.Predict.candidates - report.Predict.dropped in
+       check_bool "some pair cut short" true
+         (report.Predict.observed < searched);
+       List.iter
+         (fun (p : Predict.pair_result) ->
+            match (p.Predict.pr_observed, p.Predict.pr_verdict) with
+            | true, Predict.Feasible _ -> ()
+            | false, Predict.Unknown Predict.Deadline -> ()
+            | true, _ -> Alcotest.fail "observed pair not feasible"
+            | false, _ -> Alcotest.fail "searched past the deadline")
+         report.Predict.pairs;
+       check_bool "degraded" true report.Predict.degraded;
+       let lines r = List.map pair_line r.Predict.pairs in
+       Alcotest.(check (list string))
+         "jobs 1 and 4 agree" (lines report)
+         (lines (Predict.analyze ~params ~jobs:4 t)))
+    [ 101; 103; 105 ]
 
 (* {1 Soundness and completeness properties} *)
 
@@ -515,6 +554,8 @@ let () =
         ; Alcotest.test_case "FIFO alone refutes" `Quick test_fifo_refutes
         ; Alcotest.test_case "predict reports are stable" `Quick
             test_reports_stable
+        ; Alcotest.test_case "predict reports are stable at jobs 4" `Quick
+            (test_reports_stable ~jobs:4)
         ] )
     ; ( "adversarial"
       , [ Alcotest.test_case "cyclic constraints" `Quick
@@ -525,6 +566,8 @@ let () =
             test_window_exhaustion
         ; Alcotest.test_case "budget exhaustion" `Quick
             test_budget_exhaustion
+        ; Alcotest.test_case "deadline already past" `Quick
+            test_deadline_past
         ] )
     ; ( "planted corpora"
       , [ Alcotest.test_case "longtrace masked seed 11" `Quick

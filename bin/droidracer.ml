@@ -1277,7 +1277,9 @@ let predict_cmd =
                "Write the prediction report (schema \
                 droidracer-predictions/1: per-file summaries plus one \
                 record per candidate pair with its verdict, window and \
-                witness replay results) as JSON to $(docv).")
+                witness replay results) as JSON to $(docv).  The \
+                document is written to $(docv).tmp as the traces are \
+                analysed and renamed to $(docv) when complete.")
   in
   let window =
     Arg.(value & opt int Predict.default_params.Predict.window
@@ -1347,7 +1349,7 @@ let predict_cmd =
       }
     in
     Option.iter mkdir_p witness_dir;
-    let witness_paths = Hashtbl.create 16 in
+    (* Writes a feasible pair's witness and names its file. *)
     let write_witness ~file idx (p : Predict.pair_result) =
       match (p.Predict.pr_verdict, witness_dir) with
       | Predict.Feasible w, Some dir ->
@@ -1359,63 +1361,57 @@ let predict_cmd =
         in
         (if binary then Binfmt.save path w.Predict.w_trace
          else Trace_io.save path w.Predict.w_trace);
-        Hashtbl.replace witness_paths
-          ( file
-          , p.Predict.pr_pair.Race.first.Race.position
-          , p.Predict.pr_pair.Race.second.Race.position )
-          path
-      | _ -> ()
+        Some path
+      | _ -> None
     in
-    let results =
-      List.map
-        (fun file ->
-           match Trace_io.load file with
-           | Error msg -> or_die (Error msg)
-           | Ok trace ->
-             let report = Predict.analyze ~params ~jobs trace in
-             List.iteri (fun i p -> write_witness ~file i p)
-               report.Predict.pairs;
-             Format.printf "%s: %a@." file Predict.pp_report report;
-             if show_all then
-               List.iter
-                 (fun (p : Predict.pair_result) ->
-                    let verdict =
-                      match p.Predict.pr_verdict with
-                      | Predict.Feasible w ->
-                        if w.Predict.w_flipped then "FEASIBLE (flipped)"
-                        else "FEASIBLE (observed)"
-                      | Predict.Refuted r ->
-                        "refuted: " ^ Predict.refutation_label r
-                      | Predict.Unknown u ->
-                        "unknown: " ^ Predict.unknown_label u
-                    in
-                    Format.printf "  %a@.    -> %s@." Race.pp
-                      p.Predict.pr_pair verdict)
-                 report.Predict.pairs;
-             List.iter
-               (fun loc ->
-                  Format.printf "  reordering-only race on %s@." loc)
-               (Predict.extra_locations report);
-             (file, report))
-        files
+    let degraded = ref false in
+    let analyse file =
+      match Trace_io.load file with
+      | Error msg -> or_die (Error msg)
+      | Ok trace ->
+        let report = Predict.analyze ~params ~jobs trace in
+        if report.Predict.degraded then degraded := true;
+        Format.printf "%s: %a@." file Predict.pp_report report;
+        if show_all then
+          List.iter
+            (fun (p : Predict.pair_result) ->
+               let verdict =
+                 match p.Predict.pr_verdict with
+                 | Predict.Feasible w ->
+                   if w.Predict.w_flipped then "FEASIBLE (flipped)"
+                   else "FEASIBLE (observed)"
+                 | Predict.Refuted r ->
+                   "refuted: " ^ Predict.refutation_label r
+                 | Predict.Unknown u -> "unknown: " ^ Predict.unknown_label u
+               in
+               Format.printf "  %a@.    -> %s@." Race.pp p.Predict.pr_pair
+                 verdict)
+            report.Predict.pairs;
+        List.iter
+          (fun loc -> Format.printf "  reordering-only race on %s@." loc)
+          (Predict.extra_locations report);
+        report
     in
-    Option.iter
-      (fun path ->
-         let witness_path ~file ~pair:(p : Predict.pair_result) =
-           Hashtbl.find_opt witness_paths
-             ( file
-             , p.Predict.pr_pair.Race.first.Race.position
-             , p.Predict.pr_pair.Race.second.Race.position )
-         in
-         Out_channel.with_open_text path (fun oc ->
-           Out_channel.output_string oc
-             (Predict.json_string ~params ~witness_path results));
-         Printf.eprintf "wrote prediction report to %s\n%!" path)
-      json_out;
-    let degraded =
-      List.exists (fun (_, r) -> r.Predict.degraded) results
-    in
-    if degraded then
+    (* One file at a time: its witnesses are written and its record
+       printed before the next file is analysed.  The document goes to
+       PATH.tmp and is renamed when whole, so a run that dies leaves no
+       truncated PATH. *)
+    (match json_out with
+     | None ->
+       List.iter
+         (fun file ->
+            List.iteri
+              (fun i p -> ignore (write_witness ~file i p))
+              (analyse file).Predict.pairs)
+         files
+     | Some path ->
+       let tmp = path ^ ".tmp" in
+       Out_channel.with_open_text tmp (fun oc ->
+         Predict.output_json ~params ~witness_path:write_witness oc
+           (List.map (fun file -> (file, fun () -> analyse file)) files));
+       Sys.rename tmp path;
+       Printf.eprintf "wrote prediction report to %s\n%!" path);
+    if !degraded then
       Printf.eprintf
         "droidracer: deadline passed; some pairs were not searched\n%!"
   in

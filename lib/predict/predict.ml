@@ -32,41 +32,17 @@ let must_successors trace =
   Hb_edges.iter ~config:Hb_edges.must g ~f:(fun ~rule:_ src dst ->
     (* ~coalesce:false: every node is a single position *)
     let i = Graph.first_pos g src and j = Graph.first_pos g dst in
+    (* forward edges: the window search needs no cycle check *)
+    assert (i < j);
     succs.(i) <- j :: succs.(i));
   Array.map (List.sort_uniq compare) succs
 
 module Solver = struct
   type outcome =
     | Scheduled of int list
-    | Cyclic
     | Must_ordered
     | Exhausted
     | Out_of_budget
-
-  let toposort ~n ~succs =
-    let indegree = Array.make n 0 in
-    Array.iteri
-      (fun _ -> List.iter (fun v -> indegree.(v) <- indegree.(v) + 1))
-      succs;
-    let module S = Set.Make (Int) in
-    let ready = ref S.empty in
-    for v = n - 1 downto 0 do
-      if indegree.(v) = 0 then ready := S.add v !ready
-    done;
-    let order = ref [] in
-    let taken = ref 0 in
-    while not (S.is_empty !ready) do
-      let v = S.min_elt !ready in
-      ready := S.remove v !ready;
-      order := v :: !order;
-      incr taken;
-      List.iter
-        (fun w ->
-           indegree.(w) <- indegree.(w) - 1;
-           if indegree.(w) = 0 then ready := S.add w !ready)
-        succs.(v)
-    done;
-    if !taken = n then Some (List.rev !order) else None
 
   (* Forward reachability over an adjacency array, as a flag vector. *)
   let reachable adj start =
@@ -101,95 +77,91 @@ module Solver = struct
            end)
         succs.(p)
     done;
-    match toposort ~n:m ~succs:lsuccs with
-    | None -> (Cyclic, 0)
-    | Some _ ->
-      let from_first = reachable lsuccs (idx first) in
-      if from_first.(idx second) then (Must_ordered, 0)
-      else begin
-        let anc_second = reachable lpreds (idx second) in
-        let anc_first = reachable lpreds (idx first) in
-        (* Emission priority: reach the goal fast.  The flipped access
-           itself first, then what must precede it, then what must
-           precede the observed-first access (needed before the goal
-           test can pass), then everything else; ties in trace order. *)
-        let priority v =
-          if v = idx second then 0
-          else if anc_second.(v) then 1
-          else if anc_first.(v) then 2
-          else 3
-        in
-        let emitted = Bytes.make m '\000' in
-        let is_emitted v = Bytes.get emitted v = '\001' in
-        let preds_ok v = List.for_all is_emitted lpreds.(v) in
-        (* The scheduler state is not a function of the emitted set
-           alone: posts from different threads can enter a queue in
-           either order, and dispatch eligibility depends on arrival
-           order.  The memo key therefore includes the queue
-           contents. *)
-        let fingerprint st =
-          let buf = Buffer.create (m + 32) in
-          Buffer.add_string buf (Bytes.unsafe_to_string emitted);
+    let from_first = reachable lsuccs (idx first) in
+    if from_first.(idx second) then (Must_ordered, 0)
+    else begin
+      let anc_second = reachable lpreds (idx second) in
+      let anc_first = reachable lpreds (idx first) in
+      (* Emission priority: reach the goal fast.  The flipped access
+         itself first, then what must precede it, then what must
+         precede the observed-first access (needed before the goal
+         test can pass), then everything else; ties in trace order. *)
+      let priority v =
+        if v = idx second then 0
+        else if anc_second.(v) then 1
+        else if anc_first.(v) then 2
+        else 3
+      in
+      let emitted = Bytes.make m '\000' in
+      let is_emitted v = Bytes.get emitted v = '\001' in
+      let preds_ok v = List.for_all is_emitted lpreds.(v) in
+      (* The scheduler state is not a function of the emitted set
+         alone: posts from different threads can enter a queue in
+         either order, and dispatch eligibility depends on arrival
+         order.  The memo key therefore includes the queue
+         contents. *)
+      let fingerprint st =
+        let buf = Buffer.create (m + 32) in
+        Buffer.add_string buf (Bytes.unsafe_to_string emitted);
+        List.iter
+          (fun (t, q) ->
+             Buffer.add_char buf '|';
+             Buffer.add_string buf
+               (string_of_int (Ident.Thread_id.to_int t));
+             Buffer.add_char buf ':';
+             List.iter
+               (fun task ->
+                  Buffer.add_string buf (Ident.Task_id.to_string task);
+                  Buffer.add_char buf ';')
+               (Queue_model.pending q))
+          (State.all_queues st);
+        Buffer.contents buf
+      in
+      let memo = Hashtbl.create 1024 in
+      let iterations = ref 0 in
+      let first_event = Trace.get trace first in
+      let rec dfs st order_rev =
+        incr iterations;
+        if !iterations > max_iterations then raise Budget;
+        if
+          is_emitted (idx second)
+          && preds_ok (idx first)
+          && Result.is_ok (Step.apply st first_event)
+        then raise (Found (List.rev (first :: order_rev)));
+        let key = fingerprint st in
+        if not (Hashtbl.mem memo key) then begin
+          Hashtbl.add memo key ();
+          let cands = ref [] in
+          for v = m - 1 downto 0 do
+            let p = lo + v in
+            if p <> first && (not (is_emitted v)) && preds_ok v then
+              match Step.apply st (Trace.get trace p) with
+              | Ok st' -> cands := (priority v, p, st') :: !cands
+              | Error _ -> ()
+          done;
+          let cands =
+            List.sort
+              (fun (x, p, _) (y, q, _) -> compare (x, p) (y, q))
+              !cands
+          in
           List.iter
-            (fun (t, q) ->
-               Buffer.add_char buf '|';
-               Buffer.add_string buf
-                 (string_of_int (Ident.Thread_id.to_int t));
-               Buffer.add_char buf ':';
-               List.iter
-                 (fun task ->
-                    Buffer.add_string buf (Ident.Task_id.to_string task);
-                    Buffer.add_char buf ';')
-                 (Queue_model.pending q))
-            (State.all_queues st);
-          Buffer.contents buf
-        in
-        let memo = Hashtbl.create 1024 in
-        let iterations = ref 0 in
-        let first_event = Trace.get trace first in
-        let rec dfs st order_rev =
-          incr iterations;
-          if !iterations > max_iterations then raise Budget;
-          if
-            is_emitted (idx second)
-            && preds_ok (idx first)
-            && Result.is_ok (Step.apply st first_event)
-          then raise (Found (List.rev (first :: order_rev)));
-          let key = fingerprint st in
-          if not (Hashtbl.mem memo key) then begin
-            Hashtbl.add memo key ();
-            let cands = ref [] in
-            for v = m - 1 downto 0 do
-              let p = lo + v in
-              if p <> first && (not (is_emitted v)) && preds_ok v then
-                match Step.apply st (Trace.get trace p) with
-                | Ok st' -> cands := (priority v, p, st') :: !cands
-                | Error _ -> ()
-            done;
-            let cands =
-              List.sort
-                (fun (x, p, _) (y, q, _) -> compare (x, p) (y, q))
-                !cands
-            in
-            List.iter
-              (fun (_, p, st') ->
-                 Bytes.set emitted (idx p) '\001';
-                 dfs st' (p :: order_rev);
-                 Bytes.set emitted (idx p) '\000')
-              cands
-          end
-        in
-        match dfs state0 [] with
-        | () -> (Exhausted, !iterations)
-        | exception Found order -> (Scheduled order, !iterations)
-        | exception Budget -> (Out_of_budget, !iterations)
-      end
+            (fun (_, p, st') ->
+               Bytes.set emitted (idx p) '\001';
+               dfs st' (p :: order_rev);
+               Bytes.set emitted (idx p) '\000')
+            cands
+        end
+      in
+      match dfs state0 [] with
+      | () -> (Exhausted, !iterations)
+      | exception Found order -> (Scheduled order, !iterations)
+      | exception Budget -> (Out_of_budget, !iterations)
+    end
 end
 
 (* {1 Verdicts} *)
 
 type refutation =
-  | Cyclic_constraints
   | Must_path
   | Search_exhausted
 
@@ -201,7 +173,6 @@ type unknown_reason =
   | Deadline
 
 let refutation_label = function
-  | Cyclic_constraints -> "cyclic-constraints"
   | Must_path -> "must-path"
   | Search_exhausted -> "search-exhausted"
 
@@ -290,13 +261,13 @@ let witness_ok w =
 (* The search window for a non-observed candidate: [lo, second], always
    containing both accesses and spanning at most [params.window] events;
    [None] when the accesses lie further apart than the window allows.
-   Shared between [solve_pair] and the parallel pre-population of the
-   prefix-state cache in [analyze], which must agree on the starts. *)
+   Shared between [solve_pair] and the prefix-state replay in
+   [analyze], which must agree on the starts. *)
 let window_start ~params ~first ~second =
   if second - first + 1 > params.window then None
   else Some (min first (max 0 (second - params.window + 1)))
 
-let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
+let solve_pair ~params ~config ~trace ~states ~succs ~replayable
     ~must_ordered (race : Race.t) ~observed =
   Obs.with_span "predict.pair" @@ fun () ->
   let a = race.Race.first.Race.position in
@@ -373,8 +344,8 @@ let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
     | Some lo -> begin
     Obs.add "predict.windows";
     let outcome, iterations =
-      Solver.search ~trace ~state0:(state_at lo) ~succs ~lo ~first:a
-        ~second:b ~max_iterations:params.max_iterations
+      Solver.search ~trace ~state0:(Hashtbl.find states lo) ~succs ~lo
+        ~first:a ~second:b ~max_iterations:params.max_iterations
     in
     Obs.add ~n:iterations "predict.iterations";
     let finish verdict =
@@ -386,9 +357,6 @@ let solve_pair ~params ~config ~trace ~state_at ~succs ~replayable
       }
     in
     match outcome with
-    | Solver.Cyclic ->
-      Obs.add "predict.refuted";
-      finish (Refuted Cyclic_constraints)
     | Solver.Must_ordered ->
       Obs.add "predict.refuted";
       finish (Refuted Must_path)
@@ -436,25 +404,19 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
     ?(jobs = 1) trace =
   Obs.with_span "predict.analyze" @@ fun () ->
   let trace = Trace.remove_cancelled trace in
-  let dense = Detector.relation ~config trace in
-  let relaxed_detector =
-    { config with Detector.hb = relaxed_config config.Detector.hb }
-  in
-  let relaxed = Detector.relation ~config:relaxed_detector trace in
+  (* One graph, closed under the dense, the relaxed and the must rule
+     switches.  The must-relation is the dense configuration with only
+     the LOCK rule off.  Its orderings hold in every admissible schedule
+     (lock edges are the only schedule-dependent base facts; FIFO and
+     NOPRE over must-facts are forced), so a candidate it orders is
+     refutable without a search. *)
+  let graph = Graph.build ~coalesce:config.Detector.coalesce trace in
+  let relation hb = Happens_before.compute ~config:hb graph in
+  let hb = config.Detector.hb in
+  let dense = relation hb in
+  let relaxed = relation (relaxed_config hb) in
   let candidates = Race.detect ~jobs trace ~hb:relaxed in
-  (* The must-relation: the dense configuration with only the LOCK rule
-     off.  Its orderings hold in every admissible schedule (lock edges
-     are the only schedule-dependent base facts; FIFO and NOPRE over
-     must-facts are forced), so a candidate it orders is refutable
-     without a search. *)
-  let must_rel =
-    Detector.relation
-      ~config:
-        { config with
-          Detector.hb = { config.Detector.hb with lock_rule = false }
-        }
-      trace
-  in
+  let must_rel = relation { hb with lock_rule = false } in
   let must_ordered i j = Happens_before.hb must_rel i j in
   let observed_race (r : Race.t) =
     not
@@ -497,43 +459,14 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
       candidates
   in
   let replayable = Result.is_ok (Step.validate trace) in
-  let succs = lazy (must_successors trace) in
-  (* Prefix states are shared across pairs: the cache maps a window
-     start [lo] to the state after replaying positions [0 .. lo-1].
-     OCaml's Hashtbl is not domain-safe, so only the coordinating
-     domain ever mutates the table: sequential runs fill it on demand
-     through [state_at], parallel runs pre-populate every window start
-     with [warm_state_cache] and hand the workers the read-only
-     [state_at_ro]. *)
-  let state_cache = Hashtbl.create 16 in
-  let compute_state lo =
-    let st = ref State.initial in
-    for p = 0 to lo - 1 do
-      match Step.apply !st (Trace.get trace p) with
-      | Ok st' -> st := st'
-      | Error _ -> assert false (* input validated replayable *)
-    done;
-    !st
-  in
-  let state_at lo =
-    match Hashtbl.find_opt state_cache lo with
-    | Some st -> st
-    | None ->
-      let st = compute_state lo in
-      Hashtbl.replace state_cache lo st;
-      st
-  in
-  (* Worker-domain view of the cache: never writes.  A miss (possible
-     only if [warm_state_cache] ever diverged from [solve_pair]'s
-     window choice) recomputes locally instead of touching the shared
-     table. *)
-  let state_at_ro lo =
-    match Hashtbl.find_opt state_cache lo with
-    | Some st -> st
-    | None -> compute_state lo
-  in
-  let warm_state_cache () =
-    let starts =
+  (* The window starts of the pairs that will be searched, and the
+     state after replaying positions [0 .. lo-1] for each: one
+     incremental replay covers every start.  The table is filled before
+     any pair runs, so the pairs (on any number of domains) only read
+     it. *)
+  let starts =
+    if not replayable then []
+    else
       List.filter_map
         (fun (r, observed) ->
            let a = r.Race.first.Race.position
@@ -542,27 +475,27 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
            else window_start ~params ~first:a ~second:b)
         selected
       |> List.sort_uniq compare
-    in
-    (* One incremental replay of the trace covers every start. *)
-    let st = ref State.initial in
-    let pos = ref 0 in
-    List.iter
-      (fun lo ->
-         while !pos < lo do
-           (match Step.apply !st (Trace.get trace !pos) with
-            | Ok st' -> st := st'
-            | Error _ -> assert false);
-           incr pos
-         done;
-         Hashtbl.replace state_cache lo !st)
-      starts
   in
+  let states = Hashtbl.create 16 in
+  let st = ref State.initial in
+  let pos = ref 0 in
+  List.iter
+    (fun lo ->
+       while !pos < lo do
+         (match Step.apply !st (Trace.get trace !pos) with
+          | Ok st' -> st := st'
+          | Error _ -> assert false (* input validated replayable *));
+         incr pos
+       done;
+       Hashtbl.replace states lo !st)
+    starts;
+  let succs = if starts = [] then [||] else must_successors trace in
   let past_deadline () =
     match params.deadline with
     | None -> false
     | Some d -> Unix.gettimeofday () > d
   in
-  let solve ~state_at (r, observed) =
+  let solve (r, observed) =
     if past_deadline () && not observed then begin
       Obs.add "predict.unknown";
       { pr_pair = r
@@ -573,20 +506,10 @@ let analyze ?(params = default_params) ?(config = Detector.default_config)
       }
     end
     else
-      solve_pair ~params ~config ~trace ~state_at ~succs:(Lazy.force succs)
-        ~replayable ~must_ordered r ~observed
+      solve_pair ~params ~config ~trace ~states ~succs ~replayable
+        ~must_ordered r ~observed
   in
-  let pairs =
-    if jobs > 1 then begin
-      (* Each pair is a pure function of (trace, pair); force the
-         shared caches before fanning out so the worker domains only
-         read them. *)
-      ignore (Lazy.force succs);
-      (if replayable then warm_state_cache ());
-      Par_pool.parallel_map ~jobs (solve ~state_at:state_at_ro) selected
-    end
-    else List.map (solve ~state_at) selected
-  in
+  let pairs = Par_pool.parallel_map ~jobs solve selected in
   let degraded =
     List.exists
       (fun p ->
@@ -659,7 +582,7 @@ let access_json (a : Race.access) =
           a.Race.task )
     ]
 
-let pair_json ~witness_path ~file p =
+let pair_json ~witness p =
   let verdict, reason =
     match p.pr_verdict with
     | Feasible _ -> ("feasible", [])
@@ -685,7 +608,7 @@ let pair_json ~witness_path ~file p =
             ; ("step", Json.option (fun ok -> Json.Bool ok) w.w_replayed)
             ; ("unordered", Json.Bool w.w_unordered)
             ] )
-      ; ("witness", Json.option Json.string (witness_path ~file ~pair:p))
+      ; ("witness", Json.option Json.string witness)
       ]
     | Refuted _ | Unknown _ -> []
   in
@@ -698,10 +621,22 @@ let pair_json ~witness_path ~file p =
      @ reason @ window
      @ (("iterations", Json.int p.pr_iterations) :: witness))
 
-let json_string ~params ~witness_path files =
-  (* A catalog's document runs to hundreds of megabytes: one pair's
-     value at a time. *)
-  let add_file b (file, report) =
+let output_json ~params ~witness_path oc files =
+  (* A catalog's document runs to hundreds of megabytes: each file is
+     analysed as its record is printed, and the text goes to [oc] a few
+     pairs at a time, so no more than one report is ever live. *)
+  let b = Buffer.create 65536 in
+  let add_file b (file, analyse) =
+    let report = analyse () in
+    let index = ref (-1) in
+    let add_pair b p =
+      incr index;
+      Json.to_buffer b (pair_json ~witness:(witness_path ~file !index p) p);
+      if Buffer.length b >= 65536 then begin
+        Buffer.output_buffer oc b;
+        Buffer.clear b
+      end
+    in
     Json.add_object_with_items b
       [ ("file", Json.String file)
       ; ("events", Json.int (Trace.length report.trace))
@@ -720,11 +655,8 @@ let json_string ~params ~witness_path files =
       ; ("feasible_locations", Json.strings (feasible_locations report))
       ; ("extra_locations", Json.strings (extra_locations report))
       ]
-      ~key:"pairs"
-      (fun b p -> Json.to_buffer b (pair_json ~witness_path ~file p))
-      report.pairs
+      ~key:"pairs" add_pair report.pairs
   in
-  let b = Buffer.create 4096 in
   Json.add_object_with_items b
     [ ("schema", Json.String "droidracer-predictions/1")
     ; ("window", Json.int params.window)
@@ -732,4 +664,4 @@ let json_string ~params ~witness_path files =
     ]
     ~key:"files" add_file files;
   Buffer.add_char b '\n';
-  Buffer.contents b
+  Buffer.output_buffer oc b

@@ -14,6 +14,9 @@ open! Import
 
     {2 Pipeline}
 
+    - The analysed trace's graph is built once; the dense, relaxed and
+      must relations below are three {!Happens_before.compute} closures
+      of it under different rule switches.
     - Candidates are the races of the {e relaxed} relation — the
       paper's relation with [lock_rule = false] and [fifo_rule = false]
       ({!relaxed_config}).  Both dropped rules only record which way a
@@ -41,7 +44,11 @@ open! Import
       {!Step} (so queue dispatch, run-to-completion, lock exclusion and
       thread lifecycle are enforced by construction), pruned by the
       {e must-happen-before} constraints of {!Hb_edges.must} — the
-      static rules that hold in every admissible schedule.
+      static rules that hold in every admissible schedule.  Every
+      constraint points forward in the trace, so they are acyclic.
+      The prefix states are filled by one incremental replay, over
+      every window start, before any pair runs; the must-constraints
+      are built only when some pair is searched.
       A found schedule's witness is {!Trace.select} of the prefix
       positions and the search's order: a fresh trace, built without an
       event list.
@@ -102,16 +109,11 @@ module Solver : sig
     | Scheduled of int list
         (** feasible: the window positions in emission order, ending
             with [first] (its predecessor is the flipped [second]) *)
-    | Cyclic  (** the constraint graph has a cycle inside the window *)
     | Must_ordered
         (** a must-constraint path orders [first] before [second] *)
     | Exhausted
         (** the search space was covered without finding a flip *)
     | Out_of_budget  (** [max_iterations] search nodes were expanded *)
-
-  val toposort : n:int -> succs:int list array -> int list option
-  (** Kahn's algorithm over nodes [0 .. n-1]; [None] on a cycle.
-      Deterministic: ready nodes are taken in ascending index order. *)
 
   val search :
     trace:Trace.t ->
@@ -130,18 +132,21 @@ module Solver : sig
       and the number of search nodes expanded.  Memoised on
       (emitted-set, queue contents), so revisited scheduler states are
       never re-expanded; with the iteration budget this bounds the
-      search on any input, cyclic constraint graphs included. *)
+      search on any input.  [succs] from {!must_successors} points
+      forward only; a hand-made cyclic one is searched like any other,
+      its cycle's events simply never becoming ready. *)
 end
 
 val must_successors : Trace.t -> int list array
 (** [succs.(p)] = positions that must execute after [p] in every
     admissible schedule: the {!Hb_edges.must} rule instances over the
-    uncoalesced graph of the trace. *)
+    uncoalesced graph of the trace.  Every successor lies after its
+    position ([p < q]), so the observed order satisfies every
+    constraint and the window search needs no cycle check. *)
 
 (** {1 Verdicts} *)
 
 type refutation =
-  | Cyclic_constraints
   | Must_path
   | Search_exhausted
 
@@ -238,13 +243,19 @@ val extra_locations : report -> string list
 
 val pp_report : Format.formatter -> report -> unit
 
-val json_string :
+val output_json :
   params:params ->
-  witness_path:(file:string -> pair:pair_result -> string option) ->
-  (string * report) list ->
-  string
-(** The [droidracer-predictions/1] document for a list of
-    [(file, report)] results.  [witness_path] names the file a feasible
-    pair's witness was written to (or [None] when witnesses are not
-    materialised); writing the witness files is the caller's
+  witness_path:(file:string -> int -> pair_result -> string option) ->
+  out_channel ->
+  (string * (unit -> report)) list ->
+  unit
+(** [output_json ~params ~witness_path oc files] writes the
+    [droidracer-predictions/1] document for [files] to [oc].  Each
+    [(file, analyse)] is analysed by [analyse ()] when its record is
+    reached, and its record is written before the next file is
+    analysed, so only one report is live at a time.  [witness_path
+    ~file i pair] is called once for each pair, [i] its index in
+    {!report.pairs}; for a feasible pair it names the file the
+    pair's witness was written to ([None] when witnesses are not
+    materialised).  Writing the witness files is the caller's
     business. *)

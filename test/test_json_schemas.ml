@@ -423,20 +423,26 @@ let longtrace =
 
 let test_analysis_reports () =
   let _, stats = Streaming_engine.detect masked_trace in
-  let witness_path ~file ~pair:(_ : Predict.pair_result) =
+  let witness_path ~file _ (_ : Predict.pair_result) =
     if file = "masked.trace" then Some "witnesses/masked \"0\".trace" else None
+  in
+  let predictions =
+    let path = Filename.temp_file "predictions" ".json" in
+    Out_channel.with_open_text path (fun oc ->
+      Predict.output_json ~params:Predict.default_params ~witness_path oc
+        [ ("masked.trace", fun () -> Predict.analyze masked_trace)
+        ; ("longtrace.trace", fun () -> Predict.analyze longtrace)
+        ]);
+    let text = In_channel.with_open_text path In_channel.input_all in
+    Sys.remove path;
+    text
   in
   pin "reports.json"
     [ ( "streaming"
       , Streaming_engine.stats_json_string ~label:"pin \"label\""
           ~elapsed_seconds:0.5 ~peak_rss_kb:1234 stats
       , [] )
-    ; ( "predictions"
-      , Predict.json_string ~params:Predict.default_params ~witness_path
-          [ ("masked.trace", Predict.analyze masked_trace)
-          ; ("longtrace.trace", Predict.analyze longtrace)
-          ]
-      , [] )
+    ; ("predictions", predictions, [])
     ]
 
 (* {1 droidracer-races/1, droidracer-failures/1} *)

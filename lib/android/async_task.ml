@@ -10,8 +10,6 @@ let phase_name = function
   | Awaiting_post_execute -> "awaiting onPostExecute"
   | Finished -> "finished"
 
-let pp_phase ppf p = Format.pp_print_string ppf (phase_name p)
-
 type t =
   { name : string
   ; phase : phase

@@ -15,8 +15,6 @@ type phase =
 
 val phase_name : phase -> string
 
-val pp_phase : Format.formatter -> phase -> unit
-
 type t
 
 val create : name:string -> t

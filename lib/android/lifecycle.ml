@@ -140,7 +140,3 @@ let service_step state callback =
     Error
       (Printf.sprintf "%s is not permitted in the current service state"
          (service_callback_name callback))
-
-type receiver_callback = On_receive
-
-let receiver_callback_name On_receive = "onReceive"

@@ -83,9 +83,3 @@ val service_step :
   service_state -> service_callback -> (service_state, string) result
 
 val service_successors : service_state -> service_callback list
-
-(** {1 Broadcast receivers} *)
-
-type receiver_callback = On_receive
-
-val receiver_callback_name : receiver_callback -> string

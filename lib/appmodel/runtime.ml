@@ -10,12 +10,6 @@ type ui_event =
   | Rotate
   | Intent of string
 
-let ui_event_equal a b =
-  match a, b with
-  | Click e, Click e' | Intent e, Intent e' -> String.equal e e'
-  | Back, Back | Rotate, Rotate -> true
-  | (Click _ | Back | Rotate | Intent _), _ -> false
-
 let pp_ui_event ppf = function
   | Click e -> Format.fprintf ppf "click(%s)" e
   | Back -> Format.pp_print_string ppf "BACK"

@@ -30,8 +30,6 @@ type ui_event =
       (** deliver an external intent: launches an activity whose filter
           matches the action, pausing the current top activity *)
 
-val ui_event_equal : ui_event -> ui_event -> bool
-
 val pp_ui_event : Format.formatter -> ui_event -> unit
 
 (** Scheduling policies. *)

@@ -61,8 +61,8 @@ type report =
   ; uncoalesced_nodes : int  (** = trace length *)
   ; hb_edges : int
   ; fixpoint_passes : int
-      (** passes over the nodes, see {!Happens_before.passes} (1 under
-          both engines) *)
+      (** passes over the nodes: 1 under both engines, whose relation is
+          one forward sweep *)
   ; hb_word_ors : int
       (** closure work metric, see {!Happens_before.word_ors} *)
   ; elapsed_seconds : float  (** wall-clock (monotonic across domains) *)

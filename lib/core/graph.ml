@@ -1,18 +1,10 @@
 open! Import
-module Thread_id = Ident.Thread_id
-module Task_id = Ident.Task_id
 
-type node_kind =
-  | Anchor of int
-  | Access_block
-
-(* Nodes are numbered in order of their first position.  Per node:
-   the anchor's position ([-1] for an access block), the dense thread
-   and enclosing task indices of the trace, and the first and last
-   positions. *)
+(* Nodes are numbered in order of their first position.  Per node: the
+   dense thread and enclosing task indices of the trace, and the first
+   and last positions. *)
 type t =
   { trace : Trace.t
-  ; anchor : int array
   ; node_thread : int array
   ; node_task : int array
   ; first : int array
@@ -47,7 +39,7 @@ let build ~coalesce trace =
     end
   done;
   let nodes = !count in
-  let anchor = Array.make nodes (-1) and node_thread = Array.make nodes 0 in
+  let node_thread = Array.make nodes 0 in
   let node_task = Array.make nodes (-1) and first = Array.make nodes 0 in
   let last = Array.make nodes 0 in
   let next = ref 0 in
@@ -56,7 +48,6 @@ let build ~coalesce trace =
     if id = !next then begin
       (* a node's first position: ids ascend with it *)
       incr next;
-      if not (Trace.is_access trace i) then anchor.(id) <- i;
       node_thread.(id) <- Trace.thread_index trace i;
       node_task.(id) <- Trace.enclosing_index trace i;
       first.(id) <- i
@@ -71,41 +62,24 @@ let build ~coalesce trace =
     let p = node_task.(id) in
     if p >= 0 then by_task.(p) <- id :: by_task.(p)
   done;
-  { trace; anchor; node_thread; node_task; first; last; node_of_pos; by_thread
+  { trace; node_thread; node_task; first; last; node_of_pos; by_thread
   ; by_task }
 
 let trace t = t.trace
 let node_count t = Array.length t.first
-
-let kind t id =
-  let pos = t.anchor.(id) in
-  if pos >= 0 then Anchor pos else Access_block
 
 let node_of_pos t pos =
   if pos < 0 || pos >= Array.length t.node_of_pos then
     invalid_arg (Printf.sprintf "Graph.node_of_pos: position %d out of bounds" pos);
   t.node_of_pos.(pos)
 
-let thread_of_node t id = Trace.thread_id t.trace t.node_thread.(id)
 let thread_index_of_node t id = t.node_thread.(id)
-
-let task_of_node t id =
-  let p = t.node_task.(id) in
-  if p < 0 then None else Some (Trace.task_id t.trace p)
 
 let task_index_of_node t id = t.node_task.(id)
 let first_pos t id = t.first.(id)
 let last_pos t id = t.last.(id)
 
-let nodes_of_thread t tid =
-  let th = Trace.index_of_thread t.trace tid in
-  if th < 0 then [] else t.by_thread.(th)
-
 let nodes_of_thread_index t th = t.by_thread.(th)
-
-let nodes_of_task t p =
-  let k = Trace.index_of_task t.trace p in
-  if k < 0 then [] else t.by_task.(k)
 
 let nodes_of_task_index t k = t.by_task.(k)
 

@@ -19,12 +19,6 @@ open! Import
     anchors.  [enable] operations are anchors (the ENABLE rules start
     edges there), so they break access runs. *)
 
-type node_kind =
-  | Anchor of int  (** trace position of a non-access operation *)
-  | Access_block
-      (** accesses of one thread, from {!first_pos} to {!last_pos};
-          {!node_of_pos} maps each back to the block *)
-
 type t
 
 val build : coalesce:bool -> Trace.t -> t
@@ -35,39 +29,27 @@ val trace : t -> Trace.t
 
 val node_count : t -> int
 
-val kind : t -> int -> node_kind
-
 val node_of_pos : t -> int -> int
 (** The node containing a trace position. *)
-
-val thread_of_node : t -> int -> Ident.Thread_id.t
 
 val thread_index_of_node : t -> int -> int
 (** {!Trace.thread_index} of the node's positions. *)
 
-val task_of_node : t -> int -> Ident.Task_id.t option
-(** The enclosing asynchronous task shared by all positions of the
-    node. *)
-
 val task_index_of_node : t -> int -> int
-(** {!Trace.enclosing_index} of the node's positions. *)
+(** {!Trace.enclosing_index} of the node's positions: the enclosing
+    asynchronous task they all share. *)
 
 val first_pos : t -> int -> int
 
 val last_pos : t -> int -> int
 
-val nodes_of_thread : t -> Ident.Thread_id.t -> int list
-(** Nodes executed by the thread, ascending. *)
-
 val nodes_of_thread_index : t -> int -> int list
-(** {!nodes_of_thread} by the trace's thread index. *)
-
-val nodes_of_task : t -> Ident.Task_id.t -> int list
-(** Nodes belonging to the task's execution, ascending ([begin] and
-    [end] included). *)
+(** Nodes executed by the thread of the trace's thread index,
+    ascending. *)
 
 val nodes_of_task_index : t -> int -> int list
-(** {!nodes_of_task} by the trace's task index. *)
+(** Nodes belonging to the execution of the task of the trace's task
+    index, ascending ([begin] and [end] included). *)
 
 val thread_index : t -> Ident.Thread_id.t -> int
 (** A dense 0-based index for the thread, for mask tables: the trace's

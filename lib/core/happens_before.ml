@@ -232,12 +232,6 @@ let hb t i j =
 let hb_or_eq t i j = i = j || hb t i j
 let ordered t i j = hb t i j || hb t j i
 
-let same_thread t i j =
-  Thread_id.equal
-    (Trace.thread (Graph.trace t.graph) i)
-    (Trace.thread (Graph.trace t.graph) j)
-
 let node_count t = Graph.node_count t.graph
 let edge_count t = Bit_matrix.count t.preds
-let passes _ = 1
 let word_ors t = t.word_ors

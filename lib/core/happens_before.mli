@@ -94,8 +94,6 @@ val hb_or_eq : t -> int -> int -> bool
 val ordered : t -> int -> int -> bool
 (** [hb r i j || hb r j i]. *)
 
-val same_thread : t -> int -> int -> bool
-
 (** {1 Queries over graph nodes} *)
 
 val node_hb : t -> int -> int -> bool
@@ -111,9 +109,6 @@ val node_count : t -> int
 
 val edge_count : t -> int
 (** Number of ordered pairs in the computed relation. *)
-
-val passes : t -> int
-(** Passes over the nodes: always 1 ([hb.passes]). *)
 
 val word_ors : t -> int
 (** Machine-word OR operations the closure performed, the dynamic

@@ -846,16 +846,6 @@ let detect ?config trace =
   Trace.iteri (fun i e -> feed t ~position:i e) trace;
   finish t
 
-let detect_channel ?config ic =
-  let t = create ?config () in
-  match
-    Trace_io.fold_channel ic ~init:0 ~f:(fun pos ~line:_ e ->
-      feed t ~position:pos e;
-      pos + 1)
-  with
-  | Ok _ -> Ok (finish t)
-  | Error e -> Error e
-
 let detect_file ?config path =
   let t = create ?config () in
   match

@@ -163,10 +163,6 @@ val detect : ?config:config -> Trace.t -> Race.t list * stats
     feed it a {!Trace.remove_cancelled}'d trace to compare positions
     with the dense engine. *)
 
-val detect_channel :
-  ?config:config -> In_channel.t ->
-  (Race.t list * stats, Trace_io.read_error) result
-
 val detect_file :
   ?config:config -> string -> (Race.t list * stats, Trace_io.read_error) result
 (** Streams the named file; memory stays proportional to live entities

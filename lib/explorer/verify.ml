@@ -67,15 +67,6 @@ let site_of_access ~thread_names trace (a : Race.access) =
   in
   { site with s_ordinal = ordinal }
 
-let pp_context ppf = function
-  | In_task n -> Format.fprintf ppf "task %s" n
-  | On_thread n -> Format.fprintf ppf "thread %s" n
-
-let pp_site ppf s =
-  Format.fprintf ppf "%s(%a)#%d in %a"
-    (if s.s_is_write then "write" else "read")
-    Location.pp s.s_location s.s_ordinal pp_context s.s_context
-
 let find_site ~thread_names trace site =
   List.nth_opt (matching_positions trace thread_names site) site.s_ordinal
 

@@ -29,8 +29,6 @@ val site_of_access :
   Race.access ->
   site
 
-val pp_site : Format.formatter -> site -> unit
-
 val find_site :
   thread_names:(Ident.Thread_id.t * string) list ->
   Trace.t ->

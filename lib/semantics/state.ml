@@ -40,13 +40,6 @@ let all_queues s = Thread_id.Map.bindings s.queues
 let lock_holder s l =
   Option.map fst (Lock_id.Map.find_opt l s.locks)
 
-let locks_of s t =
-  Lock_id.Map.fold
-    (fun l (holder, _) acc -> if Thread_id.equal holder t then l :: acc else acc)
-    s.locks []
-  |> List.rev
-
-let enabled_tasks s = Task_id.Set.elements s.enabled
 let register_initial s t = { s with phases = Thread_id.Map.add t Created s.phases }
 let add_created s t = { s with phases = Thread_id.Map.add t Created s.phases }
 let set_running s t = { s with phases = Thread_id.Map.add t Running s.phases }
@@ -84,4 +77,3 @@ let release_lock s t l =
   | Some _ | None -> None
 
 let add_enabled s p = { s with enabled = Task_id.Set.add p s.enabled }
-let remove_enabled s p = { s with enabled = Task_id.Set.remove p s.enabled }

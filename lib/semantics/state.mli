@@ -39,12 +39,6 @@ val all_queues : t -> (Ident.Thread_id.t * Queue_model.t) list
 
 val lock_holder : t -> Ident.Lock_id.t -> Ident.Thread_id.t option
 
-val locks_of : t -> Ident.Thread_id.t -> Ident.Lock_id.t list
-(** L(t). *)
-
-val enabled_tasks : t -> Ident.Task_id.t list
-(** Tasks whose [enable] was executed but that were not yet posted. *)
-
 (** {1 Updates (used by {!Step})} *)
 
 val register_initial : t -> Ident.Thread_id.t -> t
@@ -71,5 +65,3 @@ val release_lock : t -> Ident.Thread_id.t -> Ident.Lock_id.t -> t option
 (** [None] when the thread does not hold the lock. *)
 
 val add_enabled : t -> Ident.Task_id.t -> t
-
-val remove_enabled : t -> Ident.Task_id.t -> t

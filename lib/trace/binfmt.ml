@@ -730,9 +730,6 @@ let fold_channel ic ~init ~f =
   | Error e -> Error e
   | Ok () -> fold_after_magic ~base_offset:4 ic ~init ~f
 
-let fold_file path ~init ~f =
-  In_channel.with_open_bin path (fun ic -> fold_channel ic ~init ~f)
-
 (* A decoder over an in-memory byte string, past its magic. *)
 let string_decoder s ~sink =
   let cursor = ref 0 in

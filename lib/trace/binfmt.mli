@@ -110,12 +110,6 @@ val fold_channel :
   ('a, error) result
 (** Like {!fold_after_magic} but checks the magic itself. *)
 
-val fold_file :
-  string ->
-  init:'a ->
-  f:('a -> index:int -> Trace.event -> 'a) ->
-  ('a, error) result
-
 val fold_string :
   string ->
   init:'a ->

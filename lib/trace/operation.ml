@@ -118,8 +118,6 @@ let is_write = function
   | Post _ | Begin_task _ | End_task _ | Acquire _ | Release _ | Read _
   | Enable _ | Cancel _ -> false
 
-let is_access op = Option.is_some (accessed_location op)
-
 let conflicts a b =
   match accessed_location a, accessed_location b with
   | Some m, Some m' ->
@@ -130,9 +128,3 @@ let is_synchronization = function
   | Read _ | Write _ | Enable _ | Cancel _ -> false
   | Thread_init | Thread_exit | Fork _ | Join _ | Attach_queue | Loop_on_queue
   | Post _ | Begin_task _ | End_task _ | Acquire _ | Release _ -> true
-
-let posted_task = function
-  | Post { task; _ } -> Some task
-  | Thread_init | Thread_exit | Fork _ | Join _ | Attach_queue | Loop_on_queue
-  | Begin_task _ | End_task _ | Acquire _ | Release _ | Read _ | Write _
-  | Enable _ | Cancel _ -> None

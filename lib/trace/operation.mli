@@ -57,9 +57,6 @@ val accessed_location : t -> Ident.Location.t option
 
 val is_write : t -> bool
 
-val is_access : t -> bool
-(** [Read] or [Write]. *)
-
 val conflicts : t -> t -> bool
 (** Two operations conflict if they access the same memory location and
     at least one is a write (Section 2.4). *)
@@ -68,6 +65,3 @@ val is_synchronization : t -> bool
 (** Everything except reads, writes, enables and cancels.  Runs of
     non-synchronization access operations are coalesced into single graph
     nodes by the detector's optimisation (Section 6, "Performance"). *)
-
-val posted_task : t -> Ident.Task_id.t option
-(** For a [Post], the task being posted (the paper's [callee]). *)

@@ -74,8 +74,6 @@ let all_rules =
   ; Lock_held_elsewhere
   ]
 
-let rule_equal (a : rule) b = a = b
-
 (* {1 Errors} *)
 
 type error =

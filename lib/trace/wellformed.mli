@@ -65,8 +65,6 @@ type rule =
 
 val rule_name : rule -> string
 
-val rule_equal : rule -> rule -> bool
-
 val all_rules : rule list
 
 (** A structured rejection: the offending line (1-based; for in-memory
